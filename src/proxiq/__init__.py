@@ -1,8 +1,8 @@
 """Composite optimization with inexact first-order oracles of tunable degree."""
 
 from .oracle import (CertificationReport, ExactOracle, HolderFunction, HolderOracle,
-                     MinibatchOracle, NoisyGradientOracle, OracleCertificate, OracleEval,
-                     SaddleOracle, SaddleProblem, ShiftedPointOracle, bounded_noise,
+                     MinibatchOracle, NoisyGradientOracle, NonFiniteAnswer, OracleCertificate,
+                     OracleEval, SaddleOracle, SaddleProblem, ShiftedPointOracle, bounded_noise,
                      certify_oracle, eval_holder, eval_minibatch, eval_noisy_gradient,
                      eval_saddle, eval_shifted_point, holder_smoothing_coefficient,
                      holder_smoothing_constant, majorize_amgm, spectral_norm)

@@ -4,30 +4,30 @@ certificate checks, and rate-curve export.
 Every output is reproducible from the config file alone.  Per-cell
 randomness is seeded by the cell's own coordinates (degree, noise level,
 repeat index), so editing the grid never reshuffles the randomness of
-cells that were already there.  With PROXIQ_WORKERS > 1 the cells of a
-sweep run in a thread pool; files are written after the join, in grid
-order, with %.17g floats and forced newlines, so parallel runs are
-byte-identical to serial ones.
+cells that were already there.  Cells run one after another and files are
+written in grid order, with %.17g floats and forced newlines.
+
+The plain and the worst-case sweep share one body and one step kernel,
+prox_gradient.  The worst case is an oracle that offers m candidate noise
+draws per answer (worst_case_directions); the solver steps along the one
+that moves the iterate farthest.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import rates
-from .oracle import (NoisyGradientOracle, OracleCertificate, OracleEval,
-                     bounded_noise, certify_oracle)
+from .oracle import NoisyGradientOracle, OracleCertificate, OracleEval, certify_oracle
 from .problems import generate_logsum_instance, sample_l1_ball
-from .prox import ProxFunction, project_l1_ball, prox_apply
-from .solver import DivergenceError, ScheduleConfig, prox_gradient
+from .prox import ProxFunction, project_l1_ball
+from .solver import DivergenceError, ScheduleConfig, prox_gradient, write_trace_csv
 
 
 class ConfigError(ValueError):
@@ -216,13 +216,14 @@ class CellResult:
     seed_label: str
     status: str                     # "ok" or "diverged"
     f0: float
-    objective: Optional[np.ndarray]     # (K,) value at the pre-step iterate
-    gm_sq: Optional[np.ndarray]
-    min_gm_sq: Optional[np.ndarray]
-    alpha: Optional[np.ndarray]
-    delta: Optional[np.ndarray]
     bound: np.ndarray
     wall_time: float
+    # the per-step columns stay None for a diverged cell
+    objective: Optional[np.ndarray] = None     # (K,) value at the pre-step iterate
+    gm_sq: Optional[np.ndarray] = None
+    min_gm_sq: Optional[np.ndarray] = None
+    alpha: Optional[np.ndarray] = None
+    delta: Optional[np.ndarray] = None
 
     @property
     def plateau(self):
@@ -243,7 +244,12 @@ class CellResult:
         return f"trace_q{self.degree:g}_delta{self.noise_bound:g}_rep{self.repeat}.csv"
 
 
-def _cell_setup(problem, config, degree, noise_bound):
+def _instance(config):
+    spec = config.problem
+    return generate_logsum_instance(spec.n, spec.N, spec.radius, spec.noise_level, spec.seed)
+
+
+def _cell_setup(problem, config, degree, noise_bound, directions):
     lip = problem.lipschitz
     diameter = 2.0 * problem.radius
     delta_eff = float(noise_bound) * diameter ** (1.0 - float(degree))
@@ -253,7 +259,7 @@ def _cell_setup(problem, config, degree, noise_bound):
                          max_iters=config.solver.iterations, beta=config.solver.beta,
                          zeta=config.solver.zeta, step_scale=config.solver.step_scale)
     oracle = NoisyGradientOracle(problem, float(noise_bound), degree=float(degree),
-                                 diameter=diameter)
+                                 diameter=diameter, directions=directions)
     h = ProxFunction.l1_ball(problem.radius)
     return cfg, oracle, h, delta_eff
 
@@ -269,10 +275,15 @@ def _seed_label(config, degree, noise_bound, repeat):
             f"-{int(round(float(noise_bound) * 1e6))}-{repeat}")
 
 
-def run_cell(problem, config, degree, noise_bound, repeat):
-    """One sweep cell: seeded run plus its theoretical bound curve."""
+def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
+    """One sweep cell: seeded run plus its theoretical bound curve.
+
+    With directions = m > 1 the oracle offers m noise draws per step and
+    the run follows the one that moves farthest; the first draw consumes
+    the generator like the plain run, so m = 1 is the plain cell.
+    """
     rng = np.random.default_rng(cell_seed(config.master_seed, degree, noise_bound, repeat))
-    cfg, oracle, h, delta_eff = _cell_setup(problem, config, degree, noise_bound)
+    cfg, oracle, h, delta_eff = _cell_setup(problem, config, degree, noise_bound, directions)
     x0 = np.zeros(problem.dim)
     f0 = problem.value(x0) + h.value(x0)
     bound = _cell_bound(problem, config, degree, delta_eff, f0)
@@ -283,23 +294,12 @@ def run_cell(problem, config, degree, noise_bound, repeat):
     except DivergenceError:
         return CellResult(degree=float(degree), noise_bound=float(noise_bound),
                           repeat=repeat, seed_label=label, status="diverged", f0=f0,
-                          objective=None, gm_sq=None, min_gm_sq=None, alpha=None,
-                          delta=None, bound=bound, wall_time=time.perf_counter() - start)
+                          bound=bound, wall_time=time.perf_counter() - start)
     return CellResult(degree=float(degree), noise_bound=float(noise_bound),
                       repeat=repeat, seed_label=label, status="ok", f0=f0,
+                      bound=bound, wall_time=time.perf_counter() - start,
                       objective=trace.objective[:-1].copy(), gm_sq=trace.gm_sq,
-                      min_gm_sq=trace.min_gm_sq, alpha=trace.alpha, delta=trace.delta,
-                      bound=bound, wall_time=time.perf_counter() - start)
-
-
-def _write_cell_csv(path, cell):
-    header = "k,f,gm_sq,min_gm_sq,alpha,delta_k,bound"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(len(cell.gm_sq)):
-            fh.write(f"{k},{cell.objective[k]:.17g},{cell.gm_sq[k]:.17g},"
-                     f"{cell.min_gm_sq[k]:.17g},{cell.alpha[k]:.17g},"
-                     f"{cell.delta[k]:.17g},{cell.bound[k]:.17g}\n")
+                      min_gm_sq=trace.min_gm_sq, alpha=trace.alpha, delta=trace.delta)
 
 
 def _write_bounds_csv(path, cells):
@@ -340,12 +340,20 @@ def _grid(config):
             for r in range(config.repeats)]
 
 
-def _map_cells(worker, cells):
-    workers = int(os.environ.get("PROXIQ_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(cell) for cell in cells]
+def _sweep(config, directions, prefix, write_bounds):
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    problem = _instance(config)
+    results = [run_cell(problem, config, *cell, directions=directions)
+               for cell in _grid(config)]
+    for cell in results:
+        if cell.status == "ok":
+            write_trace_csv(out / (prefix + cell.trace_filename), cell.objective, cell.gm_sq,
+                            cell.min_gm_sq, cell.alpha, cell.delta, cell.bound)
+    if write_bounds:
+        _write_bounds_csv(out / "bound_q_delta.csv", results)
+    _write_summary_csv(out / (prefix + "summary.csv"), results)
+    return results
 
 
 def run_experiment(config):
@@ -356,100 +364,18 @@ def run_experiment(config):
     reported in the summary and skipped in the trace output; its siblings
     are unaffected.  Returns the CellResults in grid order.
     """
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    problem = generate_logsum_instance(config.problem.n, config.problem.N,
-                                       config.problem.radius, config.problem.noise_level,
-                                       config.problem.seed)
-    problem.lipschitz  # materialize the cached constant before threads share it
-    results = _map_cells(lambda cell: run_cell(problem, config, *cell), _grid(config))
-    for cell in results:
-        if cell.status == "ok":
-            _write_cell_csv(out / cell.trace_filename, cell)
-    _write_bounds_csv(out / "bound_q_delta.csv", results)
-    _write_summary_csv(out / "summary.csv", results)
-    return results
-
-
-def run_worst_case_cell(problem, config, degree, noise_bound, repeat):
-    """Adversarial variant of one cell: per step, the noise direction that
-    moves the iterate farthest wins among m candidate draws.
-
-    The first candidate consumes the generator exactly like the plain run,
-    so m = 1 reproduces run_cell bit for bit.
-    """
-    m = config.worst_case_directions
-    rng = np.random.default_rng(cell_seed(config.master_seed, degree, noise_bound, repeat))
-    cfg, oracle, h, delta_eff = _cell_setup(problem, config, degree, noise_bound)
-    x = np.zeros(problem.dim)
-    f0 = problem.value(x) + h.value(x)
-    bound = _cell_bound(problem, config, degree, delta_eff, f0)
-    label = _seed_label(config, degree, noise_bound, repeat)
-    iters = config.solver.iterations
-    objective = np.empty(iters)
-    gm_sq = np.empty(iters)
-    alpha_arr = np.empty(iters)
-    delta_arr = np.empty(iters)
-    ceiling = f0 + 1e6 * (1.0 + abs(f0))
-    start = time.perf_counter()
-    lip = problem.lipschitz
-    status = "ok"
-    for k in range(iters):
-        delta_k = cfg.delta_at(k)
-        noise_scale = oracle.noise_for(delta_k)
-        alpha_k = cfg.alpha_at(k, lip)
-        grad = problem.gradient(x)
-        objective[k] = problem.value(x) + h.value(x)
-        best = None
-        best_move_sq = -1.0
-        for _ in range(m):
-            noisy = grad + bounded_noise(rng, x.size, noise_scale)
-            cand = prox_apply(h, alpha_k, x - alpha_k * noisy)
-            step = cand - x
-            move_sq = float(step @ step)  # same expression as the solver, so m=1 is bitwise
-            if move_sq > best_move_sq:
-                best_move_sq = move_sq
-                best = cand
-        gm_sq[k] = best_move_sq / alpha_k ** 2
-        alpha_arr[k] = alpha_k
-        delta_arr[k] = delta_k
-        x = best
-        f = problem.value(x) + h.value(x)
-        if not np.isfinite(f) or f > ceiling:
-            status = "diverged"
-            objective = objective[:k + 1]
-            gm_sq, alpha_arr, delta_arr = gm_sq[:k + 1], alpha_arr[:k + 1], delta_arr[:k + 1]
-            break
-    wall = time.perf_counter() - start
-    if status == "diverged":
-        return CellResult(degree=float(degree), noise_bound=float(noise_bound),
-                          repeat=repeat, seed_label=label, status=status, f0=f0,
-                          objective=None, gm_sq=None, min_gm_sq=None, alpha=None,
-                          delta=None, bound=bound, wall_time=wall)
-    return CellResult(degree=float(degree), noise_bound=float(noise_bound),
-                      repeat=repeat, seed_label=label, status=status, f0=f0,
-                      objective=objective, gm_sq=gm_sq,
-                      min_gm_sq=np.minimum.accumulate(gm_sq), alpha=alpha_arr,
-                      delta=delta_arr, bound=bound, wall_time=wall)
+    return _sweep(config, 1, "", write_bounds=True)
 
 
 def run_worst_case(config):
-    """Adversarial counterpart of run_experiment; outputs carry a worst_ prefix."""
+    """Adversarial counterpart of run_experiment; outputs carry a worst_ prefix.
+
+    Each step follows the farthest-moving of worst_case_directions noise
+    draws.  The bound curves are the plain run's and are not written again.
+    """
     if config.worst_case_directions < 1:
         raise ConfigError("worst_case_directions must be at least 1 for a worst-case run")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    problem = generate_logsum_instance(config.problem.n, config.problem.N,
-                                       config.problem.radius, config.problem.noise_level,
-                                       config.problem.seed)
-    problem.lipschitz
-    results = _map_cells(lambda cell: run_worst_case_cell(problem, config, *cell),
-                         _grid(config))
-    for cell in results:
-        if cell.status == "ok":
-            _write_cell_csv(out / ("worst_" + cell.trace_filename), cell)
-    _write_summary_csv(out / "worst_summary.csv", results)
-    return results
+    return _sweep(config, config.worst_case_directions, "worst_", write_bounds=False)
 
 
 class _ScaledClaim:
@@ -507,9 +433,7 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = generate_logsum_instance(config.problem.n, config.problem.N,
-                                       config.problem.radius, config.problem.noise_level,
-                                       config.problem.seed)
+    problem = _instance(config)
     sampler = ball_pair_sampler(problem.radius, problem.dim)
     lines = []
     all_ok = True

@@ -12,6 +12,11 @@ point, which buys better convergence guarantees downstream.  Certificates
 may additionally claim a convex lower bound, meaning the linearization
 never overshoots F.
 
+Any gradient that satisfies the certificate is an admissible answer, so
+an answer may carry several candidate gradients under one certificate; the
+noisy-gradient family offers m noise draws this way, and the solver's
+worst-case run steps along the one that moves farthest.
+
 Besides the abstract certificate this module provides several constructive
 oracle families (additive gradient noise, evaluation at shifted points,
 mini-batch subsampling, approximate inner maximization, weakly smooth
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -51,22 +56,34 @@ class OracleCertificate:
             raise ValueError("lipschitz must be positive")
 
 
+class NonFiniteAnswer(ValueError):
+    """An oracle answered with a non-finite value or gradient."""
+
+
 @dataclass(frozen=True)
 class OracleEval:
-    """One oracle answer: exact value, approximate gradient, certificate."""
+    """One oracle answer: exact value, approximate gradient, certificate.
+
+    alternatives holds further candidate gradients that the same
+    certificate covers; a solver may step along any of them.
+    """
 
     point: np.ndarray
     value: float
     gradient: np.ndarray
     certificate: OracleCertificate
+    alternatives: Tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError("oracle value is not finite")
-        if self.gradient.shape != self.point.shape:
-            raise ValueError("gradient and point shapes differ")
-        if not np.all(np.isfinite(self.gradient)):
-            raise ValueError("oracle gradient has non-finite entries")
+            raise NonFiniteAnswer("oracle value is not finite")
+        for grad in (self.gradient, *self.alternatives):
+            if grad.shape != self.point.shape:
+                raise ValueError("gradient and point shapes differ")
+        # one isfinite call covers all alternatives; they share a shape by now
+        if not (np.isfinite(self.gradient).all()
+                and (not self.alternatives or np.isfinite(self.alternatives).all())):
+            raise NonFiniteAnswer("oracle gradient has non-finite entries")
 
 
 def majorize_amgm(delta, degree, rho):
@@ -161,7 +178,8 @@ def bounded_noise(rng, dim, bound):
     if rng is None:
         raise ValueError("a generator is required to draw noise")
     direction = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
+    # np.linalg.norm's own formula for a vector, without its call overhead
+    norm = math.sqrt(direction.dot(direction))
     if norm == 0.0:
         return np.zeros(dim)
     radius = float(bound) if rng.random() < 0.5 else float(bound) * rng.random()
@@ -206,15 +224,12 @@ class SaddleProblem:
     operator: np.ndarray
     concave_center: np.ndarray
     concavity: float
-    inner_iterations: int = 1  # reserved for iterative inner solvers
 
     def __post_init__(self):
         if self.concavity <= 0.0:
             raise ValueError("concavity must be positive")
         if self.operator.shape[1] != self.concave_center.shape[0]:
             raise ValueError("operator and concave_center dimensions differ")
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be positive")
 
     def maximizer(self, x):
         return self.concave_center + self.operator.T @ np.asarray(x, dtype=float) / self.concavity
@@ -247,18 +262,27 @@ class HolderFunction:
     convex: bool = True
 
 
-def eval_noisy_gradient(problem, x, noise_norm_bound, rng, degree=1.0, diameter=None):
+def eval_noisy_gradient(problem, x, noise_norm_bound, rng, degree=1.0, diameter=None,
+                        directions=1):
     """Gradient corrupted by additive noise with a hard norm cap.
 
     The natural certificate has degree 1 with delta equal to the noise
     bound.  On a domain of known diameter D the same answer also certifies
     any degree q in [0, 1] with delta scaled by D**(1-q), because
     ||x - y|| <= D there.  Degrees above 1 are not certifiable this way.
+    With directions = m the exact gradient is perturbed by m noise vectors
+    drawn in sequence: the first gives the gradient, the others the
+    alternatives, all under the same certificate.
     """
     if noise_norm_bound < 0.0:
         raise ValueError("noise_norm_bound must be nonnegative")
+    if directions < 1:
+        raise ValueError("directions must be at least 1")
     x = np.asarray(x, dtype=float)
-    grad = problem.gradient(x) + bounded_noise(rng, x.size, noise_norm_bound)
+    exact = problem.gradient(x)
+    grad = exact + bounded_noise(rng, x.size, noise_norm_bound)
+    alternatives = tuple(exact + bounded_noise(rng, x.size, noise_norm_bound)
+                         for _ in range(directions - 1))
     q = float(degree)
     if q == 1.0:
         delta = float(noise_norm_bound)
@@ -269,7 +293,8 @@ def eval_noisy_gradient(problem, x, noise_norm_bound, rng, degree=1.0, diameter=
             raise ValueError("degree < 1 needs a domain diameter to rescale delta")
         delta = float(noise_norm_bound) * float(diameter) ** (1.0 - q)
     cert = OracleCertificate(delta=delta, lipschitz=float(problem.lipschitz), degree=q)
-    return OracleEval(point=x, value=float(problem.value(x)), gradient=grad, certificate=cert)
+    return OracleEval(point=x, value=float(problem.value(x)), gradient=grad, certificate=cert,
+                      alternatives=alternatives)
 
 
 def eval_shifted_point(problem, x, shift_bound, rng):
@@ -387,9 +412,12 @@ class NoisyGradientOracle:
 
     A delta override at call time is translated back into a noise bound, so
     a solver can drive a delta_k schedule without knowing the noise model.
+    With directions = m > 1 every answer carries m candidate gradients (see
+    eval_noisy_gradient), which is how the worst-case sweep picks its noise
+    direction.
     """
 
-    def __init__(self, problem, noise_bound, degree=1.0, diameter=None):
+    def __init__(self, problem, noise_bound, degree=1.0, diameter=None, directions=1):
         q = float(degree)
         if q != 1.0 and not 0.0 <= q < 1.0:
             raise ValueError("degree must lie in [0, 1] for a noisy-gradient oracle")
@@ -397,10 +425,13 @@ class NoisyGradientOracle:
             raise ValueError("degree < 1 needs a domain diameter")
         if noise_bound < 0.0:
             raise ValueError("noise_bound must be nonnegative")
+        if directions < 1:
+            raise ValueError("directions must be at least 1")
         self.problem = problem
         self.noise_bound = float(noise_bound)
         self.degree = q
         self.diameter = None if diameter is None else float(diameter)
+        self.directions = int(directions)
 
     def noise_for(self, delta):
         """Noise bound realizing a certificate accuracy delta at this degree."""
@@ -410,8 +441,8 @@ class NoisyGradientOracle:
 
     def evaluate(self, x, rng=None, delta=None):
         bound = self.noise_bound if delta is None else self.noise_for(delta)
-        return eval_noisy_gradient(self.problem, x, bound, rng,
-                                   degree=self.degree, diameter=self.diameter)
+        return eval_noisy_gradient(self.problem, x, bound, rng, degree=self.degree,
+                                   diameter=self.diameter, directions=self.directions)
 
 
 class ShiftedPointOracle:

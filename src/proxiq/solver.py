@@ -12,18 +12,21 @@ Three variants share the step x+ = prox_{alpha h}(x - alpha g):
 
 All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
-guarantees control.
+guarantees control.  prox_gradient also serves the worst-case sweep: when
+an oracle answer carries alternative candidate gradients, it steps along
+the candidate whose prox step moves farthest.  A non-finite oracle answer
+or a blown-up objective ends any run with DivergenceError.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
+from .oracle import NonFiniteAnswer
 from .prox import prox_apply
 from .rates import rho_opt_horizon
 
@@ -37,6 +40,23 @@ _THETA0 = {"equality_root": 1.0, "half_linear": 0.5}
 
 # a run is declared divergent when f exceeds f(x0) by this relative margin
 _BLOWUP_MARGIN = 1e6
+
+
+def _ceiling(f0):
+    return f0 + _BLOWUP_MARGIN * (1.0 + abs(f0))
+
+
+def _check_blowup(f, ceiling, step):
+    if not math.isfinite(f) or f > ceiling:
+        raise DivergenceError(f"objective blew up at step {step}: f = {f!r}")
+
+
+def _query(oracle, x, rng, delta, step):
+    """Oracle answer at x, with a non-finite answer reported as divergence."""
+    try:
+        return oracle.evaluate(x, rng=rng, delta=delta)
+    except NonFiniteAnswer as exc:
+        raise DivergenceError(f"oracle answer at step {step}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -102,7 +122,6 @@ class RunTrace:
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
     min_gm_sq: np.ndarray          # (K,) running minimum of gm_sq
     cum_alpha_gm_sq: np.ndarray    # (K,) running sum of alpha_j*gm_sq_j
-    adversarial: bool = False
     y_points: Optional[np.ndarray] = None
     z_points: Optional[np.ndarray] = None
     objective_y: Optional[np.ndarray] = None
@@ -110,27 +129,43 @@ class RunTrace:
     a_weights: Optional[np.ndarray] = None
     tau: Optional[np.ndarray] = None
 
+    @classmethod
+    def assemble(cls, iterates, objective, alpha, delta, gm_sq, **extra):
+        """A trace from the per-step arrays, with the running aggregates filled in."""
+        return cls(iterates=iterates, objective=objective, alpha=alpha, delta=delta,
+                   gm_sq=gm_sq, min_gm_sq=np.minimum.accumulate(gm_sq),
+                   cum_alpha_gm_sq=np.cumsum(alpha * gm_sq), **extra)
+
     @property
     def steps(self):
         return len(self.gm_sq)
 
     def write_csv(self, path, bound=None):
         """One row per step: k,f,gm_sq,min_gm_sq,alpha,delta_k and optionally bound."""
-        header = ["k", "f", "gm_sq", "min_gm_sq", "alpha", "delta_k"]
-        if bound is not None:
-            if len(bound) != self.steps:
-                raise ValueError("bound column length does not match the trace")
-            header.append("bound")
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for k in range(self.steps):
-                row = [str(k), f"{self.objective[k]:.17g}", f"{self.gm_sq[k]:.17g}",
-                       f"{self.min_gm_sq[k]:.17g}", f"{self.alpha[k]:.17g}",
-                       f"{self.delta[k]:.17g}"]
-                if bound is not None:
-                    row.append(f"{bound[k]:.17g}")
-                writer.writerow(row)
+        write_trace_csv(path, self.objective, self.gm_sq, self.min_gm_sq, self.alpha,
+                        self.delta, bound)
+
+
+def write_trace_csv(path, objective, gm_sq, min_gm_sq, alpha, delta, bound=None):
+    """Per-step columns as CSV, one row per step k, floats as %.17g.
+
+    objective may carry extra trailing entries (a RunTrace's final iterate);
+    rows stop at len(gm_sq).  An optional bound column must match it.
+    """
+    steps = len(gm_sq)
+    header = "k,f,gm_sq,min_gm_sq,alpha,delta_k"
+    if bound is None:
+        ends = ["\n"] * steps
+    else:
+        if len(bound) != steps:
+            raise ValueError("bound column length does not match the trace")
+        header += ",bound"
+        ends = [f",{b:.17g}\n" for b in bound]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for k in range(steps):
+            fh.write(f"{k},{objective[k]:.17g},{gm_sq[k]:.17g},{min_gm_sq[k]:.17g},"
+                     f"{alpha[k]:.17g},{delta[k]:.17g}{ends[k]}")
 
 
 @dataclass
@@ -153,45 +188,59 @@ def _check_start(oracle, config, h, x0):
     return x
 
 
+def _buffers(x, iters):
+    """Iterates (x0 filled in), objective, alpha, delta and gm_sq arrays for a run."""
+    iterates = np.empty((iters + 1, x.size))
+    iterates[0] = x
+    return iterates, np.empty(iters + 1), np.empty(iters), np.empty(iters), np.empty(iters)
+
+
 def prox_gradient(objective, oracle, h, config, x0, rng=None):
     """Proximal gradient iteration with scheduled inexact oracle calls.
 
     objective is the exact smooth part F (h contributes through its prox
     and value).  Each step queries the oracle at accuracy delta_k and takes
-    the step size from the certificate's smoothness constant.  Raises
-    DivergenceError if the composite value blows up or turns non-finite,
-    which in practice means a certificate lied.
+    the step size from the certificate's smoothness constant.  F at every
+    iterate but the last is the value of the oracle answer queried there;
+    objective is called only on the final iterate.  When an answer carries
+    alternative gradients, the step follows the candidate whose prox step
+    moves farthest, the first one on ties.  Raises DivergenceError if an
+    oracle answer is not finite or the composite value blows up or turns
+    non-finite, which in practice means a certificate lied.
     """
     x = _check_start(oracle, config, h, x0)
     iters = config.max_iters
-    iterates = np.empty((iters + 1, x.size))
-    iterates[0] = x
-    objective_vals = np.empty(iters + 1)
-    alpha_arr = np.empty(iters)
-    delta_arr = np.empty(iters)
-    gm_sq = np.empty(iters)
-    f0 = float(objective(x)) + h.value(x)
+    iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
+    delta_k = config.delta_at(0)
+    ev = _query(oracle, x, rng, delta_k, 0)
+    f0 = ev.value + h.value(x)
     objective_vals[0] = f0
-    ceiling = f0 + _BLOWUP_MARGIN * (1.0 + abs(f0))
+    ceiling = _ceiling(f0)
     for k in range(iters):
-        delta_k = config.delta_at(k)
-        ev = oracle.evaluate(x, rng=rng, delta=delta_k)
         alpha_k = config.alpha_at(k, ev.certificate.lipschitz)
         nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
         step = nxt - x
-        gm_sq[k] = float(step @ step) / alpha_k ** 2
+        move_sq = float(step @ step)
+        for grad in ev.alternatives:
+            cand = prox_apply(h, alpha_k, x - alpha_k * grad)
+            step = cand - x
+            cand_sq = float(step @ step)
+            if cand_sq > move_sq:
+                nxt, move_sq = cand, cand_sq
+        gm_sq[k] = move_sq / alpha_k ** 2
         alpha_arr[k] = alpha_k
         delta_arr[k] = delta_k
         x = nxt
         iterates[k + 1] = x
-        f = float(objective(x)) + h.value(x)
+        if k + 1 < iters:
+            delta_k = config.delta_at(k + 1)
+            ev = _query(oracle, x, rng, delta_k, k + 1)
+            f = ev.value + h.value(x)
+        else:
+            f = float(objective(x)) + h.value(x)
         objective_vals[k + 1] = f
-        if not math.isfinite(f) or f > ceiling:
-            raise DivergenceError(f"objective blew up at step {k + 1}: f = {f!r}")
-    return RunTrace(iterates=iterates, objective=objective_vals, alpha=alpha_arr,
-                    delta=delta_arr, gm_sq=gm_sq,
-                    min_gm_sq=np.minimum.accumulate(gm_sq),
-                    cum_alpha_gm_sq=np.cumsum(alpha_arr * gm_sq))
+        _check_blowup(f, ceiling, k + 1)
+    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq)
 
 
 def theta_next(a_prev, lipschitz_next, rule="equality_root"):
@@ -235,27 +284,22 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     origin = x.copy()
     iters = config.max_iters
     n = x.size
-    iterates = np.empty((iters + 1, n))
-    iterates[0] = x
+    iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
     y_points = np.empty((iters, n))
     z_points = np.empty((iters, n))
-    objective_vals = np.empty(iters + 1)
     objective_y = np.empty(iters)
-    alpha_arr = np.empty(iters)
-    delta_arr = np.empty(iters)
-    gm_sq = np.empty(iters)
     thetas = np.empty(iters)
     a_arr = np.empty(iters)
     taus = np.empty(iters)
     f0 = float(objective(x)) + h.value(x)
     objective_vals[0] = f0
-    ceiling = f0 + _BLOWUP_MARGIN * (1.0 + abs(f0))
+    ceiling = _ceiling(f0)
     theta = _THETA0[theta_rule]
     a_weight = 0.0
     model_sum = np.zeros(n)
     for k in range(iters):
         delta_k = config.delta_at(k)
-        ev = oracle.evaluate(x, rng=rng, delta=delta_k)
+        ev = _query(oracle, x, rng, delta_k, k)
         lip = ev.certificate.lipschitz + config.degree * config.rho
         if k == 0:
             a_weight = theta / lip
@@ -283,16 +327,13 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         fy = float(objective(y)) + h.value(y)
         objective_vals[k + 1] = f
         objective_y[k] = fy
-        if not (math.isfinite(f) and math.isfinite(fy)) or f > ceiling:
-            raise DivergenceError(f"objective blew up at step {k + 1}: f = {f!r}")
+        _check_blowup(f, ceiling, k + 1)
+        _check_blowup(fy, math.inf, k + 1)  # y only has to stay finite
         theta = theta_new
         a_weight = a_new
-    return RunTrace(iterates=iterates, objective=objective_vals, alpha=alpha_arr,
-                    delta=delta_arr, gm_sq=gm_sq,
-                    min_gm_sq=np.minimum.accumulate(gm_sq),
-                    cum_alpha_gm_sq=np.cumsum(alpha_arr * gm_sq),
-                    y_points=y_points, z_points=z_points, objective_y=objective_y,
-                    theta=thetas, a_weights=a_arr, tau=taus)
+    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq,
+                             y_points=y_points, z_points=z_points, objective_y=objective_y,
+                             theta=thetas, a_weights=a_arr, tau=taus)
 
 
 def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
@@ -318,22 +359,17 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         raise ValueError("max_doublings must be positive")
     x = _check_start(oracle, config, h, x0)
     iters = config.max_iters
-    iterates = np.empty((iters + 1, x.size))
-    iterates[0] = x
-    objective_vals = np.empty(iters + 1)
-    alpha_arr = np.empty(iters)
-    delta_arr = np.empty(iters)
-    gm_sq = np.empty(iters)
+    iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
     history: List[AdaptiveState] = []
     f0 = float(objective(x)) + h.value(x)
     objective_vals[0] = f0
-    ceiling = f0 + _BLOWUP_MARGIN * (1.0 + abs(f0))
+    ceiling = _ceiling(f0)
     epsilon = float(epsilon0)
     f_min = f0
     f_best = f_min - epsilon
     for k in range(iters):
         delta_k = config.delta0
-        ev = oracle.evaluate(x, rng=rng, delta=delta_k)
+        ev = _query(oracle, x, rng, delta_k, k)
         lip = ev.certificate.lipschitz
         retries = 0
         while True:
@@ -342,8 +378,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
             alpha_k = config.step_scale / (lip + config.degree * rho)
             nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
             f_next = float(objective(nxt)) + h.value(nxt)
-            if not math.isfinite(f_next) or f_next > ceiling:
-                raise DivergenceError(f"objective blew up at step {k + 1}: f = {f_next!r}")
+            _check_blowup(f_next, ceiling, k + 1)
             if f_next >= f_best:
                 break
             retries += 1
@@ -363,11 +398,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         f_min = min(f_min, f_next)
         epsilon /= 2.0
         f_best = f_min - epsilon
-    trace = RunTrace(iterates=iterates, objective=objective_vals, alpha=alpha_arr,
-                     delta=delta_arr, gm_sq=gm_sq,
-                     min_gm_sq=np.minimum.accumulate(gm_sq),
-                     cum_alpha_gm_sq=np.cumsum(alpha_arr * gm_sq))
-    return trace, history
+    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq), history
 
 
 def ergodic_average(trace, k):

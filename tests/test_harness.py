@@ -11,7 +11,7 @@ import pytest
 
 from proxiq import cli, harness, rates
 from proxiq.harness import ConfigError
-from proxiq.oracle import NoisyGradientOracle
+from proxiq.oracle import NoisyGradientOracle, OracleEval
 from proxiq.problems import generate_logsum_instance
 from proxiq.solver import DivergenceError
 
@@ -277,10 +277,47 @@ def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
     assert (f"{1.0:.17g}", f"{0.5:.17g}") in bound_cells
 
 
+class _PoisonedOracle(NoisyGradientOracle):
+    """Noisy oracle that answers with a NaN gradient at its third query in
+    the (degree 1, noise 0.5) cells."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queries = 0
+
+    def evaluate(self, x, rng=None, delta=None):
+        ev = super().evaluate(x, rng=rng, delta=delta)
+        self.queries += 1
+        if (self.degree, self.noise_bound, self.queries) != (1.0, 0.5, 3):
+            return ev
+        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient * np.nan,
+                          certificate=ev.certificate)
+
+
+def test_non_finite_oracle_answer_isolates_its_cell(grid_run, tmp_path, monkeypatch):
+    _, _, honest_out = grid_run
+    monkeypatch.setattr(harness, "NoisyGradientOracle", _PoisonedOracle)
+    out = tmp_path / "out"
+    results = harness.run_experiment(harness.parse_config(make_config(out)))
+    statuses = {(c.degree, c.noise_bound, c.repeat): c.status for c in results}
+    assert statuses[(1.0, 0.5, 0)] == statuses[(1.0, 0.5, 1)] == "diverged"
+    assert sum(s == "ok" for s in statuses.values()) == 6
+    for cell in results:
+        if cell.status == "ok":
+            want = (honest_out / cell.trace_filename).read_bytes()
+            assert (out / cell.trace_filename).read_bytes() == want
+        else:
+            assert not (out / cell.trace_filename).exists()
+    path = write_config(tmp_path / "config.json", make_config(tmp_path / "cli"))
+    assert cli.main(["run", str(path)]) == 3
+    assert (tmp_path / "cli" / "summary.csv").exists()
+
+
 def test_worst_case_single_direction_is_bitwise(small_problem, grid_run, tmp_path):
     config = harness.parse_config(make_config(tmp_path / "out", worst_case_directions=1))
     plain = harness.run_cell(small_problem, config, 1.0, 0.5, 0)
-    worst = harness.run_worst_case_cell(small_problem, config, 1.0, 0.5, 0)
+    worst = harness.run_cell(small_problem, config, 1.0, 0.5, 0,
+                             directions=config.worst_case_directions)
     assert worst.status == "ok"
     assert np.array_equal(plain.objective, worst.objective)
     assert np.array_equal(plain.gm_sq, worst.gm_sq)
@@ -303,7 +340,8 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
         harness.run_worst_case(plain_cfg)
     cfg3 = harness.parse_config(make_config(tmp_path / "b", worst_case_directions=3))
     plain = harness.run_cell(small_problem, plain_cfg, 1.0, 0.5, 0)
-    worst = harness.run_worst_case_cell(small_problem, cfg3, 1.0, 0.5, 0)
+    worst = harness.run_cell(small_problem, cfg3, 1.0, 0.5, 0,
+                             directions=cfg3.worst_case_directions)
     # on the first step both see the same iterate, so three tries can only
     # move farther than the single plain draw
     assert worst.gm_sq[0] > plain.gm_sq[0]
@@ -357,19 +395,6 @@ def test_rates_command_writes_the_requested_curve(tmp_path):
     got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(got[:, 0], ks)
     assert np.array_equal(got[:, 1], want)
-
-
-def test_parallel_sweep_is_byte_identical_to_serial(tmp_path, monkeypatch):
-    monkeypatch.delenv("PROXIQ_WORKERS", raising=False)
-    serial = tmp_path / "serial"
-    harness.run_experiment(harness.parse_config(make_config(serial)))
-    monkeypatch.setenv("PROXIQ_WORKERS", "2")
-    parallel = tmp_path / "parallel"
-    harness.run_experiment(harness.parse_config(make_config(parallel)))
-    serial_files = sorted(p.name for p in serial.iterdir())
-    assert sorted(p.name for p in parallel.iterdir()) == serial_files
-    for name in serial_files:
-        assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_cli_run_and_validation_exit_codes(tmp_path, capsys):

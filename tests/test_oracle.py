@@ -12,6 +12,7 @@ from proxiq import (
     LogSumProblem,
     MinibatchOracle,
     NoisyGradientOracle,
+    NonFiniteAnswer,
     OracleCertificate,
     OracleEval,
     SaddleOracle,
@@ -214,6 +215,25 @@ def test_eval_validation():
                    gradient=np.array([1.0, math.inf]), certificate=cert)
 
 
+def test_eval_checks_every_candidate():
+    cert = OracleCertificate(delta=0.0, lipschitz=1.0, degree=1.0)
+    ev = OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2), certificate=cert)
+    assert ev.alternatives == ()
+    with pytest.raises(NonFiniteAnswer):
+        OracleEval(point=np.zeros(2), value=math.inf, gradient=np.zeros(2), certificate=cert)
+    with pytest.raises(NonFiniteAnswer):
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.array([math.nan, 0.0]),
+                   certificate=cert)
+    with pytest.raises(NonFiniteAnswer):
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2), certificate=cert,
+                   alternatives=(np.zeros(2), np.array([0.0, -math.inf])))
+    # a shape mismatch is a usage error, not a non-finite answer
+    with pytest.raises(ValueError) as info:
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2), certificate=cert,
+                   alternatives=(np.zeros(3),))
+    assert not isinstance(info.value, NonFiniteAnswer)
+
+
 # --------------------------------------------------------------- families
 
 
@@ -239,6 +259,46 @@ def test_noisy_gradient_certificate_and_cap():
         eval_noisy_gradient(prob, x, 0.25, rng, degree=1.5)
     with pytest.raises(ValueError):
         eval_noisy_gradient(prob, x, -0.1, rng)
+
+
+def test_noisy_gradient_candidates():
+    prob = generate_quadratic_instance(6, conditioning=4.0, seed=0)
+    x = np.linspace(-1.0, 1.0, 6)
+    exact = prob.gradient(x)
+
+    # one direction is the plain answer, bit for bit
+    rng = np.random.default_rng(8)
+    plain = NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng)
+    ref_rng = np.random.default_rng(8)
+    assert np.array_equal(plain.gradient, exact + bounded_noise(ref_rng, 6, 0.25))
+    assert plain.value == prob.value(x)
+    assert plain.alternatives == ()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    one = NoisyGradientOracle(prob, 0.25, directions=1).evaluate(
+        x, rng=np.random.default_rng(8))
+    assert np.array_equal(one.gradient, plain.gradient)
+    assert one.value == plain.value and one.certificate == plain.certificate
+
+    # m directions: m - 1 alternatives under the same certificate, drawn
+    # after the first candidate exactly like m sequential noise draws
+    rng = np.random.default_rng(8)
+    ev = NoisyGradientOracle(prob, 0.25, directions=4).evaluate(x, rng=rng)
+    assert len(ev.alternatives) == 3
+    assert np.array_equal(ev.gradient, plain.gradient)
+    assert ev.certificate == plain.certificate
+    ref_rng = np.random.default_rng(8)
+    draws = [bounded_noise(ref_rng, 6, 0.25) for _ in range(4)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for alt, noise in zip(ev.alternatives, draws[1:]):
+        assert np.array_equal(alt, exact + noise)
+        assert np.linalg.norm(alt - exact) <= 0.25 + 1e-12
+    assert len({alt.tobytes() for alt in ev.alternatives}) == 3
+
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            NoisyGradientOracle(prob, 0.25, directions=bad)
+        with pytest.raises(ValueError):
+            eval_noisy_gradient(prob, x, 0.25, rng, directions=bad)
 
 
 def test_shifted_point_certificate():
@@ -384,9 +444,6 @@ def test_saddle_oracle_certificates():
         SaddleProblem(operator=a, concave_center=center, concavity=0.0)
     with pytest.raises(ValueError):
         SaddleProblem(operator=a, concave_center=np.zeros(3), concavity=1.0)
-    with pytest.raises(ValueError):
-        SaddleProblem(operator=a, concave_center=center, concavity=1.0,
-                      inner_iterations=0)
 
 
 def test_holder_oracle_certificate():

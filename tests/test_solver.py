@@ -46,6 +46,32 @@ class _WrongConstant:
                           gradient=self.problem.gradient(x), certificate=cert)
 
 
+class _Poisoned:
+    """Exact oracle whose answers turn non-finite from a given query on.
+
+    The answer itself trips OracleEval's finiteness check, as a real oracle
+    with an overflowing or NaN computation would.
+    """
+
+    degree = 1.0
+
+    def __init__(self, problem, first_bad, field):
+        self.inner = ExactOracle(problem)
+        self.first_bad = first_bad
+        self.field = field
+        self.queries = 0
+
+    def evaluate(self, x, rng=None, delta=None):
+        ev = self.inner.evaluate(x)
+        self.queries += 1
+        if self.queries <= self.first_bad:
+            return ev
+        value = math.inf if self.field == "value" else ev.value
+        gradient = ev.gradient * math.nan if self.field == "gradient" else ev.gradient
+        return OracleEval(point=ev.point, value=value, gradient=gradient,
+                          certificate=ev.certificate)
+
+
 # --------------------------------------------------------------- schedules
 
 
@@ -167,6 +193,65 @@ def test_prox_gradient_guards():
     with pytest.raises(ValueError):
         prox_gradient(prob.value, ExactOracle(prob), ProxFunction.l1_ball(1.0),
                       cfg, np.ones(4))
+
+
+class _Scaled:
+    """Exact oracle that also offers the gradient scaled by each factor."""
+
+    degree = 1.0
+
+    def __init__(self, problem, factors):
+        self.inner = ExactOracle(problem)
+        self.factors = factors
+
+    def evaluate(self, x, rng=None, delta=None):
+        ev = self.inner.evaluate(x)
+        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
+                          certificate=ev.certificate,
+                          alternatives=tuple(f * ev.gradient for f in self.factors))
+
+
+def test_prox_gradient_follows_the_farthest_candidate():
+    prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
+    cfg = ScheduleConfig(max_iters=5, lipschitz=prob.lipschitz, rho=0.0,
+                         delta0=0.0, degree=1.0, step_scale=0.25)
+    x0 = np.ones(4)
+    h = ProxFunction.zero()
+    plain = prox_gradient(prob.value, ExactOracle(prob), h, cfg, x0)
+    # from the origin, -g moves exactly as far as g: the first candidate wins the tie
+    tied = prox_gradient(prob.value, _Scaled(prob, [-1.0]), h, cfg, np.zeros(4))
+    g0 = prob.gradient(np.zeros(4))
+    assert np.any(g0 != 0.0)
+    assert np.array_equal(tied.iterates[1], -tied.alpha[0] * g0)
+    # unconstrained, the doubled gradient moves farthest
+    far = prox_gradient(prob.value, _Scaled(prob, [0.5, 2.0, 1.5]), h, cfg, x0)
+    assert np.array_equal(far.iterates[1], x0 - far.alpha[0] * (2.0 * prob.gradient(x0)))
+    assert far.gm_sq[0] == pytest.approx(4.0 * plain.gm_sq[0], rel=1e-12)
+    assert far.objective[1] == prob.value(far.iterates[1])
+
+
+def test_prox_gradient_turns_non_finite_answers_into_divergence():
+    prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
+    cfg = ScheduleConfig(max_iters=10, lipschitz=prob.lipschitz, rho=0.0,
+                         delta0=0.0, degree=1.0)
+    # a NaN gradient in the answer at x_2
+    with pytest.raises(DivergenceError, match="step 2"):
+        prox_gradient(prob.value, _Poisoned(prob, 2, "gradient"), ProxFunction.zero(),
+                      cfg, np.ones(4))
+    # F = +inf at every point after x_0
+    with pytest.raises(DivergenceError, match="step 1"):
+        prox_gradient(prob.value, _Poisoned(prob, 1, "value"), ProxFunction.zero(),
+                      cfg, np.ones(4))
+    # the final iterate's F comes from objective, not from the oracle
+    once = ScheduleConfig(max_iters=1, lipschitz=prob.lipschitz, rho=0.0,
+                          delta0=0.0, degree=1.0)
+    with pytest.raises(DivergenceError, match="step 1"):
+        prox_gradient(lambda x: math.inf, ExactOracle(prob), ProxFunction.zero(),
+                      once, np.ones(4))
+    for solver in (fast_prox_gradient, lambda *a: adaptive_prox_gradient(*a, 1.0)):
+        with pytest.raises(DivergenceError, match="step 2"):
+            solver(prob.value, _Poisoned(prob, 2, "gradient"), ProxFunction.zero(),
+                   cfg, np.ones(4))
 
 
 def test_prox_gradient_deterministic_given_seed():
