@@ -3,9 +3,8 @@
 from .oracle import (CertificationReport, ExactOracle, HolderFunction, HolderOracle,
                      MinibatchOracle, NoisyGradientOracle, NonFiniteAnswer, OracleCertificate,
                      OracleEval, SaddleOracle, SaddleProblem, ShiftedPointOracle, bounded_noise,
-                     certify_oracle, eval_holder, eval_minibatch, eval_noisy_gradient,
-                     eval_saddle, eval_shifted_point, holder_smoothing_coefficient,
-                     holder_smoothing_constant, majorize_amgm, spectral_norm)
+                     certify_oracle, holder_smoothing_coefficient, holder_smoothing_constant,
+                     majorize_amgm, spectral_norm)
 from .problems import (HolderPowerProblem, LogSumProblem, QuadraticProblem,
                        generate_holder_instance, generate_logsum_instance,
                        generate_quadratic_instance, load_logsum_instance, sample_l1_ball,

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import rates
-from .oracle import NoisyGradientOracle, OracleCertificate, OracleEval, certify_oracle
+from .oracle import NoisyGradientOracle, certify_oracle
 from .problems import generate_logsum_instance, sample_l1_ball
 from .prox import ProxFunction, project_l1_ball
 from .solver import DivergenceError, ScheduleConfig, prox_gradient, write_trace_csv
@@ -249,17 +249,21 @@ def _instance(config):
     return generate_logsum_instance(spec.n, spec.N, spec.radius, spec.noise_level, spec.seed)
 
 
+def _cell_oracle(problem, degree, noise_bound, directions=1):
+    """A grid cell's oracle; the l1 ball of radius R has diameter 2R."""
+    return NoisyGradientOracle(problem, float(noise_bound), degree=float(degree),
+                               diameter=2.0 * problem.radius, directions=directions)
+
+
 def _cell_setup(problem, config, degree, noise_bound, directions):
     lip = problem.lipschitz
-    diameter = 2.0 * problem.radius
-    delta_eff = float(noise_bound) * diameter ** (1.0 - float(degree))
+    oracle = _cell_oracle(problem, degree, noise_bound, directions)
+    delta_eff = float(noise_bound) * oracle.diameter ** (1.0 - float(degree))
     # exact cells get rho = 0 so the step is 1/L regardless of the degree
     rho = 0.0 if noise_bound == 0.0 else lip
     cfg = ScheduleConfig(lipschitz=lip, rho=rho, degree=float(degree), delta0=delta_eff,
                          max_iters=config.solver.iterations, beta=config.solver.beta,
                          zeta=config.solver.zeta, step_scale=config.solver.step_scale)
-    oracle = NoisyGradientOracle(problem, float(noise_bound), degree=float(degree),
-                                 diameter=diameter, directions=directions)
     h = ProxFunction.l1_ball(problem.radius)
     return cfg, oracle, h, delta_eff
 
@@ -392,12 +396,8 @@ class _ScaledClaim:
 
     def evaluate(self, x, rng=None, delta=None):
         ev = self.inner.evaluate(x, rng=rng, delta=delta)
-        cert = ev.certificate
-        scaled = OracleCertificate(delta=cert.delta * self.scale, lipschitz=cert.lipschitz,
-                                   degree=cert.degree,
-                                   convex_lower_bound=cert.convex_lower_bound)
-        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
-                          certificate=scaled)
+        return replace(ev, certificate=replace(ev.certificate,
+                                               delta=ev.certificate.delta * self.scale))
 
 
 def ball_pair_sampler(radius, dim):
@@ -439,8 +439,7 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
     all_ok = True
     for degree in config.oracle.degrees:
         for noise_bound in config.oracle.noise_bounds:
-            oracle = NoisyGradientOracle(problem, float(noise_bound), degree=float(degree),
-                                         diameter=2.0 * problem.radius)
+            oracle = _cell_oracle(problem, degree, noise_bound)
             if config.oracle.claimed_delta_scale != 1.0:
                 oracle = _ScaledClaim(oracle, config.oracle.claimed_delta_scale)
             rng = np.random.default_rng(cell_seed(config.master_seed, degree,

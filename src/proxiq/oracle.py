@@ -21,7 +21,10 @@ Besides the abstract certificate this module provides several constructive
 oracle families (additive gradient noise, evaluation at shifted points,
 mini-batch subsampling, approximate inner maximization, weakly smooth
 functions), the AM-GM split used by the solvers, and an empirical
-certifier that hunts for violating point pairs.
+certifier that hunts for violating point pairs.  Each family is one class:
+its constructor checks the family's fixed parameters once, and
+evaluate(x, rng=None, delta=None) builds the answer, with delta overriding
+the accuracy the family was constructed with.
 """
 
 from __future__ import annotations
@@ -262,130 +265,6 @@ class HolderFunction:
     convex: bool = True
 
 
-def eval_noisy_gradient(problem, x, noise_norm_bound, rng, degree=1.0, diameter=None,
-                        directions=1):
-    """Gradient corrupted by additive noise with a hard norm cap.
-
-    The natural certificate has degree 1 with delta equal to the noise
-    bound.  On a domain of known diameter D the same answer also certifies
-    any degree q in [0, 1] with delta scaled by D**(1-q), because
-    ||x - y|| <= D there.  Degrees above 1 are not certifiable this way.
-    With directions = m the exact gradient is perturbed by m noise vectors
-    drawn in sequence: the first gives the gradient, the others the
-    alternatives, all under the same certificate.
-    """
-    if noise_norm_bound < 0.0:
-        raise ValueError("noise_norm_bound must be nonnegative")
-    if directions < 1:
-        raise ValueError("directions must be at least 1")
-    x = np.asarray(x, dtype=float)
-    exact = problem.gradient(x)
-    grad = exact + bounded_noise(rng, x.size, noise_norm_bound)
-    alternatives = tuple(exact + bounded_noise(rng, x.size, noise_norm_bound)
-                         for _ in range(directions - 1))
-    q = float(degree)
-    if q == 1.0:
-        delta = float(noise_norm_bound)
-    else:
-        if not 0.0 <= q < 1.0:
-            raise ValueError("degree must lie in [0, 1] for a noisy-gradient oracle")
-        if diameter is None:
-            raise ValueError("degree < 1 needs a domain diameter to rescale delta")
-        delta = float(noise_norm_bound) * float(diameter) ** (1.0 - q)
-    cert = OracleCertificate(delta=delta, lipschitz=float(problem.lipschitz), degree=q)
-    return OracleEval(point=x, value=float(problem.value(x)), gradient=grad, certificate=cert,
-                      alternatives=alternatives)
-
-
-def eval_shifted_point(problem, x, shift_bound, rng):
-    """Exact gradient evaluated at a point displaced by at most shift_bound.
-
-    The value stays the exact F(x); only the gradient is off.  Smoothness
-    turns the displacement into a degree-1 certificate with
-    delta = L * shift_bound, keeping L itself unchanged.
-    """
-    if shift_bound < 0.0:
-        raise ValueError("shift_bound must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    shifted = x + bounded_noise(rng, x.size, shift_bound)
-    lip = float(problem.lipschitz)
-    cert = OracleCertificate(delta=lip * float(shift_bound), lipschitz=lip, degree=1.0)
-    return OracleEval(point=x, value=float(problem.value(x)),
-                      gradient=problem.gradient(shifted), certificate=cert)
-
-
-def eval_minibatch(components, x, batch, scaling="mean",
-                   claimed_delta=0.0, claimed_lipschitz=1.0, degree=1.0):
-    """Subsampled gradient of a finite sum of component objectives.
-
-    Under mean scaling the gradient is the batch average and the value is
-    the exact mean of all components; sum scaling multiplies both by the
-    number of components.  No certificate can be derived from the batch
-    alone (the error is probabilistic), so the claimed constants are passed
-    through and certify_oracle is the judge.
-    """
-    batch = [int(j) for j in batch]
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    n = len(components)
-    for j in batch:
-        if not 0 <= j < n:
-            raise IndexError(f"component index {j} out of range for {n} components")
-    if scaling not in ("mean", "sum"):
-        raise ValueError("scaling must be 'mean' or 'sum'")
-    x = np.asarray(x, dtype=float)
-    grad = sum(components[j].gradient(x) for j in batch) / len(batch)
-    value = sum(float(c.value(x)) for c in components) / n
-    if scaling == "sum":
-        grad = grad * n
-        value = value * n
-    cert = OracleCertificate(delta=float(claimed_delta), lipschitz=float(claimed_lipschitz),
-                             degree=float(degree))
-    return OracleEval(point=x, value=float(value), gradient=grad, certificate=cert)
-
-
-def eval_saddle(saddle, x, inner_accuracy, rng=None, operator_norm=None):
-    """Gradient through an approximately solved inner maximization.
-
-    The inner problem is solved in closed form and the approximation error
-    is injected deliberately: the returned gradient is A @ u with u within
-    inner_accuracy of the true maximizer.  Certifies at degree 1 with
-    delta = inner_accuracy * ||A||.  An exact inner solution makes the
-    answer the true gradient of a convex function, so the certificate then
-    claims the convex lower bound too.
-    """
-    if inner_accuracy < 0.0:
-        raise ValueError("inner_accuracy must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    u = saddle.maximizer(x)
-    if inner_accuracy > 0.0:
-        u = u + bounded_noise(rng, u.size, inner_accuracy)
-    if operator_norm is None:
-        operator_norm = spectral_norm(saddle.operator)
-    cert = OracleCertificate(delta=float(inner_accuracy) * operator_norm,
-                             lipschitz=operator_norm ** 2 / saddle.concavity,
-                             degree=1.0,
-                             convex_lower_bound=(inner_accuracy == 0.0))
-    return OracleEval(point=x, value=saddle.value(x), gradient=saddle.operator @ u,
-                      certificate=cert)
-
-
-def eval_holder(holder, x, degree, delta):
-    """Exact subgradient of a weakly smooth function, certified at degree q.
-
-    Weak smoothness admits a certificate at any accuracy delta > 0 by
-    inflating the smoothness constant via holder_smoothing_constant.  The
-    certificate claims the convex lower bound when the function is convex.
-    """
-    x = np.asarray(x, dtype=float)
-    lip = holder_smoothing_constant(holder.holder_constant, holder.exponent, degree, delta)
-    cert = OracleCertificate(delta=float(delta), lipschitz=lip, degree=float(degree),
-                             convex_lower_bound=holder.convex)
-    return OracleEval(point=x, value=float(holder.value(x)),
-                      gradient=np.asarray(holder.subgradient(x), dtype=float),
-                      certificate=cert)
-
-
 class ExactOracle:
     """Exact value and gradient wrapped in the oracle interface.
 
@@ -408,12 +287,19 @@ class ExactOracle:
 
 
 class NoisyGradientOracle:
-    """Noisy-gradient family with the noise level as the accuracy knob.
+    """Gradient corrupted by additive noise with a hard norm cap.
 
-    A delta override at call time is translated back into a noise bound, so
-    a solver can drive a delta_k schedule without knowing the noise model.
-    With directions = m > 1 every answer carries m candidate gradients (see
-    eval_noisy_gradient), which is how the worst-case sweep picks its noise
+    The natural certificate has degree 1 with delta equal to the noise
+    bound.  On a domain of known diameter D the same answer also certifies
+    any degree q in [0, 1] with delta scaled by D**(1-q), because
+    ||x - y|| <= D there.  Degrees above 1 are not certifiable this way.
+
+    The noise level is the accuracy knob: a delta override at call time is
+    translated back into a noise bound, so a solver can drive a delta_k
+    schedule without knowing the noise model.  With directions = m the
+    exact gradient is perturbed by m noise vectors drawn in sequence: the
+    first gives the gradient, the others the alternatives, all under the
+    same certificate.  This is how the worst-case sweep picks its noise
     direction.
     """
 
@@ -422,7 +308,7 @@ class NoisyGradientOracle:
         if q != 1.0 and not 0.0 <= q < 1.0:
             raise ValueError("degree must lie in [0, 1] for a noisy-gradient oracle")
         if q != 1.0 and diameter is None:
-            raise ValueError("degree < 1 needs a domain diameter")
+            raise ValueError("degree < 1 needs a domain diameter to rescale delta")
         if noise_bound < 0.0:
             raise ValueError("noise_bound must be nonnegative")
         if directions < 1:
@@ -440,13 +326,30 @@ class NoisyGradientOracle:
         return float(delta) / self.diameter ** (1.0 - self.degree)
 
     def evaluate(self, x, rng=None, delta=None):
-        bound = self.noise_bound if delta is None else self.noise_for(delta)
-        return eval_noisy_gradient(self.problem, x, bound, rng, degree=self.degree,
-                                   diameter=self.diameter, directions=self.directions)
+        noise = self.noise_bound if delta is None else self.noise_for(delta)
+        x = np.asarray(x, dtype=float)
+        exact = self.problem.gradient(x)
+        grad = exact + bounded_noise(rng, x.size, noise)
+        alternatives = tuple(exact + bounded_noise(rng, x.size, noise)
+                             for _ in range(self.directions - 1))
+        if self.degree == 1.0:
+            cert_delta = noise
+        else:
+            cert_delta = noise * self.diameter ** (1.0 - self.degree)
+        cert = OracleCertificate(delta=cert_delta, lipschitz=float(self.problem.lipschitz),
+                                 degree=self.degree)
+        return OracleEval(point=x, value=float(self.problem.value(x)), gradient=grad,
+                          certificate=cert, alternatives=alternatives)
 
 
 class ShiftedPointOracle:
-    """Shifted-point family; the shift radius is the accuracy knob."""
+    """Exact gradient evaluated at a point displaced by at most the shift bound.
+
+    The value stays the exact F(x); only the gradient is off.  Smoothness
+    turns the displacement into a degree-1 certificate with
+    delta = L * shift, keeping L itself unchanged.  The shift radius is the
+    accuracy knob.
+    """
 
     degree = 1.0
 
@@ -457,21 +360,32 @@ class ShiftedPointOracle:
         self.shift_bound = float(shift_bound)
 
     def evaluate(self, x, rng=None, delta=None):
-        shift = self.shift_bound if delta is None else float(delta) / float(self.problem.lipschitz)
-        return eval_shifted_point(self.problem, x, shift, rng)
+        lip = float(self.problem.lipschitz)
+        shift = self.shift_bound if delta is None else float(delta) / lip
+        x = np.asarray(x, dtype=float)
+        shifted = x + bounded_noise(rng, x.size, shift)
+        cert = OracleCertificate(delta=lip * shift, lipschitz=lip, degree=1.0)
+        return OracleEval(point=x, value=float(self.problem.value(x)),
+                          gradient=self.problem.gradient(shifted), certificate=cert)
 
 
 class MinibatchOracle:
-    """Random fixed-size batches; the certificate constants are claimed.
+    """Subsampled gradient of a finite sum over random fixed-size batches.
 
-    A full batch needs no generator and reproduces the exact (mean or sum)
-    gradient.
+    Under mean scaling the gradient is the batch average and the value is
+    the exact mean of all components; sum scaling multiplies both by the
+    number of components.  No certificate can be derived from the batch
+    alone (the error is probabilistic), so the claimed constants are passed
+    through and certify_oracle is the judge.  A full batch needs no
+    generator and reproduces the exact (mean or sum) gradient.
     """
 
     def __init__(self, components, batch_size, scaling="mean",
                  claimed_delta=0.0, claimed_lipschitz=1.0, degree=1.0):
         if not 1 <= batch_size <= len(components):
             raise ValueError("batch_size out of range")
+        if scaling not in ("mean", "sum"):
+            raise ValueError("scaling must be 'mean' or 'sum'")
         self.components = list(components)
         self.batch_size = int(batch_size)
         self.scaling = scaling
@@ -487,15 +401,28 @@ class MinibatchOracle:
             if rng is None:
                 raise ValueError("a generator is required to sample batches")
             batch = rng.choice(n, size=self.batch_size, replace=False)
+        x = np.asarray(x, dtype=float)
+        grad = sum(self.components[j].gradient(x) for j in batch) / self.batch_size
+        value = sum(float(c.value(x)) for c in self.components) / n
+        if self.scaling == "sum":
+            grad = grad * n
+            value = value * n
         claimed = self.claimed_delta if delta is None else float(delta)
-        return eval_minibatch(self.components, x, batch, scaling=self.scaling,
-                              claimed_delta=claimed,
-                              claimed_lipschitz=self.claimed_lipschitz,
-                              degree=self.degree)
+        cert = OracleCertificate(delta=claimed, lipschitz=self.claimed_lipschitz,
+                                 degree=self.degree)
+        return OracleEval(point=x, value=float(value), gradient=grad, certificate=cert)
 
 
 class SaddleOracle:
-    """Approximate inner maximization; inner accuracy is the knob."""
+    """Gradient through an approximately solved inner maximization.
+
+    The inner problem is solved in closed form and the approximation error
+    is injected deliberately: the returned gradient is A @ u with u within
+    the inner accuracy of the true maximizer.  Certifies at degree 1 with
+    delta = inner_accuracy * ||A||.  An exact inner solution makes the
+    answer the true gradient of a convex function, so the certificate then
+    claims the convex lower bound too.  Inner accuracy is the knob.
+    """
 
     degree = 1.0
 
@@ -508,11 +435,26 @@ class SaddleOracle:
 
     def evaluate(self, x, rng=None, delta=None):
         acc = self.inner_accuracy if delta is None else float(delta) / self.operator_norm
-        return eval_saddle(self.saddle, x, acc, rng, operator_norm=self.operator_norm)
+        x = np.asarray(x, dtype=float)
+        u = self.saddle.maximizer(x)
+        if acc > 0.0:
+            u = u + bounded_noise(rng, u.size, acc)
+        cert = OracleCertificate(delta=acc * self.operator_norm,
+                                 lipschitz=self.operator_norm ** 2 / self.saddle.concavity,
+                                 degree=1.0,
+                                 convex_lower_bound=(acc == 0.0))
+        return OracleEval(point=x, value=self.saddle.value(x), gradient=self.saddle.operator @ u,
+                          certificate=cert)
 
 
 class HolderOracle:
-    """Weakly smooth family; the certificate adapts L to the requested delta."""
+    """Exact subgradient of a weakly smooth function, certified at degree q.
+
+    Weak smoothness admits a certificate at any accuracy delta > 0 by
+    inflating the smoothness constant via holder_smoothing_constant, so the
+    certificate adapts L to the requested delta.  It claims the convex
+    lower bound when the function is convex.
+    """
 
     def __init__(self, holder, degree, delta):
         self.holder = holder
@@ -520,8 +462,15 @@ class HolderOracle:
         self.delta = float(delta)
 
     def evaluate(self, x, rng=None, delta=None):
-        return eval_holder(self.holder, x, self.degree,
-                           self.delta if delta is None else float(delta))
+        delta = self.delta if delta is None else float(delta)
+        x = np.asarray(x, dtype=float)
+        lip = holder_smoothing_constant(self.holder.holder_constant, self.holder.exponent,
+                                        self.degree, delta)
+        cert = OracleCertificate(delta=delta, lipschitz=lip, degree=self.degree,
+                                 convex_lower_bound=self.holder.convex)
+        return OracleEval(point=x, value=float(self.holder.value(x)),
+                          gradient=np.asarray(self.holder.subgradient(x), dtype=float),
+                          certificate=cert)
 
 
 @dataclass

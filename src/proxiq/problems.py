@@ -22,10 +22,14 @@ from .oracle import HolderFunction, spectral_norm
 class LogSumProblem:
     """Sum of log(1 + residual**2) terms over an l1 ball.
 
-    Nonconvex, bounded below by zero, and smooth: each term's curvature is
-    at most 2*||row||**2 / ... in the worst case, and summing the per-row
-    Hessian bounds gives the (slightly conservative) constant
-    L = sum_i ||row_i||**2.
+    Nonconvex, bounded below by zero, and smooth.  The second derivative of
+    log(1 + r**2) is at most 2, reached at r = 0, so the Hessian is bounded
+    by 2*||rows||_2**2 in spectral norm.  The constant used here is
+    L = sum_i ||row_i||**2, the squared Frobenius norm, which is a valid
+    smoothness constant only where it is at least 2*||rows||_2**2.  That
+    holds for generated instances with many rows (64 x 128 and larger) but
+    fails for a few rows or a dominant direction: a single row gets half
+    the true constant.
     """
 
     rows: np.ndarray       # (N, n), one data vector per row

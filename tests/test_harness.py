@@ -348,17 +348,21 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
 
 
 def test_scaled_claim_wrapper_only_touches_delta(small_problem):
-    inner = NoisyGradientOracle(small_problem, 0.3, degree=1.0)
-    liar = harness._ScaledClaim(inner, 0.25)
-    assert liar.degree == 1.0
-    ev = liar.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-    honest = inner.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-    assert ev.value == honest.value
-    assert np.array_equal(ev.gradient, honest.gradient)
-    assert ev.certificate.delta == pytest.approx(0.25 * honest.certificate.delta)
-    assert ev.certificate.lipschitz == honest.certificate.lipschitz
-    assert ev.certificate.degree == honest.certificate.degree
-    assert ev.certificate.convex_lower_bound == honest.certificate.convex_lower_bound
+    for directions in (1, 3):
+        inner = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
+        liar = harness._ScaledClaim(inner, 0.25)
+        assert liar.degree == 1.0
+        ev = liar.evaluate(np.zeros(8), rng=np.random.default_rng(0))
+        honest = inner.evaluate(np.zeros(8), rng=np.random.default_rng(0))
+        assert ev.value == honest.value
+        assert np.array_equal(ev.gradient, honest.gradient)
+        assert len(ev.alternatives) == len(honest.alternatives) == directions - 1
+        for alt, honest_alt in zip(ev.alternatives, honest.alternatives):
+            assert np.array_equal(alt, honest_alt)
+        assert ev.certificate.delta == pytest.approx(0.25 * honest.certificate.delta)
+        assert ev.certificate.lipschitz == honest.certificate.lipschitz
+        assert ev.certificate.degree == honest.certificate.degree
+        assert ev.certificate.convex_lower_bound == honest.certificate.convex_lower_bound
 
 
 def test_certify_command_accepts_honest_cells(tmp_path):

@@ -20,11 +20,6 @@ from proxiq import (
     ShiftedPointOracle,
     bounded_noise,
     certify_oracle,
-    eval_holder,
-    eval_minibatch,
-    eval_noisy_gradient,
-    eval_saddle,
-    eval_shifted_point,
     generate_logsum_instance,
     generate_quadratic_instance,
     holder_smoothing_coefficient,
@@ -32,7 +27,7 @@ from proxiq import (
     majorize_amgm,
     spectral_norm,
 )
-from proxiq.harness import ball_pair_sampler
+from proxiq.harness import _ScaledClaim, ball_pair_sampler
 
 
 # ---------------------------------------------------------------- majorize
@@ -241,7 +236,7 @@ def test_noisy_gradient_certificate_and_cap():
     prob = generate_quadratic_instance(6, conditioning=4.0, seed=0)
     x = np.linspace(-1.0, 1.0, 6)
     rng = np.random.default_rng(3)
-    ev = eval_noisy_gradient(prob, x, 0.25, rng)
+    ev = NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng)
     assert ev.value == prob.value(x)
     assert np.linalg.norm(ev.gradient - prob.gradient(x)) <= 0.25 + 1e-12
     assert ev.certificate.delta == 0.25
@@ -249,16 +244,19 @@ def test_noisy_gradient_certificate_and_cap():
     assert ev.certificate.lipschitz == prob.lipschitz
 
     # on a diameter-3 domain the same answer certifies any lower degree
-    ev = eval_noisy_gradient(prob, x, 0.25, rng, degree=0.4, diameter=3.0)
+    ev = NoisyGradientOracle(prob, 0.25, degree=0.4, diameter=3.0).evaluate(x, rng=rng)
     assert ev.certificate.degree == 0.4
     assert abs(ev.certificate.delta - 0.25 * 3.0 ** 0.6) <= 1e-15
 
     with pytest.raises(ValueError):
-        eval_noisy_gradient(prob, x, 0.25, rng, degree=0.4)
+        NoisyGradientOracle(prob, 0.25, degree=0.4)
     with pytest.raises(ValueError):
-        eval_noisy_gradient(prob, x, 0.25, rng, degree=1.5)
+        NoisyGradientOracle(prob, 0.25, degree=1.5)
     with pytest.raises(ValueError):
-        eval_noisy_gradient(prob, x, -0.1, rng)
+        NoisyGradientOracle(prob, -0.1)
+    # an accuracy requested with the call is checked with the call
+    with pytest.raises(ValueError):
+        NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng, delta=-0.1)
 
 
 def test_noisy_gradient_candidates():
@@ -297,24 +295,22 @@ def test_noisy_gradient_candidates():
     for bad in (0, -1):
         with pytest.raises(ValueError):
             NoisyGradientOracle(prob, 0.25, directions=bad)
-        with pytest.raises(ValueError):
-            eval_noisy_gradient(prob, x, 0.25, rng, directions=bad)
 
 
 def test_shifted_point_certificate():
     prob = generate_quadratic_instance(5, conditioning=3.0, seed=1)
     x = np.ones(5)
     rng = np.random.default_rng(7)
-    ev = eval_shifted_point(prob, x, 0.2, rng)
+    ev = ShiftedPointOracle(prob, 0.2).evaluate(x, rng=rng)
     assert ev.value == prob.value(x)
     assert ev.certificate.delta == prob.lipschitz * 0.2
     # smoothness turns the hidden displacement into a gradient error bound
     assert np.linalg.norm(ev.gradient - prob.gradient(x)) <= prob.lipschitz * 0.2 + 1e-12
 
-    exact = eval_shifted_point(prob, x, 0.0, rng)
+    exact = ShiftedPointOracle(prob, 0.0).evaluate(x, rng=rng)
     assert np.array_equal(exact.gradient, prob.gradient(x))
     with pytest.raises(ValueError):
-        eval_shifted_point(prob, x, -0.5, rng)
+        ShiftedPointOracle(prob, -0.5)
 
 
 class _Linear:
@@ -336,29 +332,35 @@ def test_minibatch_hand_gradients():
     comps = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0)]
     x = np.array([3.0, 1.0])
 
-    ev = eval_minibatch(comps, x, [0])
-    assert ev.value == 4.0
-    assert np.array_equal(ev.gradient, [1.0, 0.0])
+    # single-component batches; replaying the generator's choice names the
+    # component each answer used
+    for scaling, factor in (("mean", 1.0), ("sum", 2.0)):
+        oracle = MinibatchOracle(comps, batch_size=1, scaling=scaling)
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        seen = set()
+        for _ in range(8):
+            ev = oracle.evaluate(x, rng=rng)
+            (j,) = replay.choice(2, size=1, replace=False)
+            seen.add(int(j))
+            assert ev.value == 4.0 * factor
+            assert np.array_equal(ev.gradient, factor * comps[j].a)
+        assert seen == {0, 1}
+        assert rng.bit_generator.state == replay.bit_generator.state
 
-    ev = eval_minibatch(comps, x, [0, 1])
+    ev = MinibatchOracle(comps, batch_size=2).evaluate(x)
     assert ev.value == 4.0
     assert np.array_equal(ev.gradient, [0.5, 1.0])
 
-    ev = eval_minibatch(comps, x, [0], scaling="sum")
-    assert ev.value == 8.0
-    assert np.array_equal(ev.gradient, [2.0, 0.0])
-
-    ev = eval_minibatch(comps, x, [1], claimed_delta=0.3, claimed_lipschitz=5.0, degree=0.5)
+    ev = MinibatchOracle(comps, batch_size=1, claimed_delta=0.3, claimed_lipschitz=5.0,
+                         degree=0.5).evaluate(x, rng=np.random.default_rng(0))
     assert ev.certificate.delta == 0.3
     assert ev.certificate.lipschitz == 5.0
     assert ev.certificate.degree == 0.5
 
     with pytest.raises(ValueError):
-        eval_minibatch(comps, x, [])
-    with pytest.raises(IndexError):
-        eval_minibatch(comps, x, [2])
+        MinibatchOracle(comps, batch_size=0)
     with pytest.raises(ValueError):
-        eval_minibatch(comps, x, [0], scaling="median")
+        MinibatchOracle(comps, batch_size=1, scaling="median")
 
 
 def test_minibatch_full_batch_is_exact_mean():
@@ -424,22 +426,23 @@ def test_saddle_oracle_certificates():
     x = rng.standard_normal(3)
     norm_a = spectral_norm(a)
 
-    exact = eval_saddle(sp, x, 0.0)
+    exact = SaddleOracle(sp, 0.0).evaluate(x)
     assert exact.certificate.convex_lower_bound
     assert exact.certificate.delta == 0.0
     assert np.allclose(exact.gradient, sp.gradient(x))
 
-    noisy = eval_saddle(sp, x, 0.3, rng=np.random.default_rng(2))
+    oracle = SaddleOracle(sp, 0.3)
+    assert oracle.operator_norm == norm_a
+    noisy = oracle.evaluate(x, rng=np.random.default_rng(2))
     assert not noisy.certificate.convex_lower_bound
     assert abs(noisy.certificate.delta - 0.3 * norm_a) <= 1e-12
     assert np.linalg.norm(noisy.gradient - sp.gradient(x)) <= 0.3 * norm_a + 1e-12
 
-    oracle = SaddleOracle(sp, 0.3)
     ev = oracle.evaluate(x, rng=np.random.default_rng(3), delta=0.12)
     assert abs(ev.certificate.delta - 0.12) <= 1e-15
 
     with pytest.raises(ValueError):
-        eval_saddle(sp, x, -0.1)
+        SaddleOracle(sp, -0.1)
     with pytest.raises(ValueError):
         SaddleProblem(operator=a, concave_center=center, concavity=0.0)
     with pytest.raises(ValueError):
@@ -454,14 +457,14 @@ def test_holder_oracle_certificate():
         subgradient=lambda x: np.sign(x) * np.abs(x) ** 0.5,
     )
     x = np.array([0.4, -1.2, 0.0])
-    ev = eval_holder(holder, x, 0.5, 0.1)
+    oracle = HolderOracle(holder, degree=0.5, delta=0.1)
+    ev = oracle.evaluate(x)
     assert ev.certificate.delta == 0.1
     assert ev.certificate.degree == 0.5
     assert ev.certificate.convex_lower_bound
     assert ev.certificate.lipschitz == holder_smoothing_constant(1.0, 0.5, 0.5, 0.1)
     assert np.array_equal(ev.gradient, holder.subgradient(x))
 
-    oracle = HolderOracle(holder, degree=0.5, delta=0.1)
     tightened = oracle.evaluate(x, delta=0.01)
     assert tightened.certificate.delta == 0.01
     assert tightened.certificate.lipschitz > ev.certificate.lipschitz
@@ -480,6 +483,18 @@ def test_oracle_handles_delta_override():
     shifted = ShiftedPointOracle(prob, shift_bound=0.4)
     ev = shifted.evaluate(x, rng=rng, delta=0.25)
     assert abs(ev.certificate.delta - 0.25) <= 1e-12
+
+    saddle = SaddleProblem(operator=rng.standard_normal((5, 2)),
+                           concave_center=rng.standard_normal(2), concavity=0.7)
+    holder = HolderFunction(exponent=0.5, holder_constant=1.0,
+                            value=lambda y: float(np.sum(np.abs(y) ** 1.5)) / 1.5,
+                            subgradient=lambda y: np.sign(y) * np.abs(y) ** 0.5)
+    comps = [_Linear(row, 0.0) for row in np.eye(5)]
+    for oracle, requested in [(SaddleOracle(saddle, inner_accuracy=0.3), 0.12),
+                              (HolderOracle(holder, degree=0.5, delta=0.1), 0.01),
+                              (MinibatchOracle(comps, batch_size=2, claimed_delta=0.3), 0.05)]:
+        ev = oracle.evaluate(x, rng=rng, delta=requested)
+        assert abs(ev.certificate.delta - requested) <= 1e-12
 
     with pytest.raises(ValueError):
         NoisyGradientOracle(prob, noise_bound=1.0, degree=0.7)
@@ -504,23 +519,6 @@ def test_exact_oracle_zero_delta():
 # -------------------------------------------------------------- certifier
 
 
-class _ScaledDelta:
-    """Wrapper that understates the certified accuracy by a fixed factor."""
-
-    def __init__(self, inner, scale):
-        self.inner = inner
-        self.scale = float(scale)
-
-    def evaluate(self, x, rng=None, delta=None):
-        ev = self.inner.evaluate(x, rng=rng, delta=delta)
-        cert = ev.certificate
-        lie = OracleCertificate(delta=cert.delta * self.scale, lipschitz=cert.lipschitz,
-                                degree=cert.degree,
-                                convex_lower_bound=cert.convex_lower_bound)
-        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
-                          certificate=lie)
-
-
 def test_certify_accepts_honest_noisy_oracle():
     prob = generate_logsum_instance(16, 32, 4.0, seed=3)
     oracle = NoisyGradientOracle(prob, noise_bound=1.0)
@@ -534,7 +532,7 @@ def test_certify_accepts_honest_noisy_oracle():
 
 def test_certify_refutes_understated_noise():
     prob = generate_logsum_instance(16, 32, 4.0, seed=3)
-    liar = _ScaledDelta(NoisyGradientOracle(prob, noise_bound=1.0), 0.05)
+    liar = _ScaledClaim(NoisyGradientOracle(prob, noise_bound=1.0), 0.05)
     report = certify_oracle(liar, prob.value, ball_pair_sampler(4.0, 16),
                             pairs=800, rng=np.random.default_rng(11))
     assert not report.certified

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxiq import (
+    ExactOracle,
     HolderPowerProblem,
     LogSumProblem,
     QuadraticProblem,
@@ -11,9 +12,11 @@ from proxiq import (
     generate_logsum_instance,
     generate_quadratic_instance,
     load_logsum_instance,
+    certify_oracle,
     sample_l1_ball,
     save_logsum_instance,
 )
+from proxiq.harness import ball_pair_sampler
 
 
 def finite_difference_gradient(value, x, eps=1e-6):
@@ -60,6 +63,16 @@ def test_logsum_smoothness_constant_is_valid():
         y = sample_l1_ball(rng, 6, 2.0)
         lhs = np.linalg.norm(p.gradient(x) - p.gradient(y))
         assert lhs <= p.lipschitz * np.linalg.norm(x - y) * (1.0 + 1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="lipschitz is sum ||row_i||**2, below the valid "
+                                        "2*||rows||_2**2 on a single row")
+def test_logsum_smoothness_constant_certifies_one_row():
+    # log(1 + r**2) has curvature 2 at r = 0, twice the constant claimed here
+    p = LogSumProblem(rows=np.array([[1.0]]), targets=np.array([0.0]), radius=1.0)
+    report = certify_oracle(ExactOracle(p), p.value, ball_pair_sampler(1.0, 1),
+                            pairs=400, rng=np.random.default_rng(0))
+    assert report.certified, report.summary()
 
 
 def test_logsum_generator_reproducible_and_grounded():
