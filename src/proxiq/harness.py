@@ -5,7 +5,10 @@ Every output is reproducible from the config file alone.  Per-cell
 randomness is seeded by the cell's own coordinates (degree, noise level,
 repeat index), so editing the grid never reshuffles the randomness of
 cells that were already there.  Cells run one after another and files are
-written in grid order, with %.17g floats and forced newlines.
+written in grid order.  Each cell keeps its RunTrace minus the iterates,
+and every table (traces, summary, bound curves) goes through
+rates.write_csv: %.17g floats and forced newlines.  A trace row's f is F
+at the pre-step iterate, so the summary's final_f is F(x_{K-1}).
 
 The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
@@ -16,8 +19,9 @@ that moves the iterate farthest.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -27,7 +31,7 @@ from . import rates
 from .oracle import NoisyGradientOracle, certify_oracle
 from .problems import generate_logsum_instance, sample_l1_ball
 from .prox import ProxFunction, project_l1_ball
-from .solver import DivergenceError, ScheduleConfig, prox_gradient, write_trace_csv
+from .solver import DivergenceError, RunTrace, ScheduleConfig, prox_gradient
 
 
 class ConfigError(ValueError):
@@ -77,9 +81,55 @@ class ExperimentConfig:
 
 
 def _reject_unknown(mapping, allowed, context):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
+
+
+def _integer(value, key):
+    if type(value) is not int:  # JSON true is a bool, not a count
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, key):
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, key):
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers")
+    return tuple(_real(value, key) for value in values)
+
+
+def _text(value, key):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _section(spec, data, context):
+    """data checked field by field into the spec dataclass; absent fields keep its defaults."""
+    kinds = {field.name: field.type for field in fields(spec)}
+    _reject_unknown(data, kinds, context)
+    return spec(**{key: _CHECKS[kinds[key]](value, key) for key, value in data.items()})
+
+
+# the check of a config value, keyed by its spec field's annotation string
+_CHECKS = {
+    "int": _integer,
+    "float": _real,
+    "str": _text,
+    "Optional[float]": lambda value, key: None if value is None else _real(value, key),
+    "Tuple[float, ...]": _reals,
+    "ProblemSpec": lambda value, key: _section(ProblemSpec, value, key),
+    "OracleSpec": lambda value, key: _section(OracleSpec, value, key),
+    "SolverSpec": lambda value, key: _section(SolverSpec, value, key),
+}
 
 
 def parse_config(data):
@@ -87,42 +137,26 @@ def parse_config(data):
 
     Unknown keys anywhere are an error: silently ignoring a typo like
     'iteratons' would produce a run that looks fine and answers the wrong
-    question.
+    question.  For the same reason every value is checked against the type
+    of its spec field: integer fields take JSON integers only, and real
+    fields reject the NaN and Infinity that Python's json accepts.  Absent
+    fields take the spec dataclasses' defaults.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(data, {"version", "problem", "oracle", "solver", "output_dir",
-                           "repeats", "master_seed", "worst_case_directions"}, "config")
     if data.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     if not data.get("output_dir"):
         raise ConfigError("output_dir is required")
+    config = _section(ExperimentConfig, data, "config")
 
-    prob_data = data.get("problem", {})
-    _reject_unknown(prob_data, {"family", "n", "N", "radius", "seed", "noise_level"}, "problem")
-    problem = ProblemSpec(
-        family=prob_data.get("family", "logsum"),
-        n=int(prob_data.get("n", 64)),
-        N=int(prob_data.get("N", 128)),
-        radius=float(prob_data.get("radius", 4.0)),
-        seed=int(prob_data.get("seed", 0)),
-        noise_level=(None if prob_data.get("noise_level") is None
-                     else float(prob_data["noise_level"])),
-    )
+    problem = config.problem
     if problem.family != "logsum":
         raise ConfigError(f"unsupported problem family {problem.family!r}")
     if problem.n < 1 or problem.N < 1 or problem.radius <= 0.0:
         raise ConfigError("problem dimensions and radius must be positive")
 
-    oracle_data = data.get("oracle", {})
-    _reject_unknown(oracle_data, {"family", "degrees", "noise_bounds",
-                                  "claimed_delta_scale"}, "oracle")
-    oracle = OracleSpec(
-        family=oracle_data.get("family", "noisy_gradient"),
-        degrees=tuple(float(q) for q in oracle_data.get("degrees", (0.0, 0.5, 1.0))),
-        noise_bounds=tuple(float(d) for d in oracle_data.get("noise_bounds", (0.1, 1.0, 3.0))),
-        claimed_delta_scale=float(oracle_data.get("claimed_delta_scale", 1.0)),
-    )
+    oracle = config.oracle
     if oracle.family != "noisy_gradient":
         raise ConfigError(f"unsupported oracle family {oracle.family!r}")
     if not oracle.degrees or not oracle.noise_bounds:
@@ -136,16 +170,7 @@ def parse_config(data):
     if oracle.claimed_delta_scale <= 0.0:
         raise ConfigError("claimed_delta_scale must be positive")
 
-    solver_data = data.get("solver", {})
-    _reject_unknown(solver_data, {"algorithm", "iterations", "step_scale", "beta", "zeta"},
-                    "solver")
-    solver = SolverSpec(
-        algorithm=solver_data.get("algorithm", "prox_gradient"),
-        iterations=int(solver_data.get("iterations", 5000)),
-        step_scale=float(solver_data.get("step_scale", 0.5)),
-        beta=float(solver_data.get("beta", 0.0)),
-        zeta=float(solver_data.get("zeta", 0.0)),
-    )
+    solver = config.solver
     if solver.algorithm != "prox_gradient":
         raise ConfigError(f"unsupported algorithm {solver.algorithm!r}")
     if solver.iterations < 1:
@@ -155,16 +180,11 @@ def parse_config(data):
     if not 0.0 <= solver.beta < 1.0 or not 0.0 <= solver.zeta < 1.0:
         raise ConfigError("beta and zeta must lie in [0, 1)")
 
-    repeats = int(data.get("repeats", 1))
-    if repeats < 1:
+    if config.repeats < 1:
         raise ConfigError("repeats must be positive")
-    worst = int(data.get("worst_case_directions", 0))
-    if worst < 0:
+    if config.worst_case_directions < 0:
         raise ConfigError("worst_case_directions must be nonnegative")
-    return ExperimentConfig(version=CONFIG_VERSION, output_dir=str(data["output_dir"]),
-                            problem=problem, oracle=oracle, solver=solver,
-                            repeats=repeats, master_seed=int(data.get("master_seed", 0)),
-                            worst_case_directions=worst)
+    return config
 
 
 def load_config(path):
@@ -208,7 +228,11 @@ def plateau_estimate(values, fraction=0.1):
 
 @dataclass
 class CellResult:
-    """Slimmed-down outcome of one (degree, noise, repeat) cell."""
+    """Outcome of one (degree, noise, repeat) cell.
+
+    trace is the cell's RunTrace without its iterates, or None for a
+    diverged cell; its objective holds F at x_0 .. x_K.
+    """
 
     degree: float
     noise_bound: float
@@ -218,16 +242,11 @@ class CellResult:
     f0: float
     bound: np.ndarray
     wall_time: float
-    # the per-step columns stay None for a diverged cell
-    objective: Optional[np.ndarray] = None     # (K,) value at the pre-step iterate
-    gm_sq: Optional[np.ndarray] = None
-    min_gm_sq: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
-    delta: Optional[np.ndarray] = None
+    trace: Optional[RunTrace] = None
 
     @property
     def plateau(self):
-        return plateau_estimate(self.min_gm_sq) if self.status == "ok" else float("nan")
+        return plateau_estimate(self.trace.min_gm_sq) if self.status == "ok" else float("nan")
 
     @property
     def bound_plateau(self):
@@ -237,7 +256,7 @@ class CellResult:
     def dominated(self):
         if self.status != "ok":
             return False
-        return bool(np.all(self.min_gm_sq <= self.bound))
+        return bool(np.all(self.trace.min_gm_sq <= self.bound))
 
     @property
     def trace_filename(self):
@@ -294,48 +313,42 @@ def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
     label = _seed_label(config, degree, noise_bound, repeat)
     start = time.perf_counter()
     try:
-        trace = prox_gradient(problem.value, oracle, h, cfg, x0, rng=rng)
+        trace = replace(prox_gradient(problem.value, oracle, h, cfg, x0, rng=rng),
+                        iterates=None)
     except DivergenceError:
-        return CellResult(degree=float(degree), noise_bound=float(noise_bound),
-                          repeat=repeat, seed_label=label, status="diverged", f0=f0,
-                          bound=bound, wall_time=time.perf_counter() - start)
-    return CellResult(degree=float(degree), noise_bound=float(noise_bound),
-                      repeat=repeat, seed_label=label, status="ok", f0=f0,
-                      bound=bound, wall_time=time.perf_counter() - start,
-                      objective=trace.objective[:-1].copy(), gm_sq=trace.gm_sq,
-                      min_gm_sq=trace.min_gm_sq, alpha=trace.alpha, delta=trace.delta)
+        trace = None
+    return CellResult(degree=float(degree), noise_bound=float(noise_bound), repeat=repeat,
+                      seed_label=label, status="diverged" if trace is None else "ok", f0=f0,
+                      bound=bound, wall_time=time.perf_counter() - start, trace=trace)
 
 
 def _write_bounds_csv(path, cells):
-    seen = set()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("q,delta,k,bound\n")
-        for cell in cells:
-            key = (cell.degree, cell.noise_bound)
-            if key in seen:
-                continue  # the bound does not depend on the repeat
-            seen.add(key)
-            for k, value in enumerate(cell.bound):
-                fh.write(f"{cell.degree:.17g},{cell.noise_bound:.17g},{k},{value:.17g}\n")
+    # one curve per (q, delta): the bound does not depend on the repeat
+    curves = {(cell.degree, cell.noise_bound): cell.bound for cell in cells}
+    q, delta, ks, values = [], [], [], []
+    for (degree, noise_bound), curve in curves.items():
+        q += [degree] * len(curve)
+        delta += [noise_bound] * len(curve)
+        ks += range(len(curve))
+        values += curve.tolist()
+    rates.write_csv(path, ("q", "delta", "k", "bound"), (q, delta, ks, values))
 
 
 def _write_summary_csv(path, cells):
-    header = ("q,delta,repeat,seed,status,f0,final_f,final_min_gm_sq,"
-              "plateau,bound_plateau,dominated")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for cell in cells:
-            if cell.status == "ok":
-                final_f = f"{cell.objective[-1]:.17g}"
-                final_min = f"{cell.min_gm_sq[-1]:.17g}"
-                plateau = f"{cell.plateau:.17g}"
-                dominated = str(cell.dominated).lower()
-            else:
-                final_f = final_min = plateau = "nan"
-                dominated = ""
-            fh.write(f"{cell.degree:.17g},{cell.noise_bound:.17g},{cell.repeat},"
-                     f"{cell.seed_label},{cell.status},{cell.f0:.17g},{final_f},"
-                     f"{final_min},{plateau},{cell.bound_plateau:.17g},{dominated}\n")
+    header = ("q", "delta", "repeat", "seed", "status", "f0", "final_f", "final_min_gm_sq",
+              "plateau", "bound_plateau", "dominated")
+    rows = []
+    for cell in cells:
+        if cell.trace is None:
+            final_f = final_min = float("nan")
+            dominated = ""
+        else:
+            # f is F at the pre-step iterate, so the last trace row holds F(x_{K-1})
+            final_f, final_min = cell.trace.objective[-2], cell.trace.min_gm_sq[-1]
+            dominated = str(cell.dominated).lower()
+        rows.append((cell.degree, cell.noise_bound, cell.repeat, cell.seed_label, cell.status,
+                     cell.f0, final_f, final_min, cell.plateau, cell.bound_plateau, dominated))
+    rates.write_csv(path, header, list(zip(*rows)))
 
 
 def _grid(config):
@@ -351,9 +364,8 @@ def _sweep(config, directions, prefix, write_bounds):
     results = [run_cell(problem, config, *cell, directions=directions)
                for cell in _grid(config)]
     for cell in results:
-        if cell.status == "ok":
-            write_trace_csv(out / (prefix + cell.trace_filename), cell.objective, cell.gm_sq,
-                            cell.min_gm_sq, cell.alpha, cell.delta, cell.bound)
+        if cell.trace is not None:
+            cell.trace.write_csv(out / (prefix + cell.trace_filename), bound=cell.bound)
     if write_bounds:
         _write_bounds_csv(out / "bound_q_delta.csv", results)
     _write_summary_csv(out / (prefix + "summary.csv"), results)

@@ -9,7 +9,6 @@ validated strictly; out-of-range inputs raise instead of being clamped.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict
 
@@ -275,6 +274,23 @@ _CURVE_PARAMS = {
 }
 
 
+def write_csv(path, header, columns):
+    """Write equal-length columns as CSV under a header of column names.
+
+    Numbers are written %.17g, which round-trips every finite double.  A
+    column whose first entry is a string is text and written verbatim, so
+    its entries must hold no comma or line break.  Lines end in a bare
+    newline on every platform.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("columns differ in length")
+    fmt = ",".join("{}" if c and isinstance(c[0], str) else "{:.17g}" for c in cols) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt.format(*row) for row in zip(*cols))
+
+
 @dataclass
 class BoundCurve:
     """A sampled theoretical curve: kind, parameters, and (k, value) pairs."""
@@ -285,11 +301,8 @@ class BoundCurve:
     values: np.ndarray
 
     def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "bound"])
-            for k, v in zip(self.ks, self.values):
-                writer.writerow([f"{k:.17g}", f"{v:.17g}"])
+        """Columns k,bound."""
+        write_csv(path, ("k", "bound"), (self.ks, self.values))
 
 
 def sample_curve(kind, parameters, ks):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .oracle import NonFiniteAnswer
 from .prox import prox_apply
-from .rates import rho_opt_horizon
+from .rates import rho_opt_horizon, write_csv
 
 
 class DivergenceError(RuntimeError):
@@ -57,6 +57,16 @@ def _query(oracle, x, rng, delta, step):
         return oracle.evaluate(x, rng=rng, delta=delta)
     except NonFiniteAnswer as exc:
         raise DivergenceError(f"oracle answer at step {step}: {exc}") from exc
+
+
+def _answer_at(objective, oracle, h, config, x, rng, step):
+    """Oracle answer, its accuracy and F + h at the iterate x_step; after the
+    last step there is no answer, and objective gives F at the final iterate."""
+    if step < config.max_iters:
+        delta = config.delta_at(step)
+        ev = _query(oracle, x, rng, delta, step)
+        return ev, delta, ev.value + h.value(x)
+    return None, None, float(objective(x)) + h.value(x)
 
 
 @dataclass(frozen=True)
@@ -113,9 +123,12 @@ class RunTrace:
     iterates and objective carry one extra leading entry for x0.  The
     fast-method fields stay None for the other solvers.  For the fast
     method gm_sq is measured on the prox point y_k rather than x_{k+1}.
+    iterates is None in a trace kept past its run, such as a sweep cell's:
+    the (K+1, n) iterates dwarf the per-step columns and no output reads
+    them.
     """
 
-    iterates: np.ndarray           # (K+1, n)
+    iterates: Optional[np.ndarray]  # (K+1, n)
     objective: np.ndarray          # (K+1,) composite value f(x_k)
     alpha: np.ndarray              # (K,)
     delta: np.ndarray              # (K,) scheduled accuracy per step
@@ -141,31 +154,14 @@ class RunTrace:
         return len(self.gm_sq)
 
     def write_csv(self, path, bound=None):
-        """One row per step: k,f,gm_sq,min_gm_sq,alpha,delta_k and optionally bound."""
-        write_trace_csv(path, self.objective, self.gm_sq, self.min_gm_sq, self.alpha,
-                        self.delta, bound)
-
-
-def write_trace_csv(path, objective, gm_sq, min_gm_sq, alpha, delta, bound=None):
-    """Per-step columns as CSV, one row per step k, floats as %.17g.
-
-    objective may carry extra trailing entries (a RunTrace's final iterate);
-    rows stop at len(gm_sq).  An optional bound column must match it.
-    """
-    steps = len(gm_sq)
-    header = "k,f,gm_sq,min_gm_sq,alpha,delta_k"
-    if bound is None:
-        ends = ["\n"] * steps
-    else:
-        if len(bound) != steps:
-            raise ValueError("bound column length does not match the trace")
-        header += ",bound"
-        ends = [f",{b:.17g}\n" for b in bound]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(steps):
-            fh.write(f"{k},{objective[k]:.17g},{gm_sq[k]:.17g},{min_gm_sq[k]:.17g},"
-                     f"{alpha[k]:.17g},{delta[k]:.17g}{ends[k]}")
+        """One row per step k: k,f,gm_sq,min_gm_sq,alpha,delta_k and an optional
+        bound column; f is the composite value at the pre-step iterate x_k."""
+        columns = {"k": range(self.steps), "f": self.objective[:self.steps],
+                   "gm_sq": self.gm_sq, "min_gm_sq": self.min_gm_sq, "alpha": self.alpha,
+                   "delta_k": self.delta}
+        if bound is not None:
+            columns["bound"] = bound
+        write_csv(path, list(columns), list(columns.values()))
 
 
 @dataclass
@@ -211,9 +207,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     x = _check_start(oracle, config, h, x0)
     iters = config.max_iters
     iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
-    delta_k = config.delta_at(0)
-    ev = _query(oracle, x, rng, delta_k, 0)
-    f0 = ev.value + h.value(x)
+    ev, delta_k, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     for k in range(iters):
@@ -232,12 +226,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
         delta_arr[k] = delta_k
         x = nxt
         iterates[k + 1] = x
-        if k + 1 < iters:
-            delta_k = config.delta_at(k + 1)
-            ev = _query(oracle, x, rng, delta_k, k + 1)
-            f = ev.value + h.value(x)
-        else:
-            f = float(objective(x)) + h.value(x)
+        ev, delta_k, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
         objective_vals[k + 1] = f
         _check_blowup(f, ceiling, k + 1)
     return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq)
@@ -276,7 +265,10 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     enforce that claim.  The whole recursion (steps, weights, theta) runs
     on the working constant L_k + q*rho, the smoothness of the quadratic
     majorization the guarantees are proved through; the upcoming constant
-    is assumed equal to the current one when sizing theta.
+    is assumed equal to the current one when sizing theta.  As in
+    prox_gradient, F at every iterate but the last is the value of the
+    oracle answer queried there; objective is called on the final iterate
+    and on the prox points y.
     """
     if theta_rule not in _THETA0:
         raise ValueError(f"unknown theta rule {theta_rule!r}")
@@ -291,15 +283,13 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     thetas = np.empty(iters)
     a_arr = np.empty(iters)
     taus = np.empty(iters)
-    f0 = float(objective(x)) + h.value(x)
+    ev, delta_k, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     theta = _THETA0[theta_rule]
     a_weight = 0.0
     model_sum = np.zeros(n)
     for k in range(iters):
-        delta_k = config.delta_at(k)
-        ev = _query(oracle, x, rng, delta_k, k)
         lip = ev.certificate.lipschitz + config.degree * config.rho
         if k == 0:
             a_weight = theta / lip
@@ -323,7 +313,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         iterates[k + 1] = x
         y_points[k] = y
         z_points[k] = z
-        f = float(objective(x)) + h.value(x)
+        ev, delta_k, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
         fy = float(objective(y)) + h.value(y)
         objective_vals[k + 1] = f
         objective_y[k] = fy
@@ -403,6 +393,8 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
 
 def ergodic_average(trace, k):
     """Uniform average of the iterates x_1 .. x_{k+1} of a recorded run."""
+    if trace.iterates is None:
+        raise ValueError("the trace kept no iterates")
     if not 0 <= k < trace.steps:
         raise ValueError("k outside the recorded range")
     return trace.iterates[1:k + 2].mean(axis=0)

@@ -153,8 +153,8 @@ def test_04_aggregate_decrease_inequality(canonical, bundle):
     _, results, _ = bundle
     worst = np.inf
     for cell in results:
-        lhs = np.cumsum(cell.alpha * cell.gm_sq)
-        offset = majorize_amgm(cell.delta[0], cell.degree, L)[1]
+        lhs = np.cumsum(cell.trace.alpha * cell.trace.gm_sq)
+        offset = majorize_amgm(cell.trace.delta[0], cell.degree, L)[1]
         rhs = cell.f0 + (np.arange(len(lhs)) + 1.0) * offset
         worst = min(worst, float((rhs - lhs).min()))
     _report(4, f"aggregate decrease inequality holds on all cells (min slack {worst:.2e})",
@@ -189,7 +189,7 @@ def test_06_plateau_ordering_across_degrees(bundle, tmp_path_factory):
     tails = {}
     for cell in long_run:
         tails.setdefault(cell.degree, []).append(
-            harness.plateau_estimate(cell.min_gm_sq, 0.2))
+            harness.plateau_estimate(cell.trace.min_gm_sq, 0.2))
     row = [float(np.median(tails[q])) for q in (0.0, 0.5, 1.0)]
     ok = ok and row[2] <= row[1] <= row[0]
     _report(6, "plateau medians decrease with the degree at every noise level", ok)

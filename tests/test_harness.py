@@ -115,6 +115,17 @@ def test_parse_config_rejects_bad_input():
     bad("beta and zeta", solver={"zeta": -0.5})
     bad("repeats", repeats=0)
     bad("worst_case_directions", worst_case_directions=-1)
+    # Python's json module accepts NaN and Infinity, and int() truncates
+    bad("noise_bounds must be a finite number", oracle={"noise_bounds": [float("inf")]})
+    bad("radius must be a finite number", problem={"radius": float("nan")})
+    bad("claimed_delta_scale must be a finite number",
+        oracle={"claimed_delta_scale": float("inf")})
+    bad("iterations must be an integer", solver={"iterations": 20.9})
+    bad("n must be an integer", problem={"n": "8"})
+    bad("repeats must be an integer", repeats=True)
+    bad("version must be an integer", version=True)
+    bad("problem must be a JSON object", problem=[8, 12])
+    bad("degrees must be a list", oracle={"degrees": 0.5})
 
 
 def test_load_config_roundtrip_and_bad_json(tmp_path):
@@ -164,6 +175,7 @@ def test_run_experiment_grid_order_and_files(grid_run):
     expected = [(q, d, r) for q in (0.0, 1.0) for d in (0.0, 0.5) for r in (0, 1)]
     assert [(c.degree, c.noise_bound, c.repeat) for c in results] == expected
     assert all(c.status == "ok" for c in results)
+    assert all(c.trace.iterates is None for c in results)  # a cell drops its (K+1, n) iterates
     names = sorted(p.name for p in out.iterdir())
     traces = [f"trace_q{q:g}_delta{d:g}_rep{r}.csv" for (q, d, r) in expected]
     assert names == sorted(traces + ["bound_q_delta.csv", "summary.csv"])
@@ -180,11 +192,11 @@ def test_trace_csv_preserves_arrays_bitwise(grid_run):
     rows = (out / cell.trace_filename).read_text().splitlines()[1:]
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(table[:, 0], np.arange(config.solver.iterations))
-    assert np.array_equal(table[:, 1], cell.objective)
-    assert np.array_equal(table[:, 2], cell.gm_sq)
-    assert np.array_equal(table[:, 3], cell.min_gm_sq)
-    assert np.array_equal(table[:, 4], cell.alpha)
-    assert np.array_equal(table[:, 5], cell.delta)
+    assert np.array_equal(table[:, 1], cell.trace.objective[:-1])
+    assert np.array_equal(table[:, 2], cell.trace.gm_sq)
+    assert np.array_equal(table[:, 3], cell.trace.min_gm_sq)
+    assert np.array_equal(table[:, 4], cell.trace.alpha)
+    assert np.array_equal(table[:, 5], cell.trace.delta)
     assert np.array_equal(table[:, 6], cell.bound)
 
 
@@ -202,8 +214,8 @@ def test_summary_rows_match_results(grid_run):
         assert fields[3] == cell.seed_label
         assert fields[4] == "ok"
         assert float(fields[5]) == cell.f0
-        assert float(fields[6]) == cell.objective[-1]
-        assert float(fields[7]) == cell.min_gm_sq[-1]
+        assert float(fields[6]) == cell.trace.objective[-2]
+        assert float(fields[7]) == cell.trace.min_gm_sq[-1]
         assert float(fields[8]) == cell.plateau
         assert float(fields[9]) == cell.bound_plateau
         assert fields[10] == str(cell.dominated).lower()
@@ -236,9 +248,9 @@ def test_exact_cells_ignore_the_degree(grid_run):
     by = {(c.degree, c.noise_bound, c.repeat): c for c in results}
     for r in (0, 1):
         low, high = by[(0.0, 0.0, r)], by[(1.0, 0.0, r)]
-        assert np.array_equal(low.objective, high.objective)
-        assert np.array_equal(low.gm_sq, high.gm_sq)
-        assert np.array_equal(low.alpha, high.alpha)
+        assert np.array_equal(low.trace.objective, high.trace.objective)
+        assert np.array_equal(low.trace.gm_sq, high.trace.gm_sq)
+        assert np.array_equal(low.trace.alpha, high.trace.alpha)
         assert not np.array_equal(low.bound, high.bound)
 
 
@@ -319,11 +331,11 @@ def test_worst_case_single_direction_is_bitwise(small_problem, grid_run, tmp_pat
     worst = harness.run_cell(small_problem, config, 1.0, 0.5, 0,
                              directions=config.worst_case_directions)
     assert worst.status == "ok"
-    assert np.array_equal(plain.objective, worst.objective)
-    assert np.array_equal(plain.gm_sq, worst.gm_sq)
-    assert np.array_equal(plain.min_gm_sq, worst.min_gm_sq)
-    assert np.array_equal(plain.alpha, worst.alpha)
-    assert np.array_equal(plain.delta, worst.delta)
+    assert np.array_equal(plain.trace.objective, worst.trace.objective)
+    assert np.array_equal(plain.trace.gm_sq, worst.trace.gm_sq)
+    assert np.array_equal(plain.trace.min_gm_sq, worst.trace.min_gm_sq)
+    assert np.array_equal(plain.trace.alpha, worst.trace.alpha)
+    assert np.array_equal(plain.trace.delta, worst.trace.delta)
     results = harness.run_worst_case(config)
     assert all(c.status == "ok" for c in results)
     _, _, honest_out = grid_run
@@ -344,7 +356,7 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
                              directions=cfg3.worst_case_directions)
     # on the first step both see the same iterate, so three tries can only
     # move farther than the single plain draw
-    assert worst.gm_sq[0] > plain.gm_sq[0]
+    assert worst.trace.gm_sq[0] > plain.trace.gm_sq[0]
 
 
 def test_scaled_claim_wrapper_only_touches_delta(small_problem):
@@ -414,6 +426,14 @@ def test_cli_run_and_validation_exit_codes(tmp_path, capsys):
     typo = write_config(tmp_path / "typo.json",
                         make_config(tmp_path / "out2", iterations=10))
     assert cli.main(["run", str(typo)]) == 1
+
+    infinite = make_config(tmp_path / "out3")
+    infinite["oracle"]["noise_bounds"] = [float("inf")]
+    path = write_config(tmp_path / "infinite.json", infinite)
+    assert "Infinity" in path.read_text()
+    capsys.readouterr()
+    assert cli.main(["run", str(path)]) == 1
+    assert "error: noise_bounds must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_worst_case_exit_codes(tmp_path):

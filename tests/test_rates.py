@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proxiq import (
     BoundCurve,
@@ -21,6 +23,7 @@ from proxiq import (
     rho_opt_horizon,
     sample_curve,
 )
+from proxiq.rates import write_csv
 
 
 # -------------------------------------------------------------- spot values
@@ -295,3 +298,29 @@ def test_curve_csv_round_trip(tmp_path):
     back = np.array([[float(a), float(b)] for a, b in rows[1:]])
     assert np.array_equal(back[:, 0], ks)         # %.17g round-trips doubles
     assert np.array_equal(back[:, 1], curve.values)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -1e300])
+_ROW = st.tuples(st.integers(-2 ** 53, 2 ** 53), _FINITE, _FINITE,
+                 st.text(st.characters(codec="utf-8", exclude_characters=",\r\n")))
+
+
+@settings(database=None, deadline=None,  # each example writes a file
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_ROW, min_size=1, max_size=20))
+def test_write_csv_round_trips_numbers_bitwise_and_text_verbatim(tmp_path, rows):
+    ks, xs, ys, texts = (list(col) for col in zip(*rows))
+    path = tmp_path / "table.csv"
+    write_csv(path, ("k", "x", "y", "label"), (ks, np.array(xs), ys, texts))
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0] == "k,x,y,label"
+    assert lines[-1] == ""
+    assert len(lines) == len(rows) + 2
+    for line, (k, x, y, text) in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert len(fields) == 4
+        assert int(fields[0]) == k
+        assert float(fields[1]).hex() == x.hex()  # bitwise, the sign of zero included
+        assert float(fields[2]).hex() == y.hex()
+        assert fields[3] == text

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,8 +318,19 @@ def test_fast_method_matches_reference_loop():
     x0 = np.zeros(8)
     for rule, theta0 in [("equality_root", 1.0), ("half_linear", 0.5)]:
         cfg = ScheduleConfig(max_iters=60, lipschitz=lip, rho=0.0, delta0=0.0, degree=1.0)
-        trace = fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return quad.value(x)
+
+        trace = fast_prox_gradient(counted, ExactOracle(quad), ProxFunction.zero(),
                                    cfg, x0, theta_rule=rule)
+        # F at x_0 .. x_59 comes from the oracle answers; objective is called
+        # at the 60 prox points and the final iterate only
+        assert len(calls) == 61
+        assert [trace.objective[k] for k in range(61)] == [
+            quad.value(trace.iterates[k]) for k in range(61)]
         x, theta, a = x0.copy(), theta0, None
         model_sum = np.zeros(8)
         for k in range(60):
@@ -500,6 +512,8 @@ def test_ergodic_average_and_bounds():
         ergodic_average(trace, 10)
     with pytest.raises(ValueError):
         ergodic_average(trace, -1)
+    with pytest.raises(ValueError, match="no iterates"):  # a sweep cell's trace
+        ergodic_average(replace(trace, iterates=None), 0)
 
 
 def test_stationarity_gap_dominates_true_gradient():
