@@ -275,27 +275,19 @@ def _cell_oracle(problem, degree, noise_bound, directions=1):
 
 
 def _cell_setup(problem, config, degree, noise_bound, directions):
-    lip = problem.lipschitz
     oracle = _cell_oracle(problem, degree, noise_bound, directions)
-    delta_eff = float(noise_bound) * oracle.diameter ** (1.0 - float(degree))
     # exact cells get rho = 0 so the step is 1/L regardless of the degree
-    rho = 0.0 if noise_bound == 0.0 else lip
-    cfg = ScheduleConfig(lipschitz=lip, rho=rho, degree=float(degree), delta0=delta_eff,
-                         max_iters=config.solver.iterations, beta=config.solver.beta,
-                         zeta=config.solver.zeta, step_scale=config.solver.step_scale)
-    h = ProxFunction.l1_ball(problem.radius)
-    return cfg, oracle, h, delta_eff
+    rho = 0.0 if noise_bound == 0.0 else problem.lipschitz
+    cfg = ScheduleConfig(rho=rho, delta0=oracle.delta, max_iters=config.solver.iterations,
+                         beta=config.solver.beta, zeta=config.solver.zeta,
+                         step_scale=config.solver.step_scale)
+    return cfg, oracle, ProxFunction.l1_ball(problem.radius)
 
 
 def _cell_bound(problem, config, degree, delta_eff, f0):
     ks = np.arange(config.solver.iterations, dtype=float)
     return rates.bound_nonconvex_const(problem.lipschitz, float(degree), delta_eff,
                                        f0 - problem.f_lower, ks)
-
-
-def _seed_label(config, degree, noise_bound, repeat):
-    return (f"{config.master_seed}-{int(round(float(degree) * 1e6))}"
-            f"-{int(round(float(noise_bound) * 1e6))}-{repeat}")
 
 
 def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
@@ -305,12 +297,12 @@ def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
     the run follows the one that moves farthest; the first draw consumes
     the generator like the plain run, so m = 1 is the plain cell.
     """
-    rng = np.random.default_rng(cell_seed(config.master_seed, degree, noise_bound, repeat))
-    cfg, oracle, h, delta_eff = _cell_setup(problem, config, degree, noise_bound, directions)
+    seed = cell_seed(config.master_seed, degree, noise_bound, repeat)
+    rng = np.random.default_rng(seed)
+    cfg, oracle, h = _cell_setup(problem, config, degree, noise_bound, directions)
     x0 = np.zeros(problem.dim)
     f0 = problem.value(x0) + h.value(x0)
-    bound = _cell_bound(problem, config, degree, delta_eff, f0)
-    label = _seed_label(config, degree, noise_bound, repeat)
+    bound = _cell_bound(problem, config, degree, oracle.delta, f0)
     start = time.perf_counter()
     try:
         trace = replace(prox_gradient(problem.value, oracle, h, cfg, x0, rng=rng),
@@ -318,7 +310,8 @@ def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
     except DivergenceError:
         trace = None
     return CellResult(degree=float(degree), noise_bound=float(noise_bound), repeat=repeat,
-                      seed_label=label, status="diverged" if trace is None else "ok", f0=f0,
+                      seed_label="-".join(map(str, seed.entropy)),
+                      status="diverged" if trace is None else "ok", f0=f0,
                       bound=bound, wall_time=time.perf_counter() - start, trace=trace)
 
 
@@ -468,10 +461,3 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
     with open(out / "certification.txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return all_ok
-
-
-def rates_command(kind, parameters, ks, path):
-    """Sample one named theoretical curve and write it as CSV."""
-    curve = rates.sample_curve(kind, parameters, ks)
-    curve.write_csv(path)
-    return curve

@@ -293,14 +293,15 @@ class NoisyGradientOracle:
     bound.  On a domain of known diameter D the same answer also certifies
     any degree q in [0, 1] with delta scaled by D**(1-q), because
     ||x - y|| <= D there.  Degrees above 1 are not certifiable this way.
+    delta is the accuracy so certified for the constructed noise bound.
 
     The noise level is the accuracy knob: a delta override at call time is
-    translated back into a noise bound, so a solver can drive a delta_k
-    schedule without knowing the noise model.  With directions = m the
-    exact gradient is perturbed by m noise vectors drawn in sequence: the
-    first gives the gradient, the others the alternatives, all under the
-    same certificate.  This is how the worst-case sweep picks its noise
-    direction.
+    translated back into a noise bound and certified as given, so a solver
+    can drive a delta_k schedule without knowing the noise model.  With
+    directions = m the exact gradient is perturbed by m noise vectors
+    drawn in sequence: the first gives the gradient, the others the
+    alternatives, all under the same certificate.  This is how the
+    worst-case sweep picks its noise direction.
     """
 
     def __init__(self, problem, noise_bound, degree=1.0, diameter=None, directions=1):
@@ -318,6 +319,7 @@ class NoisyGradientOracle:
         self.degree = q
         self.diameter = None if diameter is None else float(diameter)
         self.directions = int(directions)
+        self.delta = self.noise_bound if q == 1.0 else self.noise_bound * self.diameter ** (1.0 - q)
 
     def noise_for(self, delta):
         """Noise bound realizing a certificate accuracy delta at this degree."""
@@ -326,17 +328,16 @@ class NoisyGradientOracle:
         return float(delta) / self.diameter ** (1.0 - self.degree)
 
     def evaluate(self, x, rng=None, delta=None):
-        noise = self.noise_bound if delta is None else self.noise_for(delta)
+        if delta is None:
+            noise, delta = self.noise_bound, self.delta
+        else:
+            noise, delta = self.noise_for(delta), float(delta)
         x = np.asarray(x, dtype=float)
         exact = self.problem.gradient(x)
         grad = exact + bounded_noise(rng, x.size, noise)
         alternatives = tuple(exact + bounded_noise(rng, x.size, noise)
                              for _ in range(self.directions - 1))
-        if self.degree == 1.0:
-            cert_delta = noise
-        else:
-            cert_delta = noise * self.diameter ** (1.0 - self.degree)
-        cert = OracleCertificate(delta=cert_delta, lipschitz=float(self.problem.lipschitz),
+        cert = OracleCertificate(delta=delta, lipschitz=float(self.problem.lipschitz),
                                  degree=self.degree)
         return OracleEval(point=x, value=float(self.problem.value(x)), gradient=grad,
                           certificate=cert, alternatives=alternatives)

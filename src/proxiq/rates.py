@@ -258,20 +258,22 @@ def holder_delta_opt(holder_constant, exponent, degree, gap, k):
     return _ret(delta), _ret(bound)
 
 
-CURVE_KINDS = ("nonconvex_schedule", "nonconvex_const", "nonconvex_horizon",
-               "convex_ergodic", "convex_ergodic_opt_rho",
-               "fast_convex", "fast_convex_opt_rho", "holder_rate")
-
-_CURVE_PARAMS = {
-    "nonconvex_schedule": ("lipschitz", "rho", "degree", "delta", "beta", "zeta", "gap"),
-    "nonconvex_const": ("lipschitz", "degree", "delta", "gap"),
-    "nonconvex_horizon": ("lipschitz", "degree", "delta", "gap"),
-    "convex_ergodic": ("lipschitz", "degree", "delta", "radius", "rho"),
-    "convex_ergodic_opt_rho": ("lipschitz", "degree", "delta", "radius"),
-    "fast_convex": ("lipschitz", "degree", "delta", "radius", "rho"),
-    "fast_convex_opt_rho": ("lipschitz", "degree", "delta", "radius"),
-    "holder_rate": ("holder_constant", "exponent", "degree", "gap"),
+# each named curve: its bound function, called as bound(k=ks, **parameters),
+# and the parameter names it takes besides k
+_CURVES = {
+    "nonconvex_schedule": (bound_nonconvex_schedule,
+                           ("lipschitz", "rho", "degree", "delta", "beta", "zeta", "gap")),
+    "nonconvex_const": (bound_nonconvex_const, ("lipschitz", "degree", "delta", "gap")),
+    "nonconvex_horizon": (bound_nonconvex_horizon, ("lipschitz", "degree", "delta", "gap")),
+    "convex_ergodic": (bound_convex_ergodic, ("lipschitz", "degree", "delta", "radius", "rho")),
+    "convex_ergodic_opt_rho": (bound_convex_ergodic, ("lipschitz", "degree", "delta", "radius")),
+    "fast_convex": (bound_fast_convex, ("lipschitz", "degree", "delta", "radius", "rho")),
+    "fast_convex_opt_rho": (bound_fast_convex, ("lipschitz", "degree", "delta", "radius")),
+    "holder_rate": (lambda **p: holder_delta_opt(**p)[1],
+                    ("holder_constant", "exponent", "degree", "gap")),
 }
+
+CURVE_KINDS = tuple(_CURVES)
 
 
 def write_csv(path, header, columns):
@@ -311,9 +313,9 @@ def sample_curve(kind, parameters, ks):
     parameters must supply exactly the keys the kind needs; unknown or
     missing keys raise.
     """
-    if kind not in CURVE_KINDS:
+    if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
-    required = _CURVE_PARAMS[kind]
+    bound, required = _CURVES[kind]
     unknown = set(parameters) - set(required)
     if unknown:
         raise ValueError(f"unknown parameters for {kind}: {sorted(unknown)}")
@@ -322,26 +324,5 @@ def sample_curve(kind, parameters, ks):
         raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
     p = {name: float(parameters[name]) for name in required}
     ks = np.asarray(ks, dtype=float)
-    if kind == "nonconvex_schedule":
-        values = bound_nonconvex_schedule(p["lipschitz"], p["rho"], p["degree"],
-                                          p["delta"], p["beta"], p["zeta"], p["gap"], ks)
-    elif kind == "nonconvex_const":
-        values = bound_nonconvex_const(p["lipschitz"], p["degree"], p["delta"], p["gap"], ks)
-    elif kind == "nonconvex_horizon":
-        values = bound_nonconvex_horizon(p["lipschitz"], p["degree"], p["delta"], p["gap"], ks)
-    elif kind == "convex_ergodic":
-        values = bound_convex_ergodic(p["lipschitz"], p["degree"], p["delta"],
-                                      p["radius"], ks, rho=p["rho"])
-    elif kind == "convex_ergodic_opt_rho":
-        values = bound_convex_ergodic(p["lipschitz"], p["degree"], p["delta"],
-                                      p["radius"], ks)
-    elif kind == "fast_convex":
-        values = bound_fast_convex(p["lipschitz"], p["degree"], p["delta"],
-                                   p["radius"], ks, rho=p["rho"])
-    elif kind == "fast_convex_opt_rho":
-        values = bound_fast_convex(p["lipschitz"], p["degree"], p["delta"],
-                                   p["radius"], ks)
-    else:
-        _, values = holder_delta_opt(p["holder_constant"], p["exponent"],
-                                     p["degree"], p["gap"], ks)
+    values = bound(k=ks, **p)
     return BoundCurve(kind=kind, parameters=p, ks=ks, values=np.asarray(values, dtype=float))

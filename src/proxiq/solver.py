@@ -14,8 +14,9 @@ All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
 guarantees control.  prox_gradient also serves the worst-case sweep: when
 an oracle answer carries alternative candidate gradients, it steps along
-the candidate whose prox step moves farthest.  A non-finite oracle answer
-or a blown-up objective ends any run with DivergenceError.
+the candidate whose prox step moves farthest; the other two solvers reject
+such an answer with ValueError.  A non-finite oracle answer or a blown-up
+objective ends any run with DivergenceError.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _answer_at(objective, oracle, h, config, x, rng, step):
     """Oracle answer, its accuracy and F + h at the iterate x_step; after the
     last step there is no answer, and objective gives F at the final iterate."""
     if step < config.max_iters:
-        delta = config.delta_at(step)
+        delta = config.delta_at(step, oracle.degree)
         ev = _query(oracle, x, rng, delta, step)
         return ev, delta, ev.value + h.value(x)
     return None, None, float(objective(x)) + h.value(x)
@@ -74,15 +75,16 @@ class ScheduleConfig:
     """Step and accuracy schedules shared by the solvers.
 
     alpha_k = step_scale / ((L_k + q*rho) * (k+1)**zeta) and
-    delta_k = delta0 / (k+1)**(beta*(2-q)/2), with L_k taken from the
-    oracle's certificate at step k.  step_scale in (0, 1] keeps the step at
-    or below the 1/(L + q*rho) ceiling the guarantees assume.  rho may be 0
-    only when no quadratic majorization is needed (degree 0 or exact runs).
+    delta_k = delta0 / (k+1)**(beta*(2-q)/2).  The constants belong to the
+    oracle: L_k is the smoothness constant of its certificate at step k and
+    q is oracle.degree, so the solvers pass both in.  step_scale in (0, 1]
+    keeps the step at or below the 1/(L + q*rho) ceiling the guarantees
+    assume.  rho may be 0 only when no quadratic majorization is needed
+    (degree 0 or delta0 = 0); that needs the oracle's degree, so a run
+    checks it at its start.
     """
 
-    lipschitz: float
     rho: float
-    degree: float
     delta0: float
     max_iters: int
     beta: float = 0.0
@@ -90,16 +92,10 @@ class ScheduleConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.lipschitz <= 0.0:
-            raise ValueError("lipschitz must be positive")
-        if not 0.0 <= self.degree < 2.0:
-            raise ValueError("degree must lie in [0, 2)")
         if self.delta0 < 0.0:
             raise ValueError("delta0 must be nonnegative")
         if self.rho < 0.0:
             raise ValueError("rho must be nonnegative")
-        if self.rho == 0.0 and self.degree > 0.0 and self.delta0 > 0.0:
-            raise ValueError("rho must be positive when degree > 0 and delta0 > 0")
         if not 0.0 <= self.beta < 1.0 or not 0.0 <= self.zeta < 1.0:
             raise ValueError("beta and zeta must lie in [0, 1)")
         if not 0.0 < self.step_scale <= 1.0:
@@ -107,12 +103,11 @@ class ScheduleConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
-    def delta_at(self, k):
-        return self.delta0 / (k + 1.0) ** (self.beta * (2.0 - self.degree) / 2.0)
+    def delta_at(self, k, degree):
+        return self.delta0 / (k + 1.0) ** (self.beta * (2.0 - degree) / 2.0)
 
-    def alpha_at(self, k, lipschitz=None):
-        lip = self.lipschitz if lipschitz is None else lipschitz
-        return self.step_scale / ((lip + self.degree * self.rho) * (k + 1.0) ** self.zeta)
+    def alpha_at(self, k, lipschitz, degree):
+        return self.step_scale / ((lipschitz + degree * self.rho) * (k + 1.0) ** self.zeta)
 
 
 @dataclass
@@ -174,14 +169,21 @@ class AdaptiveState:
 
 
 def _check_start(oracle, config, h, x0):
-    if float(oracle.degree) != float(config.degree):
-        raise ValueError("oracle degree does not match the schedule degree")
+    if config.rho == 0.0 and oracle.degree > 0.0 and config.delta0 > 0.0:
+        raise ValueError("rho must be positive when degree > 0 and delta0 > 0")
     x = np.array(x0, dtype=float, copy=True)
     if x.ndim != 1:
         raise ValueError("x0 must be a vector")
     if not h.contains(x):
         raise ValueError("x0 lies outside dom h")
     return x
+
+
+def _check_single(ev, step):
+    """Reject an answer with alternatives: only prox_gradient picks among candidates."""
+    if ev.alternatives:
+        raise ValueError(f"oracle answer at step {step} offers {len(ev.alternatives) + 1}"
+                         " candidate gradients; this method follows one")
 
 
 def _buffers(x, iters):
@@ -211,7 +213,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     for k in range(iters):
-        alpha_k = config.alpha_at(k, ev.certificate.lipschitz)
+        alpha_k = config.alpha_at(k, ev.certificate.lipschitz, oracle.degree)
         nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
         step = nxt - x
         move_sq = float(step @ step)
@@ -268,7 +270,8 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     is assumed equal to the current one when sizing theta.  As in
     prox_gradient, F at every iterate but the last is the value of the
     oracle answer queried there; objective is called on the final iterate
-    and on the prox points y.
+    and on the prox points y.  An answer with alternative gradients raises
+    ValueError.
     """
     if theta_rule not in _THETA0:
         raise ValueError(f"unknown theta rule {theta_rule!r}")
@@ -290,10 +293,11 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     a_weight = 0.0
     model_sum = np.zeros(n)
     for k in range(iters):
-        lip = ev.certificate.lipschitz + config.degree * config.rho
+        _check_single(ev, k)
+        lip = ev.certificate.lipschitz + oracle.degree * config.rho
         if k == 0:
             a_weight = theta / lip
-        alpha_k = config.alpha_at(k, ev.certificate.lipschitz)
+        alpha_k = config.alpha_at(k, ev.certificate.lipschitz, oracle.degree)
         y = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
         model_sum += (theta / lip) * ev.gradient
         z = prox_apply(h, 1.0, origin - model_sum)
@@ -336,10 +340,11 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     iterate beats f_best, the slack doubles and the step is recomputed with
     the same oracle answer; after each accepted step the slack halves and
     the target is refreshed.  Returns (trace, history) where history holds
-    one AdaptiveState per accepted step.  Requires degree in [1, 2) (the
-    weight formula) and flat schedules.
+    one AdaptiveState per accepted step.  Requires an oracle degree in
+    [1, 2) (the weight formula), flat schedules and answers without
+    alternative gradients.
     """
-    if not 1.0 <= config.degree < 2.0:
+    if not 1.0 <= oracle.degree < 2.0:
         raise ValueError("the adaptive variant needs degree in [1, 2)")
     if config.beta != 0.0 or config.zeta != 0.0:
         raise ValueError("the adaptive variant uses flat schedules")
@@ -360,12 +365,13 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     for k in range(iters):
         delta_k = config.delta0
         ev = _query(oracle, x, rng, delta_k, k)
+        _check_single(ev, k)
         lip = ev.certificate.lipschitz
         retries = 0
         while True:
             gap = f0 - f_best
-            rho = rho_opt_horizon(lip, config.degree, delta_k, gap, k) if delta_k > 0.0 else 0.0
-            alpha_k = config.step_scale / (lip + config.degree * rho)
+            rho = rho_opt_horizon(lip, oracle.degree, delta_k, gap, k) if delta_k > 0.0 else 0.0
+            alpha_k = config.step_scale / (lip + oracle.degree * rho)
             nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
             f_next = float(objective(nxt)) + h.value(nxt)
             _check_blowup(f_next, ceiling, k + 1)

@@ -129,8 +129,7 @@ def test_02_power_term_majorization_dominates():
 
 def test_03_zero_accuracy_run_matches_reference(canonical):
     L = canonical.lipschitz
-    config = ScheduleConfig(lipschitz=L, rho=0.0, degree=1.0, delta0=0.0,
-                            max_iters=1000, step_scale=0.5)
+    config = ScheduleConfig(rho=0.0, delta0=0.0, max_iters=1000, step_scale=0.5)
     trace = prox_gradient(canonical.value, ExactOracle(canonical, degree=1.0),
                           ProxFunction.l1_ball(4.0), config, np.zeros(64))
     alpha = 0.5 / L
@@ -205,8 +204,7 @@ def test_07_ergodic_gap_bound_on_convex_quadratic(quad32):
     delta = 0.1
     worst = -np.inf
     for rho in (0.1, 1.0, 10.0):
-        config = ScheduleConfig(lipschitz=L, rho=rho, degree=1.0, delta0=delta,
-                                max_iters=2000, step_scale=1.0)
+        config = ScheduleConfig(rho=rho, delta0=delta, max_iters=2000, step_scale=1.0)
         oracle = NoisyGradientOracle(quad32, delta, degree=1.0)
         trace = prox_gradient(quad32.value, oracle, h, config, x0,
                               rng=np.random.default_rng(100 + int(rho * 10)))
@@ -229,8 +227,7 @@ def test_08_fast_method_exact_rate(quad32):
     rho = 1e-6
     worst = -np.inf
     for rule in ("equality_root", "half_linear"):
-        config = ScheduleConfig(lipschitz=L, rho=rho, degree=1.0, delta0=0.0,
-                                max_iters=2000, step_scale=1.0)
+        config = ScheduleConfig(rho=rho, delta0=0.0, max_iters=2000, step_scale=1.0)
         trace = fast_prox_gradient(quad32.value, ExactOracle(quad32, degree=1.0),
                                    h, config, x0, theta_rule=rule)
         gaps = trace.objective_y - quad32.f_star
@@ -249,8 +246,7 @@ def test_09_fast_method_noise_threshold(quad32):
     R = 10.0
     x0 = quad32.x_star + R * direction
     rho = float(rates.rho_opt_fast(R, 1.0, 0.1, 5000))
-    config = ScheduleConfig(lipschitz=quad32.lipschitz, rho=rho, degree=1.0,
-                            delta0=0.1, max_iters=5000, step_scale=1.0)
+    config = ScheduleConfig(rho=rho, delta0=0.1, max_iters=5000, step_scale=1.0)
     trace = fast_prox_gradient(quad32.value, NoisyGradientOracle(quad32, 0.1, degree=1.0),
                                ProxFunction.zero(), config, x0,
                                rng=np.random.default_rng(42))
@@ -277,8 +273,7 @@ def test_10_weakly_smooth_rate_slope():
     for K in horizons:
         delta_opt, _ = rates.holder_delta_opt(H, nu, q, gap0, K)
         smooth = holder_smoothing_constant(H, nu, q, delta_opt)
-        config = ScheduleConfig(lipschitz=smooth, rho=smooth, degree=q,
-                                delta0=float(delta_opt), max_iters=K, step_scale=1.0)
+        config = ScheduleConfig(rho=smooth, delta0=float(delta_opt), max_iters=K, step_scale=1.0)
         oracle = HolderOracle(problem.as_holder_function(), q, float(delta_opt))
         trace = prox_gradient(problem.value, oracle, h, config, x0)
         floors.append(trace.min_gm_sq[-1])
@@ -349,8 +344,7 @@ def test_12_adaptive_slack_stays_calibrated(canonical):
     h = ProxFunction.l1_ball(4.0)
     x0 = np.zeros(64)
     f0 = canonical.value(x0) + h.value(x0)
-    config = ScheduleConfig(lipschitz=L, rho=L, degree=1.0, delta0=1.0,
-                            max_iters=1000, step_scale=1.0)
+    config = ScheduleConfig(rho=L, delta0=1.0, max_iters=1000, step_scale=1.0)
     oracle = NoisyGradientOracle(canonical, 1.0, degree=1.0, diameter=8.0)
     trace, history = adaptive_prox_gradient(canonical.value, oracle, h, config, x0,
                                             epsilon0=f0, rng=np.random.default_rng(12),

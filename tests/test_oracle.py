@@ -244,9 +244,11 @@ def test_noisy_gradient_certificate_and_cap():
     assert ev.certificate.lipschitz == prob.lipschitz
 
     # on a diameter-3 domain the same answer certifies any lower degree
-    ev = NoisyGradientOracle(prob, 0.25, degree=0.4, diameter=3.0).evaluate(x, rng=rng)
+    oracle = NoisyGradientOracle(prob, 0.25, degree=0.4, diameter=3.0)
+    ev = oracle.evaluate(x, rng=rng)
     assert ev.certificate.degree == 0.4
-    assert abs(ev.certificate.delta - 0.25 * 3.0 ** 0.6) <= 1e-15
+    assert ev.certificate.delta == oracle.delta
+    assert abs(oracle.delta - 0.25 * 3.0 ** 0.6) <= 1e-15
 
     with pytest.raises(ValueError):
         NoisyGradientOracle(prob, 0.25, degree=0.4)
@@ -478,7 +480,10 @@ def test_oracle_handles_delta_override():
     noisy = NoisyGradientOracle(prob, noise_bound=1.0, degree=0.7, diameter=3.0)
     assert abs(noisy.noise_for(0.5) - 0.5 / 3.0 ** 0.3) <= 1e-15
     ev = noisy.evaluate(x, rng=rng, delta=0.5)
-    assert abs(ev.certificate.delta - 0.5) <= 1e-15
+    assert ev.certificate.delta == 0.5
+    # 1.5 / 3**0.3 * 3**0.3 != 1.5 in floating point: the request itself is certified
+    ev = noisy.evaluate(x, rng=np.random.default_rng(0), delta=1.5)
+    assert ev.certificate.delta == 1.5
 
     shifted = ShiftedPointOracle(prob, shift_bound=0.4)
     ev = shifted.evaluate(x, rng=rng, delta=0.25)

@@ -77,28 +77,22 @@ class _Poisoned:
 
 
 def test_schedule_config_hand_values():
-    cfg = ScheduleConfig(max_iters=10, lipschitz=2.0, rho=1.0, degree=1.0,
-                         delta0=0.4, beta=0.5, zeta=0.5, step_scale=0.5)
-    assert cfg.delta_at(0) == 0.4
-    assert cfg.delta_at(15) == pytest.approx(0.4 / 16.0 ** 0.25, rel=1e-15)
-    assert cfg.alpha_at(0) == pytest.approx(0.5 / 3.0, rel=1e-15)
-    # the certificate's constant overrides the configured one
-    assert cfg.alpha_at(3, lipschitz=4.0) == pytest.approx(0.5 / (5.0 * 2.0), rel=1e-15)
+    cfg = ScheduleConfig(max_iters=10, rho=1.0, delta0=0.4, beta=0.5, zeta=0.5, step_scale=0.5)
+    assert cfg.delta_at(0, 1.0) == 0.4
+    assert cfg.delta_at(15, 1.0) == pytest.approx(0.4 / 16.0 ** 0.25, rel=1e-15)
+    assert cfg.delta_at(15, 0.0) == pytest.approx(0.4 / 16.0 ** 0.5, rel=1e-15)
+    assert cfg.alpha_at(0, 2.0, 1.0) == pytest.approx(0.5 / 3.0, rel=1e-15)
+    assert cfg.alpha_at(3, 4.0, 1.0) == pytest.approx(0.5 / (5.0 * 2.0), rel=1e-15)
+    assert cfg.alpha_at(3, 4.0, 0.5) == pytest.approx(0.5 / (4.5 * 2.0), rel=1e-15)
 
 
 def test_schedule_config_validation():
-    ok = dict(max_iters=5, lipschitz=1.0, rho=1.0, degree=1.0, delta0=0.1)
+    ok = dict(max_iters=5, rho=1.0, delta0=0.1)
     ScheduleConfig(**ok)
-    for bad in [dict(lipschitz=0.0), dict(degree=2.0), dict(delta0=-0.1),
-                dict(rho=-1.0), dict(beta=1.0), dict(zeta=-0.1),
+    for bad in [dict(delta0=-0.1), dict(rho=-1.0), dict(beta=1.0), dict(zeta=-0.1),
                 dict(step_scale=0.0), dict(step_scale=1.5), dict(max_iters=0)]:
         with pytest.raises(ValueError):
             ScheduleConfig(**{**ok, **bad})
-    # a zero weight is fine when nothing needs majorizing
-    ScheduleConfig(max_iters=5, lipschitz=1.0, rho=0.0, degree=0.0, delta0=0.1)
-    ScheduleConfig(max_iters=5, lipschitz=1.0, rho=0.0, degree=1.0, delta0=0.0)
-    with pytest.raises(ValueError):
-        ScheduleConfig(max_iters=5, lipschitz=1.0, rho=0.0, degree=1.0, delta0=0.1)
 
 
 # -------------------------------------------------------------- plain loop
@@ -106,8 +100,7 @@ def test_schedule_config_validation():
 
 def test_prox_gradient_matches_reference_loop():
     prob = generate_quadratic_instance(6, conditioning=3.0, seed=1)
-    cfg = ScheduleConfig(max_iters=50, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=50, rho=0.0, delta0=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.zeros(6))
     x = np.zeros(6)
@@ -138,7 +131,7 @@ def test_prox_gradient_single_step_solves_separable():
             return np.asarray(x, dtype=float)
 
     prob = _OneDim()
-    cfg = ScheduleConfig(max_iters=3, lipschitz=1.0, rho=0.0, delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=3, rho=0.0, delta0=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.array([1.0]))
     assert np.array_equal(trace.iterates[1], [0.0])
@@ -149,8 +142,7 @@ def test_prox_gradient_sufficient_decrease():
     # at half the maximal step each move must pay for itself:
     # f(x+) <= f(x) - (L/2)*||x+ - x||^2 under an exact oracle
     prob = generate_logsum_instance(12, 20, 3.0, seed=2)
-    cfg = ScheduleConfig(max_iters=200, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0, step_scale=0.5)
+    cfg = ScheduleConfig(max_iters=200, rho=0.0, delta0=0.0, step_scale=0.5)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.l1_ball(3.0),
                           cfg, np.zeros(12))
     diffs = np.diff(trace.objective)
@@ -165,7 +157,7 @@ def test_prox_gradient_tracks_nonconvex_bound():
     x0 = np.zeros(16)
     gap = prob.value(x0) - prob.f_lower
     delta = 0.5
-    cfg = ScheduleConfig(max_iters=300, lipschitz=lip, rho=lip, delta0=delta, degree=1.0)
+    cfg = ScheduleConfig(max_iters=300, rho=lip, delta0=delta)
     ks = np.arange(300)
     bound = bound_nonconvex_const(lip, 1.0, delta, gap, ks)
     for seed in (0, 1, 2):
@@ -177,17 +169,20 @@ def test_prox_gradient_tracks_nonconvex_bound():
 
 def test_prox_gradient_guards():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=200, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=200, rho=0.0, delta0=0.0)
     with pytest.raises(DivergenceError):
         # certificate claims 1/50 of the true constant: the step is 50x too long
         prox_gradient(prob.value, _WrongConstant(prob, 0.02), ProxFunction.zero(),
                       cfg, np.ones(4))
-    mismatched = ScheduleConfig(max_iters=5, lipschitz=prob.lipschitz, rho=1.0,
-                                delta0=0.0, degree=0.5)
-    with pytest.raises(ValueError):
-        prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
-                      mismatched, np.zeros(4))
+    # a zero weight is fine when nothing needs majorizing: degree 0 or delta0 = 0
+    unweighted = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.1)
+    prox_gradient(prob.value, ExactOracle(prob, degree=0.0), ProxFunction.zero(),
+                  unweighted, np.zeros(4))
+    prox_gradient(prob.value, ExactOracle(prob, degree=1.0), ProxFunction.zero(),
+                  replace(unweighted, delta0=0.0), np.zeros(4))
+    with pytest.raises(ValueError, match="rho must be positive"):
+        prox_gradient(prob.value, ExactOracle(prob, degree=1.0), ProxFunction.zero(),
+                      unweighted, np.zeros(4))
     with pytest.raises(ValueError):
         prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                       cfg, np.zeros((2, 2)))
@@ -214,8 +209,7 @@ class _Scaled:
 
 def test_prox_gradient_follows_the_farthest_candidate():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=5, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0, step_scale=0.25)
+    cfg = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.0, step_scale=0.25)
     x0 = np.ones(4)
     h = ProxFunction.zero()
     plain = prox_gradient(prob.value, ExactOracle(prob), h, cfg, x0)
@@ -233,8 +227,7 @@ def test_prox_gradient_follows_the_farthest_candidate():
 
 def test_prox_gradient_turns_non_finite_answers_into_divergence():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=10, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=10, rho=0.0, delta0=0.0)
     # a NaN gradient in the answer at x_2
     with pytest.raises(DivergenceError, match="step 2"):
         prox_gradient(prob.value, _Poisoned(prob, 2, "gradient"), ProxFunction.zero(),
@@ -244,8 +237,7 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
         prox_gradient(prob.value, _Poisoned(prob, 1, "value"), ProxFunction.zero(),
                       cfg, np.ones(4))
     # the final iterate's F comes from objective, not from the oracle
-    once = ScheduleConfig(max_iters=1, lipschitz=prob.lipschitz, rho=0.0,
-                          delta0=0.0, degree=1.0)
+    once = ScheduleConfig(max_iters=1, rho=0.0, delta0=0.0)
     with pytest.raises(DivergenceError, match="step 1"):
         prox_gradient(lambda x: math.inf, ExactOracle(prob), ProxFunction.zero(),
                       once, np.ones(4))
@@ -257,8 +249,7 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
 
 def test_prox_gradient_deterministic_given_seed():
     prob = generate_logsum_instance(8, 12, 2.0, seed=4)
-    cfg = ScheduleConfig(max_iters=40, lipschitz=prob.lipschitz, rho=prob.lipschitz,
-                         delta0=0.3, degree=1.0)
+    cfg = ScheduleConfig(max_iters=40, rho=prob.lipschitz, delta0=0.3)
     runs = []
     for _ in range(2):
         oracle = NoisyGradientOracle(prob, noise_bound=0.3)
@@ -317,7 +308,7 @@ def test_fast_method_matches_reference_loop():
     lip = quad.lipschitz
     x0 = np.zeros(8)
     for rule, theta0 in [("equality_root", 1.0), ("half_linear", 0.5)]:
-        cfg = ScheduleConfig(max_iters=60, lipschitz=lip, rho=0.0, delta0=0.0, degree=1.0)
+        cfg = ScheduleConfig(max_iters=60, rho=0.0, delta0=0.0)
         calls = []
 
         def counted(x):
@@ -359,8 +350,7 @@ def test_fast_method_matches_reference_loop():
 def test_fast_method_first_step_collapses():
     # with theta0 = A0*L the first prox point and model point coincide
     quad = generate_quadratic_instance(5, conditioning=2.0, seed=9)
-    cfg = ScheduleConfig(max_iters=1, lipschitz=quad.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=1, rho=0.0, delta0=0.0)
     trace = fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                                cfg, np.zeros(5))
     assert np.allclose(trace.y_points[0], trace.z_points[0], atol=1e-15)
@@ -375,8 +365,7 @@ def test_fast_method_exact_bound_both_rules():
     ks = np.arange(2000)
     bound = 4.0 * quad.lipschitz * r_sq / ((ks + 1.0) * (ks + 2.0))
     for rule in ("equality_root", "half_linear"):
-        cfg = ScheduleConfig(max_iters=2000, lipschitz=quad.lipschitz, rho=0.0,
-                             delta0=0.0, degree=1.0)
+        cfg = ScheduleConfig(max_iters=2000, rho=0.0, delta0=0.0)
         trace = fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                                    cfg, x0, theta_rule=rule)
         gaps = trace.objective_y - quad.f_star
@@ -389,7 +378,7 @@ def test_fast_method_runs_on_working_constant():
     # with q = 1 and a large weight, steps and momentum both use L + rho
     quad = generate_quadratic_instance(6, conditioning=2.0, seed=2)
     lip, rho = quad.lipschitz, 9.0
-    cfg = ScheduleConfig(max_iters=30, lipschitz=lip, rho=rho, delta0=0.1, degree=1.0)
+    cfg = ScheduleConfig(max_iters=30, rho=rho, delta0=0.1)
     oracle = NoisyGradientOracle(quad, noise_bound=0.1)
     trace = fast_prox_gradient(quad.value, oracle, ProxFunction.zero(), cfg,
                                np.zeros(6), rng=np.random.default_rng(0))
@@ -402,14 +391,19 @@ def test_fast_method_runs_on_working_constant():
 
 def test_fast_method_guards():
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=200, lipschitz=quad.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=200, rho=0.0, delta0=0.0)
     with pytest.raises(ValueError):
         fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                            cfg, np.zeros(4), theta_rule="golden")
     with pytest.raises(DivergenceError):
         fast_prox_gradient(quad.value, _WrongConstant(quad, 0.02), ProxFunction.zero(),
                            cfg, np.ones(4))
+    # answers with alternative gradients are for prox_gradient's worst case only
+    noisy = replace(cfg, rho=1.0, delta0=0.1)
+    with pytest.raises(ValueError, match="3 candidate gradients"):
+        fast_prox_gradient(quad.value, NoisyGradientOracle(quad, 0.1, directions=3),
+                           ProxFunction.zero(), noisy, np.zeros(4),
+                           rng=np.random.default_rng(0))
 
 
 # --------------------------------------------------------------- adaptive
@@ -417,22 +411,23 @@ def test_fast_method_guards():
 
 def test_adaptive_validation():
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=0)
-    base = dict(max_iters=5, lipschitz=quad.lipschitz, rho=0.0, delta0=0.0)
-    oracle = ExactOracle(quad, degree=0.5)
+    cfg = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.0)
     with pytest.raises(ValueError):
-        adaptive_prox_gradient(quad.value, oracle, ProxFunction.zero(),
-                               ScheduleConfig(degree=0.5, **base), np.zeros(4), 1.0)
-    cfg = ScheduleConfig(degree=1.0, **base)
+        adaptive_prox_gradient(quad.value, ExactOracle(quad, degree=0.5), ProxFunction.zero(),
+                               cfg, np.zeros(4), 1.0)
     exact = ExactOracle(quad)
     with pytest.raises(ValueError):
         adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4), 0.0)
     with pytest.raises(ValueError):
         adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4),
                                1.0, max_doublings=0)
-    sched = ScheduleConfig(max_iters=5, lipschitz=quad.lipschitz, rho=1.0,
-                           delta0=0.1, degree=1.0, beta=0.5)
+    sched = ScheduleConfig(max_iters=5, rho=1.0, delta0=0.1, beta=0.5)
     with pytest.raises(ValueError):
         adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), sched, np.zeros(4), 1.0)
+    with pytest.raises(ValueError, match="3 candidate gradients"):
+        adaptive_prox_gradient(quad.value, NoisyGradientOracle(quad, 0.1, directions=3),
+                               ProxFunction.zero(), replace(sched, beta=0.0), np.zeros(4), 1.0,
+                               rng=np.random.default_rng(0))
 
 
 def test_adaptive_flat_objective_never_retries():
@@ -446,7 +441,7 @@ def test_adaptive_flat_objective_never_retries():
             return np.zeros_like(np.asarray(x, dtype=float))
 
     prob = _Flat()
-    cfg = ScheduleConfig(max_iters=6, lipschitz=1.0, rho=0.0, delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=6, rho=0.0, delta0=0.0)
     trace, history = adaptive_prox_gradient(prob.value, ExactOracle(prob),
                                             ProxFunction.zero(), cfg, np.zeros(3), 1.0)
     assert len(history) == 6
@@ -460,8 +455,7 @@ def test_adaptive_flat_objective_never_retries():
 
 def test_adaptive_runs_and_keeps_invariants():
     prob = generate_logsum_instance(12, 24, 3.0, seed=6)
-    cfg = ScheduleConfig(max_iters=120, lipschitz=prob.lipschitz, rho=1.0,
-                         delta0=0.1, degree=1.0)
+    cfg = ScheduleConfig(max_iters=120, rho=1.0, delta0=0.1)
     oracle = NoisyGradientOracle(prob, noise_bound=0.1)
     trace, history = adaptive_prox_gradient(prob.value, oracle, ProxFunction.l1_ball(3.0),
                                             cfg, np.zeros(12), epsilon0=1.0,
@@ -491,7 +485,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
             return np.array([-10.0])
 
     prob = _Drop()
-    cfg = ScheduleConfig(max_iters=5, lipschitz=1.0, rho=0.0, delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.0)
     with pytest.raises(DivergenceError):
         adaptive_prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                                cfg, np.zeros(1), epsilon0=1.0, max_doublings=3)
@@ -502,8 +496,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
 
 def test_ergodic_average_and_bounds():
     prob = generate_quadratic_instance(5, conditioning=3.0, seed=7)
-    cfg = ScheduleConfig(max_iters=10, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=10, rho=0.0, delta0=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.zeros(5))
     assert np.allclose(ergodic_average(trace, 0), trace.iterates[1], atol=1e-15)
@@ -519,8 +512,7 @@ def test_ergodic_average_and_bounds():
 def test_stationarity_gap_dominates_true_gradient():
     prob = generate_logsum_instance(10, 18, 3.0, seed=8)
     delta = 0.2
-    cfg = ScheduleConfig(max_iters=80, lipschitz=prob.lipschitz, rho=prob.lipschitz,
-                         delta0=delta, degree=1.0)
+    cfg = ScheduleConfig(max_iters=80, rho=prob.lipschitz, delta0=delta)
     oracle = NoisyGradientOracle(prob, noise_bound=delta)
     trace = prox_gradient(prob.value, oracle, ProxFunction.zero(), cfg,
                           np.zeros(10), rng=np.random.default_rng(21))
@@ -531,8 +523,7 @@ def test_stationarity_gap_dominates_true_gradient():
 
     holder = generate_holder_instance(6, 0.5, seed=3)
     oracle = HolderOracle(holder.as_holder_function(), degree=0.5, delta=0.2)
-    lip = oracle.evaluate(np.zeros(6)).certificate.lipschitz
-    cfg = ScheduleConfig(max_iters=80, lipschitz=lip, rho=1.0, delta0=0.2, degree=0.5)
+    cfg = ScheduleConfig(max_iters=80, rho=1.0, delta0=0.2)
     trace = prox_gradient(holder.value, oracle, ProxFunction.zero(), cfg, np.zeros(6))
     gap = stationarity_gap(trace, "holder", holder_constant=holder.holder_constant,
                            holder_exponent=0.5)
@@ -549,8 +540,7 @@ def test_stationarity_gap_dominates_true_gradient():
 
 def test_trace_csv_round_trip(tmp_path):
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=5)
-    cfg = ScheduleConfig(max_iters=7, lipschitz=prob.lipschitz, rho=0.0,
-                         delta0=0.0, degree=1.0)
+    cfg = ScheduleConfig(max_iters=7, rho=0.0, delta0=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.ones(4))
     path = tmp_path / "trace.csv"
