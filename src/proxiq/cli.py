@@ -97,7 +97,8 @@ def main(argv=None):
             lo = max(args.k_min, 1e-9)
             ks = np.unique(np.round(np.logspace(np.log10(lo), np.log10(max(args.k_max, lo)),
                                                 args.points)))
-            rates.sample_curve(args.kind, _parse_params(args.param), ks).write_csv(args.output)
+            values = rates.sample_curve(args.kind, _parse_params(args.param), ks)
+            rates.write_csv(args.output, ("k", "bound"), (ks, values))
             return 0
         config = harness.fig1_config(args.output_dir, iterations=args.iterations,
                                      repeats=args.repeats, master_seed=args.master_seed)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -124,7 +124,8 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
 
     and this L is the smallest such constant (the AM-GM split is tight).
     At nu = 1 the function is plainly smooth, L = H, and delta is ignored.
-    Shrinking delta only ever increases L.
+    Shrinking delta only ever increases L, as L(delta) = L(1) *
+    delta**(-(1-nu)/(1+nu-q)); rate formulas use L(1) as the coefficient.
     """
     nu = float(exponent)
     q = float(degree)
@@ -142,28 +143,6 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     lam = (1.0 + nu - q) / (2.0 - q)
     base = (h / (1.0 + nu)) ** (1.0 / lam)
     return 2.0 * lam * base * ((1.0 - lam) / float(delta)) ** (1.0 / lam - 1.0)
-
-
-def holder_smoothing_coefficient(holder_constant, exponent, degree):
-    """Coefficient C with holder_smoothing_constant = C * delta**(-(1-nu)/(1+nu-q)).
-
-    Splitting off the delta power lets rate formulas carry the delta
-    dependence symbolically.  At nu = 1 the power is zero and C = H.
-    """
-    nu = float(exponent)
-    q = float(degree)
-    h = float(holder_constant)
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("exponent must lie in [0, 1]")
-    if h <= 0.0:
-        raise ValueError("holder_constant must be positive")
-    if not 0.0 <= q < 1.0 + nu:
-        raise ValueError("degree must lie in [0, 1 + exponent)")
-    if nu == 1.0:
-        return h
-    lam = (1.0 + nu - q) / (2.0 - q)
-    base = (h / (1.0 + nu)) ** (1.0 / lam)
-    return 2.0 * lam * base * (1.0 - lam) ** (1.0 / lam - 1.0)
 
 
 def bounded_noise(rng, dim, bound):
@@ -248,21 +227,6 @@ class SaddleProblem:
     @cached_property
     def lipschitz(self):
         return spectral_norm(self.operator) ** 2 / self.concavity
-
-
-@dataclass(frozen=True)
-class HolderFunction:
-    """Function whose (sub)gradient is Holder continuous.
-
-    ||g(x) - g(y)|| <= holder_constant * ||x - y||**exponent for all
-    admissible subgradient selections.
-    """
-
-    exponent: float
-    holder_constant: float
-    value: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
-    convex: bool = True
 
 
 class ExactOracle:
@@ -373,23 +337,19 @@ class ShiftedPointOracle:
 class MinibatchOracle:
     """Subsampled gradient of a finite sum over random fixed-size batches.
 
-    Under mean scaling the gradient is the batch average and the value is
-    the exact mean of all components; sum scaling multiplies both by the
-    number of components.  No certificate can be derived from the batch
-    alone (the error is probabilistic), so the claimed constants are passed
+    The gradient is the batch average and the value is the exact mean of
+    all components.  No certificate can be derived from the batch alone
+    (the error is probabilistic), so the claimed constants are passed
     through and certify_oracle is the judge.  A full batch needs no
-    generator and reproduces the exact (mean or sum) gradient.
+    generator and reproduces the exact mean gradient.
     """
 
-    def __init__(self, components, batch_size, scaling="mean",
-                 claimed_delta=0.0, claimed_lipschitz=1.0, degree=1.0):
+    def __init__(self, components, batch_size, claimed_delta=0.0, claimed_lipschitz=1.0,
+                 degree=1.0):
         if not 1 <= batch_size <= len(components):
             raise ValueError("batch_size out of range")
-        if scaling not in ("mean", "sum"):
-            raise ValueError("scaling must be 'mean' or 'sum'")
         self.components = list(components)
         self.batch_size = int(batch_size)
-        self.scaling = scaling
         self.claimed_delta = float(claimed_delta)
         self.claimed_lipschitz = float(claimed_lipschitz)
         self.degree = float(degree)
@@ -405,9 +365,6 @@ class MinibatchOracle:
         x = np.asarray(x, dtype=float)
         grad = sum(self.components[j].gradient(x) for j in batch) / self.batch_size
         value = sum(float(c.value(x)) for c in self.components) / n
-        if self.scaling == "sum":
-            grad = grad * n
-            value = value * n
         claimed = self.claimed_delta if delta is None else float(delta)
         cert = OracleCertificate(delta=claimed, lipschitz=self.claimed_lipschitz,
                                  degree=self.degree)
@@ -449,29 +406,30 @@ class SaddleOracle:
 
 
 class HolderOracle:
-    """Exact subgradient of a weakly smooth function, certified at degree q.
+    """Exact gradient of a weakly smooth problem, certified at degree q.
 
-    Weak smoothness admits a certificate at any accuracy delta > 0 by
-    inflating the smoothness constant via holder_smoothing_constant, so the
-    certificate adapts L to the requested delta.  It claims the convex
-    lower bound when the function is convex.
+    The problem's gradient is Holder continuous with constant
+    problem.holder_constant and exponent problem.exponent.  Weak smoothness
+    admits a certificate at any accuracy delta > 0 by inflating the
+    smoothness constant via holder_smoothing_constant, so the certificate
+    adapts L to the requested delta.  It claims the convex lower bound when
+    the problem is convex.
     """
 
-    def __init__(self, holder, degree, delta):
-        self.holder = holder
+    def __init__(self, problem, degree, delta):
+        self.problem = problem
         self.degree = float(degree)
         self.delta = float(delta)
 
     def evaluate(self, x, rng=None, delta=None):
         delta = self.delta if delta is None else float(delta)
         x = np.asarray(x, dtype=float)
-        lip = holder_smoothing_constant(self.holder.holder_constant, self.holder.exponent,
+        lip = holder_smoothing_constant(self.problem.holder_constant, self.problem.exponent,
                                         self.degree, delta)
         cert = OracleCertificate(delta=delta, lipschitz=lip, degree=self.degree,
-                                 convex_lower_bound=self.holder.convex)
-        return OracleEval(point=x, value=float(self.holder.value(x)),
-                          gradient=np.asarray(self.holder.subgradient(x), dtype=float),
-                          certificate=cert)
+                                 convex_lower_bound=self.problem.convex)
+        return OracleEval(point=x, value=float(self.problem.value(x)),
+                          gradient=self.problem.gradient(x), certificate=cert)
 
 
 @dataclass

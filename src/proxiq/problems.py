@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import HolderFunction, spectral_norm
+from .oracle import spectral_norm
 
 
 @dataclass(frozen=True)
@@ -93,35 +93,6 @@ def generate_logsum_instance(n, N, radius, noise_level=None, seed=0):
     return LogSumProblem(rows=rows, targets=targets, radius=float(radius), x_true=x_true)
 
 
-def save_logsum_instance(problem, path):
-    """Plain-text dump, full double precision, newline-normalized."""
-    N, n = problem.rows.shape
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"logsum {N} {n} {problem.radius:.17g}\n")
-        for row in problem.rows:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(" ".join(f"{v:.17g}" for v in problem.targets) + "\n")
-        if problem.x_true is None:
-            fh.write("none\n")
-        else:
-            fh.write(" ".join(f"{v:.17g}" for v in problem.x_true) + "\n")
-
-
-def load_logsum_instance(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "logsum":
-            raise ValueError(f"not a logsum instance file: {path}")
-        N, n, radius = int(header[1]), int(header[2]), float(header[3])
-        rows = np.array([[float(v) for v in fh.readline().split()] for _ in range(N)])
-        targets = np.array([float(v) for v in fh.readline().split()])
-        tail = fh.readline().split()
-        x_true = None if tail == ["none"] else np.array([float(v) for v in tail])
-    if rows.shape != (N, n) or targets.shape != (N,):
-        raise ValueError(f"corrupt logsum instance file: {path}")
-    return LogSumProblem(rows=rows, targets=targets, radius=radius, x_true=x_true)
-
-
 @dataclass(frozen=True)
 class QuadraticProblem:
     """Least squares 0.5*||B x - c||**2 with a known minimizer."""
@@ -179,14 +150,13 @@ class HolderPowerProblem:
     """Separable objective sum_i |x_i - c_i|**(1+nu) / (1+nu).
 
     Convex, minimized at the centers with value 0, and its gradient
-    sign(x - c)*|x - c|**nu is Holder continuous with exponent nu.  The
-    stored constant is certified on the working box, not globally.
+    sign(x - c)*|x - c|**nu is Holder continuous with exponent nu and
+    constant holder_constant.
     """
 
     centers: np.ndarray
     exponent: float
     holder_constant: float
-    box: tuple = (-4.0, 4.0)
 
     convex = True
     f_lower = 0.0
@@ -201,11 +171,6 @@ class HolderPowerProblem:
     def dim(self):
         return self.centers.shape[0]
 
-    @property
-    def lipschitz(self):
-        # only meaningful at exponent 1; inexact certificates go through the oracle
-        return self.holder_constant
-
     def value(self, x):
         d = np.abs(np.asarray(x, dtype=float) - self.centers)
         p = 1.0 + self.exponent
@@ -215,35 +180,21 @@ class HolderPowerProblem:
         d = np.asarray(x, dtype=float) - self.centers
         return np.sign(d) * np.abs(d) ** self.exponent
 
-    def as_holder_function(self):
-        return HolderFunction(exponent=self.exponent, holder_constant=self.holder_constant,
-                              value=self.value, subgradient=self.gradient, convex=True)
 
+def generate_holder_instance(n, nu, seed=0):
+    """Power objective with centers uniform in [-2, 2]**n and its exact constant.
 
-def generate_holder_instance(n, nu, seed=0, box=(-4.0, 4.0), pairs=10000, inflation=1.1):
-    """Random-center power objective with an empirically certified constant.
-
-    At nu = 1 the objective is a unit quadratic and the constant is exactly
-    1.  Otherwise the Euclidean-norm Holder ratio over the box is estimated
-    from sampled pairs and inflated by 10% for safety.
+    The Euclidean Holder constant of the gradient on all of R**n is
+    H = 2**(1-nu) * n**((1-nu)/2).  Per coordinate,
+    |sign(a)|a|**nu - sign(b)|b|**nu| <= 2**(1-nu)*|a - b|**nu, with equality
+    at b = -a; summing squares and applying Holder's inequality across the
+    n coordinates adds the factor n**((1-nu)/2), with equality at
+    x - c = a*1, y - c = -a*1.  At nu = 1 the objective is a unit quadratic
+    and H = 1.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
-    lo, hi = float(box[0]), float(box[1])
-    if lo >= hi:
-        raise ValueError("box must be a nonempty interval")
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(lo / 2.0, hi / 2.0, size=n)
-    if nu == 1.0:
-        constant = 1.0
-    else:
-        xs = rng.uniform(lo, hi, size=(int(pairs), n))
-        ys = rng.uniform(lo, hi, size=(int(pairs), n))
-        gx = np.sign(xs - centers) * np.abs(xs - centers) ** nu
-        gy = np.sign(ys - centers) * np.abs(ys - centers) ** nu
-        num = np.linalg.norm(gx - gy, axis=1)
-        den = np.linalg.norm(xs - ys, axis=1) ** nu
-        keep = den > 0
-        constant = float(inflation) * float((num[keep] / den[keep]).max())
-    return HolderPowerProblem(centers=centers, exponent=float(nu),
-                              holder_constant=constant, box=(lo, hi))
+    centers = rng.uniform(-2.0, 2.0, size=n)
+    constant = 2.0 ** (1.0 - nu) * n ** ((1.0 - nu) / 2.0)
+    return HolderPowerProblem(centers=centers, exponent=float(nu), holder_constant=constant)

@@ -1,9 +1,7 @@
 """Simple convex terms and their proximal maps.
 
 Everything here is exact: soft thresholding for the l1 norm, sort-based
-projection for the l1 ball, and the identity for the zero function.  The
-prox optimality condition also lets us recover a subgradient of h at the
-prox output, which the solvers use to reason about stationarity.
+projection for the l1 ball, and the identity for the zero function.
 """
 
 from __future__ import annotations
@@ -87,9 +85,6 @@ class ProxFunction:
             return self.weight * float(np.abs(np.asarray(x)).sum())
         return 0.0 if self.contains(x) else np.inf
 
-    def prox(self, gamma, x):
-        return prox_apply(self, gamma, x)
-
 
 def prox_apply(h, gamma, x):
     """Proximal map of gamma*h at x, exact for every supported kind."""
@@ -101,21 +96,3 @@ def prox_apply(h, gamma, x):
     if h.kind == "l1_norm":
         return soft_threshold(x, gamma * h.weight)
     return project_l1_ball(x, h.radius)
-
-
-def implied_subgradient(h, gamma, pre_prox, post_prox, tol=1e-8):
-    """Subgradient of h at post_prox recovered from prox optimality.
-
-    If post = prox_{gamma h}(pre) then (pre - post)/gamma lies in the
-    subdifferential of h at post.  The inputs are re-proxed as a consistency
-    check before trusting that identity.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    pre = np.asarray(pre_prox, dtype=float)
-    post = np.asarray(post_prox, dtype=float)
-    check = prox_apply(h, gamma, pre)
-    err = float(np.linalg.norm(check - post))
-    if err > tol * (1.0 + float(np.linalg.norm(post))):
-        raise ValueError(f"post_prox is not the prox of pre_prox (mismatch {err:.2e})")
-    return (pre - post) / gamma

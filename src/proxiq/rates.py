@@ -9,12 +9,9 @@ validated strictly; out-of-range inputs raise instead of being clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
-from .oracle import holder_smoothing_coefficient
+from .oracle import holder_smoothing_constant
 
 
 def _ret(values):
@@ -212,16 +209,6 @@ def bound_fast_convex(lipschitz, degree, delta, radius, k, rho=None):
                 / (2.0 * rho ** (q / (2.0 - q))))
 
 
-def fast_delta_exponent(degree):
-    """Growth exponent in k of the accelerated method's accuracy term.
-
-    1 - 3q/2: positive means error accumulates, zero (at q = 2/3) means a
-    constant floor, negative means the error washes out.
-    """
-    q = _check_degree(degree)
-    return 1.0 - 1.5 * q
-
-
 def holder_delta_opt(holder_constant, exponent, degree, gap, k):
     """Best oracle accuracy for a weakly smooth objective at horizon k.
 
@@ -232,20 +219,17 @@ def holder_delta_opt(holder_constant, exponent, degree, gap, k):
         a = (1-nu)/(1+nu-q),  b = 2*nu/(1+nu-q),
 
     with C1 = 2*(q+1)*gap*C and C2 = (q+1)*(2-q)*C**((2-2q)/(2-q)) built
-    from the smoothing coefficient C.  Returns the stationary delta and the
-    bound value there, as a pair.  At nu = 1 the best delta is 0 and the
-    bound is C1/(k+1); the resulting rate in k is k**(-2*nu/(1+nu)).
+    from the smoothing coefficient C, the smoothing constant at delta = 1.
+    Returns the stationary delta and the bound value there, as a pair.  At
+    nu = 1 the best delta is 0 and the bound is C1/(k+1); the resulting
+    rate in k is k**(-2*nu/(1+nu)).
     """
     nu = float(exponent)
-    q = _check_degree(degree)
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("exponent must lie in [0, 1]")
-    if q >= 1.0 + nu:
-        raise ValueError("degree must lie in [0, 1 + exponent)")
+    q = float(degree)
     if gap <= 0.0:
         raise ValueError("gap must be positive")
     k = np.asarray(k, dtype=float)
-    coeff = holder_smoothing_coefficient(holder_constant, nu, q)
+    coeff = holder_smoothing_constant(holder_constant, nu, q, 1.0)
     c1 = 2.0 * (q + 1.0) * gap * coeff
     if nu == 1.0:
         zeros = np.zeros_like(k)
@@ -293,22 +277,8 @@ def write_csv(path, header, columns):
         fh.writelines(fmt.format(*row) for row in zip(*cols))
 
 
-@dataclass
-class BoundCurve:
-    """A sampled theoretical curve: kind, parameters, and (k, value) pairs."""
-
-    kind: str
-    parameters: Dict[str, float]
-    ks: np.ndarray
-    values: np.ndarray
-
-    def write_csv(self, path):
-        """Columns k,bound."""
-        write_csv(path, ("k", "bound"), (self.ks, self.values))
-
-
 def sample_curve(kind, parameters, ks):
-    """Evaluate one named bound over an array of iteration counts.
+    """Values of one named bound over an array of iteration counts.
 
     parameters must supply exactly the keys the kind needs; unknown or
     missing keys raise.
@@ -323,6 +293,4 @@ def sample_curve(kind, parameters, ks):
     if missing:
         raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
     p = {name: float(parameters[name]) for name in required}
-    ks = np.asarray(ks, dtype=float)
-    values = bound(k=ks, **p)
-    return BoundCurve(kind=kind, parameters=p, ks=ks, values=np.asarray(values, dtype=float))
+    return np.asarray(bound(k=np.asarray(ks, dtype=float), **p), dtype=float)

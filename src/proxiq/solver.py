@@ -395,36 +395,3 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         epsilon /= 2.0
         f_best = f_min - epsilon
     return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq), history
-
-
-def ergodic_average(trace, k):
-    """Uniform average of the iterates x_1 .. x_{k+1} of a recorded run."""
-    if trace.iterates is None:
-        raise ValueError("the trace kept no iterates")
-    if not 0 <= k < trace.steps:
-        raise ValueError("k outside the recorded range")
-    return trace.iterates[1:k + 2].mean(axis=0)
-
-
-def stationarity_gap(trace, oracle_kind, lipschitz=None, noise_bound=0.0,
-                     holder_constant=None, holder_exponent=None):
-    """Per-step bound on the distance from 0 to the composite subdifferential.
-
-    Evaluated at the post-step iterates.  The gradient-mapping norm alone is
-    not a valid stationarity measure under an inexact oracle; the correction
-    depends on the oracle family:
-
-    * noisy_gradient: gm + L*||x_{k+1} - x_k|| + noise_bound,
-    * holder: gm + H*||x_{k+1} - x_k||**nu (exact subgradient answers).
-    """
-    gm = np.sqrt(trace.gm_sq)
-    move = trace.alpha * gm
-    if oracle_kind == "noisy_gradient":
-        if lipschitz is None:
-            raise ValueError("noisy_gradient needs the smoothness constant")
-        return gm + lipschitz * move + float(noise_bound)
-    if oracle_kind == "holder":
-        if holder_constant is None or holder_exponent is None:
-            raise ValueError("holder needs holder_constant and holder_exponent")
-        return gm + holder_constant * move ** holder_exponent
-    raise ValueError(f"unknown oracle kind {oracle_kind!r}")

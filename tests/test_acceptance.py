@@ -103,7 +103,7 @@ def test_01_every_oracle_family_certifies():
                                   _box_pairs(-1.5, 1.5, 8), pairs=1000, rng=rng))
 
     weak = generate_holder_instance(16, 0.5, seed=4)
-    reports.append(certify_oracle(HolderOracle(weak.as_holder_function(), 0.5, 0.1),
+    reports.append(certify_oracle(HolderOracle(weak, 0.5, 0.1),
                                   weak.value, _box_pairs(-4.0, 4.0, 16),
                                   pairs=1000, rng=rng))
 
@@ -274,7 +274,7 @@ def test_10_weakly_smooth_rate_slope():
         delta_opt, _ = rates.holder_delta_opt(H, nu, q, gap0, K)
         smooth = holder_smoothing_constant(H, nu, q, delta_opt)
         config = ScheduleConfig(rho=smooth, delta0=float(delta_opt), max_iters=K, step_scale=1.0)
-        oracle = HolderOracle(problem.as_holder_function(), q, float(delta_opt))
+        oracle = HolderOracle(problem, q, float(delta_opt))
         trace = prox_gradient(problem.value, oracle, h, config, x0)
         floors.append(trace.min_gm_sq[-1])
     slope = float(np.polyfit(np.log(np.array(horizons, dtype=float)),

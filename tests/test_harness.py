@@ -403,10 +403,10 @@ def test_rates_command_writes_the_requested_curve(tmp_path):
     path = tmp_path / "curve.csv"
     ks = np.array([1.0, 10.0, 100.0])
     params = {"lipschitz": 2.0, "degree": 0.5, "delta": 0.1, "gap": 1.0}
-    curve = rates.sample_curve("nonconvex_const", params, ks)
-    curve.write_csv(path)
+    values = rates.sample_curve("nonconvex_const", params, ks)
+    rates.write_csv(path, ("k", "bound"), (ks, values))
     want = rates.bound_nonconvex_const(2.0, 0.5, 0.1, 1.0, ks)
-    assert np.array_equal(curve.values, want)
+    assert np.array_equal(values, want)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,bound"
     got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])

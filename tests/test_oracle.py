@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxiq import (
     ExactOracle,
-    HolderFunction,
     HolderOracle,
+    HolderPowerProblem,
     LogSumProblem,
     MinibatchOracle,
     NoisyGradientOracle,
@@ -22,7 +24,6 @@ from proxiq import (
     certify_oracle,
     generate_logsum_instance,
     generate_quadratic_instance,
-    holder_smoothing_coefficient,
     holder_smoothing_constant,
     majorize_amgm,
     spectral_norm,
@@ -112,10 +113,27 @@ def test_smoothing_constant_certifies_on_grid():
         assert slack.min() >= -1e-10 * max(1.0, lip)
 
 
+@settings(database=None, deadline=None)
+@given(h=st.floats(0.1, 10.0), nu=st.floats(0.0, 1.0), frac=st.floats(0.0, 0.9),
+       delta=st.floats(1e-3, 10.0), r=st.floats(1e-4, 1e4))
+def test_smoothing_constant_certifies_random_inputs(h, nu, frac, delta, r):
+    # (H/(1+nu)) r^(1+nu) <= (L/2) r^2 + delta r^q at every radius.  For
+    # lam = (1+nu-q)/(2-q) < 1 the two sides meet at the balance radius,
+    # where (L/2) r^2 / lam = delta r^q / (1-lam), so a smaller L fails there
+    q = frac * (1.0 + nu)
+    lip = holder_smoothing_constant(h, nu, q, delta)
+    lam = (1.0 + nu - q) / (2.0 - q)
+    radii = [r]
+    if lam < 1.0:
+        radii.append((2.0 * delta * lam / (lip * (1.0 - lam))) ** (1.0 / (2.0 - q)))
+    for rad in radii:
+        lhs = (h / (1.0 + nu)) * rad ** (1.0 + nu)
+        assert lhs <= (0.5 * lip * rad ** 2 + delta * rad ** q) * (1.0 + 1e-10)
+
+
 def test_smoothing_constant_smooth_case_ignores_delta():
-    for delta in (0.0, 1e-9, 3.0):
+    for delta in (0.0, 1e-9, 1.0, 3.0):
         assert holder_smoothing_constant(2.5, 1.0, 0.7, delta) == 2.5
-    assert holder_smoothing_coefficient(2.5, 1.0, 0.7) == 2.5
 
 
 def test_smoothing_constant_grows_as_delta_shrinks():
@@ -125,8 +143,9 @@ def test_smoothing_constant_grows_as_delta_shrinks():
 
 
 def test_smoothing_coefficient_carries_delta_power():
+    # the constant at delta = 1 is the coefficient of the delta power
     for h, nu, q in [(1.0, 0.5, 0.5), (2.0, 0.3, 0.9), (1.3, 0.5, 0.75)]:
-        coeff = holder_smoothing_coefficient(h, nu, q)
+        coeff = holder_smoothing_constant(h, nu, q, 1.0)
         for delta in (0.05, 0.2, 1.0):
             lip = holder_smoothing_constant(h, nu, q, delta)
             power = -(1.0 - nu) / (1.0 + nu - q)
@@ -142,8 +161,6 @@ def test_smoothing_constant_rejects_bad_inputs():
         holder_smoothing_constant(1.0, 0.5, 1.5, 0.1)
     with pytest.raises(ValueError):
         holder_smoothing_constant(1.0, 0.5, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        holder_smoothing_coefficient(1.0, 0.5, 1.5)
 
 
 # ------------------------------------------------------------------ noise
@@ -336,18 +353,17 @@ def test_minibatch_hand_gradients():
 
     # single-component batches; replaying the generator's choice names the
     # component each answer used
-    for scaling, factor in (("mean", 1.0), ("sum", 2.0)):
-        oracle = MinibatchOracle(comps, batch_size=1, scaling=scaling)
-        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
-        seen = set()
-        for _ in range(8):
-            ev = oracle.evaluate(x, rng=rng)
-            (j,) = replay.choice(2, size=1, replace=False)
-            seen.add(int(j))
-            assert ev.value == 4.0 * factor
-            assert np.array_equal(ev.gradient, factor * comps[j].a)
-        assert seen == {0, 1}
-        assert rng.bit_generator.state == replay.bit_generator.state
+    oracle = MinibatchOracle(comps, batch_size=1)
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    seen = set()
+    for _ in range(8):
+        ev = oracle.evaluate(x, rng=rng)
+        (j,) = replay.choice(2, size=1, replace=False)
+        seen.add(int(j))
+        assert ev.value == 4.0
+        assert np.array_equal(ev.gradient, comps[j].a)
+    assert seen == {0, 1}
+    assert rng.bit_generator.state == replay.bit_generator.state
 
     ev = MinibatchOracle(comps, batch_size=2).evaluate(x)
     assert ev.value == 4.0
@@ -362,7 +378,7 @@ def test_minibatch_hand_gradients():
     with pytest.raises(ValueError):
         MinibatchOracle(comps, batch_size=0)
     with pytest.raises(ValueError):
-        MinibatchOracle(comps, batch_size=1, scaling="median")
+        MinibatchOracle(comps, batch_size=3)
 
 
 def test_minibatch_full_batch_is_exact_mean():
@@ -452,20 +468,17 @@ def test_saddle_oracle_certificates():
 
 
 def test_holder_oracle_certificate():
-    holder = HolderFunction(
-        exponent=0.5,
-        holder_constant=1.0,
-        value=lambda x: float(np.sum(np.abs(x) ** 1.5)) / 1.5,
-        subgradient=lambda x: np.sign(x) * np.abs(x) ** 0.5,
-    )
+    # sum |x_i|^1.5 / 1.5; the certificate is built from the stored constant as given
+    holder = HolderPowerProblem(centers=np.zeros(3), exponent=0.5, holder_constant=1.0)
     x = np.array([0.4, -1.2, 0.0])
     oracle = HolderOracle(holder, degree=0.5, delta=0.1)
     ev = oracle.evaluate(x)
+    assert ev.value == float(np.sum(np.abs(x) ** 1.5)) / 1.5
     assert ev.certificate.delta == 0.1
     assert ev.certificate.degree == 0.5
     assert ev.certificate.convex_lower_bound
     assert ev.certificate.lipschitz == holder_smoothing_constant(1.0, 0.5, 0.5, 0.1)
-    assert np.array_equal(ev.gradient, holder.subgradient(x))
+    assert np.array_equal(ev.gradient, np.sign(x) * np.abs(x) ** 0.5)
 
     tightened = oracle.evaluate(x, delta=0.01)
     assert tightened.certificate.delta == 0.01
@@ -491,9 +504,7 @@ def test_oracle_handles_delta_override():
 
     saddle = SaddleProblem(operator=rng.standard_normal((5, 2)),
                            concave_center=rng.standard_normal(2), concavity=0.7)
-    holder = HolderFunction(exponent=0.5, holder_constant=1.0,
-                            value=lambda y: float(np.sum(np.abs(y) ** 1.5)) / 1.5,
-                            subgradient=lambda y: np.sign(y) * np.abs(y) ** 0.5)
+    holder = HolderPowerProblem(centers=np.zeros(5), exponent=0.5, holder_constant=1.0)
     comps = [_Linear(row, 0.0) for row in np.eye(5)]
     for oracle, requested in [(SaddleOracle(saddle, inner_accuracy=0.3), 0.12),
                               (HolderOracle(holder, degree=0.5, delta=0.1), 0.01),

@@ -8,16 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from proxiq import (
-    BoundCurve,
     CURVE_KINDS,
     bound_convex_ergodic,
     bound_fast_convex,
     bound_nonconvex_const,
     bound_nonconvex_horizon,
     bound_nonconvex_schedule,
-    fast_delta_exponent,
     holder_delta_opt,
-    holder_smoothing_coefficient,
+    holder_smoothing_constant,
     nonconvex_plateau,
     rho_opt_fast,
     rho_opt_horizon,
@@ -43,9 +41,6 @@ def test_nonconvex_spot_values():
 def test_convex_spot_values():
     # L=1, q=1, delta=0.2, R=1, k=4: 1/8 + 1.5*0.2/2
     assert bound_convex_ergodic(1.0, 1.0, 0.2, 1.0, 4) == pytest.approx(0.275, abs=1e-15)
-    assert fast_delta_exponent(0.0) == 1.0
-    assert fast_delta_exponent(2.0 / 3.0) == pytest.approx(0.0, abs=1e-15)
-    assert fast_delta_exponent(1.0) == -0.5
 
 
 # --------------------------------------------------------------- identities
@@ -125,7 +120,7 @@ def test_fast_accuracy_term_growth_matches_exponent():
         noise = [bound_fast_convex(1.0, q, 0.1, 1.0, k) - bound_fast_convex(1.0, q, 0.0, 1.0, k)
                  for k in (k1, k2)]
         slope = np.log(noise[1] / noise[0]) / np.log(k2 / k1)
-        assert slope == pytest.approx(fast_delta_exponent(q), abs=5e-3)
+        assert slope == pytest.approx(1.0 - 1.5 * q, abs=5e-3)
 
 
 # ------------------------------------------------------------- monotonicity
@@ -159,7 +154,7 @@ def test_const_bound_decreases_to_plateau():
 
 
 def test_holder_delta_opt_matches_grid_search():
-    coeff = holder_smoothing_coefficient(1.0, 0.5, 0.5)
+    coeff = holder_smoothing_constant(1.0, 0.5, 0.5, 1.0)
     a = (1.0 - 0.5) / (1.0 + 0.5 - 0.5)
     b = 2.0 * 0.5 / (1.0 + 0.5 - 0.5)
     c1 = 2.0 * 1.5 * 1.0 * coeff
@@ -223,9 +218,11 @@ def test_rate_validation_errors():
     with pytest.raises(ValueError):
         holder_delta_opt(1.0, 0.5, 1.5, 1.0, 4)  # degree >= 1 + exponent
     with pytest.raises(ValueError):
-        holder_delta_opt(1.0, 0.5, 0.5, 0.0, 4)
+        holder_delta_opt(1.0, 0.5, -0.1, 1.0, 4)
     with pytest.raises(ValueError):
-        fast_delta_exponent(2.0)
+        holder_delta_opt(1.0, 1.5, 0.5, 1.0, 4)  # exponent above 1
+    with pytest.raises(ValueError):
+        holder_delta_opt(1.0, 0.5, 0.5, 0.0, 4)
 
 
 def test_scalar_and_array_returns():
@@ -267,11 +264,9 @@ def test_sample_curve_dispatch_matches_direct_calls():
     }
     assert set(cases) == set(CURVE_KINDS)
     for kind, (params, expect) in cases.items():
-        curve = sample_curve(kind, params, ks)
-        assert isinstance(curve, BoundCurve)
-        assert curve.kind == kind
-        assert np.array_equal(curve.ks, ks)
-        assert np.allclose(curve.values, expect, rtol=1e-15)
+        values = sample_curve(kind, params, ks)
+        assert isinstance(values, np.ndarray) and values.shape == ks.shape
+        assert np.allclose(values, expect, rtol=1e-15)
 
 
 def test_sample_curve_strict_parameters():
@@ -287,9 +282,10 @@ def test_sample_curve_strict_parameters():
 
 def test_curve_csv_round_trip(tmp_path):
     ks = np.array([1.0, 10.0, 100.0])
-    curve = sample_curve("nonconvex_const", dict(lipschitz=1.0, degree=1.0, delta=0.1, gap=1.0), ks)
+    values = sample_curve("nonconvex_const", dict(lipschitz=1.0, degree=1.0, delta=0.1, gap=1.0),
+                          ks)
     path = tmp_path / "curve.csv"
-    curve.write_csv(path)
+    write_csv(path, ("k", "bound"), (ks, values))
     raw = path.read_bytes()
     assert b"\r" not in raw
     with open(path) as fh:
@@ -297,7 +293,7 @@ def test_curve_csv_round_trip(tmp_path):
     assert rows[0] == ["k", "bound"]
     back = np.array([[float(a), float(b)] for a, b in rows[1:]])
     assert np.array_equal(back[:, 0], ks)         # %.17g round-trips doubles
-    assert np.array_equal(back[:, 1], curve.values)
+    assert np.array_equal(back[:, 1], values)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

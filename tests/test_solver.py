@@ -18,14 +18,10 @@ from proxiq import (
     ScheduleConfig,
     adaptive_prox_gradient,
     bound_nonconvex_const,
-    ergodic_average,
     fast_prox_gradient,
-    generate_holder_instance,
     generate_logsum_instance,
     generate_quadratic_instance,
-    HolderOracle,
     prox_gradient,
-    stationarity_gap,
     theta_next,
 )
 
@@ -491,51 +487,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
                                cfg, np.zeros(1), epsilon0=1.0, max_doublings=3)
 
 
-# ------------------------------------------------------- trace and measures
-
-
-def test_ergodic_average_and_bounds():
-    prob = generate_quadratic_instance(5, conditioning=3.0, seed=7)
-    cfg = ScheduleConfig(max_iters=10, rho=0.0, delta0=0.0)
-    trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
-                          cfg, np.zeros(5))
-    assert np.allclose(ergodic_average(trace, 0), trace.iterates[1], atol=1e-15)
-    assert np.allclose(ergodic_average(trace, 3), trace.iterates[1:5].mean(axis=0), atol=1e-15)
-    with pytest.raises(ValueError):
-        ergodic_average(trace, 10)
-    with pytest.raises(ValueError):
-        ergodic_average(trace, -1)
-    with pytest.raises(ValueError, match="no iterates"):  # a sweep cell's trace
-        ergodic_average(replace(trace, iterates=None), 0)
-
-
-def test_stationarity_gap_dominates_true_gradient():
-    prob = generate_logsum_instance(10, 18, 3.0, seed=8)
-    delta = 0.2
-    cfg = ScheduleConfig(max_iters=80, rho=prob.lipschitz, delta0=delta)
-    oracle = NoisyGradientOracle(prob, noise_bound=delta)
-    trace = prox_gradient(prob.value, oracle, ProxFunction.zero(), cfg,
-                          np.zeros(10), rng=np.random.default_rng(21))
-    gap = stationarity_gap(trace, "noisy_gradient", lipschitz=prob.lipschitz,
-                           noise_bound=delta)
-    grads = np.array([np.linalg.norm(prob.gradient(x)) for x in trace.iterates[1:]])
-    assert np.all(grads <= gap + 1e-9)
-
-    holder = generate_holder_instance(6, 0.5, seed=3)
-    oracle = HolderOracle(holder.as_holder_function(), degree=0.5, delta=0.2)
-    cfg = ScheduleConfig(max_iters=80, rho=1.0, delta0=0.2)
-    trace = prox_gradient(holder.value, oracle, ProxFunction.zero(), cfg, np.zeros(6))
-    gap = stationarity_gap(trace, "holder", holder_constant=holder.holder_constant,
-                           holder_exponent=0.5)
-    grads = np.array([np.linalg.norm(holder.gradient(x)) for x in trace.iterates[1:]])
-    assert np.all(grads <= gap + 1e-9)
-
-    with pytest.raises(ValueError):
-        stationarity_gap(trace, "noisy_gradient")
-    with pytest.raises(ValueError):
-        stationarity_gap(trace, "holder", holder_constant=1.0)
-    with pytest.raises(ValueError):
-        stationarity_gap(trace, "interpolation")
+# ------------------------------------------------------------------- trace
 
 
 def test_trace_csv_round_trip(tmp_path):
