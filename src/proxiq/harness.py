@@ -64,8 +64,6 @@ class SolverSpec:
     algorithm: str = "prox_gradient"
     iterations: int = 5000
     step_scale: float = 0.5
-    beta: float = 0.0
-    zeta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -177,8 +175,6 @@ def parse_config(data):
         raise ConfigError("iterations must be positive")
     if not 0.0 < solver.step_scale <= 1.0:
         raise ConfigError("step_scale must lie in (0, 1]")
-    if not 0.0 <= solver.beta < 1.0 or not 0.0 <= solver.zeta < 1.0:
-        raise ConfigError("beta and zeta must lie in [0, 1)")
 
     if config.repeats < 1:
         raise ConfigError("repeats must be positive")
@@ -278,8 +274,7 @@ def _cell_setup(problem, config, degree, noise_bound, directions):
     oracle = _cell_oracle(problem, degree, noise_bound, directions)
     # exact cells get rho = 0 so the step is 1/L regardless of the degree
     rho = 0.0 if noise_bound == 0.0 else problem.lipschitz
-    cfg = ScheduleConfig(rho=rho, delta0=oracle.delta, max_iters=config.solver.iterations,
-                         beta=config.solver.beta, zeta=config.solver.zeta,
+    cfg = ScheduleConfig(rho=rho, max_iters=config.solver.iterations,
                          step_scale=config.solver.step_scale)
     return cfg, oracle, ProxFunction.l1_ball(problem.radius)
 
@@ -302,7 +297,7 @@ def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
     cfg, oracle, h = _cell_setup(problem, config, degree, noise_bound, directions)
     x0 = np.zeros(problem.dim)
     f0 = problem.value(x0) + h.value(x0)
-    bound = _cell_bound(problem, config, degree, oracle.delta, f0)
+    bound = _cell_bound(problem, config, degree, oracle.certificate.delta, f0)
     start = time.perf_counter()
     try:
         trace = replace(prox_gradient(problem.value, oracle, h, cfg, x0, rng=rng),
@@ -387,24 +382,6 @@ def run_worst_case(config):
     return _sweep(config, config.worst_case_directions, "worst_", write_bounds=False)
 
 
-class _ScaledClaim:
-    """Wrapper reporting a scaled accuracy in the certificate.
-
-    With scale < 1 the claim understates the true error, which the
-    certifier is expected to refute.
-    """
-
-    def __init__(self, inner, scale):
-        self.inner = inner
-        self.scale = float(scale)
-        self.degree = inner.degree
-
-    def evaluate(self, x, rng=None, delta=None):
-        ev = self.inner.evaluate(x, rng=rng, delta=delta)
-        return replace(ev, certificate=replace(ev.certificate,
-                                               delta=ev.certificate.delta * self.scale))
-
-
 def ball_pair_sampler(radius, dim):
     """Pairs in the l1 ball mixing global and near-collocated scales.
 
@@ -434,7 +411,9 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
 
     Writes certification.txt into the output directory, one line per
     (degree, noise) cell plus a verdict line.  Returns True when every cell
-    certified.
+    certified.  A claimed_delta_scale other than 1 scales the delta each
+    certificate claims; below 1 the claim understates the true error,
+    which the certifier is expected to refute.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -445,8 +424,9 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
     for degree in config.oracle.degrees:
         for noise_bound in config.oracle.noise_bounds:
             oracle = _cell_oracle(problem, degree, noise_bound)
-            if config.oracle.claimed_delta_scale != 1.0:
-                oracle = _ScaledClaim(oracle, config.oracle.claimed_delta_scale)
+            claim = oracle.certificate
+            oracle.certificate = replace(claim,
+                                         delta=claim.delta * config.oracle.claimed_delta_scale)
             rng = np.random.default_rng(cell_seed(config.master_seed, degree,
                                                   noise_bound, 7878787))
             report = certify_oracle(oracle, problem.value, sampler, pairs=pairs,

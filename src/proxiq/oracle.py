@@ -1,8 +1,9 @@
 """Inexact first-order oracles with a tunable error degree.
 
 An oracle for a function F answers a query at y with the exact value F(y)
-and a vector g approximating the gradient.  The answer carries a
-certificate (delta, L, q) claiming that for every feasible x
+and a vector g approximating the gradient.  The oracle holds one
+certificate (delta, L, q), built when it is constructed, claiming that at
+every query point y and for every feasible x
 
     F(x) - F(y) - <g, x - y>  <=  (L/2)*||x - y||**2 + delta*||x - y||**q.
 
@@ -13,18 +14,18 @@ may additionally claim a convex lower bound, meaning the linearization
 never overshoots F.
 
 Any gradient that satisfies the certificate is an admissible answer, so
-an answer may carry several candidate gradients under one certificate; the
-noisy-gradient family offers m noise draws this way, and the solver's
-worst-case run steps along the one that moves farthest.
+an answer may carry several candidate gradients; the noisy-gradient
+family offers m noise draws this way, and the solver's worst-case run
+steps along the one that moves farthest.
 
 Besides the abstract certificate this module provides several constructive
 oracle families (additive gradient noise, evaluation at shifted points,
 mini-batch subsampling, approximate inner maximization, weakly smooth
 functions), the AM-GM split used by the solvers, and an empirical
 certifier that hunts for violating point pairs.  Each family is one class:
-its constructor checks the family's fixed parameters once, and
-evaluate(x, rng=None, delta=None) builds the answer, with delta overriding
-the accuracy the family was constructed with.
+its constructor checks the family's parameters and keeps the certificate
+they imply as oracle.certificate, and evaluate(x, rng=None) builds the
+answer.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OracleCertificate:
-    """Error certificate (delta, L, q) attached to an oracle answer.
+    """Error certificate (delta, L, q) an oracle holds for all its answers.
 
     convex_lower_bound additionally claims 0 <= F(x) - F(y) - <g, x - y>
     for all feasible x, i.e. g is a true subgradient of a convex F.
@@ -65,16 +66,15 @@ class NonFiniteAnswer(ValueError):
 
 @dataclass(frozen=True)
 class OracleEval:
-    """One oracle answer: exact value, approximate gradient, certificate.
+    """One oracle answer: exact value and approximate gradient.
 
-    alternatives holds further candidate gradients that the same
+    alternatives holds further candidate gradients that the oracle's
     certificate covers; a solver may step along any of them.
     """
 
     point: np.ndarray
     value: float
     gradient: np.ndarray
-    certificate: OracleCertificate
     alternatives: Tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
@@ -141,8 +141,14 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     if delta <= 0.0:
         raise ValueError("delta must be positive when exponent < 1")
     lam = (1.0 + nu - q) / (2.0 - q)
-    base = (h / (1.0 + nu)) ** (1.0 / lam)
-    return 2.0 * lam * base * ((1.0 - lam) / float(delta)) ** (1.0 / lam - 1.0)
+    try:
+        base = (h / (1.0 + nu)) ** (1.0 / lam)
+        lip = 2.0 * lam * base * ((1.0 - lam) / float(delta)) ** (1.0 / lam - 1.0)
+    except OverflowError:
+        lip = math.inf
+    if not math.isfinite(lip):
+        raise ValueError("the smoothing constant is not a finite float")
+    return lip
 
 
 def bounded_noise(rng, dim, bound):
@@ -238,16 +244,14 @@ class ExactOracle:
 
     def __init__(self, problem, degree=1.0, convex_lower_bound=False):
         self.problem = problem
-        self.degree = float(degree)
-        self.convex_lower_bound = bool(convex_lower_bound)
+        self.certificate = OracleCertificate(delta=0.0, lipschitz=float(problem.lipschitz),
+                                             degree=float(degree),
+                                             convex_lower_bound=bool(convex_lower_bound))
 
-    def evaluate(self, x, rng=None, delta=None):
+    def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        cert = OracleCertificate(delta=0.0, lipschitz=float(self.problem.lipschitz),
-                                 degree=self.degree,
-                                 convex_lower_bound=self.convex_lower_bound)
         return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(x), certificate=cert)
+                          gradient=self.problem.gradient(x))
 
 
 class NoisyGradientOracle:
@@ -257,12 +261,8 @@ class NoisyGradientOracle:
     bound.  On a domain of known diameter D the same answer also certifies
     any degree q in [0, 1] with delta scaled by D**(1-q), because
     ||x - y|| <= D there.  Degrees above 1 are not certifiable this way.
-    delta is the accuracy so certified for the constructed noise bound.
 
-    The noise level is the accuracy knob: a delta override at call time is
-    translated back into a noise bound and certified as given, so a solver
-    can drive a delta_k schedule without knowing the noise model.  With
-    directions = m the exact gradient is perturbed by m noise vectors
+    With directions = m the exact gradient is perturbed by m noise vectors
     drawn in sequence: the first gives the gradient, the others the
     alternatives, all under the same certificate.  This is how the
     worst-case sweep picks its noise direction.
@@ -280,31 +280,19 @@ class NoisyGradientOracle:
             raise ValueError("directions must be at least 1")
         self.problem = problem
         self.noise_bound = float(noise_bound)
-        self.degree = q
-        self.diameter = None if diameter is None else float(diameter)
         self.directions = int(directions)
-        self.delta = self.noise_bound if q == 1.0 else self.noise_bound * self.diameter ** (1.0 - q)
+        delta = self.noise_bound if q == 1.0 else self.noise_bound * float(diameter) ** (1.0 - q)
+        self.certificate = OracleCertificate(delta=delta, lipschitz=float(problem.lipschitz),
+                                             degree=q)
 
-    def noise_for(self, delta):
-        """Noise bound realizing a certificate accuracy delta at this degree."""
-        if self.degree == 1.0:
-            return float(delta)
-        return float(delta) / self.diameter ** (1.0 - self.degree)
-
-    def evaluate(self, x, rng=None, delta=None):
-        if delta is None:
-            noise, delta = self.noise_bound, self.delta
-        else:
-            noise, delta = self.noise_for(delta), float(delta)
+    def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
         exact = self.problem.gradient(x)
-        grad = exact + bounded_noise(rng, x.size, noise)
-        alternatives = tuple(exact + bounded_noise(rng, x.size, noise)
+        grad = exact + bounded_noise(rng, x.size, self.noise_bound)
+        alternatives = tuple(exact + bounded_noise(rng, x.size, self.noise_bound)
                              for _ in range(self.directions - 1))
-        cert = OracleCertificate(delta=delta, lipschitz=float(self.problem.lipschitz),
-                                 degree=self.degree)
         return OracleEval(point=x, value=float(self.problem.value(x)), gradient=grad,
-                          certificate=cert, alternatives=alternatives)
+                          alternatives=alternatives)
 
 
 class ShiftedPointOracle:
@@ -312,26 +300,23 @@ class ShiftedPointOracle:
 
     The value stays the exact F(x); only the gradient is off.  Smoothness
     turns the displacement into a degree-1 certificate with
-    delta = L * shift, keeping L itself unchanged.  The shift radius is the
-    accuracy knob.
+    delta = L * shift, keeping L itself unchanged.
     """
-
-    degree = 1.0
 
     def __init__(self, problem, shift_bound):
         if shift_bound < 0.0:
             raise ValueError("shift_bound must be nonnegative")
         self.problem = problem
         self.shift_bound = float(shift_bound)
+        lip = float(problem.lipschitz)
+        self.certificate = OracleCertificate(delta=lip * self.shift_bound, lipschitz=lip,
+                                             degree=1.0)
 
-    def evaluate(self, x, rng=None, delta=None):
-        lip = float(self.problem.lipschitz)
-        shift = self.shift_bound if delta is None else float(delta) / lip
+    def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        shifted = x + bounded_noise(rng, x.size, shift)
-        cert = OracleCertificate(delta=lip * shift, lipschitz=lip, degree=1.0)
+        shifted = x + bounded_noise(rng, x.size, self.shift_bound)
         return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(shifted), certificate=cert)
+                          gradient=self.problem.gradient(shifted))
 
 
 class MinibatchOracle:
@@ -350,11 +335,11 @@ class MinibatchOracle:
             raise ValueError("batch_size out of range")
         self.components = list(components)
         self.batch_size = int(batch_size)
-        self.claimed_delta = float(claimed_delta)
-        self.claimed_lipschitz = float(claimed_lipschitz)
-        self.degree = float(degree)
+        self.certificate = OracleCertificate(delta=float(claimed_delta),
+                                             lipschitz=float(claimed_lipschitz),
+                                             degree=float(degree))
 
-    def evaluate(self, x, rng=None, delta=None):
+    def evaluate(self, x, rng=None):
         n = len(self.components)
         if self.batch_size == n:
             batch = range(n)
@@ -365,10 +350,7 @@ class MinibatchOracle:
         x = np.asarray(x, dtype=float)
         grad = sum(self.components[j].gradient(x) for j in batch) / self.batch_size
         value = sum(float(c.value(x)) for c in self.components) / n
-        claimed = self.claimed_delta if delta is None else float(delta)
-        cert = OracleCertificate(delta=claimed, lipschitz=self.claimed_lipschitz,
-                                 degree=self.degree)
-        return OracleEval(point=x, value=float(value), gradient=grad, certificate=cert)
+        return OracleEval(point=x, value=float(value), gradient=grad)
 
 
 class SaddleOracle:
@@ -379,10 +361,8 @@ class SaddleOracle:
     the inner accuracy of the true maximizer.  Certifies at degree 1 with
     delta = inner_accuracy * ||A||.  An exact inner solution makes the
     answer the true gradient of a convex function, so the certificate then
-    claims the convex lower bound too.  Inner accuracy is the knob.
+    claims the convex lower bound too.
     """
-
-    degree = 1.0
 
     def __init__(self, saddle, inner_accuracy):
         if inner_accuracy < 0.0:
@@ -390,19 +370,17 @@ class SaddleOracle:
         self.saddle = saddle
         self.inner_accuracy = float(inner_accuracy)
         self.operator_norm = spectral_norm(saddle.operator)
+        self.certificate = OracleCertificate(
+            delta=self.inner_accuracy * self.operator_norm,
+            lipschitz=self.operator_norm ** 2 / saddle.concavity, degree=1.0,
+            convex_lower_bound=(self.inner_accuracy == 0.0))
 
-    def evaluate(self, x, rng=None, delta=None):
-        acc = self.inner_accuracy if delta is None else float(delta) / self.operator_norm
+    def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
         u = self.saddle.maximizer(x)
-        if acc > 0.0:
-            u = u + bounded_noise(rng, u.size, acc)
-        cert = OracleCertificate(delta=acc * self.operator_norm,
-                                 lipschitz=self.operator_norm ** 2 / self.saddle.concavity,
-                                 degree=1.0,
-                                 convex_lower_bound=(acc == 0.0))
-        return OracleEval(point=x, value=self.saddle.value(x), gradient=self.saddle.operator @ u,
-                          certificate=cert)
+        if self.inner_accuracy > 0.0:
+            u = u + bounded_noise(rng, u.size, self.inner_accuracy)
+        return OracleEval(point=x, value=self.saddle.value(x), gradient=self.saddle.operator @ u)
 
 
 class HolderOracle:
@@ -411,25 +389,23 @@ class HolderOracle:
     The problem's gradient is Holder continuous with constant
     problem.holder_constant and exponent problem.exponent.  Weak smoothness
     admits a certificate at any accuracy delta > 0 by inflating the
-    smoothness constant via holder_smoothing_constant, so the certificate
-    adapts L to the requested delta.  It claims the convex lower bound when
-    the problem is convex.
+    smoothness constant via holder_smoothing_constant, computed once for
+    the constructed delta.  It claims the convex lower bound when the
+    problem is convex.
     """
 
     def __init__(self, problem, degree, delta):
         self.problem = problem
-        self.degree = float(degree)
-        self.delta = float(delta)
+        lip = holder_smoothing_constant(problem.holder_constant, problem.exponent,
+                                        degree, delta)
+        self.certificate = OracleCertificate(delta=float(delta), lipschitz=lip,
+                                             degree=float(degree),
+                                             convex_lower_bound=problem.convex)
 
-    def evaluate(self, x, rng=None, delta=None):
-        delta = self.delta if delta is None else float(delta)
+    def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        lip = holder_smoothing_constant(self.problem.holder_constant, self.problem.exponent,
-                                        self.degree, delta)
-        cert = OracleCertificate(delta=delta, lipschitz=lip, degree=self.degree,
-                                 convex_lower_bound=self.problem.convex)
         return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(x), certificate=cert)
+                          gradient=self.problem.gradient(x))
 
 
 @dataclass
@@ -454,27 +430,27 @@ class CertificationReport:
 
 
 def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e-7, rng=None):
-    """Empirically test an oracle's certificates on sampled point pairs.
+    """Empirically test an oracle's certificate on sampled point pairs.
 
-    For each sampled (x, y) the oracle answers at y and the claimed upper
-    bound is checked at x against the exact objective.  When the
-    certificate claims a convex lower bound, the linearization must also
-    not overshoot.  The worst pair is reported either way, so a refutation
+    For each sampled (x, y) the oracle answers at y and the bound its
+    certificate claims is checked at x against the exact objective.  When
+    the certificate claims a convex lower bound, the linearization must
+    also not overshoot.  The worst pair is reported either way, so a refutation
     comes with a concrete witness.
     """
     if pairs <= 0:
         raise ValueError("pairs must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
+    cert = oracle.certificate
     max_violation = -math.inf
     worst_pair = None
-    lower_checked = False
+    lower_checked = cert.convex_lower_bound
     min_lower = math.inf
     worst_lower = None
     for _ in range(int(pairs)):
         x, y = domain_sampler(rng)
         ev = oracle.evaluate(y, rng=rng)
-        cert = ev.certificate
         diff = np.asarray(x, dtype=float) - ev.point
         dist = float(np.linalg.norm(diff))
         gap = float(exact_value(x)) - ev.value - float(ev.gradient @ diff)
@@ -482,11 +458,9 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
         if violation > max_violation:
             max_violation = violation
             worst_pair = (np.array(x, dtype=float, copy=True), ev.point.copy())
-        if cert.convex_lower_bound:
-            lower_checked = True
-            if gap < min_lower:
-                min_lower = gap
-                worst_lower = (np.array(x, dtype=float, copy=True), ev.point.copy())
+        if lower_checked and gap < min_lower:
+            min_lower = gap
+            worst_lower = (np.array(x, dtype=float, copy=True), ev.point.copy())
     certified = max_violation <= tolerance and (not lower_checked or min_lower >= -tolerance)
     return CertificationReport(certified=certified, pairs=int(pairs), tolerance=float(tolerance),
                                max_violation=float(max_violation), worst_pair=worst_pair,

@@ -1,9 +1,10 @@
 """Proximal gradient solvers driven by inexact oracles.
 
-Three variants share the step x+ = prox_{alpha h}(x - alpha g):
+Three variants share the step x+ = prox_{alpha h}(x - alpha g).  Each
+reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
-* prox_gradient: fixed schedules for the step size and the oracle accuracy;
-  works for nonconvex smooth parts.
+* prox_gradient: the constant step step_scale / (L + q*rho); works for
+  nonconvex smooth parts.
 * fast_prox_gradient: accelerated variant for convex smooth parts, mixing
   the prox step with an aggregated linear model anchored at x0.
 * adaptive_prox_gradient: plain iteration whose quadratic majorization
@@ -52,62 +53,46 @@ def _check_blowup(f, ceiling, step):
         raise DivergenceError(f"objective blew up at step {step}: f = {f!r}")
 
 
-def _query(oracle, x, rng, delta, step):
+def _query(oracle, x, rng, step):
     """Oracle answer at x, with a non-finite answer reported as divergence."""
     try:
-        return oracle.evaluate(x, rng=rng, delta=delta)
+        return oracle.evaluate(x, rng=rng)
     except NonFiniteAnswer as exc:
         raise DivergenceError(f"oracle answer at step {step}: {exc}") from exc
 
 
 def _answer_at(objective, oracle, h, config, x, rng, step):
-    """Oracle answer, its accuracy and F + h at the iterate x_step; after the
-    last step there is no answer, and objective gives F at the final iterate."""
+    """Oracle answer and F + h at the iterate x_step; after the last step
+    there is no answer, and objective gives F at the final iterate."""
     if step < config.max_iters:
-        delta = config.delta_at(step, oracle.degree)
-        ev = _query(oracle, x, rng, delta, step)
-        return ev, delta, ev.value + h.value(x)
-    return None, None, float(objective(x)) + h.value(x)
+        ev = _query(oracle, x, rng, step)
+        return ev, ev.value + h.value(x)
+    return None, float(objective(x)) + h.value(x)
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Step and accuracy schedules shared by the solvers.
+    """Run settings shared by the solvers: weight, horizon and step scale.
 
-    alpha_k = step_scale / ((L_k + q*rho) * (k+1)**zeta) and
-    delta_k = delta0 / (k+1)**(beta*(2-q)/2).  The constants belong to the
-    oracle: L_k is the smoothness constant of its certificate at step k and
-    q is oracle.degree, so the solvers pass both in.  step_scale in (0, 1]
-    keeps the step at or below the 1/(L + q*rho) ceiling the guarantees
-    assume.  rho may be 0 only when no quadratic majorization is needed
-    (degree 0 or delta0 = 0); that needs the oracle's degree, so a run
-    checks it at its start.
+    The constants (delta, L, q) belong to the oracle's certificate; with
+    them the step is the constant alpha = step_scale / (L + q*rho).
+    step_scale in (0, 1] keeps the step at or below the 1/(L + q*rho)
+    ceiling the guarantees assume.  rho may be 0 only when no quadratic
+    majorization is needed (degree 0 or delta = 0); that needs the
+    certificate, so a run checks it at its start.
     """
 
     rho: float
-    delta0: float
     max_iters: int
-    beta: float = 0.0
-    zeta: float = 0.0
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.delta0 < 0.0:
-            raise ValueError("delta0 must be nonnegative")
         if self.rho < 0.0:
             raise ValueError("rho must be nonnegative")
-        if not 0.0 <= self.beta < 1.0 or not 0.0 <= self.zeta < 1.0:
-            raise ValueError("beta and zeta must lie in [0, 1)")
         if not 0.0 < self.step_scale <= 1.0:
             raise ValueError("step_scale must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-
-    def delta_at(self, k, degree):
-        return self.delta0 / (k + 1.0) ** (self.beta * (2.0 - degree) / 2.0)
-
-    def alpha_at(self, k, lipschitz, degree):
-        return self.step_scale / ((lipschitz + degree * self.rho) * (k + 1.0) ** self.zeta)
 
 
 @dataclass
@@ -126,7 +111,7 @@ class RunTrace:
     iterates: Optional[np.ndarray]  # (K+1, n)
     objective: np.ndarray          # (K+1,) composite value f(x_k)
     alpha: np.ndarray              # (K,)
-    delta: np.ndarray              # (K,) scheduled accuracy per step
+    delta: np.ndarray              # (K,) the certificate's accuracy, per step
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
     min_gm_sq: np.ndarray          # (K,) running minimum of gm_sq
     cum_alpha_gm_sq: np.ndarray    # (K,) running sum of alpha_j*gm_sq_j
@@ -169,14 +154,17 @@ class AdaptiveState:
 
 
 def _check_start(oracle, config, h, x0):
-    if config.rho == 0.0 and oracle.degree > 0.0 and config.delta0 > 0.0:
-        raise ValueError("rho must be positive when degree > 0 and delta0 > 0")
+    """The start point as a fresh vector, and the oracle's certificate."""
+    cert = oracle.certificate
+    if config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
+        raise ValueError("rho must be positive when the certificate has degree > 0"
+                         " and delta > 0")
     x = np.array(x0, dtype=float, copy=True)
     if x.ndim != 1:
         raise ValueError("x0 must be a vector")
     if not h.contains(x):
         raise ValueError("x0 lies outside dom h")
-    return x
+    return x, cert
 
 
 def _check_single(ev, step):
@@ -187,18 +175,18 @@ def _check_single(ev, step):
 
 
 def _buffers(x, iters):
-    """Iterates (x0 filled in), objective, alpha, delta and gm_sq arrays for a run."""
+    """Iterates (x0 filled in), objective and gm_sq arrays for a run."""
     iterates = np.empty((iters + 1, x.size))
     iterates[0] = x
-    return iterates, np.empty(iters + 1), np.empty(iters), np.empty(iters), np.empty(iters)
+    return iterates, np.empty(iters + 1), np.empty(iters)
 
 
 def prox_gradient(objective, oracle, h, config, x0, rng=None):
-    """Proximal gradient iteration with scheduled inexact oracle calls.
+    """Proximal gradient iteration with inexact oracle calls.
 
     objective is the exact smooth part F (h contributes through its prox
-    and value).  Each step queries the oracle at accuracy delta_k and takes
-    the step size from the certificate's smoothness constant.  F at every
+    and value).  Each step queries the oracle and moves with the constant
+    step step_scale / (L + q*rho) of the oracle's certificate.  F at every
     iterate but the last is the value of the oracle answer queried there;
     objective is called only on the final iterate.  When an answer carries
     alternative gradients, the step follows the candidate whose prox step
@@ -206,32 +194,31 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     oracle answer is not finite or the composite value blows up or turns
     non-finite, which in practice means a certificate lied.
     """
-    x = _check_start(oracle, config, h, x0)
+    x, cert = _check_start(oracle, config, h, x0)
+    alpha = config.step_scale / (cert.lipschitz + cert.degree * config.rho)
     iters = config.max_iters
-    iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
-    ev, delta_k, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
+    iterates, objective_vals, gm_sq = _buffers(x, iters)
+    ev, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     for k in range(iters):
-        alpha_k = config.alpha_at(k, ev.certificate.lipschitz, oracle.degree)
-        nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
+        nxt = prox_apply(h, alpha, x - alpha * ev.gradient)
         step = nxt - x
         move_sq = float(step @ step)
         for grad in ev.alternatives:
-            cand = prox_apply(h, alpha_k, x - alpha_k * grad)
+            cand = prox_apply(h, alpha, x - alpha * grad)
             step = cand - x
             cand_sq = float(step @ step)
             if cand_sq > move_sq:
                 nxt, move_sq = cand, cand_sq
-        gm_sq[k] = move_sq / alpha_k ** 2
-        alpha_arr[k] = alpha_k
-        delta_arr[k] = delta_k
+        gm_sq[k] = move_sq / alpha ** 2
         x = nxt
         iterates[k + 1] = x
-        ev, delta_k, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
+        ev, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
         objective_vals[k + 1] = f
         _check_blowup(f, ceiling, k + 1)
-    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq)
+    return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha),
+                             np.full(iters, cert.delta), gm_sq)
 
 
 def theta_next(a_prev, lipschitz_next, rule="equality_root"):
@@ -265,9 +252,8 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     are stated at the y points and assume a convex smooth part whose oracle
     answers never overshoot the linearization; the run itself does not
     enforce that claim.  The whole recursion (steps, weights, theta) runs
-    on the working constant L_k + q*rho, the smoothness of the quadratic
-    majorization the guarantees are proved through; the upcoming constant
-    is assumed equal to the current one when sizing theta.  As in
+    on the working constant L + q*rho, the smoothness of the quadratic
+    majorization the guarantees are proved through.  As in
     prox_gradient, F at every iterate but the last is the value of the
     oracle answer queried there; objective is called on the final iterate
     and on the prox points y.  An answer with alternative gradients raises
@@ -275,30 +261,28 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     """
     if theta_rule not in _THETA0:
         raise ValueError(f"unknown theta rule {theta_rule!r}")
-    x = _check_start(oracle, config, h, x0)
+    x, cert = _check_start(oracle, config, h, x0)
+    lip = cert.lipschitz + cert.degree * config.rho
+    alpha = config.step_scale / lip
     origin = x.copy()
     iters = config.max_iters
     n = x.size
-    iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
+    iterates, objective_vals, gm_sq = _buffers(x, iters)
     y_points = np.empty((iters, n))
     z_points = np.empty((iters, n))
     objective_y = np.empty(iters)
     thetas = np.empty(iters)
     a_arr = np.empty(iters)
     taus = np.empty(iters)
-    ev, delta_k, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
+    ev, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     theta = _THETA0[theta_rule]
-    a_weight = 0.0
+    a_weight = theta / lip
     model_sum = np.zeros(n)
     for k in range(iters):
         _check_single(ev, k)
-        lip = ev.certificate.lipschitz + oracle.degree * config.rho
-        if k == 0:
-            a_weight = theta / lip
-        alpha_k = config.alpha_at(k, ev.certificate.lipschitz, oracle.degree)
-        y = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
+        y = prox_apply(h, alpha, x - alpha * ev.gradient)
         model_sum += (theta / lip) * ev.gradient
         z = prox_apply(h, 1.0, origin - model_sum)
         theta_new = theta_next(a_weight, lip, theta_rule)
@@ -307,17 +291,15 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau = {tau!r} outside (0, 1]: momentum rule violated")
         step = y - x
-        gm_sq[k] = float(step @ step) / alpha_k ** 2
+        gm_sq[k] = float(step @ step) / alpha ** 2
         thetas[k] = theta
         a_arr[k] = a_weight
         taus[k] = tau
-        alpha_arr[k] = alpha_k
-        delta_arr[k] = delta_k
         x = tau * z + (1.0 - tau) * y
         iterates[k + 1] = x
         y_points[k] = y
         z_points[k] = z
-        ev, delta_k, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
+        ev, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
         fy = float(objective(y)) + h.value(y)
         objective_vals[k + 1] = f
         objective_y[k] = fy
@@ -325,8 +307,9 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         _check_blowup(fy, math.inf, k + 1)  # y only has to stay finite
         theta = theta_new
         a_weight = a_new
-    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq,
-                             y_points=y_points, z_points=z_points, objective_y=objective_y,
+    return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha),
+                             np.full(iters, cert.delta), gm_sq, y_points=y_points,
+                             z_points=z_points, objective_y=objective_y,
                              theta=thetas, a_weights=a_arr, tau=taus)
 
 
@@ -340,21 +323,20 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     iterate beats f_best, the slack doubles and the step is recomputed with
     the same oracle answer; after each accepted step the slack halves and
     the target is refreshed.  Returns (trace, history) where history holds
-    one AdaptiveState per accepted step.  Requires an oracle degree in
-    [1, 2) (the weight formula), flat schedules and answers without
-    alternative gradients.
+    one AdaptiveState per accepted step.  Requires a certificate degree in
+    [1, 2) (the weight formula) and answers without alternative gradients.
     """
-    if not 1.0 <= oracle.degree < 2.0:
+    if not 1.0 <= oracle.certificate.degree < 2.0:
         raise ValueError("the adaptive variant needs degree in [1, 2)")
-    if config.beta != 0.0 or config.zeta != 0.0:
-        raise ValueError("the adaptive variant uses flat schedules")
     if epsilon0 <= 0.0:
         raise ValueError("epsilon0 must be positive")
     if max_doublings < 1:
         raise ValueError("max_doublings must be positive")
-    x = _check_start(oracle, config, h, x0)
+    x, cert = _check_start(oracle, config, h, x0)
+    lip, degree, delta = cert.lipschitz, cert.degree, cert.delta
     iters = config.max_iters
-    iterates, objective_vals, alpha_arr, delta_arr, gm_sq = _buffers(x, iters)
+    iterates, objective_vals, gm_sq = _buffers(x, iters)
+    alpha_arr = np.empty(iters)
     history: List[AdaptiveState] = []
     f0 = float(objective(x)) + h.value(x)
     objective_vals[0] = f0
@@ -363,15 +345,13 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     f_min = f0
     f_best = f_min - epsilon
     for k in range(iters):
-        delta_k = config.delta0
-        ev = _query(oracle, x, rng, delta_k, k)
+        ev = _query(oracle, x, rng, k)
         _check_single(ev, k)
-        lip = ev.certificate.lipschitz
         retries = 0
         while True:
             gap = f0 - f_best
-            rho = rho_opt_horizon(lip, oracle.degree, delta_k, gap, k) if delta_k > 0.0 else 0.0
-            alpha_k = config.step_scale / (lip + oracle.degree * rho)
+            rho = rho_opt_horizon(lip, degree, delta, gap, k) if delta > 0.0 else 0.0
+            alpha_k = config.step_scale / (lip + degree * rho)
             nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
             f_next = float(objective(nxt)) + h.value(nxt)
             _check_blowup(f_next, ceiling, k + 1)
@@ -387,11 +367,11 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         step = nxt - x
         gm_sq[k] = float(step @ step) / alpha_k ** 2
         alpha_arr[k] = alpha_k
-        delta_arr[k] = delta_k
         x = nxt
         iterates[k + 1] = x
         objective_vals[k + 1] = f_next
         f_min = min(f_min, f_next)
         epsilon /= 2.0
         f_best = f_min - epsilon
-    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta_arr, gm_sq), history
+    return RunTrace.assemble(iterates, objective_vals, alpha_arr, np.full(iters, delta),
+                             gm_sq), history

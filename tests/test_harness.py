@@ -4,6 +4,7 @@ certificate checks, curve export, and the CLI exit codes."""
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +68,14 @@ def test_parse_config_reads_every_field(tmp_path):
     data = make_config(tmp_path, master_seed=11, repeats=3, worst_case_directions=4)
     data["problem"]["noise_level"] = 0.25
     data["oracle"]["claimed_delta_scale"] = 0.5
-    data["solver"].update({"step_scale": 0.75, "beta": 0.5, "zeta": 0.25})
+    data["solver"]["step_scale"] = 0.75
     config = harness.parse_config(data)
     assert config.problem == harness.ProblemSpec(n=8, N=12, radius=2.0, seed=3,
                                                  noise_level=0.25)
     assert config.oracle.degrees == (0.0, 1.0)
     assert config.oracle.noise_bounds == (0.0, 0.5)
     assert config.oracle.claimed_delta_scale == 0.5
-    assert config.solver == harness.SolverSpec(iterations=60, step_scale=0.75,
-                                               beta=0.5, zeta=0.25)
+    assert config.solver == harness.SolverSpec(iterations=60, step_scale=0.75)
     assert (config.repeats, config.master_seed, config.worst_case_directions) == (3, 11, 4)
 
 
@@ -96,6 +96,9 @@ def test_parse_config_rejects_bad_input():
     bad("unknown keys in problem", problem={"size": 8})
     bad("unknown keys in oracle", oracle={"delta": 0.1})
     bad("unknown keys in solver", solver={"iteratons": 10})
+    # the decaying accuracy and step schedules are gone
+    bad("unknown keys in solver", solver={"beta": 0.5})
+    bad("unknown keys in solver", solver={"zeta": 0.25})
     bad("version must be 1", version=2)
     bad("output_dir is required", output_dir="")
     bad("unsupported problem family", problem={"family": "quadratic"})
@@ -111,8 +114,6 @@ def test_parse_config_rejects_bad_input():
     bad("iterations", solver={"iterations": 0})
     bad("step_scale", solver={"step_scale": 0.0})
     bad("step_scale", solver={"step_scale": 1.5})
-    bad("beta and zeta", solver={"beta": 1.0})
-    bad("beta and zeta", solver={"zeta": -0.5})
     bad("repeats", repeats=0)
     bad("worst_case_directions", worst_case_directions=-1)
     # Python's json module accepts NaN and Infinity, and int() truncates
@@ -259,7 +260,7 @@ def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
     real = harness.prox_gradient
 
     def exploding(value, oracle, h, cfg, x0, rng=None):
-        if oracle.degree == 1.0 and oracle.noise_bound == 0.5:
+        if oracle.certificate.degree == 1.0 and oracle.noise_bound == 0.5:
             raise DivergenceError("synthetic blow-up")
         return real(value, oracle, h, cfg, x0, rng=rng)
 
@@ -297,13 +298,12 @@ class _PoisonedOracle(NoisyGradientOracle):
         super().__init__(*args, **kwargs)
         self.queries = 0
 
-    def evaluate(self, x, rng=None, delta=None):
-        ev = super().evaluate(x, rng=rng, delta=delta)
+    def evaluate(self, x, rng=None):
+        ev = super().evaluate(x, rng=rng)
         self.queries += 1
-        if (self.degree, self.noise_bound, self.queries) != (1.0, 0.5, 3):
+        if (self.certificate.degree, self.noise_bound, self.queries) != (1.0, 0.5, 3):
             return ev
-        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient * np.nan,
-                          certificate=ev.certificate)
+        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient * np.nan)
 
 
 def test_non_finite_oracle_answer_isolates_its_cell(grid_run, tmp_path, monkeypatch):
@@ -359,22 +359,37 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
     assert worst.trace.gm_sq[0] > plain.trace.gm_sq[0]
 
 
-def test_scaled_claim_wrapper_only_touches_delta(small_problem):
+def test_scaled_claim_wrapper_only_touches_delta(small_problem, tmp_path, monkeypatch):
+    # certify_command mis-claims by replacing the delta of the oracle's
+    # certificate; the noise, and so every answer, stays as it was
+    audited = []
+    real = harness.certify_oracle
+
+    def recording(oracle, *args, **kwargs):
+        audited.append(oracle.certificate)
+        return real(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "certify_oracle", recording)
+    data = make_config(tmp_path / "out")
+    data["oracle"]["claimed_delta_scale"] = 0.25
+    harness.certify_command(harness.parse_config(data), pairs=10)
+    cells = [(q, d) for q in (0.0, 1.0) for d in (0.0, 0.5)]
+    assert len(audited) == len(cells)
+    for cert, (q, d) in zip(audited, cells):
+        true = harness._cell_oracle(small_problem, q, d).certificate
+        assert cert == replace(true, delta=0.25 * true.delta)
     for directions in (1, 3):
-        inner = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
-        liar = harness._ScaledClaim(inner, 0.25)
-        assert liar.degree == 1.0
+        honest = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
+        liar = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
+        liar.certificate = replace(liar.certificate, delta=0.25 * liar.certificate.delta)
+        assert liar.certificate == replace(honest.certificate, delta=0.25 * 0.3)
         ev = liar.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-        honest = inner.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-        assert ev.value == honest.value
-        assert np.array_equal(ev.gradient, honest.gradient)
-        assert len(ev.alternatives) == len(honest.alternatives) == directions - 1
-        for alt, honest_alt in zip(ev.alternatives, honest.alternatives):
-            assert np.array_equal(alt, honest_alt)
-        assert ev.certificate.delta == pytest.approx(0.25 * honest.certificate.delta)
-        assert ev.certificate.lipschitz == honest.certificate.lipschitz
-        assert ev.certificate.degree == honest.certificate.degree
-        assert ev.certificate.convex_lower_bound == honest.certificate.convex_lower_bound
+        want = honest.evaluate(np.zeros(8), rng=np.random.default_rng(0))
+        assert ev.value == want.value
+        assert np.array_equal(ev.gradient, want.gradient)
+        assert len(ev.alternatives) == len(want.alternatives) == directions - 1
+        for alt, want_alt in zip(ev.alternatives, want.alternatives):
+            assert np.array_equal(alt, want_alt)
 
 
 def test_certify_command_accepts_honest_cells(tmp_path):
@@ -487,6 +502,17 @@ def test_cli_rates_subcommand(tmp_path, capsys):
     assert cli.main(["rates", "nonconvex_const", str(out), "--param", "lipschitz=2",
                      "--k-min", "-5"]) == 1
     capsys.readouterr()
+
+
+def test_cli_rates_reports_overflow_as_error(tmp_path, capsys):
+    # the smoothing constant behind this curve overflows a float
+    argv = ["rates", "holder_rate", str(tmp_path / "curve.csv"),
+            "--param", "holder_constant=1000", "--param", "exponent=0",
+            "--param", "degree=0.999", "--param", "gap=1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_cli_preset_smoke(tmp_path):

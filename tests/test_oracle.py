@@ -1,6 +1,7 @@
 """Oracle layer: error splits, smoothing constants, families, certifier."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from proxiq import (
     majorize_amgm,
     spectral_norm,
 )
-from proxiq.harness import _ScaledClaim, ball_pair_sampler
+from proxiq.harness import ball_pair_sampler
 
 
 # ---------------------------------------------------------------- majorize
@@ -161,6 +162,10 @@ def test_smoothing_constant_rejects_bad_inputs():
         holder_smoothing_constant(1.0, 0.5, 1.5, 0.1)
     with pytest.raises(ValueError):
         holder_smoothing_constant(1.0, 0.5, 0.5, 0.0)
+    # a constant beyond the float range is an error, not an OverflowError
+    for args in [(1000.0, 0.0, 0.999, 1.0), (1.0, 0.0, 0.9, 1e-300)]:
+        with pytest.raises(ValueError, match="not a finite float"):
+            holder_smoothing_constant(*args)
 
 
 # ------------------------------------------------------------------ noise
@@ -217,31 +222,28 @@ def test_certificate_validation():
 
 
 def test_eval_validation():
-    cert = OracleCertificate(delta=0.0, lipschitz=1.0, degree=1.0)
     with pytest.raises(ValueError):
-        OracleEval(point=np.zeros(2), value=math.nan, gradient=np.zeros(2), certificate=cert)
+        OracleEval(point=np.zeros(2), value=math.nan, gradient=np.zeros(2))
     with pytest.raises(ValueError):
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(3), certificate=cert)
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(3))
     with pytest.raises(ValueError):
         OracleEval(point=np.zeros(2), value=0.0,
-                   gradient=np.array([1.0, math.inf]), certificate=cert)
+                   gradient=np.array([1.0, math.inf]))
 
 
 def test_eval_checks_every_candidate():
-    cert = OracleCertificate(delta=0.0, lipschitz=1.0, degree=1.0)
-    ev = OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2), certificate=cert)
+    ev = OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2))
     assert ev.alternatives == ()
     with pytest.raises(NonFiniteAnswer):
-        OracleEval(point=np.zeros(2), value=math.inf, gradient=np.zeros(2), certificate=cert)
+        OracleEval(point=np.zeros(2), value=math.inf, gradient=np.zeros(2))
     with pytest.raises(NonFiniteAnswer):
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.array([math.nan, 0.0]),
-                   certificate=cert)
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.array([math.nan, 0.0]))
     with pytest.raises(NonFiniteAnswer):
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2), certificate=cert,
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2),
                    alternatives=(np.zeros(2), np.array([0.0, -math.inf])))
     # a shape mismatch is a usage error, not a non-finite answer
     with pytest.raises(ValueError) as info:
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2), certificate=cert,
+        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2),
                    alternatives=(np.zeros(3),))
     assert not isinstance(info.value, NonFiniteAnswer)
 
@@ -253,19 +255,18 @@ def test_noisy_gradient_certificate_and_cap():
     prob = generate_quadratic_instance(6, conditioning=4.0, seed=0)
     x = np.linspace(-1.0, 1.0, 6)
     rng = np.random.default_rng(3)
-    ev = NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng)
+    oracle = NoisyGradientOracle(prob, 0.25)
+    ev = oracle.evaluate(x, rng=rng)
     assert ev.value == prob.value(x)
     assert np.linalg.norm(ev.gradient - prob.gradient(x)) <= 0.25 + 1e-12
-    assert ev.certificate.delta == 0.25
-    assert ev.certificate.degree == 1.0
-    assert ev.certificate.lipschitz == prob.lipschitz
+    assert oracle.certificate == OracleCertificate(delta=0.25, lipschitz=prob.lipschitz,
+                                                   degree=1.0)
 
     # on a diameter-3 domain the same answer certifies any lower degree
     oracle = NoisyGradientOracle(prob, 0.25, degree=0.4, diameter=3.0)
-    ev = oracle.evaluate(x, rng=rng)
-    assert ev.certificate.degree == 0.4
-    assert ev.certificate.delta == oracle.delta
-    assert abs(oracle.delta - 0.25 * 3.0 ** 0.6) <= 1e-15
+    assert oracle.certificate.degree == 0.4
+    assert abs(oracle.certificate.delta - 0.25 * 3.0 ** 0.6) <= 1e-15
+    assert np.linalg.norm(oracle.evaluate(x, rng=rng).gradient - prob.gradient(x)) <= 0.25 + 1e-12
 
     with pytest.raises(ValueError):
         NoisyGradientOracle(prob, 0.25, degree=0.4)
@@ -273,9 +274,6 @@ def test_noisy_gradient_certificate_and_cap():
         NoisyGradientOracle(prob, 0.25, degree=1.5)
     with pytest.raises(ValueError):
         NoisyGradientOracle(prob, -0.1)
-    # an accuracy requested with the call is checked with the call
-    with pytest.raises(ValueError):
-        NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng, delta=-0.1)
 
 
 def test_noisy_gradient_candidates():
@@ -294,7 +292,7 @@ def test_noisy_gradient_candidates():
     one = NoisyGradientOracle(prob, 0.25, directions=1).evaluate(
         x, rng=np.random.default_rng(8))
     assert np.array_equal(one.gradient, plain.gradient)
-    assert one.value == plain.value and one.certificate == plain.certificate
+    assert one.value == plain.value
 
     # m directions: m - 1 alternatives under the same certificate, drawn
     # after the first candidate exactly like m sequential noise draws
@@ -302,7 +300,6 @@ def test_noisy_gradient_candidates():
     ev = NoisyGradientOracle(prob, 0.25, directions=4).evaluate(x, rng=rng)
     assert len(ev.alternatives) == 3
     assert np.array_equal(ev.gradient, plain.gradient)
-    assert ev.certificate == plain.certificate
     ref_rng = np.random.default_rng(8)
     draws = [bounded_noise(ref_rng, 6, 0.25) for _ in range(4)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -320,9 +317,11 @@ def test_shifted_point_certificate():
     prob = generate_quadratic_instance(5, conditioning=3.0, seed=1)
     x = np.ones(5)
     rng = np.random.default_rng(7)
-    ev = ShiftedPointOracle(prob, 0.2).evaluate(x, rng=rng)
+    oracle = ShiftedPointOracle(prob, 0.2)
+    ev = oracle.evaluate(x, rng=rng)
     assert ev.value == prob.value(x)
-    assert ev.certificate.delta == prob.lipschitz * 0.2
+    assert oracle.certificate == OracleCertificate(delta=prob.lipschitz * 0.2,
+                                                   lipschitz=prob.lipschitz, degree=1.0)
     # smoothness turns the hidden displacement into a gradient error bound
     assert np.linalg.norm(ev.gradient - prob.gradient(x)) <= prob.lipschitz * 0.2 + 1e-12
 
@@ -369,11 +368,9 @@ def test_minibatch_hand_gradients():
     assert ev.value == 4.0
     assert np.array_equal(ev.gradient, [0.5, 1.0])
 
-    ev = MinibatchOracle(comps, batch_size=1, claimed_delta=0.3, claimed_lipschitz=5.0,
-                         degree=0.5).evaluate(x, rng=np.random.default_rng(0))
-    assert ev.certificate.delta == 0.3
-    assert ev.certificate.lipschitz == 5.0
-    assert ev.certificate.degree == 0.5
+    claimed = MinibatchOracle(comps, batch_size=1, claimed_delta=0.3, claimed_lipschitz=5.0,
+                              degree=0.5)
+    assert claimed.certificate == OracleCertificate(delta=0.3, lipschitz=5.0, degree=0.5)
 
     with pytest.raises(ValueError):
         MinibatchOracle(comps, batch_size=0)
@@ -444,20 +441,18 @@ def test_saddle_oracle_certificates():
     x = rng.standard_normal(3)
     norm_a = spectral_norm(a)
 
-    exact = SaddleOracle(sp, 0.0).evaluate(x)
+    exact = SaddleOracle(sp, 0.0)
     assert exact.certificate.convex_lower_bound
     assert exact.certificate.delta == 0.0
-    assert np.allclose(exact.gradient, sp.gradient(x))
+    assert exact.certificate.lipschitz == norm_a ** 2 / 0.7
+    assert np.allclose(exact.evaluate(x).gradient, sp.gradient(x))
 
     oracle = SaddleOracle(sp, 0.3)
     assert oracle.operator_norm == norm_a
     noisy = oracle.evaluate(x, rng=np.random.default_rng(2))
-    assert not noisy.certificate.convex_lower_bound
-    assert abs(noisy.certificate.delta - 0.3 * norm_a) <= 1e-12
+    assert not oracle.certificate.convex_lower_bound
+    assert abs(oracle.certificate.delta - 0.3 * norm_a) <= 1e-12
     assert np.linalg.norm(noisy.gradient - sp.gradient(x)) <= 0.3 * norm_a + 1e-12
-
-    ev = oracle.evaluate(x, rng=np.random.default_rng(3), delta=0.12)
-    assert abs(ev.certificate.delta - 0.12) <= 1e-15
 
     with pytest.raises(ValueError):
         SaddleOracle(sp, -0.1)
@@ -474,50 +469,15 @@ def test_holder_oracle_certificate():
     oracle = HolderOracle(holder, degree=0.5, delta=0.1)
     ev = oracle.evaluate(x)
     assert ev.value == float(np.sum(np.abs(x) ** 1.5)) / 1.5
-    assert ev.certificate.delta == 0.1
-    assert ev.certificate.degree == 0.5
-    assert ev.certificate.convex_lower_bound
-    assert ev.certificate.lipschitz == holder_smoothing_constant(1.0, 0.5, 0.5, 0.1)
+    assert oracle.certificate == OracleCertificate(
+        delta=0.1, lipschitz=holder_smoothing_constant(1.0, 0.5, 0.5, 0.1), degree=0.5,
+        convex_lower_bound=True)
     assert np.array_equal(ev.gradient, np.sign(x) * np.abs(x) ** 0.5)
 
-    tightened = oracle.evaluate(x, delta=0.01)
+    # a tighter accuracy is bought with a larger smoothness constant
+    tightened = HolderOracle(holder, degree=0.5, delta=0.01)
     assert tightened.certificate.delta == 0.01
-    assert tightened.certificate.lipschitz > ev.certificate.lipschitz
-
-
-def test_oracle_handles_delta_override():
-    prob = generate_quadratic_instance(5, conditioning=2.0, seed=4)
-    x = np.zeros(5)
-    rng = np.random.default_rng(13)
-
-    noisy = NoisyGradientOracle(prob, noise_bound=1.0, degree=0.7, diameter=3.0)
-    assert abs(noisy.noise_for(0.5) - 0.5 / 3.0 ** 0.3) <= 1e-15
-    ev = noisy.evaluate(x, rng=rng, delta=0.5)
-    assert ev.certificate.delta == 0.5
-    # 1.5 / 3**0.3 * 3**0.3 != 1.5 in floating point: the request itself is certified
-    ev = noisy.evaluate(x, rng=np.random.default_rng(0), delta=1.5)
-    assert ev.certificate.delta == 1.5
-
-    shifted = ShiftedPointOracle(prob, shift_bound=0.4)
-    ev = shifted.evaluate(x, rng=rng, delta=0.25)
-    assert abs(ev.certificate.delta - 0.25) <= 1e-12
-
-    saddle = SaddleProblem(operator=rng.standard_normal((5, 2)),
-                           concave_center=rng.standard_normal(2), concavity=0.7)
-    holder = HolderPowerProblem(centers=np.zeros(5), exponent=0.5, holder_constant=1.0)
-    comps = [_Linear(row, 0.0) for row in np.eye(5)]
-    for oracle, requested in [(SaddleOracle(saddle, inner_accuracy=0.3), 0.12),
-                              (HolderOracle(holder, degree=0.5, delta=0.1), 0.01),
-                              (MinibatchOracle(comps, batch_size=2, claimed_delta=0.3), 0.05)]:
-        ev = oracle.evaluate(x, rng=rng, delta=requested)
-        assert abs(ev.certificate.delta - requested) <= 1e-12
-
-    with pytest.raises(ValueError):
-        NoisyGradientOracle(prob, noise_bound=1.0, degree=0.7)
-    with pytest.raises(ValueError):
-        NoisyGradientOracle(prob, noise_bound=-1.0)
-    with pytest.raises(ValueError):
-        ShiftedPointOracle(prob, shift_bound=-0.1)
+    assert tightened.certificate.lipschitz > oracle.certificate.lipschitz
 
 
 def test_exact_oracle_zero_delta():
@@ -525,9 +485,8 @@ def test_exact_oracle_zero_delta():
     oracle = ExactOracle(prob, degree=0.5, convex_lower_bound=True)
     x = np.ones(4)
     ev = oracle.evaluate(x)
-    assert ev.certificate.delta == 0.0
-    assert ev.certificate.degree == 0.5
-    assert ev.certificate.convex_lower_bound
+    assert oracle.certificate == OracleCertificate(delta=0.0, lipschitz=prob.lipschitz,
+                                                   degree=0.5, convex_lower_bound=True)
     assert ev.value == prob.value(x)
     assert np.array_equal(ev.gradient, prob.gradient(x))
 
@@ -548,7 +507,8 @@ def test_certify_accepts_honest_noisy_oracle():
 
 def test_certify_refutes_understated_noise():
     prob = generate_logsum_instance(16, 32, 4.0, seed=3)
-    liar = _ScaledClaim(NoisyGradientOracle(prob, noise_bound=1.0), 0.05)
+    liar = NoisyGradientOracle(prob, noise_bound=1.0)
+    liar.certificate = replace(liar.certificate, delta=0.05)
     report = certify_oracle(liar, prob.value, ball_pair_sampler(4.0, 16),
                             pairs=800, rng=np.random.default_rng(11))
     assert not report.certified

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,21 +26,13 @@ from proxiq import (
 )
 
 
-class _WrongConstant:
-    """Oracle whose certificate understates the smoothness constant."""
-
-    degree = 1.0
+class _WrongConstant(ExactOracle):
+    """Exact oracle whose certificate understates the smoothness constant."""
 
     def __init__(self, problem, factor):
-        self.problem = problem
-        self.factor = float(factor)
-
-    def evaluate(self, x, rng=None, delta=None):
-        x = np.asarray(x, dtype=float)
-        cert = OracleCertificate(delta=0.0, lipschitz=self.problem.lipschitz * self.factor,
-                                 degree=1.0)
-        return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(x), certificate=cert)
+        super().__init__(problem)
+        self.certificate = OracleCertificate(delta=0.0, lipschitz=problem.lipschitz * factor,
+                                             degree=1.0)
 
 
 class _Poisoned:
@@ -50,43 +42,48 @@ class _Poisoned:
     with an overflowing or NaN computation would.
     """
 
-    degree = 1.0
-
     def __init__(self, problem, first_bad, field):
         self.inner = ExactOracle(problem)
+        self.certificate = self.inner.certificate
         self.first_bad = first_bad
         self.field = field
         self.queries = 0
 
-    def evaluate(self, x, rng=None, delta=None):
+    def evaluate(self, x, rng=None):
         ev = self.inner.evaluate(x)
         self.queries += 1
         if self.queries <= self.first_bad:
             return ev
         value = math.inf if self.field == "value" else ev.value
         gradient = ev.gradient * math.nan if self.field == "gradient" else ev.gradient
-        return OracleEval(point=ev.point, value=value, gradient=gradient,
-                          certificate=ev.certificate)
+        return OracleEval(point=ev.point, value=value, gradient=gradient)
 
 
 # --------------------------------------------------------------- schedules
 
 
 def test_schedule_config_hand_values():
-    cfg = ScheduleConfig(max_iters=10, rho=1.0, delta0=0.4, beta=0.5, zeta=0.5, step_scale=0.5)
-    assert cfg.delta_at(0, 1.0) == 0.4
-    assert cfg.delta_at(15, 1.0) == pytest.approx(0.4 / 16.0 ** 0.25, rel=1e-15)
-    assert cfg.delta_at(15, 0.0) == pytest.approx(0.4 / 16.0 ** 0.5, rel=1e-15)
-    assert cfg.alpha_at(0, 2.0, 1.0) == pytest.approx(0.5 / 3.0, rel=1e-15)
-    assert cfg.alpha_at(3, 4.0, 1.0) == pytest.approx(0.5 / (5.0 * 2.0), rel=1e-15)
-    assert cfg.alpha_at(3, 4.0, 0.5) == pytest.approx(0.5 / (4.5 * 2.0), rel=1e-15)
+    # the step is step_scale / (L + q*rho) with L, q and delta from the certificate
+    cfg = ScheduleConfig(max_iters=10, rho=1.0, step_scale=0.5)
+    assert [f.name for f in fields(cfg)] == ["rho", "max_iters", "step_scale"]
+    prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
+    lip = prob.lipschitz
+    for degree, diameter, want in [(1.0, None, 0.5 / (lip + 1.0)),
+                                   (0.5, 4.0, 0.5 / (lip + 0.5)),
+                                   (0.0, 4.0, 0.5 / lip)]:
+        oracle = NoisyGradientOracle(prob, 0.4, degree=degree, diameter=diameter)
+        trace = prox_gradient(prob.value, oracle, ProxFunction.zero(), cfg, np.zeros(4),
+                              rng=np.random.default_rng(0))
+        assert np.all(trace.alpha == want)
+        assert np.all(trace.delta == oracle.certificate.delta)
+    assert oracle.certificate.delta == 0.4 * 4.0
 
 
 def test_schedule_config_validation():
-    ok = dict(max_iters=5, rho=1.0, delta0=0.1)
+    ok = dict(max_iters=5, rho=1.0)
     ScheduleConfig(**ok)
-    for bad in [dict(delta0=-0.1), dict(rho=-1.0), dict(beta=1.0), dict(zeta=-0.1),
-                dict(step_scale=0.0), dict(step_scale=1.5), dict(max_iters=0)]:
+    for bad in [dict(rho=-1.0), dict(step_scale=0.0), dict(step_scale=1.5),
+                dict(max_iters=0)]:
         with pytest.raises(ValueError):
             ScheduleConfig(**{**ok, **bad})
 
@@ -96,7 +93,7 @@ def test_schedule_config_validation():
 
 def test_prox_gradient_matches_reference_loop():
     prob = generate_quadratic_instance(6, conditioning=3.0, seed=1)
-    cfg = ScheduleConfig(max_iters=50, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=50, rho=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.zeros(6))
     x = np.zeros(6)
@@ -127,7 +124,7 @@ def test_prox_gradient_single_step_solves_separable():
             return np.asarray(x, dtype=float)
 
     prob = _OneDim()
-    cfg = ScheduleConfig(max_iters=3, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=3, rho=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.array([1.0]))
     assert np.array_equal(trace.iterates[1], [0.0])
@@ -138,7 +135,7 @@ def test_prox_gradient_sufficient_decrease():
     # at half the maximal step each move must pay for itself:
     # f(x+) <= f(x) - (L/2)*||x+ - x||^2 under an exact oracle
     prob = generate_logsum_instance(12, 20, 3.0, seed=2)
-    cfg = ScheduleConfig(max_iters=200, rho=0.0, delta0=0.0, step_scale=0.5)
+    cfg = ScheduleConfig(max_iters=200, rho=0.0, step_scale=0.5)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.l1_ball(3.0),
                           cfg, np.zeros(12))
     diffs = np.diff(trace.objective)
@@ -153,7 +150,7 @@ def test_prox_gradient_tracks_nonconvex_bound():
     x0 = np.zeros(16)
     gap = prob.value(x0) - prob.f_lower
     delta = 0.5
-    cfg = ScheduleConfig(max_iters=300, rho=lip, delta0=delta)
+    cfg = ScheduleConfig(max_iters=300, rho=lip)
     ks = np.arange(300)
     bound = bound_nonconvex_const(lip, 1.0, delta, gap, ks)
     for seed in (0, 1, 2):
@@ -165,20 +162,21 @@ def test_prox_gradient_tracks_nonconvex_bound():
 
 def test_prox_gradient_guards():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=200, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=200, rho=0.0)
     with pytest.raises(DivergenceError):
         # certificate claims 1/50 of the true constant: the step is 50x too long
         prox_gradient(prob.value, _WrongConstant(prob, 0.02), ProxFunction.zero(),
                       cfg, np.ones(4))
-    # a zero weight is fine when nothing needs majorizing: degree 0 or delta0 = 0
-    unweighted = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.1)
-    prox_gradient(prob.value, ExactOracle(prob, degree=0.0), ProxFunction.zero(),
-                  unweighted, np.zeros(4))
+    # a zero weight is fine when nothing needs majorizing: degree 0 or delta = 0
+    unweighted = ScheduleConfig(max_iters=5, rho=0.0)
+    rng = np.random.default_rng(0)
+    prox_gradient(prob.value, NoisyGradientOracle(prob, 0.1, degree=0.0, diameter=2.0),
+                  ProxFunction.zero(), unweighted, np.zeros(4), rng=rng)
     prox_gradient(prob.value, ExactOracle(prob, degree=1.0), ProxFunction.zero(),
-                  replace(unweighted, delta0=0.0), np.zeros(4))
+                  unweighted, np.zeros(4))
     with pytest.raises(ValueError, match="rho must be positive"):
-        prox_gradient(prob.value, ExactOracle(prob, degree=1.0), ProxFunction.zero(),
-                      unweighted, np.zeros(4))
+        prox_gradient(prob.value, NoisyGradientOracle(prob, 0.1, degree=1.0),
+                      ProxFunction.zero(), unweighted, np.zeros(4), rng=rng)
     with pytest.raises(ValueError):
         prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                       cfg, np.zeros((2, 2)))
@@ -190,22 +188,20 @@ def test_prox_gradient_guards():
 class _Scaled:
     """Exact oracle that also offers the gradient scaled by each factor."""
 
-    degree = 1.0
-
     def __init__(self, problem, factors):
         self.inner = ExactOracle(problem)
+        self.certificate = self.inner.certificate
         self.factors = factors
 
-    def evaluate(self, x, rng=None, delta=None):
+    def evaluate(self, x, rng=None):
         ev = self.inner.evaluate(x)
         return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
-                          certificate=ev.certificate,
                           alternatives=tuple(f * ev.gradient for f in self.factors))
 
 
 def test_prox_gradient_follows_the_farthest_candidate():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.0, step_scale=0.25)
+    cfg = ScheduleConfig(max_iters=5, rho=0.0, step_scale=0.25)
     x0 = np.ones(4)
     h = ProxFunction.zero()
     plain = prox_gradient(prob.value, ExactOracle(prob), h, cfg, x0)
@@ -223,7 +219,7 @@ def test_prox_gradient_follows_the_farthest_candidate():
 
 def test_prox_gradient_turns_non_finite_answers_into_divergence():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=10, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=10, rho=0.0)
     # a NaN gradient in the answer at x_2
     with pytest.raises(DivergenceError, match="step 2"):
         prox_gradient(prob.value, _Poisoned(prob, 2, "gradient"), ProxFunction.zero(),
@@ -233,7 +229,7 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
         prox_gradient(prob.value, _Poisoned(prob, 1, "value"), ProxFunction.zero(),
                       cfg, np.ones(4))
     # the final iterate's F comes from objective, not from the oracle
-    once = ScheduleConfig(max_iters=1, rho=0.0, delta0=0.0)
+    once = ScheduleConfig(max_iters=1, rho=0.0)
     with pytest.raises(DivergenceError, match="step 1"):
         prox_gradient(lambda x: math.inf, ExactOracle(prob), ProxFunction.zero(),
                       once, np.ones(4))
@@ -245,7 +241,7 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
 
 def test_prox_gradient_deterministic_given_seed():
     prob = generate_logsum_instance(8, 12, 2.0, seed=4)
-    cfg = ScheduleConfig(max_iters=40, rho=prob.lipschitz, delta0=0.3)
+    cfg = ScheduleConfig(max_iters=40, rho=prob.lipschitz)
     runs = []
     for _ in range(2):
         oracle = NoisyGradientOracle(prob, noise_bound=0.3)
@@ -304,7 +300,7 @@ def test_fast_method_matches_reference_loop():
     lip = quad.lipschitz
     x0 = np.zeros(8)
     for rule, theta0 in [("equality_root", 1.0), ("half_linear", 0.5)]:
-        cfg = ScheduleConfig(max_iters=60, rho=0.0, delta0=0.0)
+        cfg = ScheduleConfig(max_iters=60, rho=0.0)
         calls = []
 
         def counted(x):
@@ -346,7 +342,7 @@ def test_fast_method_matches_reference_loop():
 def test_fast_method_first_step_collapses():
     # with theta0 = A0*L the first prox point and model point coincide
     quad = generate_quadratic_instance(5, conditioning=2.0, seed=9)
-    cfg = ScheduleConfig(max_iters=1, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=1, rho=0.0)
     trace = fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                                cfg, np.zeros(5))
     assert np.allclose(trace.y_points[0], trace.z_points[0], atol=1e-15)
@@ -361,7 +357,7 @@ def test_fast_method_exact_bound_both_rules():
     ks = np.arange(2000)
     bound = 4.0 * quad.lipschitz * r_sq / ((ks + 1.0) * (ks + 2.0))
     for rule in ("equality_root", "half_linear"):
-        cfg = ScheduleConfig(max_iters=2000, rho=0.0, delta0=0.0)
+        cfg = ScheduleConfig(max_iters=2000, rho=0.0)
         trace = fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                                    cfg, x0, theta_rule=rule)
         gaps = trace.objective_y - quad.f_star
@@ -374,7 +370,7 @@ def test_fast_method_runs_on_working_constant():
     # with q = 1 and a large weight, steps and momentum both use L + rho
     quad = generate_quadratic_instance(6, conditioning=2.0, seed=2)
     lip, rho = quad.lipschitz, 9.0
-    cfg = ScheduleConfig(max_iters=30, rho=rho, delta0=0.1)
+    cfg = ScheduleConfig(max_iters=30, rho=rho)
     oracle = NoisyGradientOracle(quad, noise_bound=0.1)
     trace = fast_prox_gradient(quad.value, oracle, ProxFunction.zero(), cfg,
                                np.zeros(6), rng=np.random.default_rng(0))
@@ -387,7 +383,7 @@ def test_fast_method_runs_on_working_constant():
 
 def test_fast_method_guards():
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    cfg = ScheduleConfig(max_iters=200, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=200, rho=0.0)
     with pytest.raises(ValueError):
         fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                            cfg, np.zeros(4), theta_rule="golden")
@@ -395,7 +391,7 @@ def test_fast_method_guards():
         fast_prox_gradient(quad.value, _WrongConstant(quad, 0.02), ProxFunction.zero(),
                            cfg, np.ones(4))
     # answers with alternative gradients are for prox_gradient's worst case only
-    noisy = replace(cfg, rho=1.0, delta0=0.1)
+    noisy = replace(cfg, rho=1.0)
     with pytest.raises(ValueError, match="3 candidate gradients"):
         fast_prox_gradient(quad.value, NoisyGradientOracle(quad, 0.1, directions=3),
                            ProxFunction.zero(), noisy, np.zeros(4),
@@ -407,7 +403,7 @@ def test_fast_method_guards():
 
 def test_adaptive_validation():
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=0)
-    cfg = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=5, rho=0.0)
     with pytest.raises(ValueError):
         adaptive_prox_gradient(quad.value, ExactOracle(quad, degree=0.5), ProxFunction.zero(),
                                cfg, np.zeros(4), 1.0)
@@ -417,12 +413,9 @@ def test_adaptive_validation():
     with pytest.raises(ValueError):
         adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4),
                                1.0, max_doublings=0)
-    sched = ScheduleConfig(max_iters=5, rho=1.0, delta0=0.1, beta=0.5)
-    with pytest.raises(ValueError):
-        adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), sched, np.zeros(4), 1.0)
     with pytest.raises(ValueError, match="3 candidate gradients"):
         adaptive_prox_gradient(quad.value, NoisyGradientOracle(quad, 0.1, directions=3),
-                               ProxFunction.zero(), replace(sched, beta=0.0), np.zeros(4), 1.0,
+                               ProxFunction.zero(), replace(cfg, rho=1.0), np.zeros(4), 1.0,
                                rng=np.random.default_rng(0))
 
 
@@ -437,7 +430,7 @@ def test_adaptive_flat_objective_never_retries():
             return np.zeros_like(np.asarray(x, dtype=float))
 
     prob = _Flat()
-    cfg = ScheduleConfig(max_iters=6, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=6, rho=0.0)
     trace, history = adaptive_prox_gradient(prob.value, ExactOracle(prob),
                                             ProxFunction.zero(), cfg, np.zeros(3), 1.0)
     assert len(history) == 6
@@ -451,7 +444,7 @@ def test_adaptive_flat_objective_never_retries():
 
 def test_adaptive_runs_and_keeps_invariants():
     prob = generate_logsum_instance(12, 24, 3.0, seed=6)
-    cfg = ScheduleConfig(max_iters=120, rho=1.0, delta0=0.1)
+    cfg = ScheduleConfig(max_iters=120, rho=1.0)
     oracle = NoisyGradientOracle(prob, noise_bound=0.1)
     trace, history = adaptive_prox_gradient(prob.value, oracle, ProxFunction.l1_ball(3.0),
                                             cfg, np.zeros(12), epsilon0=1.0,
@@ -481,7 +474,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
             return np.array([-10.0])
 
     prob = _Drop()
-    cfg = ScheduleConfig(max_iters=5, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=5, rho=0.0)
     with pytest.raises(DivergenceError):
         adaptive_prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                                cfg, np.zeros(1), epsilon0=1.0, max_doublings=3)
@@ -492,7 +485,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
 
 def test_trace_csv_round_trip(tmp_path):
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=5)
-    cfg = ScheduleConfig(max_iters=7, rho=0.0, delta0=0.0)
+    cfg = ScheduleConfig(max_iters=7, rho=0.0)
     trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                           cfg, np.ones(4))
     path = tmp_path / "trace.csv"
