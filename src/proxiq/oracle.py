@@ -206,7 +206,8 @@ class SaddleProblem:
     G(u) = -(kappa/2)*||u - c||**2 is strongly concave, so the inner problem
     has the closed-form maximizer u(x) = c + A.T x / kappa.  This makes
     F(x) = <A c, x> + ||A.T x||**2 / (2 kappa), a convex smooth function
-    with gradient A u(x) and smoothness constant ||A||**2 / kappa.
+    with gradient A u(x) and smoothness constant ||A||**2 / kappa.  The
+    value and the maximizer share the one product A.T x.
     """
 
     operator: np.ndarray
@@ -219,16 +220,23 @@ class SaddleProblem:
         if self.operator.shape[1] != self.concave_center.shape[0]:
             raise ValueError("operator and concave_center dimensions differ")
 
-    def maximizer(self, x):
-        return self.concave_center + self.operator.T @ np.asarray(x, dtype=float) / self.concavity
-
-    def value(self, x):
+    def value_and_maximizer(self, x):
         x = np.asarray(x, dtype=float)
         atx = self.operator.T @ x
-        return float((self.operator @ self.concave_center) @ x + atx @ atx / (2.0 * self.concavity))
+        value = float((self.operator @ self.concave_center) @ x
+                      + atx @ atx / (2.0 * self.concavity))
+        return value, self.concave_center + atx / self.concavity
+
+    def value(self, x):
+        # the maximizer costs no further pass over the operator
+        return self.value_and_maximizer(x)[0]
+
+    def value_and_gradient(self, x):
+        value, u = self.value_and_maximizer(x)
+        return value, self.operator @ u
 
     def gradient(self, x):
-        return self.operator @ self.maximizer(x)
+        return self.value_and_gradient(x)[1]
 
     @cached_property
     def lipschitz(self):
@@ -250,8 +258,8 @@ class ExactOracle:
 
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(x))
+        value, grad = self.problem.value_and_gradient(x)
+        return OracleEval(point=x, value=value, gradient=grad)
 
 
 class NoisyGradientOracle:
@@ -266,6 +274,10 @@ class NoisyGradientOracle:
     drawn in sequence: the first gives the gradient, the others the
     alternatives, all under the same certificate.  This is how the
     worst-case sweep picks its noise direction.
+
+    One problem.value_and_gradient call answers a query: the residual it
+    computes once feeds both the exact value and the exact gradient that
+    the noise perturbs.
     """
 
     def __init__(self, problem, noise_bound, degree=1.0, diameter=None, directions=1):
@@ -287,12 +299,11 @@ class NoisyGradientOracle:
 
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        exact = self.problem.gradient(x)
+        value, exact = self.problem.value_and_gradient(x)
         grad = exact + bounded_noise(rng, x.size, self.noise_bound)
         alternatives = tuple(exact + bounded_noise(rng, x.size, self.noise_bound)
                              for _ in range(self.directions - 1))
-        return OracleEval(point=x, value=float(self.problem.value(x)), gradient=grad,
-                          alternatives=alternatives)
+        return OracleEval(point=x, value=value, gradient=grad, alternatives=alternatives)
 
 
 class ShiftedPointOracle:
@@ -377,10 +388,10 @@ class SaddleOracle:
 
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        u = self.saddle.maximizer(x)
+        value, u = self.saddle.value_and_maximizer(x)
         if self.inner_accuracy > 0.0:
             u = u + bounded_noise(rng, u.size, self.inner_accuracy)
-        return OracleEval(point=x, value=self.saddle.value(x), gradient=self.saddle.operator @ u)
+        return OracleEval(point=x, value=value, gradient=self.saddle.operator @ u)
 
 
 class HolderOracle:
@@ -404,8 +415,8 @@ class HolderOracle:
 
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
-        return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(x))
+        value, grad = self.problem.value_and_gradient(x)
+        return OracleEval(point=x, value=value, gradient=grad)
 
 
 @dataclass
@@ -433,10 +444,11 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     """Empirically test an oracle's certificate on sampled point pairs.
 
     For each sampled (x, y) the oracle answers at y and the bound its
-    certificate claims is checked at x against the exact objective.  When
-    the certificate claims a convex lower bound, the linearization must
-    also not overshoot.  The worst pair is reported either way, so a refutation
-    comes with a concrete witness.
+    certificate claims is checked at x against the exact objective, for
+    every candidate gradient of the answer.  When the certificate claims a
+    convex lower bound, no candidate's linearization may overshoot either.
+    The worst pair over all candidates is reported either way, so a
+    refutation comes with a concrete witness.
     """
     if pairs <= 0:
         raise ValueError("pairs must be positive")
@@ -453,14 +465,18 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
         ev = oracle.evaluate(y, rng=rng)
         diff = np.asarray(x, dtype=float) - ev.point
         dist = float(np.linalg.norm(diff))
-        gap = float(exact_value(x)) - ev.value - float(ev.gradient @ diff)
-        violation = gap - 0.5 * cert.lipschitz * dist ** 2 - cert.delta * dist ** cert.degree
-        if violation > max_violation:
-            max_violation = violation
-            worst_pair = (np.array(x, dtype=float, copy=True), ev.point.copy())
-        if lower_checked and gap < min_lower:
-            min_lower = gap
-            worst_lower = (np.array(x, dtype=float, copy=True), ev.point.copy())
+        value_gap = float(exact_value(x)) - ev.value
+        quadratic = 0.5 * cert.lipschitz * dist ** 2
+        error = cert.delta * dist ** cert.degree
+        for grad in (ev.gradient, *ev.alternatives):
+            gap = value_gap - float(grad @ diff)
+            violation = gap - quadratic - error
+            if violation > max_violation:
+                max_violation = violation
+                worst_pair = (np.array(x, dtype=float, copy=True), ev.point.copy())
+            if lower_checked and gap < min_lower:
+                min_lower = gap
+                worst_lower = (np.array(x, dtype=float, copy=True), ev.point.copy())
     certified = max_violation <= tolerance and (not lower_checked or min_lower >= -tolerance)
     return CertificationReport(certified=certified, pairs=int(pairs), tolerance=float(tolerance),
                                max_violation=float(max_violation), worst_pair=worst_pair,

@@ -5,6 +5,13 @@ l1 ball, a convex quadratic with a known minimizer and controlled
 conditioning, and a separable power objective whose gradient is Holder
 continuous.  Each instance knows its own smoothness data, so oracles and
 solvers never have to guess constants.
+
+Every instance offers value(x) and value_and_gradient(x).  The fused call
+computes the shared intermediate (the residual of the logsum and quadratic
+models, x - c of the power objective) once and feeds both the value and the
+gradient from it, as an oracle answering at x needs both; value(x) alone
+is one pass for callers that need only F.  Both return bitwise the same
+value, and gradient(x) is the second half of the fused answer.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ class LogSumProblem:
     holds for generated instances with many rows (64 x 128 and larger) but
     fails for a few rows or a dominant direction: a single row gets half
     the true constant.
+
+    value_and_gradient computes the residual r = rows @ x - targets and
+    r*r once: one pass over rows for r and one for rows.T @ (2r/(1 + r*r)).
     """
 
     rows: np.ndarray       # (N, n), one data vector per row
@@ -58,9 +68,13 @@ class LogSumProblem:
         r = self.rows @ np.asarray(x, dtype=float) - self.targets
         return float(np.log1p(r * r).sum())
 
-    def gradient(self, x):
+    def value_and_gradient(self, x):
         r = self.rows @ np.asarray(x, dtype=float) - self.targets
-        return self.rows.T @ (2.0 * r / (1.0 + r * r))
+        r_sq = r * r
+        return float(np.log1p(r_sq).sum()), self.rows.T @ (2.0 * r / (1.0 + r_sq))
+
+    def gradient(self, x):
+        return self.value_and_gradient(x)[1]
 
 
 def sample_l1_ball(rng, dim, radius):
@@ -116,8 +130,12 @@ class QuadraticProblem:
         r = self.operator @ np.asarray(x, dtype=float) - self.offset
         return 0.5 * float(r @ r)
 
+    def value_and_gradient(self, x):
+        r = self.operator @ np.asarray(x, dtype=float) - self.offset
+        return 0.5 * float(r @ r), self.operator.T @ r
+
     def gradient(self, x):
-        return self.operator.T @ (self.operator @ np.asarray(x, dtype=float) - self.offset)
+        return self.value_and_gradient(x)[1]
 
 
 def generate_quadratic_instance(n, conditioning=10.0, seed=0):
@@ -176,9 +194,14 @@ class HolderPowerProblem:
         p = 1.0 + self.exponent
         return float((d ** p).sum() / p)
 
-    def gradient(self, x):
+    def value_and_gradient(self, x):
         d = np.asarray(x, dtype=float) - self.centers
-        return np.sign(d) * np.abs(d) ** self.exponent
+        mags = np.abs(d)
+        p = 1.0 + self.exponent
+        return float((mags ** p).sum() / p), np.sign(d) * mags ** self.exponent
+
+    def gradient(self, x):
+        return self.value_and_gradient(x)[1]
 
 
 def generate_holder_instance(n, nu, seed=0):

@@ -79,11 +79,16 @@ class ProxFunction:
         return norm <= self.radius * (1.0 + tol_scale) + tol_scale
 
     def value(self, x):
-        if self.kind == "zero":
-            return 0.0
+        return self.value_on_domain(x) if self.contains(x) else np.inf
+
+    def value_on_domain(self, x):
+        """h(x) for an x known to lie in dom h, such as a prox output.
+
+        The indicator is 0 there, so no membership check is paid.
+        """
         if self.kind == "l1_norm":
             return self.weight * float(np.abs(np.asarray(x)).sum())
-        return 0.0 if self.contains(x) else np.inf
+        return 0.0
 
 
 def prox_apply(h, gamma, x):

@@ -63,11 +63,15 @@ def _query(oracle, x, rng, step):
 
 def _answer_at(objective, oracle, h, config, x, rng, step):
     """Oracle answer and F + h at the iterate x_step; after the last step
-    there is no answer, and objective gives F at the final iterate."""
+    there is no answer, and objective gives F at the final iterate.
+
+    Every iterate is x0, which _check_start placed in dom h, or built from
+    prox outputs, so h is taken at its value on the domain.
+    """
     if step < config.max_iters:
         ev = _query(oracle, x, rng, step)
-        return ev, ev.value + h.value(x)
-    return None, float(objective(x)) + h.value(x)
+        return ev, ev.value + h.value_on_domain(x)
+    return None, float(objective(x)) + h.value_on_domain(x)
 
 
 @dataclass(frozen=True)
@@ -300,7 +304,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         y_points[k] = y
         z_points[k] = z
         ev, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
-        fy = float(objective(y)) + h.value(y)
+        fy = float(objective(y)) + h.value_on_domain(y)
         objective_vals[k + 1] = f
         objective_y[k] = fy
         _check_blowup(f, ceiling, k + 1)
@@ -322,9 +326,11 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     optimistic slack epsilon below the best value seen.  Whenever a new
     iterate beats f_best, the slack doubles and the step is recomputed with
     the same oracle answer; after each accepted step the slack halves and
-    the target is refreshed.  Returns (trace, history) where history holds
-    one AdaptiveState per accepted step.  Requires a certificate degree in
-    [1, 2) (the weight formula) and answers without alternative gradients.
+    the target is refreshed.  F(x0) is the value of the first oracle
+    answer; objective gives F at each candidate step.  Returns (trace,
+    history) where history holds one AdaptiveState per accepted step.
+    Requires a certificate degree in [1, 2) (the weight formula) and
+    answers without alternative gradients.
     """
     if not 1.0 <= oracle.certificate.degree < 2.0:
         raise ValueError("the adaptive variant needs degree in [1, 2)")
@@ -338,14 +344,16 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     iterates, objective_vals, gm_sq = _buffers(x, iters)
     alpha_arr = np.empty(iters)
     history: List[AdaptiveState] = []
-    f0 = float(objective(x)) + h.value(x)
+    ev = _query(oracle, x, rng, 0)
+    f0 = ev.value + h.value_on_domain(x)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     epsilon = float(epsilon0)
     f_min = f0
     f_best = f_min - epsilon
     for k in range(iters):
-        ev = _query(oracle, x, rng, k)
+        if k > 0:
+            ev = _query(oracle, x, rng, k)
         _check_single(ev, k)
         retries = 0
         while True:
@@ -353,7 +361,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
             rho = rho_opt_horizon(lip, degree, delta, gap, k) if delta > 0.0 else 0.0
             alpha_k = config.step_scale / (lip + degree * rho)
             nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
-            f_next = float(objective(nxt)) + h.value(nxt)
+            f_next = float(objective(nxt)) + h.value_on_domain(nxt)
             _check_blowup(f_next, ceiling, k + 1)
             if f_next >= f_best:
                 break

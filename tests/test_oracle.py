@@ -409,6 +409,18 @@ def test_minibatch_full_batch_is_exact_mean():
         MinibatchOracle(comps, batch_size=5)
 
 
+def test_saddle_fused_value_and_gradient_is_bitwise():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 3))
+    center = rng.standard_normal(3)
+    sp = SaddleProblem(operator=a, concave_center=center, concavity=0.7)
+    for x in rng.standard_normal((6, 4)) * 3.0:
+        value, grad = sp.value_and_gradient(x)
+        assert value == sp.value(x)
+        assert np.array_equal(grad, sp.gradient(x))
+        assert np.array_equal(grad, a @ (center + a.T @ x / 0.7))
+
+
 def test_saddle_value_is_inner_maximum():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 2))
@@ -422,7 +434,7 @@ def test_saddle_value_is_inner_maximum():
     candidates = center + rng.standard_normal((5000, 2)) * 5.0
     best = max(inner(u) for u in candidates)
     assert sp.value(x) >= best - 1e-12
-    assert abs(sp.value(x) - inner(sp.maximizer(x))) <= 1e-12
+    assert abs(sp.value(x) - inner(sp.value_and_maximizer(x)[1])) <= 1e-12
 
     eps = 1e-6
     fd = np.array([(sp.value(x + eps * e) - sp.value(x - eps * e)) / (2 * eps)
@@ -539,6 +551,28 @@ def test_certify_accepts_true_convexity_claim():
     assert report.certified
     assert report.lower_bound_checked
     assert report.min_lower_slack >= -report.tolerance
+
+
+def test_certify_checks_every_candidate():
+    # the certificate covers every candidate gradient, so one bad alternative
+    # refutes it even when the first candidate is honest
+    class _BadAlternatives(NoisyGradientOracle):
+        def evaluate(self, x, rng=None):
+            ev = super().evaluate(x, rng=rng)
+            return replace(ev, alternatives=tuple(np.full(ev.point.shape, 1e3)
+                                                  for _ in ev.alternatives))
+
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    sampler = ball_pair_sampler(2.0, 8)
+    honest = certify_oracle(NoisyGradientOracle(prob, noise_bound=0.5, directions=3),
+                            prob.value, sampler, pairs=200, rng=np.random.default_rng(1))
+    assert honest.certified
+    liar = _BadAlternatives(prob, noise_bound=0.5, directions=3)
+    report = certify_oracle(liar, prob.value, sampler, pairs=200,
+                            rng=np.random.default_rng(1))
+    assert not report.certified
+    assert report.max_violation > report.tolerance
+    assert report.summary().startswith("REFUTED")
 
 
 def test_certify_requires_positive_pairs():

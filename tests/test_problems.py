@@ -102,6 +102,23 @@ def test_logsum_validation():
         generate_logsum_instance(4, 4, -1.0)
 
 
+_COORD = st.floats(-10.0, 10.0)
+
+
+@settings(database=None, deadline=None)
+@given(n=st.integers(1, 8), N=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+       coords=st.lists(_COORD, min_size=8, max_size=8))
+def test_logsum_fused_value_and_gradient_is_bitwise(n, N, seed, coords):
+    p = generate_logsum_instance(n, N, 2.0, seed=seed)
+    x = np.array(coords[:n])
+    value, grad = p.value_and_gradient(x)
+    assert value == p.value(x)
+    assert np.array_equal(grad, p.gradient(x))
+    # the separate two-pass gradient it replaced
+    r = p.rows @ x - p.targets
+    assert np.array_equal(grad, p.rows.T @ (2.0 * r / (1.0 + r * r)))
+
+
 def test_sample_l1_ball_feasible_and_spread():
     rng = np.random.default_rng(21)
     samples = np.array([sample_l1_ball(rng, 4, 2.0) for _ in range(3000)])
@@ -136,6 +153,18 @@ def test_quadratic_value_gradient_consistency():
         fd = finite_difference_gradient(p.value, x)
         assert np.allclose(p.gradient(x), fd, atol=1e-7)
         assert p.value(x) >= p.f_star
+
+
+@settings(database=None, deadline=None)
+@given(n=st.integers(1, 8), conditioning=st.floats(1.0, 1e3), seed=st.integers(0, 2 ** 16),
+       coords=st.lists(_COORD, min_size=8, max_size=8))
+def test_quadratic_fused_value_and_gradient_is_bitwise(n, conditioning, seed, coords):
+    p = generate_quadratic_instance(n, conditioning=conditioning, seed=seed)
+    x = np.array(coords[:n])
+    value, grad = p.value_and_gradient(x)
+    assert value == p.value(x)
+    assert np.array_equal(grad, p.gradient(x))
+    assert np.array_equal(grad, p.operator.T @ (p.operator @ x - p.offset))
 
 
 def test_quadratic_reproducible_and_validated():
@@ -176,6 +205,19 @@ def test_holder_power_gradient_matches_finite_differences():
         x = p.centers + np.where(rng.standard_normal(4) > 0, 1.0, -1.0) * rng.uniform(0.5, 2.0, 4)
         fd = finite_difference_gradient(p.value, x)
         assert np.allclose(p.gradient(x), fd, atol=1e-6)
+
+
+def test_holder_power_fused_value_and_gradient_is_bitwise():
+    rng = np.random.default_rng(17)
+    for nu in (0.1, 0.5, 0.9, 1.0):
+        p = generate_holder_instance(6, nu, seed=5)
+        # the centers themselves put every coordinate at the kink
+        for x in [p.centers.copy(), *rng.uniform(-4.0, 4.0, size=(5, 6))]:
+            value, grad = p.value_and_gradient(x)
+            assert value == p.value(x)
+            assert np.array_equal(grad, p.gradient(x))
+            d = x - p.centers
+            assert np.array_equal(grad, np.sign(d) * np.abs(d) ** nu)
 
 
 def test_holder_constant_certified_on_fresh_pairs():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxiq import ProxFunction, project_l1_ball, prox_apply, soft_threshold
 
@@ -68,6 +70,35 @@ def test_projection_beats_sampled_feasible_points():
         # projecting twice changes nothing beyond rounding (the first output
         # can land an ulp outside the ball)
         assert np.allclose(project_l1_ball(proj, 1.5), proj, atol=1e-12)
+
+
+# l1 norm of the input over the radius: inside, within 1e-9 of the boundary
+# on either side, and far outside
+_NORM_RATIO = st.one_of(st.floats(0.0, 0.999), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+                        st.floats(1.0, 1e6))
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(direction=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+       radius=st.floats(1e-2, 1e2), ratio=_NORM_RATIO)
+def test_projection_lands_in_the_ball_and_is_idempotent(direction, radius, ratio):
+    # the solvers take h at 0 on every prox output without checking it, which
+    # holds only if contains passes on every projection; inputs above 1e6 times
+    # the radius are out of scope (see the l1-ball FOUND note in CHANGES.md)
+    direction = np.array(direction)
+    norm = float(np.abs(direction).sum())
+    assume(norm > 1e-6)
+    x = direction * (ratio * radius / norm)
+    ball = ProxFunction.l1_ball(radius)
+    proj = project_l1_ball(x, radius)
+    assert ball.contains(proj)
+    if float(np.abs(x).sum()) <= radius:
+        assert np.array_equal(proj, x)
+    # the first output can land a rounding error outside the ball; a second
+    # projection removes at most that overshoot, which contains bounds
+    again = project_l1_ball(proj, radius)
+    assert ball.contains(again)
+    assert float(np.abs(again - proj).sum()) <= radius * 1e-9 + 1e-9
 
 
 def test_prox_function_kinds_and_values():

@@ -120,8 +120,8 @@ def test_prox_gradient_single_step_solves_separable():
         def value(self, x):
             return 0.5 * float(x @ x)
 
-        def gradient(self, x):
-            return np.asarray(x, dtype=float)
+        def value_and_gradient(self, x):
+            return self.value(x), np.asarray(x, dtype=float)
 
     prob = _OneDim()
     cfg = ScheduleConfig(max_iters=3, rho=0.0)
@@ -426,8 +426,8 @@ def test_adaptive_flat_objective_never_retries():
         def value(self, x):
             return 5.0
 
-        def gradient(self, x):
-            return np.zeros_like(np.asarray(x, dtype=float))
+        def value_and_gradient(self, x):
+            return 5.0, np.zeros_like(np.asarray(x, dtype=float))
 
     prob = _Flat()
     cfg = ScheduleConfig(max_iters=6, rho=0.0)
@@ -470,8 +470,8 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
         def value(self, x):
             return -10.0 * float(x[0])
 
-        def gradient(self, x):
-            return np.array([-10.0])
+        def value_and_gradient(self, x):
+            return self.value(x), np.array([-10.0])
 
     prob = _Drop()
     cfg = ScheduleConfig(max_iters=5, rho=0.0)
