@@ -4,10 +4,13 @@ certificate checks, and rate-curve export.
 Every output is reproducible from the config file alone.  Per-cell
 randomness is seeded by the cell's own coordinates (degree, noise level,
 repeat index), so editing the grid never reshuffles the randomness of
-cells that were already there.  Cells run one after another and files are
-written in grid order.  Each cell keeps its RunTrace minus the iterates,
-and every table (traces, summary, bound curves) goes through
-rates.write_csv: %.17g floats and forced newlines.  A trace row's f is F
+cells that were already there.  All cells of a sweep run as one batch: one
+prox_gradient call advances every cell in lockstep as one (C, n) state,
+each with its own oracle and generator, and gives each cell bitwise the
+run it would have alone.  Files are written in grid order.  Each cell
+keeps its RunTrace minus the iterates, and every table (traces, summary,
+bound curves) goes through rates.write_csv: %.17g floats and forced
+newlines.  A trace row's f is F
 at the pre-step iterate, so the summary's final_f is F(x_{K-1}).
 
 The plain and the worst-case sweep share one body and one step kernel,
@@ -227,7 +230,9 @@ class CellResult:
     """Outcome of one (degree, noise, repeat) cell.
 
     trace is the cell's RunTrace without its iterates, or None for a
-    diverged cell; its objective holds F at x_0 .. x_K.
+    diverged cell; its objective holds F at x_0 .. x_K.  The cells of a
+    sweep run as one batch, so wall_time is the batch's elapsed time, the
+    same for every cell of it.
     """
 
     degree: float
@@ -270,44 +275,47 @@ def _cell_oracle(problem, degree, noise_bound, directions=1):
                                diameter=2.0 * problem.radius, directions=directions)
 
 
-def _cell_setup(problem, config, degree, noise_bound, directions):
-    oracle = _cell_oracle(problem, degree, noise_bound, directions)
-    # exact cells get rho = 0 so the step is 1/L regardless of the degree
-    rho = 0.0 if noise_bound == 0.0 else problem.lipschitz
-    cfg = ScheduleConfig(rho=rho, max_iters=config.solver.iterations,
-                         step_scale=config.solver.step_scale)
-    return cfg, oracle, ProxFunction.l1_ball(problem.radius)
-
-
 def _cell_bound(problem, config, degree, delta_eff, f0):
     ks = np.arange(config.solver.iterations, dtype=float)
     return rates.bound_nonconvex_const(problem.lipschitz, float(degree), delta_eff,
                                        f0 - problem.f_lower, ks)
 
 
-def run_cell(problem, config, degree, noise_bound, repeat, directions=1):
-    """One sweep cell: seeded run plus its theoretical bound curve.
+def run_cells(problem, config, cells, directions=1):
+    """Sweep cells as one batch: seeded runs plus their theoretical bound curves.
 
-    With directions = m > 1 the oracle offers m noise draws per step and
-    the run follows the one that moves farthest; the first draw consumes
-    the generator like the plain run, so m = 1 is the plain cell.
+    cells lists (degree, noise bound, repeat) triples.  Every cell gets its
+    own oracle, generator and schedule, and one prox_gradient call advances
+    them all in lockstep from x0 = 0.  A cell's run is bitwise the same in
+    any batch, alone included, and a diverged cell leaves its siblings
+    untouched.  With directions = m > 1 each oracle offers m noise draws
+    per step and the run follows the one that moves farthest; the first
+    draw consumes the generator like the plain run, so m = 1 is the plain
+    cell.  Every CellResult carries the batch's wall time.
     """
-    seed = cell_seed(config.master_seed, degree, noise_bound, repeat)
-    rng = np.random.default_rng(seed)
-    cfg, oracle, h = _cell_setup(problem, config, degree, noise_bound, directions)
+    h = ProxFunction.l1_ball(problem.radius)
+    seeds = [cell_seed(config.master_seed, q, d, r) for q, d, r in cells]
+    oracles = [_cell_oracle(problem, q, d, directions) for q, d, _ in cells]
+    # exact cells get rho = 0 so the step is 1/L regardless of the degree
+    schedules = [ScheduleConfig(rho=0.0 if d == 0.0 else problem.lipschitz,
+                                max_iters=config.solver.iterations,
+                                step_scale=config.solver.step_scale) for _, d, _ in cells]
     x0 = np.zeros(problem.dim)
     f0 = problem.value(x0) + h.value(x0)
-    bound = _cell_bound(problem, config, degree, oracle.certificate.delta, f0)
     start = time.perf_counter()
-    try:
-        trace = replace(prox_gradient(problem.value, oracle, h, cfg, x0, rng=rng),
-                        iterates=None)
-    except DivergenceError:
-        trace = None
-    return CellResult(degree=float(degree), noise_bound=float(noise_bound), repeat=repeat,
-                      seed_label="-".join(map(str, seed.entropy)),
-                      status="diverged" if trace is None else "ok", f0=f0,
-                      bound=bound, wall_time=time.perf_counter() - start, trace=trace)
+    runs = prox_gradient(problem.value, oracles, h, schedules, x0,
+                         [np.random.default_rng(seed) for seed in seeds])
+    wall_time = time.perf_counter() - start
+    results = []
+    for (q, d, r), seed, oracle, run in zip(cells, seeds, oracles, runs):
+        diverged = isinstance(run, DivergenceError)
+        results.append(CellResult(
+            degree=float(q), noise_bound=float(d), repeat=r,
+            seed_label="-".join(map(str, seed.entropy)),
+            status="diverged" if diverged else "ok", f0=f0,
+            bound=_cell_bound(problem, config, q, oracle.certificate.delta, f0),
+            wall_time=wall_time, trace=None if diverged else run))
+    return results
 
 
 def _write_bounds_csv(path, cells):
@@ -348,9 +356,7 @@ def _grid(config):
 def _sweep(config, directions, prefix, write_bounds):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = _instance(config)
-    results = [run_cell(problem, config, *cell, directions=directions)
-               for cell in _grid(config)]
+    results = run_cells(_instance(config), config, _grid(config), directions)
     for cell in results:
         if cell.trace is not None:
             cell.trace.write_csv(out / (prefix + cell.trace_filename), bound=cell.bound)

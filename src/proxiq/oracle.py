@@ -26,12 +26,18 @@ certifier that hunts for violating point pairs.  Each family is one class:
 its constructor checks the family's parameters and keeps the certificate
 they imply as oracle.certificate, and evaluate(x, rng=None) builds the
 answer.
+
+The exact, noisy-gradient and Holder families are model oracles: they
+answer from the exact value and gradient of their problem.  evaluate_rows
+answers a stack of points for a batch of model oracles over one problem,
+one oracle and one generator per row, with a single stacked evaluation of
+the problem; this is what the batched solver calls every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -70,23 +76,34 @@ class OracleEval:
 
     alternatives holds further candidate gradients that the oracle's
     certificate covers; a solver may step along any of them.
+
+    A stacked answer has points (C, n), values (C,) and gradients (C, n),
+    one answer per row.  A non-finite single answer raises NonFiniteAnswer;
+    a stacked one marks its non-finite rows False in finite instead, so the
+    finite rows stay usable.
     """
 
     point: np.ndarray
     value: float
     gradient: np.ndarray
     alternatives: Tuple[np.ndarray, ...] = ()
+    finite: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonFiniteAnswer("oracle value is not finite")
         for grad in (self.gradient, *self.alternatives):
             if grad.shape != self.point.shape:
                 raise ValueError("gradient and point shapes differ")
+        value_ok = np.isfinite(self.value)
         # one isfinite call covers all alternatives; they share a shape by now
-        if not (np.isfinite(self.gradient).all()
-                and (not self.alternatives or np.isfinite(self.alternatives).all())):
-            raise NonFiniteAnswer("oracle gradient has non-finite entries")
+        gradient_ok = np.isfinite(self.gradient).all(axis=-1)
+        if self.alternatives:
+            gradient_ok &= np.isfinite(self.alternatives).all(axis=(0, -1))
+        if self.point.ndim == 1:
+            if not value_ok:
+                raise NonFiniteAnswer("oracle value is not finite")
+            if not gradient_ok:
+                raise NonFiniteAnswer("oracle gradient has non-finite entries")
+        object.__setattr__(self, "finite", value_ok & gradient_ok)
 
 
 def majorize_amgm(delta, degree, rho):
@@ -243,7 +260,46 @@ class SaddleProblem:
         return spectral_norm(self.operator) ** 2 / self.concavity
 
 
-class ExactOracle:
+class ModelOracle:
+    """An oracle that answers from the exact value and gradient of self.problem.
+
+    answer turns the exact pair at a query point into the oracle's answer:
+    the value and a sequence of candidate gradients, the first of them the
+    answer's gradient.  This base answers exactly; subclasses override
+    answer to perturb.  One problem.value_and_gradient call serves a query,
+    so the residual it computes once feeds both the value and the gradient.
+    """
+
+    def answer(self, value, exact, rng=None):
+        return value, (exact,)
+
+    def evaluate(self, x, rng=None):
+        x = np.asarray(x, dtype=float)
+        value, candidates = self.answer(*self.problem.value_and_gradient(x), rng)
+        return OracleEval(point=x, value=value, gradient=candidates[0],
+                          alternatives=tuple(candidates[1:]))
+
+
+def evaluate_rows(oracles, points, rngs):
+    """Answers of a batch of model oracles, row i of points for oracles[i].
+
+    The oracles share one problem, whose value_and_gradient runs once on
+    the whole stack (C, n) and gives each row bitwise the answer it gives
+    that row alone.  Then each oracle builds its row's answer with its own
+    generator rngs[i], drawing exactly what evaluate would, so every random
+    stream is the one of a run alone.  Returns the stacked OracleEval; its
+    finite mask reports the rows whose answer is not finite.
+    """
+    values, exact = oracles[0].problem.value_and_gradient(points)
+    answers = [oracle.answer(value, grad, rng)
+               for oracle, value, grad, rng in zip(oracles, values, exact, rngs)]
+    candidates = np.array([cands for _, cands in answers])  # (C, m, n)
+    return OracleEval(point=points, value=np.array([value for value, _ in answers]),
+                      gradient=candidates[:, 0],
+                      alternatives=tuple(candidates[:, j] for j in range(1, candidates.shape[1])))
+
+
+class ExactOracle(ModelOracle):
     """Exact value and gradient wrapped in the oracle interface.
 
     The zero-delta certificate is valid at any degree, so the degree is
@@ -256,13 +312,8 @@ class ExactOracle:
                                              degree=float(degree),
                                              convex_lower_bound=bool(convex_lower_bound))
 
-    def evaluate(self, x, rng=None):
-        x = np.asarray(x, dtype=float)
-        value, grad = self.problem.value_and_gradient(x)
-        return OracleEval(point=x, value=value, gradient=grad)
 
-
-class NoisyGradientOracle:
+class NoisyGradientOracle(ModelOracle):
     """Gradient corrupted by additive noise with a hard norm cap.
 
     The natural certificate has degree 1 with delta equal to the noise
@@ -274,10 +325,6 @@ class NoisyGradientOracle:
     drawn in sequence: the first gives the gradient, the others the
     alternatives, all under the same certificate.  This is how the
     worst-case sweep picks its noise direction.
-
-    One problem.value_and_gradient call answers a query: the residual it
-    computes once feeds both the exact value and the exact gradient that
-    the noise perturbs.
     """
 
     def __init__(self, problem, noise_bound, degree=1.0, diameter=None, directions=1):
@@ -297,13 +344,9 @@ class NoisyGradientOracle:
         self.certificate = OracleCertificate(delta=delta, lipschitz=float(problem.lipschitz),
                                              degree=q)
 
-    def evaluate(self, x, rng=None):
-        x = np.asarray(x, dtype=float)
-        value, exact = self.problem.value_and_gradient(x)
-        grad = exact + bounded_noise(rng, x.size, self.noise_bound)
-        alternatives = tuple(exact + bounded_noise(rng, x.size, self.noise_bound)
-                             for _ in range(self.directions - 1))
-        return OracleEval(point=x, value=value, gradient=grad, alternatives=alternatives)
+    def answer(self, value, exact, rng=None):
+        n, bound = exact.size, self.noise_bound
+        return value, [exact + bounded_noise(rng, n, bound) for _ in range(self.directions)]
 
 
 class ShiftedPointOracle:
@@ -394,7 +437,7 @@ class SaddleOracle:
         return OracleEval(point=x, value=value, gradient=self.saddle.operator @ u)
 
 
-class HolderOracle:
+class HolderOracle(ModelOracle):
     """Exact gradient of a weakly smooth problem, certified at degree q.
 
     The problem's gradient is Holder continuous with constant
@@ -412,11 +455,6 @@ class HolderOracle:
         self.certificate = OracleCertificate(delta=float(delta), lipschitz=lip,
                                              degree=float(degree),
                                              convex_lower_bound=problem.convex)
-
-    def evaluate(self, x, rng=None):
-        x = np.asarray(x, dtype=float)
-        value, grad = self.problem.value_and_gradient(x)
-        return OracleEval(point=x, value=value, gradient=grad)
 
 
 @dataclass

@@ -12,6 +12,12 @@ models, x - c of the power objective) once and feeds both the value and the
 gradient from it, as an oracle answering at x needs both; value(x) alone
 is one pass for callers that need only F.  Both return bitwise the same
 value, and gradient(x) is the second half of the fused answer.
+
+Both also take a stack of points (C, n) and then return C values and a
+(C, n) gradient, row i bitwise equal to the answer at the point x[i]
+alone: products with a matrix are stacked matrix-vector products, and
+sums run along the last axis.  One GEMM over the stack would be faster on
+paper but is not bitwise equal, and its rounding changes with C.
 """
 
 from __future__ import annotations
@@ -23,6 +29,22 @@ from typing import Optional
 import numpy as np
 
 from .oracle import spectral_norm
+
+
+def _matvec(matrix, x):
+    """matrix @ x for one point x or for each row of a stack, one BLAS
+    matrix-vector product per row, so row i does not depend on the others."""
+    return np.matmul(matrix, x[..., None])[..., 0]
+
+
+def _sq_norm(x):
+    """x @ x for one point or for each row of a stack, one BLAS dot per row."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+def _per_point(values):
+    """A reduction over the last axis: a float for one point, an array for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -65,13 +87,14 @@ class LogSumProblem:
         return float((self.rows ** 2).sum())
 
     def value(self, x):
-        r = self.rows @ np.asarray(x, dtype=float) - self.targets
-        return float(np.log1p(r * r).sum())
+        r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
+        return _per_point(np.log1p(r * r).sum(axis=-1))
 
     def value_and_gradient(self, x):
-        r = self.rows @ np.asarray(x, dtype=float) - self.targets
+        r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
         r_sq = r * r
-        return float(np.log1p(r_sq).sum()), self.rows.T @ (2.0 * r / (1.0 + r_sq))
+        return (_per_point(np.log1p(r_sq).sum(axis=-1)),
+                _matvec(self.rows.T, 2.0 * r / (1.0 + r_sq)))
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]
@@ -127,12 +150,12 @@ class QuadraticProblem:
         return self.f_star
 
     def value(self, x):
-        r = self.operator @ np.asarray(x, dtype=float) - self.offset
-        return 0.5 * float(r @ r)
+        r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
+        return 0.5 * _per_point(_sq_norm(r))
 
     def value_and_gradient(self, x):
-        r = self.operator @ np.asarray(x, dtype=float) - self.offset
-        return 0.5 * float(r @ r), self.operator.T @ r
+        r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
+        return 0.5 * _per_point(_sq_norm(r)), _matvec(self.operator.T, r)
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]
@@ -192,13 +215,13 @@ class HolderPowerProblem:
     def value(self, x):
         d = np.abs(np.asarray(x, dtype=float) - self.centers)
         p = 1.0 + self.exponent
-        return float((d ** p).sum() / p)
+        return _per_point((d ** p).sum(axis=-1) / p)
 
     def value_and_gradient(self, x):
         d = np.asarray(x, dtype=float) - self.centers
         mags = np.abs(d)
         p = 1.0 + self.exponent
-        return float((mags ** p).sum() / p), np.sign(d) * mags ** self.exponent
+        return _per_point((mags ** p).sum(axis=-1) / p), np.sign(d) * mags ** self.exponent
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]

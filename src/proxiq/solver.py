@@ -4,7 +4,8 @@ Three variants share the step x+ = prox_{alpha h}(x - alpha g).  Each
 reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 * prox_gradient: the constant step step_scale / (L + q*rho); works for
-  nonconvex smooth parts.
+  nonconvex smooth parts.  It advances a batch of runs in lockstep as one
+  (C, n) state, each run bitwise the run alone; one run is a batch of one.
 * fast_prox_gradient: accelerated variant for convex smooth parts, mixing
   the prox step with an aggregated linear model anchored at x0.
 * adaptive_prox_gradient: plain iteration whose quadratic majorization
@@ -28,8 +29,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .oracle import NonFiniteAnswer
-from .prox import prox_apply
+from .oracle import NonFiniteAnswer, evaluate_rows
+from .prox import prox_apply, prox_rows
 from .rates import rho_opt_horizon, write_csv
 
 
@@ -157,12 +158,18 @@ class AdaptiveState:
     retry_count: int
 
 
-def _check_start(oracle, config, h, x0):
-    """The start point as a fresh vector, and the oracle's certificate."""
+def _checked_certificate(oracle, config):
+    """The oracle's certificate, checked against the run's weight rho."""
     cert = oracle.certificate
     if config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
         raise ValueError("rho must be positive when the certificate has degree > 0"
                          " and delta > 0")
+    return cert
+
+
+def _check_start(oracle, config, h, x0):
+    """The start point as a fresh vector, and the oracle's certificate."""
+    cert = _checked_certificate(oracle, config)
     x = np.array(x0, dtype=float, copy=True)
     if x.ndim != 1:
         raise ValueError("x0 must be a vector")
@@ -197,32 +204,106 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     moves farthest, the first one on ties.  Raises DivergenceError if an
     oracle answer is not finite or the composite value blows up or turns
     non-finite, which in practice means a certificate lied.
+
+    A batch of runs advances in lockstep from x0: pass lists of C model
+    oracles over one problem, of C ScheduleConfigs sharing max_iters and
+    of C generators (None for an oracle that draws nothing) as oracle,
+    config and rng.  Each step answers all runs with one stacked evaluation
+    (oracle.evaluate_rows), so the problem's value_and_gradient, like
+    objective on the final iterates, takes a stack (C, n) and returns one
+    value per row, as the logsum, quadratic and power families do.  Every
+    run is bitwise the run alone, whatever the batch.  Returns one entry per run: its RunTrace
+    without iterates, or the DivergenceError that ended it; a run that
+    fails leaves the batch and the others go on unchanged.  A single
+    oracle is a batch of one whose trace keeps its iterates.
     """
-    x, cert = _check_start(oracle, config, h, x0)
-    alpha = config.step_scale / (cert.lipschitz + cert.degree * config.rho)
-    iters = config.max_iters
-    iterates, objective_vals, gm_sq = _buffers(x, iters)
-    ev, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
-    objective_vals[0] = f0
-    ceiling = _ceiling(f0)
-    for k in range(iters):
-        nxt = prox_apply(h, alpha, x - alpha * ev.gradient)
-        step = nxt - x
-        move_sq = float(step @ step)
-        for grad in ev.alternatives:
-            cand = prox_apply(h, alpha, x - alpha * grad)
-            step = cand - x
-            cand_sq = float(step @ step)
-            if cand_sq > move_sq:
-                nxt, move_sq = cand, cand_sq
-        gm_sq[k] = move_sq / alpha ** 2
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1:
+        raise ValueError("x0 must be a vector")
+    if isinstance(oracle, (list, tuple)):
+        return _lockstep(objective, list(oracle), h, list(config), x0, list(rng),
+                         keep_iterates=False)
+    run, = _lockstep(objective, [oracle], h, [config], x0, [rng], keep_iterates=True)
+    if isinstance(run, DivergenceError):
+        raise run
+    return run
+
+
+def _prox_move(h, alpha, x, grad):
+    """Prox steps of the rows of x along grad, and each row's squared move
+    (one BLAS dot per row, bitwise the dot of that row alone)."""
+    nxt = prox_rows(h, alpha, x - alpha[:, None] * grad)
+    diff = nxt - x
+    return nxt, np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+
+
+def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
+    """The step loop of prox_gradient over a batch of runs."""
+    runs = len(oracles)
+    if runs == 0 or len(configs) != runs or len(rngs) != runs:
+        raise ValueError("a batch needs one oracle, config and generator per run")
+    iters = configs[0].max_iters
+    if any(cfg.max_iters != iters for cfg in configs):
+        raise ValueError("the runs of a batch share max_iters")
+    if any(o.problem is not oracles[0].problem for o in oracles):
+        raise ValueError("the oracles of a batch share one problem")
+    if not h.contains(x0):
+        raise ValueError("x0 lies outside dom h")
+    x = np.tile(x0, (runs, 1))
+    certs = [_checked_certificate(o, cfg) for o, cfg in zip(oracles, configs)]
+    alphas = [cfg.step_scale / (c.lipschitz + c.degree * cfg.rho)
+              for c, cfg in zip(certs, configs)]
+    objective_vals = np.empty((runs, iters + 1))
+    gm_sq = np.empty((runs, iters))
+    iterates = np.empty((iters + 1, runs, x0.size)) if keep_iterates else None
+    outcomes = [None] * runs
+    # state of the runs still going, compacted when one fails
+    live = np.arange(runs)
+    alpha = np.array(alphas)
+    alpha_sq = np.array([a ** 2 for a in alphas])
+    live_oracles, live_rngs = list(oracles), list(rngs)
+    for k in range(iters + 1):
+        if keep_iterates:
+            iterates[k, live] = x
+        if k < iters:
+            ev = evaluate_rows(live_oracles, x, live_rngs)
+            f = ev.value + h.value_on_domain(x)
+            broken = ~ev.finite
+            candidates = [ev.gradient, *ev.alternatives]
+        else:
+            f = objective(x) + h.value_on_domain(x)
+            broken = np.zeros(len(live), dtype=bool)
+            candidates = []
+        if k == 0:
+            ceiling = _ceiling(f)
+        objective_vals[live, k] = f
+        blown = ~broken & ~(np.isfinite(f) & (f <= ceiling))
+        if broken.any() or blown.any():
+            for j in np.flatnonzero(broken | blown):
+                reason = (f"oracle answer at step {k} is not finite" if broken[j] else
+                          f"objective blew up at step {k}: f = {float(f[j])!r}")
+                outcomes[live[j]] = DivergenceError(reason)
+            keep = ~(broken | blown)
+            live, x, alpha, alpha_sq, ceiling = (live[keep], x[keep], alpha[keep],
+                                                 alpha_sq[keep], ceiling[keep])
+            live_oracles = [o for o, kept in zip(live_oracles, keep) if kept]
+            live_rngs = [r for r, kept in zip(live_rngs, keep) if kept]
+            candidates = [grad[keep] for grad in candidates]
+        if k == iters or not len(live):
+            break
+        nxt, move_sq = _prox_move(h, alpha, x, candidates[0])
+        for grad in candidates[1:]:
+            cand, cand_sq = _prox_move(h, alpha, x, grad)
+            farther = cand_sq > move_sq
+            nxt[farther] = cand[farther]
+            move_sq = np.where(farther, cand_sq, move_sq)
+        gm_sq[live, k] = move_sq / alpha_sq
         x = nxt
-        iterates[k + 1] = x
-        ev, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
-        objective_vals[k + 1] = f
-        _check_blowup(f, ceiling, k + 1)
-    return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha),
-                             np.full(iters, cert.delta), gm_sq)
+    for i in live:
+        outcomes[i] = RunTrace.assemble(
+            iterates[:, i] if keep_iterates else None, objective_vals[i],
+            np.full(iters, alphas[i]), np.full(iters, certs[i].delta), gm_sq[i])
+    return outcomes
 
 
 def theta_next(a_prev, lipschitz_next, rule="equality_root"):

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxiq import cli, harness, rates
 from proxiq.harness import ConfigError
-from proxiq.oracle import NoisyGradientOracle, OracleEval
+from proxiq.oracle import NoisyGradientOracle
 from proxiq.problems import generate_logsum_instance
-from proxiq.solver import DivergenceError
 
 # Small grid that finishes in milliseconds but still exercises exact and
 # noisy cells at two degrees with two repeats.
@@ -255,28 +256,58 @@ def test_exact_cells_ignore_the_degree(grid_run):
         assert not np.array_equal(low.bound, high.bound)
 
 
-def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
-    _, honest, honest_out = grid_run
-    real = harness.prox_gradient
+class _FaultyOracle(NoisyGradientOracle):
+    """Noisy oracle that answers badly from a given query on.
 
-    def exploding(value, oracle, h, cfg, x0, rng=None):
-        if oracle.certificate.degree == 1.0 and oracle.noise_bound == 0.5:
-            raise DivergenceError("synthetic blow-up")
-        return real(value, oracle, h, cfg, x0, rng=rng)
+    faults maps a cell's (degree, noise bound) to (query, kind): from that
+    query on, "blow-up" answers a finite value far above any blow-up
+    ceiling, and "nan" a NaN gradient, which trips OracleEval's finiteness
+    check.  The cells of a sweep each build their own oracle, so every
+    oracle counts its own queries.
+    """
 
-    monkeypatch.setattr(harness, "prox_gradient", exploding)
-    out = tmp_path / "out"
-    results = harness.run_experiment(harness.parse_config(make_config(out)))
+    faults = {}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queries = 0
+
+    def answer(self, value, exact, rng=None):
+        value, candidates = super().answer(value, exact, rng)
+        self.queries += 1
+        query, kind = self.faults.get((self.certificate.degree, self.noise_bound), (0, None))
+        if kind is None or self.queries < query:
+            return value, candidates
+        if kind == "blow-up":
+            return 1e300, candidates
+        return value, tuple(grad * np.nan for grad in candidates)
+
+
+def _faulty(faults):
+    """An oracle class for harness.NoisyGradientOracle with the given faults."""
+    return type("_Faulty", (_FaultyOracle,), {"faults": faults})
+
+
+def _check_diverged_cells_are_isolated(honest_out, out, results, diverged):
     statuses = {(c.degree, c.noise_bound, c.repeat): c.status for c in results}
-    assert statuses[(1.0, 0.5, 0)] == "diverged"
-    assert statuses[(1.0, 0.5, 1)] == "diverged"
-    assert sum(s == "ok" for s in statuses.values()) == 6
+    assert {cell for cell, status in statuses.items() if status == "diverged"} == diverged
+    assert sum(s == "ok" for s in statuses.values()) == len(results) - len(diverged)
     for cell in results:
         exists = (out / cell.trace_filename).exists()
         assert exists == (cell.status == "ok")
         if cell.status == "ok":  # siblings are untouched by the failure
             want = (honest_out / cell.trace_filename).read_bytes()
             assert (out / cell.trace_filename).read_bytes() == want
+
+
+def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
+    _, honest, honest_out = grid_run
+    # the (degree 1, noise 0.5) cells blow up at their second answer
+    monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty({(1.0, 0.5): (2, "blow-up")}))
+    out = tmp_path / "out"
+    results = harness.run_experiment(harness.parse_config(make_config(out)))
+    _check_diverged_cells_are_isolated(honest_out, out, results,
+                                       {(1.0, 0.5, 0), (1.0, 0.5, 1)})
     lines = (out / "summary.csv").read_text().splitlines()
     diverged = [l for l in lines[1:] if ",diverged," in l]
     assert len(diverged) == 2
@@ -290,25 +321,10 @@ def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
     assert (f"{1.0:.17g}", f"{0.5:.17g}") in bound_cells
 
 
-class _PoisonedOracle(NoisyGradientOracle):
-    """Noisy oracle that answers with a NaN gradient at its third query in
-    the (degree 1, noise 0.5) cells."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.queries = 0
-
-    def evaluate(self, x, rng=None):
-        ev = super().evaluate(x, rng=rng)
-        self.queries += 1
-        if (self.certificate.degree, self.noise_bound, self.queries) != (1.0, 0.5, 3):
-            return ev
-        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient * np.nan)
-
-
 def test_non_finite_oracle_answer_isolates_its_cell(grid_run, tmp_path, monkeypatch):
     _, _, honest_out = grid_run
-    monkeypatch.setattr(harness, "NoisyGradientOracle", _PoisonedOracle)
+    # a NaN gradient at the third query of the (degree 1, noise 0.5) cells
+    monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty({(1.0, 0.5): (3, "nan")}))
     out = tmp_path / "out"
     results = harness.run_experiment(harness.parse_config(make_config(out)))
     statuses = {(c.degree, c.noise_bound, c.repeat): c.status for c in results}
@@ -325,11 +341,72 @@ def test_non_finite_oracle_answer_isolates_its_cell(grid_run, tmp_path, monkeypa
     assert (tmp_path / "cli" / "summary.csv").exists()
 
 
+def test_cells_diverging_at_different_steps_leave_siblings_alone(grid_run, tmp_path,
+                                                                 monkeypatch):
+    _, _, honest_out = grid_run
+    # two cell groups fail at different steps, so the batch shrinks twice
+    # while its other cells keep going: the degree-0 noisy cells blow up at
+    # step 3 and the degree-1 ones answer NaN at step 40
+    faults = {(0.0, 0.5): (4, "blow-up"), (1.0, 0.5): (41, "nan")}
+    monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty(faults))
+    out = tmp_path / "out"
+    results = harness.run_experiment(harness.parse_config(make_config(out)))
+    _check_diverged_cells_are_isolated(
+        honest_out, out, results,
+        {(0.0, 0.5, 0), (0.0, 0.5, 1), (1.0, 0.5, 0), (1.0, 0.5, 1)})
+
+
+@pytest.fixture(scope="module")
+def tight_grid():
+    """The test grid on a ball of radius 0.1, where about one step in ten
+    leaves the ball, so the batched projection is exercised; its plain and
+    worst-case (m = 3) cells as full-grid batches."""
+    data = make_config("unused", worst_case_directions=3)
+    data["problem"]["radius"] = 0.1
+    config = harness.parse_config(data)
+    problem = harness._instance(config)
+    grid = harness._grid(config)
+    full = {m: harness.run_cells(problem, config, grid, directions=m) for m in (1, 3)}
+    return problem, config, grid, full
+
+
+def _assert_same_cell(got, want):
+    assert (got.degree, got.noise_bound, got.repeat, got.seed_label, got.status) == \
+        (want.degree, want.noise_bound, want.repeat, want.seed_label, want.status)
+    assert got.f0 == want.f0
+    assert np.array_equal(got.bound, want.bound)
+    for name in ("objective", "alpha", "delta", "gm_sq", "min_gm_sq", "cum_alpha_gm_sq"):
+        assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes(), name
+
+
+@settings(database=None, deadline=None, max_examples=20)
+@given(directions=st.sampled_from([1, 3]), cuts=st.sets(st.integers(1, 7)))
+def test_any_chunking_of_a_grid_gives_the_full_batch_bytes(tight_grid, directions, cuts):
+    problem, config, grid, full = tight_grid
+    bounds = [0, *sorted(cuts), len(grid)]
+    chunked = [cell for a, b in zip(bounds[:-1], bounds[1:])
+               for cell in harness.run_cells(problem, config, grid[a:b], directions)]
+    assert len(chunked) == len(full[directions])
+    for got, want in zip(chunked, full[directions]):
+        _assert_same_cell(got, want)
+
+
+@pytest.mark.parametrize("directions", [1, 3])
+def test_every_cell_alone_gives_the_full_batch_bytes(tight_grid, directions):
+    problem, config, grid, full = tight_grid
+    assert all(cell.status == "ok" for cell in full[directions])
+    for cell, want in zip(grid, full[directions]):
+        alone, = harness.run_cells(problem, config, [cell], directions)
+        _assert_same_cell(alone, want)
+    # the batch shares one wall clock
+    assert len({cell.wall_time for cell in full[directions]}) == 1
+
+
 def test_worst_case_single_direction_is_bitwise(small_problem, grid_run, tmp_path):
     config = harness.parse_config(make_config(tmp_path / "out", worst_case_directions=1))
-    plain = harness.run_cell(small_problem, config, 1.0, 0.5, 0)
-    worst = harness.run_cell(small_problem, config, 1.0, 0.5, 0,
-                             directions=config.worst_case_directions)
+    plain, = harness.run_cells(small_problem, config, [(1.0, 0.5, 0)])
+    worst, = harness.run_cells(small_problem, config, [(1.0, 0.5, 0)],
+                               directions=config.worst_case_directions)
     assert worst.status == "ok"
     assert np.array_equal(plain.trace.objective, worst.trace.objective)
     assert np.array_equal(plain.trace.gm_sq, worst.trace.gm_sq)
@@ -351,9 +428,9 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
     with pytest.raises(ConfigError, match="worst_case_directions"):
         harness.run_worst_case(plain_cfg)
     cfg3 = harness.parse_config(make_config(tmp_path / "b", worst_case_directions=3))
-    plain = harness.run_cell(small_problem, plain_cfg, 1.0, 0.5, 0)
-    worst = harness.run_cell(small_problem, cfg3, 1.0, 0.5, 0,
-                             directions=cfg3.worst_case_directions)
+    plain, = harness.run_cells(small_problem, plain_cfg, [(1.0, 0.5, 0)])
+    worst, = harness.run_cells(small_problem, cfg3, [(1.0, 0.5, 0)],
+                               directions=cfg3.worst_case_directions)
     # on the first step both see the same iterate, so three tries can only
     # move farther than the single plain draw
     assert worst.trace.gm_sq[0] > plain.trace.gm_sq[0]
@@ -475,10 +552,9 @@ def test_cli_certify_exit_codes(tmp_path, capsys):
 
 
 def test_cli_divergence_exit_code(tmp_path, monkeypatch):
-    def exploding(value, oracle, h, cfg, x0, rng=None):
-        raise DivergenceError("synthetic blow-up")
-
-    monkeypatch.setattr(harness, "prox_gradient", exploding)
+    # every cell blows up at its second answer
+    faults = {(q, d): (2, "blow-up") for q in (0.0, 1.0) for d in (0.0, 0.5)}
+    monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty(faults))
     path = write_config(tmp_path / "config.json", make_config(tmp_path / "out"))
     assert cli.main(["run", str(path)]) == 3
 

@@ -30,6 +30,7 @@ from proxiq import (
     spectral_norm,
 )
 from proxiq.harness import ball_pair_sampler
+from proxiq.oracle import evaluate_rows
 
 
 # ---------------------------------------------------------------- majorize
@@ -50,6 +51,22 @@ def test_majorize_amgm_dominates_error_term():
         quad, add = majorize_amgm(delta, q, rho)
         slack = quad * r ** 2 + add - delta * r ** q
         assert slack.min() >= -1e-12 * max(1.0, add)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(delta=st.floats(1e-6, 1e3), degree=st.one_of(st.just(0.0), st.floats(0.0, 1.9)),
+       rho=st.floats(1e-3, 1e3), r=st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+def test_majorize_amgm_property(delta, degree, rho, r):
+    # delta*r**q <= (q*rho/2)*r**2 + c for every r >= 0, with equality at
+    # the balance radius r* = (delta/rho)**(1/(2-q))
+    quad, add = majorize_amgm(delta, degree, rho)
+    assert quad == 0.5 * degree * rho
+    error = delta * r ** degree
+    majorant = quad * r * r + add
+    assert error <= majorant * (1.0 + 1e-12)
+    r_star = (delta / rho) ** (1.0 / (2.0 - degree))
+    at_star = quad * r_star * r_star + add
+    assert abs(at_star - delta * r_star ** degree) <= 1e-12 * at_star
 
 
 def test_majorize_amgm_tight_at_balance_radius():
@@ -246,6 +263,40 @@ def test_eval_checks_every_candidate():
         OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2),
                    alternatives=(np.zeros(3),))
     assert not isinstance(info.value, NonFiniteAnswer)
+
+
+def test_stacked_eval_reports_its_non_finite_rows():
+    points = np.zeros((4, 2))
+    values = np.array([0.0, math.nan, 1.0, 2.0])
+    grads = np.array([[0.0, 1.0], [0.0, 0.0], [math.inf, 0.0], [1.0, 1.0]])
+    alternative = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -math.nan]])
+    ev = OracleEval(point=points, value=values, gradient=grads, alternatives=(alternative,))
+    assert ev.finite.tolist() == [True, False, False, False]
+    assert OracleEval(point=points, value=np.zeros(4), gradient=np.zeros((4, 2))).finite.all()
+    with pytest.raises(ValueError):
+        OracleEval(point=points, value=np.zeros(4), gradient=np.zeros((4, 3)))
+
+
+def test_evaluate_rows_matches_evaluate_per_row():
+    # one stacked evaluation, then each oracle draws from its own generator
+    # exactly what it draws alone, in the same order
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    oracles = [NoisyGradientOracle(prob, d, directions=3) for d in (0.0, 0.2, 1.5)]
+    points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    ev = evaluate_rows(oracles, points, rngs)
+    assert ev.finite.all() and len(ev.alternatives) == 2
+    for i, (oracle, rng) in enumerate(zip(oracles, rngs)):
+        ref_rng = np.random.default_rng(i)
+        alone = oracle.evaluate(points[i], rng=ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert ev.value[i] == alone.value
+        assert ev.gradient[i].tobytes() == alone.gradient.tobytes()
+        for stacked, single in zip(ev.alternatives, alone.alternatives):
+            assert stacked[i].tobytes() == single.tobytes()
+    exact = evaluate_rows([ExactOracle(prob)] * 3, points, [None] * 3)
+    assert np.array_equal(exact.gradient, prob.value_and_gradient(points)[1])
+    assert exact.alternatives == ()
 
 
 # --------------------------------------------------------------- families

@@ -264,3 +264,34 @@ def test_holder_constant_bounds_every_gradient_ratio(nu, coords):
     p = HolderPowerProblem(centers=np.zeros(n), exponent=nu, holder_constant=constant)
     lhs = np.linalg.norm(p.gradient(x) - p.gradient(y))
     assert lhs <= constant * dist ** nu * (1.0 + 1e-9)
+
+
+def _assert_stack_is_per_row(p, points):
+    values, grads = p.value_and_gradient(points)
+    assert values.shape == (len(points),) and grads.shape == points.shape
+    assert np.array_equal(p.value(points), values)
+    for x, value, grad in zip(points, values, grads):
+        want_value, want_grad = p.value_and_gradient(x)
+        assert isinstance(want_value, float)
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@settings(database=None, deadline=None, max_examples=50)
+@given(family=st.sampled_from(["logsum", "quadratic", "holder"]), n=st.integers(1, 8),
+       height=st.integers(1, 20), seed=st.integers(0, 2 ** 16))
+def test_stacked_evaluation_is_bitwise_per_row(family, n, height, seed):
+    # a batch evaluates C points at once; each row must get bitwise the
+    # answer of its point alone, whatever C, or batching would move bytes
+    p = {"logsum": lambda: generate_logsum_instance(n, 2 * n + 1, 2.0, seed=seed),
+         "quadratic": lambda: generate_quadratic_instance(n, conditioning=5.0, seed=seed),
+         "holder": lambda: generate_holder_instance(n, 0.5, seed=seed)}[family]()
+    points = np.random.default_rng(seed).uniform(-3.0, 3.0, (height, n))
+    _assert_stack_is_per_row(p, points)
+
+
+def test_stacked_evaluation_is_bitwise_on_the_canonical_instance():
+    p = generate_logsum_instance(64, 128, 4.0, seed=0)
+    rng = np.random.default_rng(3)
+    for height in (1, 2, 7, 16, 45):
+        _assert_stack_is_per_row(p, rng.uniform(-0.1, 0.1, (height, 64)))

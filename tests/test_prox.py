@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxiq import ProxFunction, project_l1_ball, prox_apply, soft_threshold
+from proxiq.prox import project_l1_rows, prox_rows
 
 
 def bisect_l1_projection(x, radius, iters=200):
@@ -75,16 +76,16 @@ def test_projection_beats_sampled_feasible_points():
 # l1 norm of the input over the radius: inside, within 1e-9 of the boundary
 # on either side, and far outside
 _NORM_RATIO = st.one_of(st.floats(0.0, 0.999), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
-                        st.floats(1.0, 1e6))
+                        st.floats(1.0, 1e8))
 
 
-@settings(database=None, deadline=None, max_examples=300)
+@settings(database=None, deadline=None, max_examples=500)
 @given(direction=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
        radius=st.floats(1e-2, 1e2), ratio=_NORM_RATIO)
 def test_projection_lands_in_the_ball_and_is_idempotent(direction, radius, ratio):
     # the solvers take h at 0 on every prox output without checking it, which
-    # holds only if contains passes on every projection; inputs above 1e6 times
-    # the radius are out of scope (see the l1-ball FOUND note in CHANGES.md)
+    # holds only if every projection lands in the ball; far outside, the
+    # threshold cancels and needs its correction
     direction = np.array(direction)
     norm = float(np.abs(direction).sum())
     assume(norm > 1e-6)
@@ -92,13 +93,51 @@ def test_projection_lands_in_the_ball_and_is_idempotent(direction, radius, ratio
     ball = ProxFunction.l1_ball(radius)
     proj = project_l1_ball(x, radius)
     assert ball.contains(proj)
-    if float(np.abs(x).sum()) <= radius:
+    if ball.contains(x):  # inside, or outside by less than the slack
         assert np.array_equal(proj, x)
-    # the first output can land a rounding error outside the ball; a second
-    # projection removes at most that overshoot, which contains bounds
-    again = project_l1_ball(proj, radius)
-    assert ball.contains(again)
-    assert float(np.abs(again - proj).sum()) <= radius * 1e-9 + 1e-9
+    assert np.array_equal(project_l1_ball(proj, radius), proj)
+
+
+def test_projection_far_outside_stays_feasible():
+    # found by the property above: at 3.2e7 times the radius the uncorrected
+    # threshold left the output 6.5e-8 outside a ball of radius 33.3
+    rng = np.random.default_rng(5)
+    for scale in (1e6, 3e7, 1e8):
+        for _ in range(200):
+            radius = float(rng.uniform(0.01, 100.0))
+            x = rng.standard_normal(int(rng.integers(1, 65)))
+            x *= scale * radius / np.abs(x).sum()
+            proj = project_l1_ball(x, radius)
+            assert ProxFunction.l1_ball(radius).contains(proj)
+            assert np.array_equal(project_l1_ball(proj, radius), proj)
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(rows=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+                     min_size=1, max_size=12),
+       radius=st.floats(1e-2, 1e2), ratios=st.lists(_NORM_RATIO, min_size=12, max_size=12))
+def test_row_projection_equals_projection_of_each_row(rows, radius, ratios):
+    points = np.array(rows)
+    norms = np.abs(points).sum(axis=1)
+    assume(np.all(norms > 1e-6))
+    points *= (np.array(ratios[:len(rows)]) * radius / norms)[:, None]
+    stacked = project_l1_rows(points, radius)
+    for point, got in zip(points, stacked):
+        assert got.tobytes() == project_l1_ball(point, radius).tobytes()
+    steps = np.linspace(0.1, 2.0, len(rows))
+    for h in (ProxFunction.zero(), ProxFunction.l1_norm(0.3), ProxFunction.l1_ball(radius)):
+        got = prox_rows(h, steps, points)
+        for step, point, row in zip(steps, points, got):
+            assert row.tobytes() == prox_apply(h, float(step), point).tobytes()
+
+
+def test_row_projection_moves_only_the_rows_outside():
+    points = np.array([[3.0, 1.0], [0.5, -0.5], [-2.0, 1.0], [1.0, 1.0]])
+    out = project_l1_rows(points, 2.0)
+    assert out is not points
+    assert np.array_equal(out, [[2.0, 0.0], [0.5, -0.5], [-1.5, 0.5], [1.0, 1.0]])
+    with pytest.raises(ValueError):
+        project_l1_rows(points, 0.0)
 
 
 def test_prox_function_kinds_and_values():

@@ -13,8 +13,8 @@ from proxiq import (
     ExactOracle,
     NoisyGradientOracle,
     OracleCertificate,
-    OracleEval,
     ProxFunction,
+    RunTrace,
     ScheduleConfig,
     adaptive_prox_gradient,
     bound_nonconvex_const,
@@ -35,7 +35,7 @@ class _WrongConstant(ExactOracle):
                                              degree=1.0)
 
 
-class _Poisoned:
+class _Poisoned(ExactOracle):
     """Exact oracle whose answers turn non-finite from a given query on.
 
     The answer itself trips OracleEval's finiteness check, as a real oracle
@@ -43,20 +43,18 @@ class _Poisoned:
     """
 
     def __init__(self, problem, first_bad, field):
-        self.inner = ExactOracle(problem)
-        self.certificate = self.inner.certificate
+        super().__init__(problem)
         self.first_bad = first_bad
         self.field = field
         self.queries = 0
 
-    def evaluate(self, x, rng=None):
-        ev = self.inner.evaluate(x)
+    def answer(self, value, exact, rng=None):
         self.queries += 1
         if self.queries <= self.first_bad:
-            return ev
-        value = math.inf if self.field == "value" else ev.value
-        gradient = ev.gradient * math.nan if self.field == "gradient" else ev.gradient
-        return OracleEval(point=ev.point, value=value, gradient=gradient)
+            return value, (exact,)
+        if self.field == "value":
+            return math.inf, (exact,)
+        return value, (exact * math.nan,)
 
 
 # --------------------------------------------------------------- schedules
@@ -117,8 +115,9 @@ def test_prox_gradient_single_step_solves_separable():
     class _OneDim:
         lipschitz = 1.0
 
-        def value(self, x):
-            return 0.5 * float(x @ x)
+        def value(self, x):  # one point or a stack of them, as prox_gradient passes
+            x = np.asarray(x, dtype=float)
+            return 0.5 * (x * x).sum(axis=-1)
 
         def value_and_gradient(self, x):
             return self.value(x), np.asarray(x, dtype=float)
@@ -185,18 +184,15 @@ def test_prox_gradient_guards():
                       cfg, np.ones(4))
 
 
-class _Scaled:
+class _Scaled(ExactOracle):
     """Exact oracle that also offers the gradient scaled by each factor."""
 
     def __init__(self, problem, factors):
-        self.inner = ExactOracle(problem)
-        self.certificate = self.inner.certificate
+        super().__init__(problem)
         self.factors = factors
 
-    def evaluate(self, x, rng=None):
-        ev = self.inner.evaluate(x)
-        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
-                          alternatives=tuple(f * ev.gradient for f in self.factors))
+    def answer(self, value, exact, rng=None):
+        return value, (exact, *(f * exact for f in self.factors))
 
 
 def test_prox_gradient_follows_the_farthest_candidate():
@@ -228,11 +224,12 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
     with pytest.raises(DivergenceError, match="step 1"):
         prox_gradient(prob.value, _Poisoned(prob, 1, "value"), ProxFunction.zero(),
                       cfg, np.ones(4))
-    # the final iterate's F comes from objective, not from the oracle
+    # the final iterate's F comes from objective, not from the oracle;
+    # prox_gradient hands it the stack of final iterates, one row per run
     once = ScheduleConfig(max_iters=1, rho=0.0)
     with pytest.raises(DivergenceError, match="step 1"):
-        prox_gradient(lambda x: math.inf, ExactOracle(prob), ProxFunction.zero(),
-                      once, np.ones(4))
+        prox_gradient(lambda x: np.full(len(x), math.inf), ExactOracle(prob),
+                      ProxFunction.zero(), once, np.ones(4))
     for solver in (fast_prox_gradient, lambda *a: adaptive_prox_gradient(*a, 1.0)):
         with pytest.raises(DivergenceError, match="step 2"):
             solver(prob.value, _Poisoned(prob, 2, "gradient"), ProxFunction.zero(),
@@ -249,6 +246,86 @@ def test_prox_gradient_deterministic_given_seed():
                                   cfg, np.zeros(8), rng=np.random.default_rng(77)))
     assert np.array_equal(runs[0].iterates, runs[1].iterates)
     assert np.array_equal(runs[0].objective, runs[1].objective)
+
+
+# ------------------------------------------------------------------ batch
+
+
+def _batch_setup():
+    prob = generate_logsum_instance(8, 12, 0.2, seed=4)
+    oracles = [NoisyGradientOracle(prob, d, degree=q, diameter=0.4)
+               for q in (0.0, 0.5, 1.0) for d in (0.0, 0.3)]
+    configs = [ScheduleConfig(max_iters=40, rho=0.0 if o.noise_bound == 0.0 else prob.lipschitz,
+                              step_scale=0.5) for o in oracles]
+    return prob, oracles, configs
+
+
+def _assert_same_run(got, want):
+    for name in ("objective", "alpha", "delta", "gm_sq", "min_gm_sq", "cum_alpha_gm_sq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_prox_gradient_batch_matches_runs_alone():
+    prob, oracles, configs = _batch_setup()
+    h = ProxFunction.l1_ball(0.2)
+    x0 = np.zeros(8)
+    runs = prox_gradient(prob.value, oracles, h, configs, x0,
+                         [np.random.default_rng(i) for i in range(len(oracles))])
+    for i, (run, oracle, cfg) in enumerate(zip(runs, oracles, configs)):
+        assert run.iterates is None
+        alone = prox_gradient(prob.value, oracle, h, cfg, x0, rng=np.random.default_rng(i))
+        assert alone.iterates.shape == (41, 8)
+        _assert_same_run(run, alone)
+    # one config for all runs, from a start off the origin
+    shared = ScheduleConfig(max_iters=40, rho=prob.lipschitz)
+    x0 = np.linspace(-0.02, 0.02, 8)
+    runs = prox_gradient(prob.value, oracles, h, [shared] * len(oracles), x0,
+                         [np.random.default_rng(i) for i in range(len(oracles))])
+    for i, (run, oracle) in enumerate(zip(runs, oracles)):
+        alone = prox_gradient(prob.value, oracle, h, shared, x0, rng=np.random.default_rng(i))
+        _assert_same_run(run, alone)
+
+
+def test_prox_gradient_batch_isolates_failures():
+    prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
+    cfg = ScheduleConfig(max_iters=10, rho=0.0)
+    h = ProxFunction.zero()
+    oracles = [ExactOracle(prob), _Poisoned(prob, 3, "gradient"), ExactOracle(prob, degree=0.5),
+               _Poisoned(prob, 6, "value")]
+    runs = prox_gradient(prob.value, oracles, h, [cfg] * 4, np.ones(4), [None] * 4)
+    assert isinstance(runs[1], DivergenceError) and "step 3" in str(runs[1])
+    assert isinstance(runs[3], DivergenceError) and "step 6" in str(runs[3])
+    for i in (0, 2):
+        _assert_same_run(runs[i], prox_gradient(prob.value, oracles[i], h, cfg, np.ones(4)))
+    # a blow-up ends a run as well; its siblings finish
+    runs = prox_gradient(lambda x: np.array([math.inf, 0.0]), [ExactOracle(prob)] * 2, h,
+                         [ScheduleConfig(max_iters=1, rho=0.0)] * 2, np.ones(4), [None] * 2)
+    assert isinstance(runs[0], DivergenceError) and "blew up at step 1" in str(runs[0])
+    assert isinstance(runs[1], RunTrace) and runs[1].objective[-1] == 0.0
+
+
+def test_prox_gradient_batch_validation():
+    prob, oracles, configs = _batch_setup()
+    h = ProxFunction.l1_ball(0.2)
+    x0 = np.zeros(8)
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="share max_iters"):
+        prox_gradient(prob.value, oracles[:2], h,
+                      [configs[0], replace(configs[1], max_iters=5)], x0, rngs)
+    other = generate_logsum_instance(8, 12, 0.2, seed=5)
+    with pytest.raises(ValueError, match="one problem"):
+        prox_gradient(prob.value, [oracles[0], ExactOracle(other)], h, configs[:2], x0, rngs)
+    with pytest.raises(ValueError, match="one oracle, config and generator"):
+        prox_gradient(prob.value, oracles[:2], h, configs[:1], x0, rngs)
+    with pytest.raises(ValueError, match="one oracle, config and generator"):
+        prox_gradient(prob.value, [], h, [], x0, [])
+    with pytest.raises(ValueError, match="must be a vector"):
+        prox_gradient(prob.value, oracles[:2], h, configs[:2], np.zeros((2, 8)), rngs)
+    with pytest.raises(ValueError, match="outside dom h"):
+        prox_gradient(prob.value, oracles[:2], h, configs[:2], np.ones(8), rngs)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        prox_gradient(prob.value, [oracles[0], oracles[3]], h,
+                      [replace(configs[0], rho=0.0)] * 2, x0, rngs)
 
 
 # ------------------------------------------------------------------ theta
