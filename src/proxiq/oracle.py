@@ -29,9 +29,10 @@ answer.
 
 The exact, noisy-gradient and Holder families are model oracles: they
 answer from the exact value and gradient of their problem.  evaluate_rows
-answers a stack of points for a batch of model oracles over one problem,
-one oracle and one generator per row, with a single stacked evaluation of
-the problem; this is what the batched solver calls every step.
+answers a stack of points for a batch of oracles, one oracle and one
+generator per row; for model oracles over one problem it makes a single
+stacked evaluation of the problem.  This is what the batched solver calls
+every step.
 """
 
 from __future__ import annotations
@@ -280,23 +281,53 @@ class ModelOracle:
                           alternatives=tuple(candidates[1:]))
 
 
-def evaluate_rows(oracles, points, rngs):
-    """Answers of a batch of model oracles, row i of points for oracles[i].
+def _stacks(oracles):
+    """Whether a batch can share one stacked exact evaluation: two or more
+    model oracles over one problem that answer through ModelOracle.evaluate."""
+    return len(oracles) > 1 and all(
+        isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
+        and o.problem is oracles[0].problem for o in oracles)
 
-    The oracles share one problem, whose value_and_gradient runs once on
-    the whole stack (C, n) and gives each row bitwise the answer it gives
-    that row alone.  Then each oracle builds its row's answer with its own
-    generator rngs[i], drawing exactly what evaluate would, so every random
-    stream is the one of a run alone.  Returns the stacked OracleEval; its
-    finite mask reports the rows whose answer is not finite.
+
+def _row_answer(oracle, x, rng):
+    """oracle.evaluate at one point as (value, candidates); a non-finite
+    answer becomes NaNs, which the stacked OracleEval marks as not finite."""
+    try:
+        ev = oracle.evaluate(x, rng=rng)
+    except NonFiniteAnswer:
+        return math.nan, (np.full(x.shape, math.nan),)
+    return ev.value, (ev.gradient, *ev.alternatives)
+
+
+def evaluate_rows(oracles, points, rngs):
+    """Answers of a batch of oracles, row i of points for oracles[i] with
+    the generator rngs[i].
+
+    A batch of model oracles over one problem makes one stacked exact
+    evaluation: the problem's value_and_gradient runs once on the whole
+    stack (C, n), giving each row bitwise the answer it gives that row
+    alone, then each oracle's answer hook draws exactly what evaluate
+    would.  Any other batch, and a batch of one, calls each oracle's
+    evaluate on its row.  Either way every random stream is the one of a
+    run alone.  Returns the stacked OracleEval, its finite mask marking the
+    rows whose answer is not finite; a row with fewer candidates than the
+    others is padded with its own gradient, which never moves farther.
     """
-    values, exact = oracles[0].problem.value_and_gradient(points)
-    answers = [oracle.answer(value, grad, rng)
-               for oracle, value, grad, rng in zip(oracles, values, exact, rngs)]
-    candidates = np.array([cands for _, cands in answers])  # (C, m, n)
-    return OracleEval(point=points, value=np.array([value for value, _ in answers]),
+    if _stacks(oracles):
+        values, exact = oracles[0].problem.value_and_gradient(points)
+        answers = [oracle.answer(value, grad, rng)
+                   for oracle, value, grad, rng in zip(oracles, values, exact, rngs)]
+    else:
+        answers = [_row_answer(oracle, row, rng)
+                   for oracle, row, rng in zip(oracles, points, rngs)]
+    values, candidates = zip(*answers)
+    width = max(map(len, candidates))
+    if min(map(len, candidates)) < width:
+        candidates = [(*cands, *[cands[0]] * (width - len(cands))) for cands in candidates]
+    candidates = np.array(candidates)  # (C, m, n)
+    return OracleEval(point=points, value=np.array(values, dtype=float),
                       gradient=candidates[:, 0],
-                      alternatives=tuple(candidates[:, j] for j in range(1, candidates.shape[1])))
+                      alternatives=tuple(candidates[:, j] for j in range(1, width)))
 
 
 class ExactOracle(ModelOracle):

@@ -37,8 +37,9 @@ def _matvec(matrix, x):
     return np.matmul(matrix, x[..., None])[..., 0]
 
 
-def _sq_norm(x):
-    """x @ x for one point or for each row of a stack, one BLAS dot per row."""
+def sq_norm(x):
+    """x @ x for one point or for each row of a stack, one BLAS dot per row,
+    so each row's value is bitwise that of the row alone."""
     return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
@@ -151,11 +152,11 @@ class QuadraticProblem:
 
     def value(self, x):
         r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
-        return 0.5 * _per_point(_sq_norm(r))
+        return 0.5 * _per_point(sq_norm(r))
 
     def value_and_gradient(self, x):
         r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
-        return 0.5 * _per_point(_sq_norm(r)), _matvec(self.operator.T, r)
+        return 0.5 * _per_point(sq_norm(r)), _matvec(self.operator.T, r)
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]

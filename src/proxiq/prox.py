@@ -28,14 +28,14 @@ def project_l1_ball(x, radius):
     return project_l1_rows(np.asarray(x, dtype=float)[None], radius)[0]
 
 
-# relative and absolute slack of l1-ball membership, so that fresh
-# projections, whose l1 norm can exceed the radius by rounding, count as inside
+# relative slack of l1-ball membership, so that fresh projections, whose l1
+# norm can exceed the radius by rounding, count as inside
 _SLACK = 1e-9
 
 
 def _slack_radius(radius):
     """The largest l1 norm that counts as inside the ball of this radius."""
-    return radius * (1.0 + _SLACK) + _SLACK
+    return radius * (1.0 + _SLACK)
 
 
 def project_l1_rows(points, radius):

@@ -30,6 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from .oracle import NonFiniteAnswer, evaluate_rows
+from .problems import sq_norm
 from .prox import prox_apply, prox_rows
 from .rates import rho_opt_horizon, write_csv
 
@@ -205,17 +206,17 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     oracle answer is not finite or the composite value blows up or turns
     non-finite, which in practice means a certificate lied.
 
-    A batch of runs advances in lockstep from x0: pass lists of C model
-    oracles over one problem, of C ScheduleConfigs sharing max_iters and
-    of C generators (None for an oracle that draws nothing) as oracle,
-    config and rng.  Each step answers all runs with one stacked evaluation
-    (oracle.evaluate_rows), so the problem's value_and_gradient, like
-    objective on the final iterates, takes a stack (C, n) and returns one
-    value per row, as the logsum, quadratic and power families do.  Every
-    run is bitwise the run alone, whatever the batch.  Returns one entry per run: its RunTrace
-    without iterates, or the DivergenceError that ended it; a run that
-    fails leaves the batch and the others go on unchanged.  A single
-    oracle is a batch of one whose trace keeps its iterates.
+    A batch of runs advances in lockstep from x0: pass lists of C oracles,
+    of C ScheduleConfigs sharing max_iters and of C generators (None for
+    an oracle that draws nothing) as oracle, config and rng.  Each step
+    answers all runs through oracle.evaluate_rows; for model oracles over
+    one problem that is one stacked evaluation, so that problem's
+    value_and_gradient then takes a stack (C, n) and returns one value per
+    row, as the logsum, quadratic and power families do.  Every run is
+    bitwise the run alone, whatever the batch.  Returns one entry per run:
+    its RunTrace without iterates, or the DivergenceError that ended it; a
+    run that fails leaves the batch and the others go on unchanged.  A
+    single oracle is a batch of one whose trace keeps its iterates.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
@@ -230,11 +231,9 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
 
 
 def _prox_move(h, alpha, x, grad):
-    """Prox steps of the rows of x along grad, and each row's squared move
-    (one BLAS dot per row, bitwise the dot of that row alone)."""
+    """Prox steps of the rows of x along grad, and each row's squared move."""
     nxt = prox_rows(h, alpha, x - alpha[:, None] * grad)
-    diff = nxt - x
-    return nxt, np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    return nxt, sq_norm(nxt - x)
 
 
 def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
@@ -245,8 +244,6 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
     iters = configs[0].max_iters
     if any(cfg.max_iters != iters for cfg in configs):
         raise ValueError("the runs of a batch share max_iters")
-    if any(o.problem is not oracles[0].problem for o in oracles):
-        raise ValueError("the oracles of a batch share one problem")
     if not h.contains(x0):
         raise ValueError("x0 lies outside dom h")
     x = np.tile(x0, (runs, 1))
@@ -271,7 +268,7 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
             broken = ~ev.finite
             candidates = [ev.gradient, *ev.alternatives]
         else:
-            f = objective(x) + h.value_on_domain(x)
+            f = np.array([float(objective(row)) for row in x]) + h.value_on_domain(x)
             broken = np.zeros(len(live), dtype=bool)
             candidates = []
         if k == 0:

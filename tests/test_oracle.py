@@ -299,6 +299,42 @@ def test_evaluate_rows_matches_evaluate_per_row():
     assert exact.alternatives == ()
 
 
+class _Halved(ExactOracle):
+    """Exact oracle whose own evaluate halves the gradient, NaN from its second query."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.queries = 0
+
+    def evaluate(self, x, rng=None):
+        ev = super().evaluate(x, rng=rng)
+        self.queries += 1
+        return OracleEval(point=ev.point, value=ev.value,
+                          gradient=ev.gradient * (0.5 if self.queries == 1 else math.nan))
+
+
+def test_evaluate_rows_runs_each_oracles_own_evaluate():
+    # a model oracle that overrides evaluate is asked through it, not through
+    # the stacked path; rows with fewer candidates repeat their gradient, and
+    # a NonFiniteAnswer marks just its row
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
+    oracles = [ExactOracle(prob), _Halved(prob), NoisyGradientOracle(prob, 0.2, directions=3)]
+    ev = evaluate_rows(oracles, points, [None, None, np.random.default_rng(1)])
+    assert ev.finite.all() and len(ev.alternatives) == 2
+    exact = prob.value_and_gradient(points)[1]
+    assert ev.gradient[0].tobytes() == exact[0].tobytes()
+    assert ev.gradient[1].tobytes() == (0.5 * exact[1]).tobytes()
+    for alt in ev.alternatives:
+        assert alt[0].tobytes() == ev.gradient[0].tobytes()
+        assert alt[1].tobytes() == ev.gradient[1].tobytes()
+    alone = oracles[2].evaluate(points[2], rng=np.random.default_rng(1))
+    assert ev.gradient[2].tobytes() == alone.gradient.tobytes()
+    assert ev.alternatives[1][2].tobytes() == alone.alternatives[1].tobytes()
+    again = evaluate_rows(oracles, points, [None, None, np.random.default_rng(1)])
+    assert again.finite.tolist() == [True, False, True]
+
+
 # --------------------------------------------------------------- families
 
 

@@ -112,6 +112,16 @@ def test_projection_far_outside_stays_feasible():
             assert np.array_equal(project_l1_ball(proj, radius), proj)
 
 
+def test_projection_onto_a_tiny_ball():
+    # the membership slack is relative, so a ball of radius 1e-10 still
+    # projects a point at ten times its radius
+    for radius in (1e-10, 1e-14):
+        proj = project_l1_ball([10.0 * radius, 0.0], radius)
+        assert np.abs(proj).sum() <= radius * (1.0 + 1e-9)
+        assert proj[0] == pytest.approx(radius, rel=1e-12) and proj[1] == 0.0
+        assert not ProxFunction.l1_ball(radius).contains([10.0 * radius, 0.0])
+
+
 @settings(database=None, deadline=None, max_examples=200)
 @given(rows=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
                      min_size=1, max_size=12),

@@ -11,16 +11,22 @@ from proxiq import (
     AdaptiveState,
     DivergenceError,
     ExactOracle,
+    MinibatchOracle,
     NoisyGradientOracle,
     OracleCertificate,
+    OracleEval,
     ProxFunction,
     RunTrace,
+    SaddleOracle,
+    SaddleProblem,
     ScheduleConfig,
+    ShiftedPointOracle,
     adaptive_prox_gradient,
     bound_nonconvex_const,
     fast_prox_gradient,
     generate_logsum_instance,
     generate_quadratic_instance,
+    prox_apply,
     prox_gradient,
     theta_next,
 )
@@ -35,7 +41,7 @@ class _WrongConstant(ExactOracle):
                                              degree=1.0)
 
 
-class _Poisoned(ExactOracle):
+class _Poisoned:
     """Exact oracle whose answers turn non-finite from a given query on.
 
     The answer itself trips OracleEval's finiteness check, as a real oracle
@@ -43,18 +49,20 @@ class _Poisoned(ExactOracle):
     """
 
     def __init__(self, problem, first_bad, field):
-        super().__init__(problem)
+        self.inner = ExactOracle(problem)
+        self.certificate = self.inner.certificate
         self.first_bad = first_bad
         self.field = field
         self.queries = 0
 
-    def answer(self, value, exact, rng=None):
+    def evaluate(self, x, rng=None):
+        ev = self.inner.evaluate(x)
         self.queries += 1
         if self.queries <= self.first_bad:
-            return value, (exact,)
-        if self.field == "value":
-            return math.inf, (exact,)
-        return value, (exact * math.nan,)
+            return ev
+        value = math.inf if self.field == "value" else ev.value
+        gradient = ev.gradient * math.nan if self.field == "gradient" else ev.gradient
+        return OracleEval(point=ev.point, value=value, gradient=gradient)
 
 
 # --------------------------------------------------------------- schedules
@@ -115,9 +123,8 @@ def test_prox_gradient_single_step_solves_separable():
     class _OneDim:
         lipschitz = 1.0
 
-        def value(self, x):  # one point or a stack of them, as prox_gradient passes
-            x = np.asarray(x, dtype=float)
-            return 0.5 * (x * x).sum(axis=-1)
+        def value(self, x):
+            return 0.5 * float(x @ x)
 
         def value_and_gradient(self, x):
             return self.value(x), np.asarray(x, dtype=float)
@@ -184,15 +191,18 @@ def test_prox_gradient_guards():
                       cfg, np.ones(4))
 
 
-class _Scaled(ExactOracle):
+class _Scaled:
     """Exact oracle that also offers the gradient scaled by each factor."""
 
     def __init__(self, problem, factors):
-        super().__init__(problem)
+        self.inner = ExactOracle(problem)
+        self.certificate = self.inner.certificate
         self.factors = factors
 
-    def answer(self, value, exact, rng=None):
-        return value, (exact, *(f * exact for f in self.factors))
+    def evaluate(self, x, rng=None):
+        ev = self.inner.evaluate(x)
+        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
+                          alternatives=tuple(f * ev.gradient for f in self.factors))
 
 
 def test_prox_gradient_follows_the_farthest_candidate():
@@ -224,12 +234,11 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
     with pytest.raises(DivergenceError, match="step 1"):
         prox_gradient(prob.value, _Poisoned(prob, 1, "value"), ProxFunction.zero(),
                       cfg, np.ones(4))
-    # the final iterate's F comes from objective, not from the oracle;
-    # prox_gradient hands it the stack of final iterates, one row per run
+    # the final iterate's F comes from objective, not from the oracle
     once = ScheduleConfig(max_iters=1, rho=0.0)
     with pytest.raises(DivergenceError, match="step 1"):
-        prox_gradient(lambda x: np.full(len(x), math.inf), ExactOracle(prob),
-                      ProxFunction.zero(), once, np.ones(4))
+        prox_gradient(lambda x: math.inf, ExactOracle(prob), ProxFunction.zero(),
+                      once, np.ones(4))
     for solver in (fast_prox_gradient, lambda *a: adaptive_prox_gradient(*a, 1.0)):
         with pytest.raises(DivergenceError, match="step 2"):
             solver(prob.value, _Poisoned(prob, 2, "gradient"), ProxFunction.zero(),
@@ -297,11 +306,40 @@ def test_prox_gradient_batch_isolates_failures():
     assert isinstance(runs[3], DivergenceError) and "step 6" in str(runs[3])
     for i in (0, 2):
         _assert_same_run(runs[i], prox_gradient(prob.value, oracles[i], h, cfg, np.ones(4)))
-    # a blow-up ends a run as well; its siblings finish
-    runs = prox_gradient(lambda x: np.array([math.inf, 0.0]), [ExactOracle(prob)] * 2, h,
+    # a blow-up ends a run as well; its siblings finish.  objective runs
+    # once per final iterate, in run order
+    finals = iter([math.inf, 0.0])
+    runs = prox_gradient(lambda x: next(finals), [ExactOracle(prob)] * 2, h,
                          [ScheduleConfig(max_iters=1, rho=0.0)] * 2, np.ones(4), [None] * 2)
     assert isinstance(runs[0], DivergenceError) and "blew up at step 1" in str(runs[0])
     assert isinstance(runs[1], RunTrace) and runs[1].objective[-1] == 0.0
+
+
+def test_prox_gradient_takes_every_oracle_family():
+    # families that answer through their own evaluate, alone and in a batch
+    prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
+    gen = np.random.default_rng(8)
+    saddle = SaddleProblem(gen.standard_normal((4, 3)), gen.standard_normal(3), 2.0)
+    parts = [generate_quadratic_instance(4, conditioning=2.0, seed=s) for s in (5, 6, 7)]
+    cases = [(prob.value, ShiftedPointOracle(prob, 0.1)),
+             (lambda x: sum(p.value(x) for p in parts) / 3,
+              MinibatchOracle(parts, 2, claimed_lipschitz=max(p.lipschitz for p in parts))),
+             (saddle.value, SaddleOracle(saddle, 0.1))]
+    h = ProxFunction.l1_ball(1.0)
+    cfg = ScheduleConfig(max_iters=6, rho=1.0)
+    x0 = np.full(4, 0.1)
+    for objective, oracle in cases:
+        trace = prox_gradient(objective, oracle, h, cfg, x0, rng=np.random.default_rng(0))
+        first = oracle.evaluate(x0, rng=np.random.default_rng(0))
+        alpha = trace.alpha[0]
+        assert trace.objective[0] == first.value
+        assert np.array_equal(trace.iterates[1], prox_apply(h, alpha, x0 - alpha * first.gradient))
+        assert trace.objective[-1] == objective(trace.iterates[-1])
+        runs = prox_gradient(objective, [oracle, oracle], h, [cfg] * 2, x0,
+                             [np.random.default_rng(0), np.random.default_rng(1)])
+        _assert_same_run(runs[0], trace)
+        _assert_same_run(runs[1], prox_gradient(objective, oracle, h, cfg, x0,
+                                                rng=np.random.default_rng(1)))
 
 
 def test_prox_gradient_batch_validation():
@@ -312,9 +350,6 @@ def test_prox_gradient_batch_validation():
     with pytest.raises(ValueError, match="share max_iters"):
         prox_gradient(prob.value, oracles[:2], h,
                       [configs[0], replace(configs[1], max_iters=5)], x0, rngs)
-    other = generate_logsum_instance(8, 12, 0.2, seed=5)
-    with pytest.raises(ValueError, match="one problem"):
-        prox_gradient(prob.value, [oracles[0], ExactOracle(other)], h, configs[:2], x0, rngs)
     with pytest.raises(ValueError, match="one oracle, config and generator"):
         prox_gradient(prob.value, oracles[:2], h, configs[:1], x0, rngs)
     with pytest.raises(ValueError, match="one oracle, config and generator"):
