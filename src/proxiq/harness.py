@@ -133,6 +133,17 @@ _CHECKS = {
 }
 
 
+def _distinct_cells(values, key):
+    """Reject grid values that would share a cell seed or a trace file name,
+    or whose seed key, the value times 10^6, overflows."""
+    if not all(math.isfinite(v * 1e6) for v in values):
+        raise ConfigError(f"{key} values are too large to key a cell seed: {list(values)}")
+    seeds = {round(v * 1e6) for v in values}
+    names = {f"{v:g}" for v in values}
+    if len(seeds) < len(values) or len(names) < len(values):
+        raise ConfigError(f"{key} values must differ in cell seed and file name: {list(values)}")
+
+
 def parse_config(data):
     """Validate a JSON-shaped mapping into an ExperimentConfig, strictly.
 
@@ -140,7 +151,8 @@ def parse_config(data):
     'iteratons' would produce a run that looks fine and answers the wrong
     question.  For the same reason every value is checked against the type
     of its spec field: integer fields take JSON integers only, and real
-    fields reject the NaN and Infinity that Python's json accepts.  Absent
+    fields reject the NaN and Infinity that Python's json accepts, and no
+    two grid values may key one cell seed or trace file name.  Absent
     fields take the spec dataclasses' defaults.
     """
     if not isinstance(data, dict):
@@ -156,6 +168,8 @@ def parse_config(data):
         raise ConfigError(f"unsupported problem family {problem.family!r}")
     if problem.n < 1 or problem.N < 1 or problem.radius <= 0.0:
         raise ConfigError("problem dimensions and radius must be positive")
+    if problem.seed < 0:
+        raise ConfigError("problem.seed must be nonnegative")
 
     oracle = config.oracle
     if oracle.family != "noisy_gradient":
@@ -168,6 +182,8 @@ def parse_config(data):
     for bound in oracle.noise_bounds:
         if bound < 0.0:
             raise ConfigError("noise_bounds must be nonnegative")
+    _distinct_cells(oracle.degrees, "degrees")
+    _distinct_cells(oracle.noise_bounds, "noise_bounds")
     if oracle.claimed_delta_scale <= 0.0:
         raise ConfigError("claimed_delta_scale must be positive")
 
@@ -181,6 +197,8 @@ def parse_config(data):
 
     if config.repeats < 1:
         raise ConfigError("repeats must be positive")
+    if config.master_seed < 0:
+        raise ConfigError("master_seed must be nonnegative")
     if config.worst_case_directions < 0:
         raise ConfigError("worst_case_directions must be nonnegative")
     return config
@@ -196,11 +214,10 @@ def load_config(path):
 
 
 def fig1_config(output_dir, iterations=5000, repeats=5, master_seed=0):
-    """The bundled benchmark preset: canonical instance, full degree/noise grid."""
-    return ExperimentConfig(version=CONFIG_VERSION, output_dir=str(output_dir),
-                            problem=ProblemSpec(), oracle=OracleSpec(),
-                            solver=SolverSpec(iterations=int(iterations)),
-                            repeats=int(repeats), master_seed=int(master_seed))
+    """The bundled benchmark preset, checked by parse_config: canonical instance, full grid."""
+    return parse_config({"version": CONFIG_VERSION, "output_dir": str(output_dir),
+                         "solver": {"iterations": iterations}, "repeats": repeats,
+                         "master_seed": master_seed})
 
 
 def cell_seed(master_seed, degree, noise_bound, repeat):

@@ -30,15 +30,15 @@ answer.
 The exact, noisy-gradient and Holder families are model oracles: they
 answer from the exact value and gradient of their problem.  evaluate_rows
 answers a stack of points for a batch of oracles, one oracle and one
-generator per row; for model oracles over one problem it makes a single
-stacked evaluation of the problem.  This is what the batched solver calls
-every step.
+generator per row, as plain arrays; for model oracles over one problem it
+makes a single stacked evaluation of the problem.  Every solver asks
+through it, the fast and adaptive ones as a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -76,35 +76,24 @@ class OracleEval:
     """One oracle answer: exact value and approximate gradient.
 
     alternatives holds further candidate gradients that the oracle's
-    certificate covers; a solver may step along any of them.
-
-    A stacked answer has points (C, n), values (C,) and gradients (C, n),
-    one answer per row.  A non-finite single answer raises NonFiniteAnswer;
-    a stacked one marks its non-finite rows False in finite instead, so the
-    finite rows stay usable.
+    certificate covers; a solver may step along any of them.  A non-finite
+    answer raises NonFiniteAnswer.
     """
 
     point: np.ndarray
     value: float
     gradient: np.ndarray
     alternatives: Tuple[np.ndarray, ...] = ()
-    finite: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for grad in (self.gradient, *self.alternatives):
+        candidates = (self.gradient, *self.alternatives)
+        for grad in candidates:
             if grad.shape != self.point.shape:
                 raise ValueError("gradient and point shapes differ")
-        value_ok = np.isfinite(self.value)
-        # one isfinite call covers all alternatives; they share a shape by now
-        gradient_ok = np.isfinite(self.gradient).all(axis=-1)
-        if self.alternatives:
-            gradient_ok &= np.isfinite(self.alternatives).all(axis=(0, -1))
-        if self.point.ndim == 1:
-            if not value_ok:
-                raise NonFiniteAnswer("oracle value is not finite")
-            if not gradient_ok:
-                raise NonFiniteAnswer("oracle gradient has non-finite entries")
-        object.__setattr__(self, "finite", value_ok & gradient_ok)
+        if not np.isfinite(self.value):
+            raise NonFiniteAnswer("oracle value is not finite")
+        if not all(np.isfinite(grad).all() for grad in candidates):
+            raise NonFiniteAnswer("oracle gradient has non-finite entries")
 
 
 def majorize_amgm(delta, degree, rho):
@@ -291,7 +280,7 @@ def _stacks(oracles):
 
 def _row_answer(oracle, x, rng):
     """oracle.evaluate at one point as (value, candidates); a non-finite
-    answer becomes NaNs, which the stacked OracleEval marks as not finite."""
+    answer becomes NaNs, which evaluate_rows marks as not finite."""
     try:
         ev = oracle.evaluate(x, rng=rng)
     except NonFiniteAnswer:
@@ -309,9 +298,12 @@ def evaluate_rows(oracles, points, rngs):
     alone, then each oracle's answer hook draws exactly what evaluate
     would.  Any other batch, and a batch of one, calls each oracle's
     evaluate on its row.  Either way every random stream is the one of a
-    run alone.  Returns the stacked OracleEval, its finite mask marking the
-    rows whose answer is not finite; a row with fewer candidates than the
-    others is padded with its own gradient, which never moves farther.
+    run alone.  Returns (values (C,), candidates (C, m, n), finite (C,)): row i's
+    value and candidate gradients, its first candidate being the answer's
+    gradient, and whether all of them are finite.  A row with fewer
+    candidates than the others is padded with its own gradient, which
+    never moves farther; a candidate whose shape differs from its point
+    raises ValueError.
     """
     if _stacks(oracles):
         values, exact = oracles[0].problem.value_and_gradient(points)
@@ -324,10 +316,11 @@ def evaluate_rows(oracles, points, rngs):
     width = max(map(len, candidates))
     if min(map(len, candidates)) < width:
         candidates = [(*cands, *[cands[0]] * (width - len(cands))) for cands in candidates]
-    candidates = np.array(candidates)  # (C, m, n)
-    return OracleEval(point=points, value=np.array(values, dtype=float),
-                      gradient=candidates[:, 0],
-                      alternatives=tuple(candidates[:, j] for j in range(1, width)))
+    candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
+    if candidates.shape != (len(points), width, points.shape[1]):
+        raise ValueError("gradient and point shapes differ")
+    values = np.array(values, dtype=float)
+    return values, candidates, np.isfinite(values) & np.isfinite(candidates).all(axis=(1, 2))
 
 
 class ExactOracle(ModelOracle):

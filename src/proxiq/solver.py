@@ -14,11 +14,12 @@ reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
-guarantees control.  prox_gradient also serves the worst-case sweep: when
-an oracle answer carries alternative candidate gradients, it steps along
-the candidate whose prox step moves farthest; the other two solvers reject
-such an answer with ValueError.  A non-finite oracle answer or a blown-up
-objective ends any run with DivergenceError.
+guarantees control.  They share one start check, one answer step (a batch
+through oracle.evaluate_rows) and one failure rule: a non-finite oracle
+answer or a blown-up objective ends a run with DivergenceError.
+prox_gradient also serves the worst-case sweep: when an answer carries
+several candidate gradients, it steps along the one whose prox step moves
+farthest; the other two solvers reject such an answer with ValueError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .oracle import NonFiniteAnswer, evaluate_rows
+from .oracle import evaluate_rows
 from .problems import sq_norm
 from .prox import prox_apply, prox_rows
 from .rates import rho_opt_horizon, write_csv
@@ -48,32 +49,6 @@ _BLOWUP_MARGIN = 1e6
 
 def _ceiling(f0):
     return f0 + _BLOWUP_MARGIN * (1.0 + abs(f0))
-
-
-def _check_blowup(f, ceiling, step):
-    if not math.isfinite(f) or f > ceiling:
-        raise DivergenceError(f"objective blew up at step {step}: f = {f!r}")
-
-
-def _query(oracle, x, rng, step):
-    """Oracle answer at x, with a non-finite answer reported as divergence."""
-    try:
-        return oracle.evaluate(x, rng=rng)
-    except NonFiniteAnswer as exc:
-        raise DivergenceError(f"oracle answer at step {step}: {exc}") from exc
-
-
-def _answer_at(objective, oracle, h, config, x, rng, step):
-    """Oracle answer and F + h at the iterate x_step; after the last step
-    there is no answer, and objective gives F at the final iterate.
-
-    Every iterate is x0, which _check_start placed in dom h, or built from
-    prox outputs, so h is taken at its value on the domain.
-    """
-    if step < config.max_iters:
-        ev = _query(oracle, x, rng, step)
-        return ev, ev.value + h.value_on_domain(x)
-    return None, float(objective(x)) + h.value_on_domain(x)
 
 
 @dataclass(frozen=True)
@@ -120,7 +95,6 @@ class RunTrace:
     delta: np.ndarray              # (K,) the certificate's accuracy, per step
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
     min_gm_sq: np.ndarray          # (K,) running minimum of gm_sq
-    cum_alpha_gm_sq: np.ndarray    # (K,) running sum of alpha_j*gm_sq_j
     y_points: Optional[np.ndarray] = None
     z_points: Optional[np.ndarray] = None
     objective_y: Optional[np.ndarray] = None
@@ -130,10 +104,9 @@ class RunTrace:
 
     @classmethod
     def assemble(cls, iterates, objective, alpha, delta, gm_sq, **extra):
-        """A trace from the per-step arrays, with the running aggregates filled in."""
+        """A trace from the per-step arrays, with the running minimum filled in."""
         return cls(iterates=iterates, objective=objective, alpha=alpha, delta=delta,
-                   gm_sq=gm_sq, min_gm_sq=np.minimum.accumulate(gm_sq),
-                   cum_alpha_gm_sq=np.cumsum(alpha * gm_sq), **extra)
+                   gm_sq=gm_sq, min_gm_sq=np.minimum.accumulate(gm_sq), **extra)
 
     @property
     def steps(self):
@@ -159,31 +132,52 @@ class AdaptiveState:
     retry_count: int
 
 
-def _checked_certificate(oracle, config):
-    """The oracle's certificate, checked against the run's weight rho."""
-    cert = oracle.certificate
-    if config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
-        raise ValueError("rho must be positive when the certificate has degree > 0"
-                         " and delta > 0")
-    return cert
-
-
-def _check_start(oracle, config, h, x0):
-    """The start point as a fresh vector, and the oracle's certificate."""
-    cert = _checked_certificate(oracle, config)
-    x = np.array(x0, dtype=float, copy=True)
+def _start(h, x0, oracles, configs):
+    """The start rule: x0 as a fresh vector in dom h, and each run's
+    certificate, checked against its weight rho."""
+    x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("x0 must be a vector")
     if not h.contains(x):
         raise ValueError("x0 lies outside dom h")
-    return x, cert
+    certs = [oracle.certificate for oracle in oracles]
+    for cert, config in zip(certs, configs):
+        if config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
+            raise ValueError("rho must be positive when the certificate has degree > 0"
+                             " and delta > 0")
+    return x, certs
 
 
-def _check_single(ev, step):
-    """Reject an answer with alternatives: only prox_gradient picks among candidates."""
-    if ev.alternatives:
-        raise ValueError(f"oracle answer at step {step} offers {len(ev.alternatives) + 1}"
+def _failures(step, f, ceiling, finite):
+    """The failure rule, one entry per run: a run ends at step when its
+    oracle answer is not finite or its composite value f is not finite or
+    above its ceiling.  Returns {run: DivergenceError} for those runs."""
+    failed = np.flatnonzero(~(finite & np.isfinite(f) & (f <= ceiling)))
+    return {j: DivergenceError(f"oracle answer at step {step} is not finite" if not finite[j]
+                               else f"objective blew up at step {step}: f = {float(f[j])!r}")
+            for j in failed}
+
+
+def _check(step, f, ceiling=math.inf, finite=True):
+    """The failure rule for a single run: raise what ends it at step."""
+    for exc in _failures(step, np.array([f]), ceiling, np.array([finite])).values():
+        raise exc
+
+
+def _answer(oracle, h, x, rng, step, ceiling=math.inf):
+    """A single run's answer at x, a batch of one through evaluate_rows:
+    F + h there and the gradient, after the failure rule (at x0, whose value
+    sets the ceiling, only finiteness counts).  Only prox_gradient picks
+    among candidates, so several raise ValueError.  Iterates lie in dom h
+    (x0 by _start, the rest as prox outputs), so h is taken at its value there.
+    """
+    values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
+    if candidates.shape[1] > 1:
+        raise ValueError(f"oracle answer at step {step} offers {candidates.shape[1]}"
                          " candidate gradients; this method follows one")
+    f = float(values[0]) + h.value_on_domain(x)
+    _check(step, f, ceiling, finite[0])
+    return f, candidates[0, 0]
 
 
 def _buffers(x, iters):
@@ -201,7 +195,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     step step_scale / (L + q*rho) of the oracle's certificate.  F at every
     iterate but the last is the value of the oracle answer queried there;
     objective is called only on the final iterate.  When an answer carries
-    alternative gradients, the step follows the candidate whose prox step
+    several candidate gradients, the step follows the one whose prox step
     moves farthest, the first one on ties.  Raises DivergenceError if an
     oracle answer is not finite or the composite value blows up or turns
     non-finite, which in practice means a certificate lied.
@@ -218,9 +212,6 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     run that fails leaves the batch and the others go on unchanged.  A
     single oracle is a batch of one whose trace keeps its iterates.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError("x0 must be a vector")
     if isinstance(oracle, (list, tuple)):
         return _lockstep(objective, list(oracle), h, list(config), x0, list(rng),
                          keep_iterates=False)
@@ -244,10 +235,8 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
     iters = configs[0].max_iters
     if any(cfg.max_iters != iters for cfg in configs):
         raise ValueError("the runs of a batch share max_iters")
-    if not h.contains(x0):
-        raise ValueError("x0 lies outside dom h")
+    x0, certs = _start(h, x0, oracles, configs)
     x = np.tile(x0, (runs, 1))
-    certs = [_checked_certificate(o, cfg) for o, cfg in zip(oracles, configs)]
     alphas = [cfg.step_scale / (c.lipschitz + c.degree * cfg.rho)
               for c, cfg in zip(certs, configs)]
     objective_vals = np.empty((runs, iters + 1))
@@ -263,34 +252,30 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
         if keep_iterates:
             iterates[k, live] = x
         if k < iters:
-            ev = evaluate_rows(live_oracles, x, live_rngs)
-            f = ev.value + h.value_on_domain(x)
-            broken = ~ev.finite
-            candidates = [ev.gradient, *ev.alternatives]
+            values, candidates, finite = evaluate_rows(live_oracles, x, live_rngs)
+            f = values + h.value_on_domain(x)
         else:
             f = np.array([float(objective(row)) for row in x]) + h.value_on_domain(x)
-            broken = np.zeros(len(live), dtype=bool)
-            candidates = []
+            finite = np.ones(len(live), dtype=bool)
         if k == 0:
             ceiling = _ceiling(f)
         objective_vals[live, k] = f
-        blown = ~broken & ~(np.isfinite(f) & (f <= ceiling))
-        if broken.any() or blown.any():
-            for j in np.flatnonzero(broken | blown):
-                reason = (f"oracle answer at step {k} is not finite" if broken[j] else
-                          f"objective blew up at step {k}: f = {float(f[j])!r}")
-                outcomes[live[j]] = DivergenceError(reason)
-            keep = ~(broken | blown)
+        failures = _failures(k, f, ceiling, finite)
+        if failures:
+            keep = np.ones(len(live), dtype=bool)
+            for j, exc in failures.items():
+                outcomes[live[j]] = exc
+                keep[j] = False
             live, x, alpha, alpha_sq, ceiling = (live[keep], x[keep], alpha[keep],
                                                  alpha_sq[keep], ceiling[keep])
             live_oracles = [o for o, kept in zip(live_oracles, keep) if kept]
             live_rngs = [r for r, kept in zip(live_rngs, keep) if kept]
-            candidates = [grad[keep] for grad in candidates]
+            candidates = candidates[keep]
         if k == iters or not len(live):
             break
-        nxt, move_sq = _prox_move(h, alpha, x, candidates[0])
-        for grad in candidates[1:]:
-            cand, cand_sq = _prox_move(h, alpha, x, grad)
+        nxt, move_sq = _prox_move(h, alpha, x, candidates[:, 0])
+        for j in range(1, candidates.shape[1]):
+            cand, cand_sq = _prox_move(h, alpha, x, candidates[:, j])
             farther = cand_sq > move_sq
             nxt[farther] = cand[farther]
             move_sq = np.where(farther, cand_sq, move_sq)
@@ -338,12 +323,12 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     majorization the guarantees are proved through.  As in
     prox_gradient, F at every iterate but the last is the value of the
     oracle answer queried there; objective is called on the final iterate
-    and on the prox points y.  An answer with alternative gradients raises
-    ValueError.
+    and on the prox points y.  An answer with several candidate gradients
+    raises ValueError.
     """
     if theta_rule not in _THETA0:
         raise ValueError(f"unknown theta rule {theta_rule!r}")
-    x, cert = _check_start(oracle, config, h, x0)
+    x, (cert,) = _start(h, x0, [oracle], [config])
     lip = cert.lipschitz + cert.degree * config.rho
     alpha = config.step_scale / lip
     origin = x.copy()
@@ -356,24 +341,22 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     thetas = np.empty(iters)
     a_arr = np.empty(iters)
     taus = np.empty(iters)
-    ev, f0 = _answer_at(objective, oracle, h, config, x, rng, 0)
-    objective_vals[0] = f0
-    ceiling = _ceiling(f0)
+    f, grad = _answer(oracle, h, x, rng, 0)
+    objective_vals[0] = f
+    ceiling = _ceiling(f)
     theta = _THETA0[theta_rule]
     a_weight = theta / lip
     model_sum = np.zeros(n)
     for k in range(iters):
-        _check_single(ev, k)
-        y = prox_apply(h, alpha, x - alpha * ev.gradient)
-        model_sum += (theta / lip) * ev.gradient
+        y = prox_apply(h, alpha, x - alpha * grad)
+        model_sum += (theta / lip) * grad
         z = prox_apply(h, 1.0, origin - model_sum)
         theta_new = theta_next(a_weight, lip, theta_rule)
         a_new = a_weight + theta_new / lip
         tau = theta_new / (a_new * lip)
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau = {tau!r} outside (0, 1]: momentum rule violated")
-        step = y - x
-        gm_sq[k] = float(step @ step) / alpha ** 2
+        gm_sq[k] = sq_norm(y - x) / alpha ** 2
         thetas[k] = theta
         a_arr[k] = a_weight
         taus[k] = tau
@@ -381,12 +364,15 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         iterates[k + 1] = x
         y_points[k] = y
         z_points[k] = z
-        ev, f = _answer_at(objective, oracle, h, config, x, rng, k + 1)
+        if k + 1 < iters:
+            f, grad = _answer(oracle, h, x, rng, k + 1, ceiling)
+        else:  # no answer after the last step
+            f = float(objective(x)) + h.value_on_domain(x)
+            _check(k + 1, f, ceiling)
         fy = float(objective(y)) + h.value_on_domain(y)
+        _check(k + 1, fy)  # y only has to stay finite
         objective_vals[k + 1] = f
         objective_y[k] = fy
-        _check_blowup(f, ceiling, k + 1)
-        _check_blowup(fy, math.inf, k + 1)  # y only has to stay finite
         theta = theta_new
         a_weight = a_new
     return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha),
@@ -408,7 +394,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     answer; objective gives F at each candidate step.  Returns (trace,
     history) where history holds one AdaptiveState per accepted step.
     Requires a certificate degree in [1, 2) (the weight formula) and
-    answers without alternative gradients.
+    answers with one candidate gradient.
     """
     if not 1.0 <= oracle.certificate.degree < 2.0:
         raise ValueError("the adaptive variant needs degree in [1, 2)")
@@ -416,14 +402,13 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         raise ValueError("epsilon0 must be positive")
     if max_doublings < 1:
         raise ValueError("max_doublings must be positive")
-    x, cert = _check_start(oracle, config, h, x0)
+    x, (cert,) = _start(h, x0, [oracle], [config])
     lip, degree, delta = cert.lipschitz, cert.degree, cert.delta
     iters = config.max_iters
     iterates, objective_vals, gm_sq = _buffers(x, iters)
     alpha_arr = np.empty(iters)
     history: List[AdaptiveState] = []
-    ev = _query(oracle, x, rng, 0)
-    f0 = ev.value + h.value_on_domain(x)
+    f0, grad = _answer(oracle, h, x, rng, 0)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     epsilon = float(epsilon0)
@@ -431,16 +416,15 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     f_best = f_min - epsilon
     for k in range(iters):
         if k > 0:
-            ev = _query(oracle, x, rng, k)
-        _check_single(ev, k)
+            _, grad = _answer(oracle, h, x, rng, k, ceiling)
         retries = 0
         while True:
             gap = f0 - f_best
             rho = rho_opt_horizon(lip, degree, delta, gap, k) if delta > 0.0 else 0.0
             alpha_k = config.step_scale / (lip + degree * rho)
-            nxt = prox_apply(h, alpha_k, x - alpha_k * ev.gradient)
+            nxt = prox_apply(h, alpha_k, x - alpha_k * grad)
             f_next = float(objective(nxt)) + h.value_on_domain(nxt)
-            _check_blowup(f_next, ceiling, k + 1)
+            _check(k + 1, f_next, ceiling)
             if f_next >= f_best:
                 break
             retries += 1
@@ -450,8 +434,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
             epsilon *= 2.0
             f_best = f_min - epsilon
         history.append(AdaptiveState(epsilon=epsilon, f_best=f_best, retry_count=retries))
-        step = nxt - x
-        gm_sq[k] = float(step @ step) / alpha_k ** 2
+        gm_sq[k] = sq_norm(nxt - x) / alpha_k ** 2
         alpha_arr[k] = alpha_k
         x = nxt
         iterates[k + 1] = x

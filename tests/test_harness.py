@@ -117,6 +117,14 @@ def test_parse_config_rejects_bad_input():
     bad("step_scale", solver={"step_scale": 1.5})
     bad("repeats", repeats=0)
     bad("worst_case_directions", worst_case_directions=-1)
+    bad("master_seed must be nonnegative", master_seed=-1)
+    bad("problem.seed must be nonnegative", problem={"seed": -1})
+    # grid values that key two cells alike: one seed, or one trace file name
+    bad("noise_bounds values must differ", oracle={"noise_bounds": [1e-7, 2e-7]})
+    bad("noise_bounds values must differ", oracle={"noise_bounds": [1.0, 1.0]})
+    bad("noise_bounds values must differ", oracle={"noise_bounds": [1234567.0, 1234568.0]})
+    bad("degrees values must differ", oracle={"degrees": [0.5, 0.5000001]})
+    bad("noise_bounds values are too large to key a cell seed", oracle={"noise_bounds": [1e303]})
     # Python's json module accepts NaN and Infinity, and int() truncates
     bad("noise_bounds must be a finite number", oracle={"noise_bounds": [float("inf")]})
     bad("radius must be a finite number", problem={"radius": float("nan")})
@@ -170,6 +178,9 @@ def test_fig1_config_preset(tmp_path):
     assert config.solver == harness.SolverSpec(iterations=100)
     assert (config.repeats, config.master_seed) == (2, 9)
     assert config.output_dir == str(tmp_path)
+    # the preset goes through parse_config like a config file
+    with pytest.raises(ConfigError, match="repeats must be positive"):
+        harness.fig1_config(tmp_path, repeats=0)
 
 
 def test_run_experiment_grid_order_and_files(grid_run):
@@ -375,7 +386,7 @@ def _assert_same_cell(got, want):
         (want.degree, want.noise_bound, want.repeat, want.seed_label, want.status)
     assert got.f0 == want.f0
     assert np.array_equal(got.bound, want.bound)
-    for name in ("objective", "alpha", "delta", "gm_sq", "min_gm_sq", "cum_alpha_gm_sq"):
+    for name in ("objective", "alpha", "delta", "gm_sq", "min_gm_sq"):
         assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes(), name
 
 
@@ -589,6 +600,25 @@ def test_cli_rates_reports_overflow_as_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_cli_validates_the_preset_and_the_seeds(tmp_path, capsys):
+    out = tmp_path / "fig"
+    for flags, message in [(["--repeats", "0"], "repeats must be positive"),
+                           (["--master-seed", "-1"], "master_seed must be nonnegative"),
+                           (["--iterations", "0"], "iterations must be positive")]:
+        assert cli.main(["reproduce-fig1", str(out), *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    negative_master = make_config(tmp_path / "out", master_seed=-3)
+    negative_problem = make_config(tmp_path / "out")
+    negative_problem["problem"]["seed"] = -2
+    for data, message in [(negative_master, "master_seed must be nonnegative"),
+                          (negative_problem, "problem.seed must be nonnegative")]:
+        path = write_config(tmp_path / "config.json", data)
+        assert cli.main(["run", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_preset_smoke(tmp_path):

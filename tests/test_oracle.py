@@ -265,18 +265,6 @@ def test_eval_checks_every_candidate():
     assert not isinstance(info.value, NonFiniteAnswer)
 
 
-def test_stacked_eval_reports_its_non_finite_rows():
-    points = np.zeros((4, 2))
-    values = np.array([0.0, math.nan, 1.0, 2.0])
-    grads = np.array([[0.0, 1.0], [0.0, 0.0], [math.inf, 0.0], [1.0, 1.0]])
-    alternative = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -math.nan]])
-    ev = OracleEval(point=points, value=values, gradient=grads, alternatives=(alternative,))
-    assert ev.finite.tolist() == [True, False, False, False]
-    assert OracleEval(point=points, value=np.zeros(4), gradient=np.zeros((4, 2))).finite.all()
-    with pytest.raises(ValueError):
-        OracleEval(point=points, value=np.zeros(4), gradient=np.zeros((4, 3)))
-
-
 def test_evaluate_rows_matches_evaluate_per_row():
     # one stacked evaluation, then each oracle draws from its own generator
     # exactly what it draws alone, in the same order
@@ -284,19 +272,18 @@ def test_evaluate_rows_matches_evaluate_per_row():
     oracles = [NoisyGradientOracle(prob, d, directions=3) for d in (0.0, 0.2, 1.5)]
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
     rngs = [np.random.default_rng(i) for i in range(3)]
-    ev = evaluate_rows(oracles, points, rngs)
-    assert ev.finite.all() and len(ev.alternatives) == 2
+    values, candidates, finite = evaluate_rows(oracles, points, rngs)
+    assert values.shape == (3,) and candidates.shape == (3, 3, 8) and finite.all()
     for i, (oracle, rng) in enumerate(zip(oracles, rngs)):
         ref_rng = np.random.default_rng(i)
         alone = oracle.evaluate(points[i], rng=ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert ev.value[i] == alone.value
-        assert ev.gradient[i].tobytes() == alone.gradient.tobytes()
-        for stacked, single in zip(ev.alternatives, alone.alternatives):
-            assert stacked[i].tobytes() == single.tobytes()
-    exact = evaluate_rows([ExactOracle(prob)] * 3, points, [None] * 3)
-    assert np.array_equal(exact.gradient, prob.value_and_gradient(points)[1])
-    assert exact.alternatives == ()
+        assert values[i] == alone.value
+        for stacked, single in zip(candidates[i], (alone.gradient, *alone.alternatives)):
+            assert stacked.tobytes() == single.tobytes()
+    values, candidates, _ = evaluate_rows([ExactOracle(prob)] * 3, points, [None] * 3)
+    assert candidates.shape == (3, 1, 8)
+    assert np.array_equal(candidates[:, 0], prob.value_and_gradient(points)[1])
 
 
 class _Halved(ExactOracle):
@@ -320,19 +307,64 @@ def test_evaluate_rows_runs_each_oracles_own_evaluate():
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
     oracles = [ExactOracle(prob), _Halved(prob), NoisyGradientOracle(prob, 0.2, directions=3)]
-    ev = evaluate_rows(oracles, points, [None, None, np.random.default_rng(1)])
-    assert ev.finite.all() and len(ev.alternatives) == 2
+    values, candidates, finite = evaluate_rows(oracles, points,
+                                               [None, None, np.random.default_rng(1)])
+    assert candidates.shape == (3, 3, 8) and finite.all()
     exact = prob.value_and_gradient(points)[1]
-    assert ev.gradient[0].tobytes() == exact[0].tobytes()
-    assert ev.gradient[1].tobytes() == (0.5 * exact[1]).tobytes()
-    for alt in ev.alternatives:
-        assert alt[0].tobytes() == ev.gradient[0].tobytes()
-        assert alt[1].tobytes() == ev.gradient[1].tobytes()
+    assert candidates[0, 0].tobytes() == exact[0].tobytes()
+    assert candidates[1, 0].tobytes() == (0.5 * exact[1]).tobytes()
+    for row in (0, 1):
+        for padded in candidates[row, 1:]:
+            assert padded.tobytes() == candidates[row, 0].tobytes()
     alone = oracles[2].evaluate(points[2], rng=np.random.default_rng(1))
-    assert ev.gradient[2].tobytes() == alone.gradient.tobytes()
-    assert ev.alternatives[1][2].tobytes() == alone.alternatives[1].tobytes()
-    again = evaluate_rows(oracles, points, [None, None, np.random.default_rng(1)])
-    assert again.finite.tolist() == [True, False, True]
+    assert candidates[2, 0].tobytes() == alone.gradient.tobytes()
+    assert candidates[2, 2].tobytes() == alone.alternatives[1].tobytes()
+    values, candidates, finite = evaluate_rows(oracles, points,
+                                               [None, None, np.random.default_rng(1)])
+    assert finite.tolist() == [True, False, True]
+    assert math.isnan(values[1]) and np.isnan(candidates[1]).all()
+    assert np.isfinite(values[[0, 2]]).all() and np.isfinite(candidates[[0, 2]]).all()
+
+
+class _Widened(ExactOracle):
+    """Exact oracle whose answer hook returns a gradient one entry too long."""
+
+    def answer(self, value, exact, rng=None):
+        return value, (np.append(exact, 0.0),)
+
+
+class _Spoiled(ExactOracle):
+    """Exact oracle whose answer hook replaces the value or adds a candidate."""
+
+    def __init__(self, problem, value=None, extra=None):
+        super().__init__(problem)
+        self.bad_value = value
+        self.extra = extra
+
+    def answer(self, value, exact, rng=None):
+        value = value if self.bad_value is None else self.bad_value
+        return value, (exact,) if self.extra is None else (exact, self.extra)
+
+
+def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
+    # the stacked path builds no OracleEval, so evaluate_rows makes its checks:
+    # a candidate that does not match its point is a usage error, and a
+    # non-finite value or candidate marks only its own row
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    points = np.random.default_rng(0).uniform(-0.5, 0.5, (5, 8))
+    with pytest.raises(ValueError, match="shapes differ") as info:
+        evaluate_rows([_Widened(prob)] * 3, points[:3], [None] * 3)
+    assert not isinstance(info.value, NonFiniteAnswer)
+    with pytest.raises(ValueError):
+        evaluate_rows([ExactOracle(prob), _Widened(prob)], points[:2], [None] * 2)
+    oracles = [ExactOracle(prob), _Spoiled(prob, value=math.inf),
+               _Spoiled(prob, value=math.nan), _Spoiled(prob, extra=np.full(8, -math.inf)),
+               NoisyGradientOracle(prob, 0.2, directions=2)]
+    values, candidates, finite = evaluate_rows(oracles, points, [None] * 4
+                                               + [np.random.default_rng(1)])
+    assert finite.tolist() == [True, False, False, False, True]
+    assert values[1] == math.inf and np.isfinite(candidates[1]).all()
+    assert np.isfinite(values[3]) and np.isinf(candidates[3, 1]).all()
 
 
 # --------------------------------------------------------------- families

@@ -23,3 +23,33 @@ def test_readme_config_parses():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1, "README should document exactly one JSON config"
     harness.parse_config(json.loads(blocks[0]))
+
+
+def _documented_columns():
+    """{file name as README writes it: header line} from its "Output files" list."""
+    section = README.read_text().split("## Output files", 1)[1].split("\n## ", 1)[0]
+    columns = {}
+    for item in section.split("\n- ")[1:]:
+        name = re.match(r"`([^`]+)`", item)
+        header = re.search(r"columns\s+`([^`]+)`", item)
+        if name and header:
+            columns[name.group(1)] = header.group(1)
+    return columns
+
+
+def test_readme_output_columns_match_a_sweep(tmp_path):
+    # the documented columns cannot drift from what a sweep writes
+    documented = _documented_columns()
+    config = harness.parse_config({
+        "version": 1, "output_dir": str(tmp_path),
+        "problem": {"n": 4, "N": 6, "radius": 1.0},
+        "oracle": {"degrees": [0.5], "noise_bounds": [0.25]},
+        "solver": {"iterations": 3}})
+    harness.run_experiment(config)
+    trace_name = "trace_q{q}_delta{delta}_rep{r}.csv"
+    files = {trace_name: trace_name.format(q=0.5, delta=0.25, r=0),
+             "summary.csv": "summary.csv", "bound_q_delta.csv": "bound_q_delta.csv"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files.values())
+    for documented_name, name in files.items():
+        header = (tmp_path / name).read_text().splitlines()[0]
+        assert header == documented[documented_name], name
