@@ -1,9 +1,9 @@
 """Composite optimization with inexact first-order oracles of tunable degree."""
 
 from .oracle import (CertificationReport, ExactOracle, HolderOracle, MinibatchOracle,
-                     NoisyGradientOracle, NonFiniteAnswer, OracleCertificate, OracleEval,
-                     SaddleOracle, SaddleProblem, ShiftedPointOracle, bounded_noise,
-                     certify_oracle, holder_smoothing_constant, majorize_amgm, spectral_norm)
+                     NoisyGradientOracle, OracleCertificate, SaddleOracle, SaddleProblem,
+                     ShiftedPointOracle, bounded_noise, certify_oracle,
+                     holder_smoothing_constant, majorize_amgm, spectral_norm)
 from .problems import (HolderPowerProblem, LogSumProblem, QuadraticProblem,
                        generate_holder_instance, generate_logsum_instance,
                        generate_quadratic_instance, sample_l1_ball)

@@ -24,15 +24,17 @@ mini-batch subsampling, approximate inner maximization, weakly smooth
 functions), the AM-GM split used by the solvers, and an empirical
 certifier that hunts for violating point pairs.  Each family is one class:
 its constructor checks the family's parameters and keeps the certificate
-they imply as oracle.certificate, and evaluate(x, rng=None) builds the
-answer.
+they imply as oracle.certificate, and evaluate(x, rng=None) returns the
+answer as the pair (value, candidates), a sequence of candidate gradients
+whose first is the answer's gradient.
 
 The exact, noisy-gradient and Holder families are model oracles: they
 answer from the exact value and gradient of their problem.  evaluate_rows
 answers a stack of points for a batch of oracles, one oracle and one
-generator per row, as plain arrays; for model oracles over one problem it
-makes a single stacked evaluation of the problem.  Every solver asks
-through it, the fast and adaptive ones as a batch of one.
+generator per row, as plain arrays; for model oracles over one problem,
+a batch of one included, it makes a single stacked evaluation of the
+problem.  It is the one place an answer's shapes and finiteness are
+checked, and every solver and certify_oracle ask through it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -65,35 +67,6 @@ class OracleCertificate:
             raise ValueError("delta must be nonnegative")
         if self.lipschitz <= 0.0:
             raise ValueError("lipschitz must be positive")
-
-
-class NonFiniteAnswer(ValueError):
-    """An oracle answered with a non-finite value or gradient."""
-
-
-@dataclass(frozen=True)
-class OracleEval:
-    """One oracle answer: exact value and approximate gradient.
-
-    alternatives holds further candidate gradients that the oracle's
-    certificate covers; a solver may step along any of them.  A non-finite
-    answer raises NonFiniteAnswer.
-    """
-
-    point: np.ndarray
-    value: float
-    gradient: np.ndarray
-    alternatives: Tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self):
-        candidates = (self.gradient, *self.alternatives)
-        for grad in candidates:
-            if grad.shape != self.point.shape:
-                raise ValueError("gradient and point shapes differ")
-        if not np.isfinite(self.value):
-            raise NonFiniteAnswer("oracle value is not finite")
-        if not all(np.isfinite(grad).all() for grad in candidates):
-            raise NonFiniteAnswer("oracle gradient has non-finite entries")
 
 
 def majorize_amgm(delta, degree, rho):
@@ -253,39 +226,27 @@ class SaddleProblem:
 class ModelOracle:
     """An oracle that answers from the exact value and gradient of self.problem.
 
-    answer turns the exact pair at a query point into the oracle's answer:
-    the value and a sequence of candidate gradients, the first of them the
-    answer's gradient.  This base answers exactly; subclasses override
-    answer to perturb.  One problem.value_and_gradient call serves a query,
-    so the residual it computes once feeds both the value and the gradient.
+    answer turns the exact pair at a query point into the oracle's answer,
+    the (value, candidates) pair that evaluate returns.  This base answers
+    exactly; subclasses override answer to perturb.  One
+    problem.value_and_gradient call serves a query, so the residual it
+    computes once feeds both the value and the gradient.  The problem takes
+    a stack (C, n) too, returning one value per row, since evaluate_rows
+    answers every batch of model oracles over it in one evaluation.
     """
 
     def answer(self, value, exact, rng=None):
         return value, (exact,)
 
     def evaluate(self, x, rng=None):
-        x = np.asarray(x, dtype=float)
-        value, candidates = self.answer(*self.problem.value_and_gradient(x), rng)
-        return OracleEval(point=x, value=value, gradient=candidates[0],
-                          alternatives=tuple(candidates[1:]))
+        return self.answer(*self.problem.value_and_gradient(np.asarray(x, dtype=float)), rng)
 
 
 def _stacks(oracles):
-    """Whether a batch can share one stacked exact evaluation: two or more
-    model oracles over one problem that answer through ModelOracle.evaluate."""
-    return len(oracles) > 1 and all(
-        isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
-        and o.problem is oracles[0].problem for o in oracles)
-
-
-def _row_answer(oracle, x, rng):
-    """oracle.evaluate at one point as (value, candidates); a non-finite
-    answer becomes NaNs, which evaluate_rows marks as not finite."""
-    try:
-        ev = oracle.evaluate(x, rng=rng)
-    except NonFiniteAnswer:
-        return math.nan, (np.full(x.shape, math.nan),)
-    return ev.value, (ev.gradient, *ev.alternatives)
+    """Whether a batch can share one stacked exact evaluation: model oracles
+    over one problem that answer through ModelOracle.evaluate."""
+    return all(isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
+               and o.problem is oracles[0].problem for o in oracles)
 
 
 def evaluate_rows(oracles, points, rngs):
@@ -296,21 +257,21 @@ def evaluate_rows(oracles, points, rngs):
     evaluation: the problem's value_and_gradient runs once on the whole
     stack (C, n), giving each row bitwise the answer it gives that row
     alone, then each oracle's answer hook draws exactly what evaluate
-    would.  Any other batch, and a batch of one, calls each oracle's
-    evaluate on its row.  Either way every random stream is the one of a
-    run alone.  Returns (values (C,), candidates (C, m, n), finite (C,)): row i's
-    value and candidate gradients, its first candidate being the answer's
-    gradient, and whether all of them are finite.  A row with fewer
-    candidates than the others is padded with its own gradient, which
-    never moves farther; a candidate whose shape differs from its point
-    raises ValueError.
+    would.  Any other batch calls each oracle's evaluate on its row.
+    Either way every random stream is the one of a run alone.  This is
+    where an answer is checked.  Returns (values (C,), candidates (C, m, n),
+    finite (C,)): row i's value and candidate gradients, its first
+    candidate being the answer's gradient, and whether all of them are
+    finite.  A row with fewer candidates than the others is padded with
+    its own gradient, which never moves farther; a candidate whose shape
+    differs from its point raises ValueError.
     """
     if _stacks(oracles):
         values, exact = oracles[0].problem.value_and_gradient(points)
         answers = [oracle.answer(value, grad, rng)
                    for oracle, value, grad, rng in zip(oracles, values, exact, rngs)]
     else:
-        answers = [_row_answer(oracle, row, rng)
+        answers = [oracle.evaluate(row, rng=rng)
                    for oracle, row, rng in zip(oracles, points, rngs)]
     values, candidates = zip(*answers)
     width = max(map(len, candidates))
@@ -393,8 +354,7 @@ class ShiftedPointOracle:
     def evaluate(self, x, rng=None):
         x = np.asarray(x, dtype=float)
         shifted = x + bounded_noise(rng, x.size, self.shift_bound)
-        return OracleEval(point=x, value=float(self.problem.value(x)),
-                          gradient=self.problem.gradient(shifted))
+        return float(self.problem.value(x)), (self.problem.gradient(shifted),)
 
 
 class MinibatchOracle:
@@ -428,7 +388,7 @@ class MinibatchOracle:
         x = np.asarray(x, dtype=float)
         grad = sum(self.components[j].gradient(x) for j in batch) / self.batch_size
         value = sum(float(c.value(x)) for c in self.components) / n
-        return OracleEval(point=x, value=float(value), gradient=grad)
+        return float(value), (grad,)
 
 
 class SaddleOracle:
@@ -458,7 +418,7 @@ class SaddleOracle:
         value, u = self.saddle.value_and_maximizer(x)
         if self.inner_accuracy > 0.0:
             u = u + bounded_noise(rng, u.size, self.inner_accuracy)
-        return OracleEval(point=x, value=value, gradient=self.saddle.operator @ u)
+        return value, (self.saddle.operator @ u,)
 
 
 class HolderOracle(ModelOracle):
@@ -510,7 +470,8 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     every candidate gradient of the answer.  When the certificate claims a
     convex lower bound, no candidate's linearization may overshoot either.
     The worst pair over all candidates is reported either way, so a
-    refutation comes with a concrete witness.
+    refutation comes with a concrete witness.  The oracle answers through
+    evaluate_rows, as a batch of one; a non-finite answer raises ValueError.
     """
     if pairs <= 0:
         raise ValueError("pairs must be positive")
@@ -524,21 +485,24 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     worst_lower = None
     for _ in range(int(pairs)):
         x, y = domain_sampler(rng)
-        ev = oracle.evaluate(y, rng=rng)
-        diff = np.asarray(x, dtype=float) - ev.point
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        values, candidates, finite = evaluate_rows([oracle], y[None], [rng])
+        if not finite[0]:
+            raise ValueError("oracle answer is not finite")
+        diff = x - y
         dist = float(np.linalg.norm(diff))
-        value_gap = float(exact_value(x)) - ev.value
+        value_gap = float(exact_value(x)) - float(values[0])
         quadratic = 0.5 * cert.lipschitz * dist ** 2
         error = cert.delta * dist ** cert.degree
-        for grad in (ev.gradient, *ev.alternatives):
+        for grad in candidates[0]:
             gap = value_gap - float(grad @ diff)
             violation = gap - quadratic - error
             if violation > max_violation:
                 max_violation = violation
-                worst_pair = (np.array(x, dtype=float, copy=True), ev.point.copy())
+                worst_pair = (x, y)
             if lower_checked and gap < min_lower:
                 min_lower = gap
-                worst_lower = (np.array(x, dtype=float, copy=True), ev.point.copy())
+                worst_lower = (x, y)
     certified = max_violation <= tolerance and (not lower_checked or min_lower >= -tolerance)
     return CertificationReport(certified=certified, pairs=int(pairs), tolerance=float(tolerance),
                                max_violation=float(max_violation), worst_pair=worst_pair,

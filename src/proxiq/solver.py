@@ -14,9 +14,11 @@ reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
-guarantees control.  They share one start check, one answer step (a batch
-through oracle.evaluate_rows) and one failure rule: a non-finite oracle
-answer or a blown-up objective ends a run with DivergenceError.
+guarantees control.  They share one start check, one answer step and one
+failure rule.  The answer step asks a batch through oracle.evaluate_rows,
+which reads each oracle's (value, candidates) answer and checks its shapes
+and finiteness; a non-finite answer or a blown-up objective ends a run
+with DivergenceError.
 prox_gradient also serves the worst-case sweep: when an answer carries
 several candidate gradients, it steps along the one whose prox step moves
 farthest; the other two solvers reject such an answer with ValueError.

@@ -272,8 +272,8 @@ class _FaultyOracle(NoisyGradientOracle):
 
     faults maps a cell's (degree, noise bound) to (query, kind): from that
     query on, "blow-up" answers a finite value far above any blow-up
-    ceiling, and "nan" a NaN gradient, which trips OracleEval's finiteness
-    check.  The cells of a sweep each build their own oracle, so every
+    ceiling, and "nan" a NaN gradient, which evaluate_rows' finiteness
+    check marks.  The cells of a sweep each build their own oracle, so every
     oracle counts its own queries.
     """
 
@@ -471,13 +471,12 @@ def test_scaled_claim_wrapper_only_touches_delta(small_problem, tmp_path, monkey
         liar = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
         liar.certificate = replace(liar.certificate, delta=0.25 * liar.certificate.delta)
         assert liar.certificate == replace(honest.certificate, delta=0.25 * 0.3)
-        ev = liar.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-        want = honest.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-        assert ev.value == want.value
-        assert np.array_equal(ev.gradient, want.gradient)
-        assert len(ev.alternatives) == len(want.alternatives) == directions - 1
-        for alt, want_alt in zip(ev.alternatives, want.alternatives):
-            assert np.array_equal(alt, want_alt)
+        value, candidates = liar.evaluate(np.zeros(8), rng=np.random.default_rng(0))
+        want_value, want = honest.evaluate(np.zeros(8), rng=np.random.default_rng(0))
+        assert value == want_value
+        assert len(candidates) == len(want) == directions
+        for grad, want_grad in zip(candidates, want):
+            assert np.array_equal(grad, want_grad)
 
 
 def test_certify_command_accepts_honest_cells(tmp_path):

@@ -15,9 +15,7 @@ from proxiq import (
     LogSumProblem,
     MinibatchOracle,
     NoisyGradientOracle,
-    NonFiniteAnswer,
     OracleCertificate,
-    OracleEval,
     SaddleOracle,
     SaddleProblem,
     ShiftedPointOracle,
@@ -238,33 +236,6 @@ def test_certificate_validation():
         OracleCertificate(delta=0.1, lipschitz=0.0, degree=1.0)
 
 
-def test_eval_validation():
-    with pytest.raises(ValueError):
-        OracleEval(point=np.zeros(2), value=math.nan, gradient=np.zeros(2))
-    with pytest.raises(ValueError):
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(3))
-    with pytest.raises(ValueError):
-        OracleEval(point=np.zeros(2), value=0.0,
-                   gradient=np.array([1.0, math.inf]))
-
-
-def test_eval_checks_every_candidate():
-    ev = OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2))
-    assert ev.alternatives == ()
-    with pytest.raises(NonFiniteAnswer):
-        OracleEval(point=np.zeros(2), value=math.inf, gradient=np.zeros(2))
-    with pytest.raises(NonFiniteAnswer):
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.array([math.nan, 0.0]))
-    with pytest.raises(NonFiniteAnswer):
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2),
-                   alternatives=(np.zeros(2), np.array([0.0, -math.inf])))
-    # a shape mismatch is a usage error, not a non-finite answer
-    with pytest.raises(ValueError) as info:
-        OracleEval(point=np.zeros(2), value=0.0, gradient=np.zeros(2),
-                   alternatives=(np.zeros(3),))
-    assert not isinstance(info.value, NonFiniteAnswer)
-
-
 def test_evaluate_rows_matches_evaluate_per_row():
     # one stacked evaluation, then each oracle draws from its own generator
     # exactly what it draws alone, in the same order
@@ -276,14 +247,26 @@ def test_evaluate_rows_matches_evaluate_per_row():
     assert values.shape == (3,) and candidates.shape == (3, 3, 8) and finite.all()
     for i, (oracle, rng) in enumerate(zip(oracles, rngs)):
         ref_rng = np.random.default_rng(i)
-        alone = oracle.evaluate(points[i], rng=ref_rng)
+        value, alone = oracle.evaluate(points[i], rng=ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert values[i] == alone.value
-        for stacked, single in zip(candidates[i], (alone.gradient, *alone.alternatives)):
+        assert values[i] == value
+        for stacked, single in zip(candidates[i], alone, strict=True):
             assert stacked.tobytes() == single.tobytes()
     values, candidates, _ = evaluate_rows([ExactOracle(prob)] * 3, points, [None] * 3)
     assert candidates.shape == (3, 1, 8)
     assert np.array_equal(candidates[:, 0], prob.value_and_gradient(points)[1])
+
+    # a batch of one takes the stacked path too, bitwise the oracle's evaluate
+    holder = HolderPowerProblem(centers=np.full(8, 0.1), exponent=0.5, holder_constant=1.0)
+    for oracle, x in ((ExactOracle(prob), points[0]),
+                      (NoisyGradientOracle(prob, 0.2, directions=3), points[1]),
+                      (HolderOracle(holder, degree=0.5, delta=0.1), points[2])):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
+        value, alone = oracle.evaluate(x, rng=ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert finite.tolist() == [True] and values[0].tobytes() == np.float64(value).tobytes()
+        assert candidates[0].tobytes() == np.array(alone).tobytes()
 
 
 class _Halved(ExactOracle):
@@ -294,16 +277,15 @@ class _Halved(ExactOracle):
         self.queries = 0
 
     def evaluate(self, x, rng=None):
-        ev = super().evaluate(x, rng=rng)
+        value, (grad,) = super().evaluate(x, rng=rng)
         self.queries += 1
-        return OracleEval(point=ev.point, value=ev.value,
-                          gradient=ev.gradient * (0.5 if self.queries == 1 else math.nan))
+        return value, (grad * (0.5 if self.queries == 1 else math.nan),)
 
 
 def test_evaluate_rows_runs_each_oracles_own_evaluate():
     # a model oracle that overrides evaluate is asked through it, not through
     # the stacked path; rows with fewer candidates repeat their gradient, and
-    # a NonFiniteAnswer marks just its row
+    # a non-finite answer marks just its row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
     oracles = [ExactOracle(prob), _Halved(prob), NoisyGradientOracle(prob, 0.2, directions=3)]
@@ -316,14 +298,14 @@ def test_evaluate_rows_runs_each_oracles_own_evaluate():
     for row in (0, 1):
         for padded in candidates[row, 1:]:
             assert padded.tobytes() == candidates[row, 0].tobytes()
-    alone = oracles[2].evaluate(points[2], rng=np.random.default_rng(1))
-    assert candidates[2, 0].tobytes() == alone.gradient.tobytes()
-    assert candidates[2, 2].tobytes() == alone.alternatives[1].tobytes()
+    _, alone = oracles[2].evaluate(points[2], rng=np.random.default_rng(1))
+    assert candidates[2, 0].tobytes() == alone[0].tobytes()
+    assert candidates[2, 2].tobytes() == alone[2].tobytes()
     values, candidates, finite = evaluate_rows(oracles, points,
                                                [None, None, np.random.default_rng(1)])
     assert finite.tolist() == [True, False, True]
-    assert math.isnan(values[1]) and np.isnan(candidates[1]).all()
-    assert np.isfinite(values[[0, 2]]).all() and np.isfinite(candidates[[0, 2]]).all()
+    assert np.isfinite(values).all() and np.isnan(candidates[1]).all()
+    assert np.isfinite(candidates[[0, 2]]).all()
 
 
 class _Widened(ExactOracle):
@@ -334,37 +316,63 @@ class _Widened(ExactOracle):
 
 
 class _Spoiled(ExactOracle):
-    """Exact oracle whose answer hook replaces the value or adds a candidate."""
+    """Exact oracle whose answer hook replaces the value or the gradient, or
+    adds a candidate."""
 
-    def __init__(self, problem, value=None, extra=None):
+    def __init__(self, problem, value=None, gradient=None, extra=None):
         super().__init__(problem)
         self.bad_value = value
+        self.bad_gradient = gradient
         self.extra = extra
 
     def answer(self, value, exact, rng=None):
         value = value if self.bad_value is None else self.bad_value
-        return value, (exact,) if self.extra is None else (exact, self.extra)
+        grad = exact if self.bad_gradient is None else self.bad_gradient
+        return value, (grad,) if self.extra is None else (grad, self.extra)
+
+
+class _OwnEvaluate:
+    """Mixin: the same answer through an evaluate of the oracle's own, so
+    evaluate_rows asks it row by row instead of stacking."""
+
+    def evaluate(self, x, rng=None):
+        return super().evaluate(x, rng=rng)
+
+
+class _RowWidened(_OwnEvaluate, _Widened):
+    pass
+
+
+class _RowSpoiled(_OwnEvaluate, _Spoiled):
+    pass
 
 
 def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
-    # the stacked path builds no OracleEval, so evaluate_rows makes its checks:
-    # a candidate that does not match its point is a usage error, and a
-    # non-finite value or candidate marks only its own row
+    # evaluate_rows checks every answer, through an answer hook (stacked) and
+    # through an oracle's own evaluate (per row) alike: a candidate that does
+    # not match its point is a usage error, and a non-finite value or
+    # candidate marks only its own row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
-    points = np.random.default_rng(0).uniform(-0.5, 0.5, (5, 8))
-    with pytest.raises(ValueError, match="shapes differ") as info:
-        evaluate_rows([_Widened(prob)] * 3, points[:3], [None] * 3)
-    assert not isinstance(info.value, NonFiniteAnswer)
-    with pytest.raises(ValueError):
-        evaluate_rows([ExactOracle(prob), _Widened(prob)], points[:2], [None] * 2)
-    oracles = [ExactOracle(prob), _Spoiled(prob, value=math.inf),
-               _Spoiled(prob, value=math.nan), _Spoiled(prob, extra=np.full(8, -math.inf)),
-               NoisyGradientOracle(prob, 0.2, directions=2)]
-    values, candidates, finite = evaluate_rows(oracles, points, [None] * 4
-                                               + [np.random.default_rng(1)])
-    assert finite.tolist() == [True, False, False, False, True]
-    assert values[1] == math.inf and np.isfinite(candidates[1]).all()
-    assert np.isfinite(values[3]) and np.isinf(candidates[3, 1]).all()
+    points = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8))
+    nan_entry = np.array([math.nan] + [0.0] * 7)
+    for widened, spoiled in ((_Widened, _Spoiled), (_RowWidened, _RowSpoiled)):
+        with pytest.raises(ValueError, match="shapes differ"):
+            evaluate_rows([widened(prob)] * 3, points[:3], [None] * 3)
+        with pytest.raises(ValueError):
+            evaluate_rows([ExactOracle(prob), widened(prob)], points[:2], [None] * 2)
+        with pytest.raises(ValueError):
+            evaluate_rows([spoiled(prob, extra=np.zeros(9))], points[:1], [None])
+        oracles = [spoiled(prob), spoiled(prob, value=math.inf), spoiled(prob, value=math.nan),
+                   spoiled(prob, gradient=nan_entry), spoiled(prob, extra=np.full(8, -math.inf)),
+                   spoiled(prob, extra=np.zeros(8))]
+        values, candidates, finite = evaluate_rows(oracles, points, [None] * 6)
+        assert candidates.shape == (6, 2, 8)
+        assert finite.tolist() == [True, False, False, False, False, True]
+        assert values[1] == math.inf and np.isfinite(candidates[1]).all()
+        assert math.isnan(values[2]) and np.isfinite(candidates[2]).all()
+        assert np.isfinite(values[3]) and np.isnan(candidates[3, :, 0]).all()
+        assert np.isfinite(values[4]) and np.isinf(candidates[4, 1]).all()
+        assert np.isfinite(candidates[4, 0]).all()
 
 
 # --------------------------------------------------------------- families
@@ -375,9 +383,9 @@ def test_noisy_gradient_certificate_and_cap():
     x = np.linspace(-1.0, 1.0, 6)
     rng = np.random.default_rng(3)
     oracle = NoisyGradientOracle(prob, 0.25)
-    ev = oracle.evaluate(x, rng=rng)
-    assert ev.value == prob.value(x)
-    assert np.linalg.norm(ev.gradient - prob.gradient(x)) <= 0.25 + 1e-12
+    value, (grad,) = oracle.evaluate(x, rng=rng)
+    assert value == prob.value(x)
+    assert np.linalg.norm(grad - prob.gradient(x)) <= 0.25 + 1e-12
     assert oracle.certificate == OracleCertificate(delta=0.25, lipschitz=prob.lipschitz,
                                                    degree=1.0)
 
@@ -385,7 +393,8 @@ def test_noisy_gradient_certificate_and_cap():
     oracle = NoisyGradientOracle(prob, 0.25, degree=0.4, diameter=3.0)
     assert oracle.certificate.degree == 0.4
     assert abs(oracle.certificate.delta - 0.25 * 3.0 ** 0.6) <= 1e-15
-    assert np.linalg.norm(oracle.evaluate(x, rng=rng).gradient - prob.gradient(x)) <= 0.25 + 1e-12
+    (grad,) = oracle.evaluate(x, rng=rng)[1]
+    assert np.linalg.norm(grad - prob.gradient(x)) <= 0.25 + 1e-12
 
     with pytest.raises(ValueError):
         NoisyGradientOracle(prob, 0.25, degree=0.4)
@@ -402,30 +411,30 @@ def test_noisy_gradient_candidates():
 
     # one direction is the plain answer, bit for bit
     rng = np.random.default_rng(8)
-    plain = NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng)
+    plain_value, (plain,) = NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng)
     ref_rng = np.random.default_rng(8)
-    assert np.array_equal(plain.gradient, exact + bounded_noise(ref_rng, 6, 0.25))
-    assert plain.value == prob.value(x)
-    assert plain.alternatives == ()
+    assert np.array_equal(plain, exact + bounded_noise(ref_rng, 6, 0.25))
+    assert plain_value == prob.value(x)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    one = NoisyGradientOracle(prob, 0.25, directions=1).evaluate(
+    one_value, (one,) = NoisyGradientOracle(prob, 0.25, directions=1).evaluate(
         x, rng=np.random.default_rng(8))
-    assert np.array_equal(one.gradient, plain.gradient)
-    assert one.value == plain.value
+    assert np.array_equal(one, plain)
+    assert one_value == plain_value
 
     # m directions: m - 1 alternatives under the same certificate, drawn
     # after the first candidate exactly like m sequential noise draws
     rng = np.random.default_rng(8)
-    ev = NoisyGradientOracle(prob, 0.25, directions=4).evaluate(x, rng=rng)
-    assert len(ev.alternatives) == 3
-    assert np.array_equal(ev.gradient, plain.gradient)
+    _, (first, *alternatives) = NoisyGradientOracle(prob, 0.25, directions=4).evaluate(
+        x, rng=rng)
+    assert len(alternatives) == 3
+    assert np.array_equal(first, plain)
     ref_rng = np.random.default_rng(8)
     draws = [bounded_noise(ref_rng, 6, 0.25) for _ in range(4)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for alt, noise in zip(ev.alternatives, draws[1:]):
+    for alt, noise in zip(alternatives, draws[1:]):
         assert np.array_equal(alt, exact + noise)
         assert np.linalg.norm(alt - exact) <= 0.25 + 1e-12
-    assert len({alt.tobytes() for alt in ev.alternatives}) == 3
+    assert len({alt.tobytes() for alt in alternatives}) == 3
 
     for bad in (0, -1):
         with pytest.raises(ValueError):
@@ -437,15 +446,15 @@ def test_shifted_point_certificate():
     x = np.ones(5)
     rng = np.random.default_rng(7)
     oracle = ShiftedPointOracle(prob, 0.2)
-    ev = oracle.evaluate(x, rng=rng)
-    assert ev.value == prob.value(x)
+    value, (grad,) = oracle.evaluate(x, rng=rng)
+    assert value == prob.value(x)
     assert oracle.certificate == OracleCertificate(delta=prob.lipschitz * 0.2,
                                                    lipschitz=prob.lipschitz, degree=1.0)
     # smoothness turns the hidden displacement into a gradient error bound
-    assert np.linalg.norm(ev.gradient - prob.gradient(x)) <= prob.lipschitz * 0.2 + 1e-12
+    assert np.linalg.norm(grad - prob.gradient(x)) <= prob.lipschitz * 0.2 + 1e-12
 
-    exact = ShiftedPointOracle(prob, 0.0).evaluate(x, rng=rng)
-    assert np.array_equal(exact.gradient, prob.gradient(x))
+    _, (exact,) = ShiftedPointOracle(prob, 0.0).evaluate(x, rng=rng)
+    assert np.array_equal(exact, prob.gradient(x))
     with pytest.raises(ValueError):
         ShiftedPointOracle(prob, -0.5)
 
@@ -475,17 +484,17 @@ def test_minibatch_hand_gradients():
     rng, replay = np.random.default_rng(5), np.random.default_rng(5)
     seen = set()
     for _ in range(8):
-        ev = oracle.evaluate(x, rng=rng)
+        value, (grad,) = oracle.evaluate(x, rng=rng)
         (j,) = replay.choice(2, size=1, replace=False)
         seen.add(int(j))
-        assert ev.value == 4.0
-        assert np.array_equal(ev.gradient, comps[j].a)
+        assert value == 4.0
+        assert np.array_equal(grad, comps[j].a)
     assert seen == {0, 1}
     assert rng.bit_generator.state == replay.bit_generator.state
 
-    ev = MinibatchOracle(comps, batch_size=2).evaluate(x)
-    assert ev.value == 4.0
-    assert np.array_equal(ev.gradient, [0.5, 1.0])
+    value, (grad,) = MinibatchOracle(comps, batch_size=2).evaluate(x)
+    assert value == 4.0
+    assert np.array_equal(grad, [0.5, 1.0])
 
     claimed = MinibatchOracle(comps, batch_size=1, claimed_delta=0.3, claimed_lipschitz=5.0,
                               degree=0.5)
@@ -514,14 +523,14 @@ def test_minibatch_full_batch_is_exact_mean():
     comps = [_Quad(c) for c in centers]
     x = rng.standard_normal(3)
     oracle = MinibatchOracle(comps, batch_size=4)
-    ev = oracle.evaluate(x)  # full batch needs no generator
-    assert np.allclose(ev.gradient, x - centers.mean(axis=0))
+    _, (grad,) = oracle.evaluate(x)  # full batch needs no generator
+    assert np.allclose(grad, x - centers.mean(axis=0))
 
     partial = MinibatchOracle(comps, batch_size=2)
     with pytest.raises(ValueError):
         partial.evaluate(x)
-    ev = partial.evaluate(x, rng=rng)
-    assert ev.gradient.shape == (3,)
+    _, (grad,) = partial.evaluate(x, rng=rng)
+    assert grad.shape == (3,)
     with pytest.raises(ValueError):
         MinibatchOracle(comps, batch_size=0)
     with pytest.raises(ValueError):
@@ -576,14 +585,14 @@ def test_saddle_oracle_certificates():
     assert exact.certificate.convex_lower_bound
     assert exact.certificate.delta == 0.0
     assert exact.certificate.lipschitz == norm_a ** 2 / 0.7
-    assert np.allclose(exact.evaluate(x).gradient, sp.gradient(x))
+    assert np.allclose(exact.evaluate(x)[1][0], sp.gradient(x))
 
     oracle = SaddleOracle(sp, 0.3)
     assert oracle.operator_norm == norm_a
-    noisy = oracle.evaluate(x, rng=np.random.default_rng(2))
+    _, (noisy,) = oracle.evaluate(x, rng=np.random.default_rng(2))
     assert not oracle.certificate.convex_lower_bound
     assert abs(oracle.certificate.delta - 0.3 * norm_a) <= 1e-12
-    assert np.linalg.norm(noisy.gradient - sp.gradient(x)) <= 0.3 * norm_a + 1e-12
+    assert np.linalg.norm(noisy - sp.gradient(x)) <= 0.3 * norm_a + 1e-12
 
     with pytest.raises(ValueError):
         SaddleOracle(sp, -0.1)
@@ -598,12 +607,12 @@ def test_holder_oracle_certificate():
     holder = HolderPowerProblem(centers=np.zeros(3), exponent=0.5, holder_constant=1.0)
     x = np.array([0.4, -1.2, 0.0])
     oracle = HolderOracle(holder, degree=0.5, delta=0.1)
-    ev = oracle.evaluate(x)
-    assert ev.value == float(np.sum(np.abs(x) ** 1.5)) / 1.5
+    value, (grad,) = oracle.evaluate(x)
+    assert value == float(np.sum(np.abs(x) ** 1.5)) / 1.5
     assert oracle.certificate == OracleCertificate(
         delta=0.1, lipschitz=holder_smoothing_constant(1.0, 0.5, 0.5, 0.1), degree=0.5,
         convex_lower_bound=True)
-    assert np.array_equal(ev.gradient, np.sign(x) * np.abs(x) ** 0.5)
+    assert np.array_equal(grad, np.sign(x) * np.abs(x) ** 0.5)
 
     # a tighter accuracy is bought with a larger smoothness constant
     tightened = HolderOracle(holder, degree=0.5, delta=0.01)
@@ -615,11 +624,11 @@ def test_exact_oracle_zero_delta():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=6)
     oracle = ExactOracle(prob, degree=0.5, convex_lower_bound=True)
     x = np.ones(4)
-    ev = oracle.evaluate(x)
+    value, (grad,) = oracle.evaluate(x)
     assert oracle.certificate == OracleCertificate(delta=0.0, lipschitz=prob.lipschitz,
                                                    degree=0.5, convex_lower_bound=True)
-    assert ev.value == prob.value(x)
-    assert np.array_equal(ev.gradient, prob.gradient(x))
+    assert value == prob.value(x)
+    assert np.array_equal(grad, prob.gradient(x))
 
 
 # -------------------------------------------------------------- certifier
@@ -677,9 +686,8 @@ def test_certify_checks_every_candidate():
     # refutes it even when the first candidate is honest
     class _BadAlternatives(NoisyGradientOracle):
         def evaluate(self, x, rng=None):
-            ev = super().evaluate(x, rng=rng)
-            return replace(ev, alternatives=tuple(np.full(ev.point.shape, 1e3)
-                                                  for _ in ev.alternatives))
+            value, (grad, *alternatives) = super().evaluate(x, rng=rng)
+            return value, (grad, *[np.full(grad.shape, 1e3) for _ in alternatives])
 
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     sampler = ball_pair_sampler(2.0, 8)
@@ -692,6 +700,18 @@ def test_certify_checks_every_candidate():
     assert not report.certified
     assert report.max_violation > report.tolerance
     assert report.summary().startswith("REFUTED")
+    # the verdict and the violation are plain Python values, not numpy scalars
+    for checked in (honest, report):
+        assert type(checked.certified) is bool and type(checked.max_violation) is float
+
+
+def test_certify_raises_on_non_finite_answer():
+    # the certifier asks through evaluate_rows, per row and stacked alike
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    sampler = ball_pair_sampler(2.0, 8)
+    for oracle in (_Halved(prob), _Spoiled(prob, value=math.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            certify_oracle(oracle, prob.value, sampler, pairs=5, rng=np.random.default_rng(1))
 
 
 def test_certify_requires_positive_pairs():

@@ -14,7 +14,6 @@ from proxiq import (
     MinibatchOracle,
     NoisyGradientOracle,
     OracleCertificate,
-    OracleEval,
     ProxFunction,
     RunTrace,
     SaddleOracle,
@@ -44,8 +43,8 @@ class _WrongConstant(ExactOracle):
 class _Poisoned:
     """Exact oracle whose answers turn non-finite from a given query on.
 
-    The answer itself trips OracleEval's finiteness check, as a real oracle
-    with an overflowing or NaN computation would.
+    The answer itself is non-finite, as a real oracle's with an overflowing
+    or NaN computation would be, and evaluate_rows' finiteness check marks it.
     """
 
     def __init__(self, problem, first_bad, field):
@@ -56,13 +55,13 @@ class _Poisoned:
         self.queries = 0
 
     def evaluate(self, x, rng=None):
-        ev = self.inner.evaluate(x)
+        value, (grad,) = self.inner.evaluate(x)
         self.queries += 1
-        if self.queries <= self.first_bad:
-            return ev
-        value = math.inf if self.field == "value" else ev.value
-        gradient = ev.gradient * math.nan if self.field == "gradient" else ev.gradient
-        return OracleEval(point=ev.point, value=value, gradient=gradient)
+        if self.queries > self.first_bad and self.field == "value":
+            value = math.inf
+        if self.queries > self.first_bad and self.field == "gradient":
+            grad = grad * math.nan
+        return value, (grad,)
 
 
 # --------------------------------------------------------------- schedules
@@ -126,7 +125,8 @@ def test_prox_gradient_single_step_solves_separable():
             return 0.5 * float(x @ x)
 
         def value_and_gradient(self, x):
-            return self.value(x), np.asarray(x, dtype=float)
+            # a model oracle's problem answers a stack (C, n) row by row
+            return 0.5 * (x * x).sum(axis=-1), np.asarray(x, dtype=float)
 
     prob = _OneDim()
     cfg = ScheduleConfig(max_iters=3, rho=0.0)
@@ -199,9 +199,8 @@ class _Scaled:
         self.factors = factors
 
     def evaluate(self, x, rng=None):
-        ev = self.inner.evaluate(x)
-        return OracleEval(point=ev.point, value=ev.value, gradient=ev.gradient,
-                          alternatives=tuple(f * ev.gradient for f in self.factors))
+        value, (grad,) = self.inner.evaluate(x)
+        return value, (grad, *[f * grad for f in self.factors])
 
 
 def test_prox_gradient_follows_the_farthest_candidate():
@@ -333,10 +332,10 @@ def test_prox_gradient_takes_every_oracle_family():
     x0 = np.full(4, 0.1)
     for objective, oracle in cases:
         trace = prox_gradient(objective, oracle, h, cfg, x0, rng=np.random.default_rng(0))
-        first = oracle.evaluate(x0, rng=np.random.default_rng(0))
+        value, (grad,) = oracle.evaluate(x0, rng=np.random.default_rng(0))
         alpha = trace.alpha[0]
-        assert trace.objective[0] == first.value
-        assert np.array_equal(trace.iterates[1], prox_apply(h, alpha, x0 - alpha * first.gradient))
+        assert trace.objective[0] == value
+        assert np.array_equal(trace.iterates[1], prox_apply(h, alpha, x0 - alpha * grad))
         assert trace.objective[-1] == objective(trace.iterates[-1])
         runs = prox_gradient(objective, [oracle, oracle], h, [cfg] * 2, x0,
                              [np.random.default_rng(0), np.random.default_rng(1)])
@@ -542,7 +541,7 @@ def test_adaptive_flat_objective_never_retries():
             return 5.0
 
         def value_and_gradient(self, x):
-            return 5.0, np.zeros_like(np.asarray(x, dtype=float))
+            return np.full(np.shape(x)[:-1], 5.0), np.zeros_like(np.asarray(x, dtype=float))
 
     prob = _Flat()
     cfg = ScheduleConfig(max_iters=6, rho=0.0)
@@ -586,7 +585,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
             return -10.0 * float(x[0])
 
         def value_and_gradient(self, x):
-            return self.value(x), np.array([-10.0])
+            return -10.0 * x[..., 0], np.full(np.shape(x), -10.0)
 
     prob = _Drop()
     cfg = ScheduleConfig(max_iters=5, rho=0.0)
