@@ -434,9 +434,11 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
 
     Writes certification.txt into the output directory, one line per
     (degree, noise) cell plus a verdict line.  Returns True when every cell
-    certified.  A claimed_delta_scale other than 1 scales the delta each
-    certificate claims; below 1 the claim understates the true error,
-    which the certifier is expected to refute.
+    certified.  Each cell's oracle offers max(1, worst_case_directions)
+    candidates, as in the worst-case run, and every one is audited.  A
+    claimed_delta_scale other than 1 scales the delta each certificate
+    claims; below 1 the claim understates the true error, which the
+    certifier is expected to refute.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -446,7 +448,8 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
     all_ok = True
     for degree in config.oracle.degrees:
         for noise_bound in config.oracle.noise_bounds:
-            oracle = _cell_oracle(problem, degree, noise_bound)
+            oracle = _cell_oracle(problem, degree, noise_bound,
+                                  max(1, config.worst_case_directions))
             claim = oracle.certificate
             oracle.certificate = replace(claim,
                                          delta=claim.delta * config.oracle.claimed_delta_scale)

@@ -489,6 +489,27 @@ def test_certify_command_accepts_honest_cells(tmp_path):
     assert lines[-1] == "all certified"
 
 
+def test_certify_command_audits_the_worst_case_oracle(tmp_path, monkeypatch):
+    # with worst_case_directions = m each cell's audited oracle offers the m
+    # candidates the worst-case run steps along
+    audited = []
+    real = harness.certify_oracle
+
+    def recording(oracle, *args, **kwargs):
+        audited.append(oracle)
+        return real(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "certify_oracle", recording)
+    honest = harness.parse_config(make_config(tmp_path / "honest", worst_case_directions=3))
+    assert harness.certify_command(honest, pairs=200) is True
+    assert len(audited) == 4 and all(oracle.directions == 3 for oracle in audited)
+    data = make_config(tmp_path / "liar", worst_case_directions=3)
+    data["oracle"]["claimed_delta_scale"] = 0.25
+    assert harness.certify_command(harness.parse_config(data), pairs=400) is False
+    assert len(audited) == 8 and all(oracle.directions == 3 for oracle in audited)
+    assert "REFUTED" in (tmp_path / "liar" / "certification.txt").read_text()
+
+
 def test_certify_command_refutes_understated_claim(tmp_path):
     data = make_config(tmp_path / "out",
                        oracle={"degrees": [0.0, 1.0], "noise_bounds": [0.0, 0.5],
