@@ -212,6 +212,10 @@ class SaddleProblem:
         return self.value_and_maximizer(x)[0]
 
     def value_and_gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:  # a stack (C, n), as a model oracle's batch asks: row by row
+            values, grads = zip(*map(self.value_and_gradient, x))
+            return np.array(values), np.array(grads)
         value, u = self.value_and_maximizer(x)
         return value, self.operator @ u
 

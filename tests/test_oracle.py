@@ -258,9 +258,12 @@ def test_evaluate_rows_matches_evaluate_per_row():
 
     # a batch of one takes the stacked path too, bitwise the oracle's evaluate
     holder = HolderPowerProblem(centers=np.full(8, 0.1), exponent=0.5, holder_constant=1.0)
+    gen = np.random.default_rng(8)
+    saddle = SaddleProblem(gen.standard_normal((8, 3)), gen.standard_normal(3), 2.0)
     for oracle, x in ((ExactOracle(prob), points[0]),
                       (NoisyGradientOracle(prob, 0.2, directions=3), points[1]),
-                      (HolderOracle(holder, degree=0.5, delta=0.1), points[2])):
+                      (HolderOracle(holder, degree=0.5, delta=0.1), points[2]),
+                      (ExactOracle(saddle), points[0])):
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
         value, alone = oracle.evaluate(x, rng=ref_rng)
