@@ -7,11 +7,11 @@ repeat index), so editing the grid never reshuffles the randomness of
 cells that were already there.  All cells of a sweep run as one batch: one
 prox_gradient call advances every cell in lockstep as one (C, n) state,
 each with its own oracle and generator, and gives each cell bitwise the
-run it would have alone.  Files are written in grid order.  Each cell
-keeps its RunTrace minus the iterates, and every table (traces, summary,
-bound curves) goes through rates.write_csv: %.17g floats and forced
-newlines.  A trace row's f is F
-at the pre-step iterate, so the summary's final_f is F(x_{K-1}).
+run it would have alone.  Files are written in grid order.  This module
+alone decides the bundle's format, and every table goes through
+rates.write_csv: %.17g floats and forced newlines.  A trace holds only
+what varies by step; the step size alpha and the certificate's delta,
+fixed for a run, are summary columns, and the summary's final_f is F(x_K).
 
 The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
@@ -349,18 +349,19 @@ def _write_bounds_csv(path, cells):
 
 def _write_summary_csv(path, cells):
     header = ("q", "delta", "repeat", "seed", "status", "f0", "final_f", "final_min_gm_sq",
-              "plateau", "bound_plateau", "dominated")
+              "plateau", "bound_plateau", "dominated", "alpha", "delta_k")
     rows = []
     for cell in cells:
         if cell.trace is None:
-            final_f = final_min = float("nan")
+            final_f = final_min = alpha = delta = float("nan")
             dominated = ""
         else:
-            # f is F at the pre-step iterate, so the last trace row holds F(x_{K-1})
-            final_f, final_min = cell.trace.objective[-2], cell.trace.min_gm_sq[-1]
+            final_f, final_min = cell.trace.objective[-1], cell.trace.min_gm_sq[-1]
+            alpha, delta = cell.trace.alpha[0], cell.trace.delta
             dominated = str(cell.dominated).lower()
         rows.append((cell.degree, cell.noise_bound, cell.repeat, cell.seed_label, cell.status,
-                     cell.f0, final_f, final_min, cell.plateau, cell.bound_plateau, dominated))
+                     cell.f0, final_f, final_min, cell.plateau, cell.bound_plateau, dominated,
+                     alpha, delta))
     rates.write_csv(path, header, list(zip(*rows)))
 
 
@@ -375,8 +376,12 @@ def _sweep(config, directions, prefix, write_bounds):
     out.mkdir(parents=True, exist_ok=True)
     results = run_cells(_instance(config), config, _grid(config), directions)
     for cell in results:
-        if cell.trace is not None:
-            cell.trace.write_csv(out / (prefix + cell.trace_filename), bound=cell.bound)
+        trace = cell.trace
+        if trace is not None:
+            rates.write_csv(out / (prefix + cell.trace_filename),
+                            ("k", "f", "gm_sq", "min_gm_sq", "bound"),
+                            (range(trace.steps), trace.objective[:-1], trace.gm_sq,
+                             trace.min_gm_sq, cell.bound))
     if write_bounds:
         _write_bounds_csv(out / "bound_q_delta.csv", results)
     _write_summary_csv(out / (prefix + "summary.csv"), results)
@@ -387,9 +392,10 @@ def run_experiment(config):
     """Run the full (degree, noise, repeat) grid and write the result bundle.
 
     Writes one trace CSV per successful cell, the bound curves, and a
-    summary with per-cell plateau and domination flags.  A diverged cell is
-    reported in the summary and skipped in the trace output; its siblings
-    are unaffected.  Returns the CellResults in grid order.
+    summary with each cell's plateau, domination flag, step size and
+    delta.  A diverged cell is reported in the summary and skipped in the
+    trace output; its siblings are unaffected.  Returns the CellResults in
+    grid order.
     """
     return _sweep(config, 1, "", write_bounds=True)
 

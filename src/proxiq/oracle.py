@@ -268,10 +268,14 @@ def evaluate_rows(oracles, points, rngs):
     candidate being the answer's gradient, and whether all of them are
     finite.  A row with fewer candidates than the others is padded with
     its own gradient, which never moves farther; a candidate whose shape
-    differs from its point raises ValueError.
+    differs from its point, or a stacked evaluation that does not give
+    (C,) values and a (C, n) gradient, raises ValueError.
     """
     if _stacks(oracles):
         values, exact = oracles[0].problem.value_and_gradient(points)
+        if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
+            raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
+                             " and a (C, n) gradient")
         answers = [oracle.answer(value, grad, rng)
                    for oracle, value, grad, rng in zip(oracles, values, exact, rngs)]
     else:

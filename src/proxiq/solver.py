@@ -35,7 +35,7 @@ import numpy as np
 from .oracle import evaluate_rows
 from .problems import sq_norm
 from .prox import prox_apply, prox_rows
-from .rates import rho_opt_horizon, write_csv
+from .rates import rho_opt_horizon
 
 
 class DivergenceError(RuntimeError):
@@ -94,7 +94,7 @@ class RunTrace:
     iterates: Optional[np.ndarray]  # (K+1, n)
     objective: np.ndarray          # (K+1,) composite value f(x_k)
     alpha: np.ndarray              # (K,)
-    delta: np.ndarray              # (K,) the certificate's accuracy, per step
+    delta: float                   # the certificate's accuracy, fixed for the run
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
     min_gm_sq: np.ndarray          # (K,) running minimum of gm_sq
     y_points: Optional[np.ndarray] = None
@@ -113,16 +113,6 @@ class RunTrace:
     @property
     def steps(self):
         return len(self.gm_sq)
-
-    def write_csv(self, path, bound=None):
-        """One row per step k: k,f,gm_sq,min_gm_sq,alpha,delta_k and an optional
-        bound column; f is the composite value at the pre-step iterate x_k."""
-        columns = {"k": range(self.steps), "f": self.objective[:self.steps],
-                   "gm_sq": self.gm_sq, "min_gm_sq": self.min_gm_sq, "alpha": self.alpha,
-                   "delta_k": self.delta}
-        if bound is not None:
-            columns["bound"] = bound
-        write_csv(path, list(columns), list(columns.values()))
 
 
 @dataclass
@@ -286,7 +276,7 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
     for i in live:
         outcomes[i] = RunTrace.assemble(
             iterates[:, i] if keep_iterates else None, objective_vals[i],
-            np.full(iters, alphas[i]), np.full(iters, certs[i].delta), gm_sq[i])
+            np.full(iters, alphas[i]), certs[i].delta, gm_sq[i])
     return outcomes
 
 
@@ -377,10 +367,9 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         objective_y[k] = fy
         theta = theta_new
         a_weight = a_new
-    return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha),
-                             np.full(iters, cert.delta), gm_sq, y_points=y_points,
-                             z_points=z_points, objective_y=objective_y,
-                             theta=thetas, a_weights=a_arr, tau=taus)
+    return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha), cert.delta,
+                             gm_sq, y_points=y_points, z_points=z_points,
+                             objective_y=objective_y, theta=thetas, a_weights=a_arr, tau=taus)
 
 
 def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
@@ -444,5 +433,4 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         f_min = min(f_min, f_next)
         epsilon /= 2.0
         f_best = f_min - epsilon
-    return RunTrace.assemble(iterates, objective_vals, alpha_arr, np.full(iters, delta),
-                             gm_sq), history
+    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta, gm_sq), history

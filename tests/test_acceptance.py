@@ -153,7 +153,7 @@ def test_04_aggregate_decrease_inequality(canonical, bundle):
     worst = np.inf
     for cell in results:
         lhs = np.cumsum(cell.trace.alpha * cell.trace.gm_sq)
-        offset = majorize_amgm(cell.trace.delta[0], cell.degree, L)[1]
+        offset = majorize_amgm(cell.trace.delta, cell.degree, L)[1]
         rhs = cell.f0 + (np.arange(len(lhs)) + 1.0) * offset
         worst = min(worst, float((rhs - lhs).min()))
     _report(4, f"aggregate decrease inequality holds on all cells (min slack {worst:.2e})",

@@ -194,7 +194,7 @@ def test_run_experiment_grid_order_and_files(grid_run):
     assert names == sorted(traces + ["bound_q_delta.csv", "summary.csv"])
     for cell in results:
         lines = (out / cell.trace_filename).read_text().splitlines()
-        assert lines[0] == "k,f,gm_sq,min_gm_sq,alpha,delta_k,bound"
+        assert lines[0] == "k,f,gm_sq,min_gm_sq,bound"
         assert len(lines) == 1 + config.solver.iterations
         assert lines[1].startswith("0,")
 
@@ -208,16 +208,14 @@ def test_trace_csv_preserves_arrays_bitwise(grid_run):
     assert np.array_equal(table[:, 1], cell.trace.objective[:-1])
     assert np.array_equal(table[:, 2], cell.trace.gm_sq)
     assert np.array_equal(table[:, 3], cell.trace.min_gm_sq)
-    assert np.array_equal(table[:, 4], cell.trace.alpha)
-    assert np.array_equal(table[:, 5], cell.trace.delta)
-    assert np.array_equal(table[:, 6], cell.bound)
+    assert np.array_equal(table[:, 4], cell.bound)
 
 
 def test_summary_rows_match_results(grid_run):
     config, results, out = grid_run
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0] == ("q,delta,repeat,seed,status,f0,final_f,final_min_gm_sq,"
-                        "plateau,bound_plateau,dominated")
+                        "plateau,bound_plateau,dominated,alpha,delta_k")
     assert len(lines) == 1 + len(results)
     for line, cell in zip(lines[1:], results):
         fields = line.split(",")
@@ -227,11 +225,14 @@ def test_summary_rows_match_results(grid_run):
         assert fields[3] == cell.seed_label
         assert fields[4] == "ok"
         assert float(fields[5]) == cell.f0
-        assert float(fields[6]) == cell.trace.objective[-2]
+        assert float(fields[6]) == cell.trace.objective[-1]  # F(x_K)
         assert float(fields[7]) == cell.trace.min_gm_sq[-1]
         assert float(fields[8]) == cell.plateau
         assert float(fields[9]) == cell.bound_plateau
         assert fields[10] == str(cell.dominated).lower()
+        # a cell's step size and delta are fixed for its run, so one cell each holds them
+        assert np.all(cell.trace.alpha == float(fields[11]))
+        assert float(fields[12]) == cell.trace.delta
     label = [c.seed_label for c in results if (c.degree, c.noise_bound, c.repeat)
              == (1.0, 0.5, 0)][0]
     assert label == "5-1000000-500000-0"
@@ -324,7 +325,7 @@ def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
     assert len(diverged) == 2
     for line in diverged:
         fields = line.split(",")
-        assert fields[6] == fields[7] == fields[8] == "nan"
+        assert fields[6] == fields[7] == fields[8] == fields[11] == fields[12] == "nan"
         assert fields[10] == ""
         assert np.isfinite(float(fields[9]))  # the bound curve never fails
     bound_cells = {tuple(l.split(",")[:2]) for l in
@@ -386,8 +387,9 @@ def _assert_same_cell(got, want):
         (want.degree, want.noise_bound, want.repeat, want.seed_label, want.status)
     assert got.f0 == want.f0
     assert np.array_equal(got.bound, want.bound)
-    for name in ("objective", "alpha", "delta", "gm_sq", "min_gm_sq"):
+    for name in ("objective", "alpha", "gm_sq", "min_gm_sq"):
         assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes(), name
+    assert got.trace.delta == want.trace.delta
 
 
 @settings(database=None, deadline=None, max_examples=20)

@@ -350,6 +350,16 @@ class _RowSpoiled(_OwnEvaluate, _Spoiled):
     pass
 
 
+class _OnePoint:
+    """A problem whose value_and_gradient takes one point only: given a
+    stack it answers one value for all of it."""
+
+    lipschitz = 2.0
+
+    def value_and_gradient(self, x):
+        return float(np.sum(x * x)), 2.0 * x
+
+
 def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
     # evaluate_rows checks every answer, through an answer hook (stacked) and
     # through an oracle's own evaluate (per row) alike: a candidate that does
@@ -358,6 +368,8 @@ def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8))
     nan_entry = np.array([math.nan] + [0.0] * 7)
+    with pytest.raises(ValueError, match="stack"):
+        evaluate_rows([ExactOracle(_OnePoint())] * 2, points[:2], [None] * 2)
     for widened, spoiled in ((_Widened, _Spoiled), (_RowWidened, _RowSpoiled)):
         with pytest.raises(ValueError, match="shapes differ"):
             evaluate_rows([widened(prob)] * 3, points[:3], [None] * 3)

@@ -294,6 +294,8 @@ def test_curve_csv_round_trip(tmp_path):
     back = np.array([[float(a), float(b)] for a, b in rows[1:]])
     assert np.array_equal(back[:, 0], ks)         # %.17g round-trips doubles
     assert np.array_equal(back[:, 1], values)
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(path, ("k", "bound"), (ks, values[:-1]))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

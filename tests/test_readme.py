@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from proxiq import harness
@@ -38,18 +39,26 @@ def _documented_columns():
 
 
 def test_readme_output_columns_match_a_sweep(tmp_path):
-    # the documented columns cannot drift from what a sweep writes
+    # the documented columns cannot drift from what a sweep writes; the
+    # worst-case sweep writes the same files with a worst_ prefix and no
+    # bound curves
     documented = _documented_columns()
     config = harness.parse_config({
-        "version": 1, "output_dir": str(tmp_path),
+        "version": 1, "output_dir": str(tmp_path / "plain"),
         "problem": {"n": 4, "N": 6, "radius": 1.0},
         "oracle": {"degrees": [0.5], "noise_bounds": [0.25]},
-        "solver": {"iterations": 3}})
+        "solver": {"iterations": 3}, "worst_case_directions": 2})
     harness.run_experiment(config)
+    harness.run_worst_case(replace(config, output_dir=str(tmp_path / "worst")))
     trace_name = "trace_q{q}_delta{delta}_rep{r}.csv"
     files = {trace_name: trace_name.format(q=0.5, delta=0.25, r=0),
-             "summary.csv": "summary.csv", "bound_q_delta.csv": "bound_q_delta.csv"}
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files.values())
-    for documented_name, name in files.items():
-        header = (tmp_path / name).read_text().splitlines()[0]
-        assert header == documented[documented_name], name
+             "summary.csv": "summary.csv"}
+    bounds = {"bound_q_delta.csv": "bound_q_delta.csv"}
+    for run, prefix, expected in [("plain", "", {**files, **bounds}),
+                                  ("worst", "worst_", files)]:
+        out = tmp_path / run
+        assert sorted(path.name for path in out.iterdir()) == \
+            sorted(prefix + name for name in expected.values())
+        for documented_name, name in expected.items():
+            header = (out / (prefix + name)).read_text().splitlines()[0]
+            assert header == documented[documented_name], prefix + name

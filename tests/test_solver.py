@@ -1,6 +1,5 @@
 """Solvers: schedules, exact reductions, guarantees, guards, adaptivity."""
 
-import csv
 import math
 from dataclasses import fields, replace
 
@@ -107,7 +106,7 @@ def test_prox_gradient_matches_reference_loop():
         x = x - alpha * prob.gradient(x)
         assert np.array_equal(trace.iterates[k + 1], x)
         assert trace.alpha[k] == alpha
-        assert trace.delta[k] == 0.0
+    assert trace.delta == 0.0
     assert trace.steps == 50
     assert trace.objective[0] == prob.value(np.zeros(6))
     # derived columns: gm identity and running minimum
@@ -272,8 +271,9 @@ def _batch_setup():
 
 
 def _assert_same_run(got, want):
-    for name in ("objective", "alpha", "delta", "gm_sq", "min_gm_sq"):
+    for name in ("objective", "alpha", "gm_sq", "min_gm_sq"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.delta == want.delta
 
 
 def test_prox_gradient_batch_matches_runs_alone():
@@ -592,33 +592,3 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
     with pytest.raises(DivergenceError):
         adaptive_prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
                                cfg, np.zeros(1), epsilon0=1.0, max_doublings=3)
-
-
-# ------------------------------------------------------------------- trace
-
-
-def test_trace_csv_round_trip(tmp_path):
-    prob = generate_quadratic_instance(4, conditioning=2.0, seed=5)
-    cfg = ScheduleConfig(max_iters=7, rho=0.0)
-    trace = prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
-                          cfg, np.ones(4))
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "f", "gm_sq", "min_gm_sq", "alpha", "delta_k"]
-    assert len(rows) == 8
-    back = np.array([[float(v) for v in row] for row in rows[1:]])
-    assert np.array_equal(back[:, 1], trace.objective[:7])
-    assert np.array_equal(back[:, 2], trace.gm_sq)
-
-    bound = np.linspace(1.0, 0.1, 7)
-    trace.write_csv(path, bound=bound)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][-1] == "bound"
-    assert float(rows[1][-1]) == 1.0
-    with pytest.raises(ValueError):
-        trace.write_csv(path, bound=np.ones(3))
