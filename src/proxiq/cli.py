@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 certificate refuted,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -65,10 +66,14 @@ def _parse_params(pairs):
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ConfigError(f"expected NAME=VALUE, got {item!r}")
+        if name in params:
+            raise ConfigError(f"parameter {name} is given twice")
         try:
             params[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"parameter {name} is not a number: {value!r}") from exc
+        if not math.isfinite(params[name]):
+            raise ConfigError(f"parameter {name} must be a finite number, got {value!r}")
     return params
 
 
@@ -92,8 +97,8 @@ def main(argv=None):
             print(report.read_text().rstrip())
             return 0 if ok else 2
         if args.command == "rates":
-            if args.k_min < 0 or args.k_max < args.k_min or args.points < 1:
-                raise ConfigError("need 0 <= k-min <= k-max and at least one point")
+            if not 0 <= args.k_min <= args.k_max < math.inf or args.points < 1:
+                raise ConfigError("need finite 0 <= k-min <= k-max and at least one point")
             lo = max(args.k_min, 1e-9)
             ks = np.unique(np.round(np.logspace(np.log10(lo), np.log10(max(args.k_max, lo)),
                                                 args.points)))

@@ -16,7 +16,9 @@ never overshoots F.
 Any gradient that satisfies the certificate is an admissible answer, so
 an answer may carry several candidate gradients; the noisy-gradient
 family offers m noise draws this way, and the solver's worst-case run
-steps along the one that moves farthest.
+steps along the one that moves farthest.  The candidate count belongs to
+the whole batch: every answer evaluate_rows reads at once offers the same
+number of candidates.
 
 Besides the abstract certificate this module provides several constructive
 oracle families (additive gradient noise, evaluation at shifted points,
@@ -266,10 +268,10 @@ def evaluate_rows(oracles, points, rngs):
     where an answer is checked.  Returns (values (C,), candidates (C, m, n),
     finite (C,)): row i's value and candidate gradients, its first
     candidate being the answer's gradient, and whether all of them are
-    finite.  A row with fewer candidates than the others is padded with
-    its own gradient, which never moves farther; a candidate whose shape
-    differs from its point, or a stacked evaluation that does not give
-    (C,) values and a (C, n) gradient, raises ValueError.
+    finite.  Every row offers the same number m of candidates.  Rows
+    offering different numbers, a candidate whose shape differs from its
+    point, or a stacked evaluation that does not give (C,) values and a
+    (C, n) gradient raise ValueError.
     """
     if _stacks(oracles):
         values, exact = oracles[0].problem.value_and_gradient(points)
@@ -282,11 +284,12 @@ def evaluate_rows(oracles, points, rngs):
         answers = [oracle.evaluate(row, rng=rng)
                    for oracle, row, rng in zip(oracles, points, rngs)]
     values, candidates = zip(*answers)
-    width = max(map(len, candidates))
-    if min(map(len, candidates)) < width:
-        candidates = [(*cands, *[cands[0]] * (width - len(cands))) for cands in candidates]
+    counts = sorted(set(map(len, candidates)))
+    if len(counts) > 1:
+        raise ValueError("every answer of a batch must offer the same number of candidate"
+                         f" gradients; these offer {counts}")
     candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
-    if candidates.shape != (len(points), width, points.shape[1]):
+    if candidates.shape != (len(points), counts[0], points.shape[1]):
         raise ValueError("gradient and point shapes differ")
     values = np.array(values, dtype=float)
     return values, candidates, np.isfinite(values) & np.isfinite(candidates).all(axis=(1, 2))

@@ -27,6 +27,18 @@ def _check_degree(degree, lo=0.0, hi=2.0):
     return q
 
 
+def _positive(**named):
+    for name, value in named.items():
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
+def _nonnegative(**named):
+    for name, value in named.items():
+        if value < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
 def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):
     """Best gradient-mapping bound under decaying accuracy and step schedules.
 
@@ -43,14 +55,8 @@ def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):
     q = _check_degree(degree)
     if not 0.0 <= beta < 1.0 or not 0.0 <= zeta < 1.0:
         raise ValueError("beta and zeta must lie in [0, 1)")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if gap < 0.0:
-        raise ValueError("gap must be nonnegative")
+    _positive(rho=rho, lipschitz=lipschitz)
+    _nonnegative(delta=delta, gap=gap)
     k = np.asarray(k, dtype=float)
     smooth = lipschitz + q * rho
     lead = 2.0 * smooth * gap / ((1.0 - zeta) * (k + 1.0) ** (1.0 - zeta))
@@ -66,12 +72,8 @@ def bound_nonconvex_const(lipschitz, degree, delta, gap, k):
     The second term is the noise plateau the iteration cannot descend below.
     """
     q = _check_degree(degree)
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if gap < 0.0:
-        raise ValueError("gap must be nonnegative")
+    _positive(lipschitz=lipschitz)
+    _nonnegative(delta=delta, gap=gap)
     k = np.asarray(k, dtype=float)
     lead = 2.0 * (q + 1.0) * lipschitz * gap / (k + 1.0)
     return _ret(lead + nonconvex_plateau(lipschitz, q, delta))
@@ -80,10 +82,8 @@ def bound_nonconvex_const(lipschitz, degree, delta, gap, k):
 def nonconvex_plateau(lipschitz, degree, delta):
     """Noise floor of the constant-schedule bound: its k-independent term."""
     q = _check_degree(degree)
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    _positive(lipschitz=lipschitz)
+    _nonnegative(delta=delta)
     return ((q + 1.0) * (2.0 - q) * lipschitz ** ((2.0 - 2.0 * q) / (2.0 - q))
             * delta ** (2.0 / (2.0 - q)))
 
@@ -95,12 +95,8 @@ def rho_opt_horizon(lipschitz, degree, delta, gap, horizon):
     Degenerates to 0 as delta goes to 0, recovering the exact-oracle step.
     """
     q = _check_degree(degree, lo=1.0)
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if gap <= 0.0:
-        raise ValueError("gap must be positive")
+    _positive(lipschitz=lipschitz, gap=gap)
+    _nonnegative(delta=delta)
     horizon = np.asarray(horizon, dtype=float)
     e = (2.0 - q) / 2.0
     return _ret(lipschitz ** e * float(delta) * (horizon + 1.0) ** e / (2.0 * gap) ** e)
@@ -120,12 +116,8 @@ def bound_nonconvex_horizon(lipschitz, degree, delta, gap, k):
     step-size and accuracy terms respectively and always sum to 2.
     """
     q = _check_degree(degree, lo=1.0)
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if gap <= 0.0:
-        raise ValueError("gap must be positive")
+    _positive(lipschitz=lipschitz, gap=gap)
+    _nonnegative(delta=delta)
     k = np.asarray(k, dtype=float)
     t1 = 2.0 * lipschitz * gap / (k + 1.0)
     t2 = (2.0 * delta * lipschitz ** (1.0 - q / 2.0) * (2.0 * gap) ** (q / 2.0)
@@ -143,20 +135,15 @@ def bound_convex_ergodic(lipschitz, degree, delta, radius, k, rho=None):
     L*R**2/(2k) + (2+q)*delta*R**q/(2*k**(q/2)).
     """
     q = _check_degree(degree)
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _positive(lipschitz=lipschitz, radius=radius)
+    _nonnegative(delta=delta)
     k = np.asarray(k, dtype=float)
     if np.any(k < 1.0):
         raise ValueError("k must be at least 1")
     if rho is None:
         return _ret(lipschitz * radius ** 2 / (2.0 * k)
                     + (2.0 + q) * delta * radius ** q / (2.0 * k ** (q / 2.0)))
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _positive(rho=rho)
     return _ret((lipschitz + q * rho) * radius ** 2 / (2.0 * k)
                 + (2.0 - q) * delta ** (2.0 / (2.0 - q)) / (2.0 * rho ** (q / (2.0 - q))))
 
@@ -167,10 +154,8 @@ def rho_opt_fast(radius, degree, delta, k):
     rho = ((k+1)*(k+2)*(k+3))**((2-q)/2) * delta / (8*R**2)**((2-q)/2).
     """
     q = _check_degree(degree)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    _positive(radius=radius)
+    _nonnegative(delta=delta)
     k = np.asarray(k, dtype=float)
     e = (2.0 - q) / 2.0
     return _ret(((k + 1.0) * (k + 2.0) * (k + 3.0)) ** e * float(delta)
@@ -188,12 +173,8 @@ def bound_fast_convex(lipschitz, degree, delta, radius, k, rho=None):
     accumulates oracle error unless q > 2/3.
     """
     q = _check_degree(degree)
-    if lipschitz <= 0.0:
-        raise ValueError("lipschitz must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _positive(lipschitz=lipschitz, radius=radius)
+    _nonnegative(delta=delta)
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
         raise ValueError("k must be nonnegative")
@@ -202,8 +183,7 @@ def bound_fast_convex(lipschitz, degree, delta, radius, k, rho=None):
         noise = (8.0 ** (q / 2.0) * radius ** q * (k + 3.0) * delta
                  / ((k + 1.0) * (k + 2.0) * (k + 3.0)) ** (q / 2.0))
         return _ret(lead + noise)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _positive(rho=rho)
     return _ret(4.0 * (lipschitz + q * rho) * radius ** 2 / ((k + 1.0) * (k + 2.0))
                 + (k + 3.0) * (2.0 - q) * delta ** (2.0 / (2.0 - q))
                 / (2.0 * rho ** (q / (2.0 - q))))
@@ -226,8 +206,7 @@ def holder_delta_opt(holder_constant, exponent, degree, gap, k):
     """
     nu = float(exponent)
     q = float(degree)
-    if gap <= 0.0:
-        raise ValueError("gap must be positive")
+    _positive(gap=gap)
     k = np.asarray(k, dtype=float)
     coeff = holder_smoothing_constant(holder_constant, nu, q, 1.0)
     c1 = 2.0 * (q + 1.0) * gap * coeff

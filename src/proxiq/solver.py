@@ -83,9 +83,11 @@ class RunTrace:
     """Everything recorded along one solver run.
 
     Per-step arrays have length equal to the number of completed steps;
-    iterates and objective carry one extra leading entry for x0.  The
-    fast-method fields stay None for the other solvers.  For the fast
-    method gm_sq is measured on the prox point y_k rather than x_{k+1}.
+    iterates and objective carry one extra leading entry for x0.
+    objective_y is the fast method's only field of its own: the composite
+    value at its prox points y_k, where its guarantees are stated; it stays
+    None for the other solvers.  For the fast method gm_sq is measured on
+    the prox point y_k rather than x_{k+1}.
     iterates is None in a trace kept past its run, such as a sweep cell's:
     the (K+1, n) iterates dwarf the per-step columns and no output reads
     them.
@@ -97,18 +99,14 @@ class RunTrace:
     delta: float                   # the certificate's accuracy, fixed for the run
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
     min_gm_sq: np.ndarray          # (K,) running minimum of gm_sq
-    y_points: Optional[np.ndarray] = None
-    z_points: Optional[np.ndarray] = None
-    objective_y: Optional[np.ndarray] = None
-    theta: Optional[np.ndarray] = None
-    a_weights: Optional[np.ndarray] = None
-    tau: Optional[np.ndarray] = None
+    objective_y: Optional[np.ndarray] = None  # (K,) f(y_k), fast method only
 
     @classmethod
-    def assemble(cls, iterates, objective, alpha, delta, gm_sq, **extra):
+    def assemble(cls, iterates, objective, alpha, delta, gm_sq, objective_y=None):
         """A trace from the per-step arrays, with the running minimum filled in."""
         return cls(iterates=iterates, objective=objective, alpha=alpha, delta=delta,
-                   gm_sq=gm_sq, min_gm_sq=np.minimum.accumulate(gm_sq), **extra)
+                   gm_sq=gm_sq, min_gm_sq=np.minimum.accumulate(gm_sq),
+                   objective_y=objective_y)
 
     @property
     def steps(self):
@@ -325,20 +323,14 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     alpha = config.step_scale / lip
     origin = x.copy()
     iters = config.max_iters
-    n = x.size
     iterates, objective_vals, gm_sq = _buffers(x, iters)
-    y_points = np.empty((iters, n))
-    z_points = np.empty((iters, n))
     objective_y = np.empty(iters)
-    thetas = np.empty(iters)
-    a_arr = np.empty(iters)
-    taus = np.empty(iters)
     f, grad = _answer(oracle, h, x, rng, 0)
     objective_vals[0] = f
     ceiling = _ceiling(f)
     theta = _THETA0[theta_rule]
     a_weight = theta / lip
-    model_sum = np.zeros(n)
+    model_sum = np.zeros(x.size)
     for k in range(iters):
         y = prox_apply(h, alpha, x - alpha * grad)
         model_sum += (theta / lip) * grad
@@ -349,13 +341,8 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau = {tau!r} outside (0, 1]: momentum rule violated")
         gm_sq[k] = sq_norm(y - x) / alpha ** 2
-        thetas[k] = theta
-        a_arr[k] = a_weight
-        taus[k] = tau
         x = tau * z + (1.0 - tau) * y
         iterates[k + 1] = x
-        y_points[k] = y
-        z_points[k] = z
         if k + 1 < iters:
             f, grad = _answer(oracle, h, x, rng, k + 1, ceiling)
         else:  # no answer after the last step
@@ -368,8 +355,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         theta = theta_new
         a_weight = a_new
     return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha), cert.delta,
-                             gm_sq, y_points=y_points, z_points=z_points,
-                             objective_y=objective_y, theta=thetas, a_weights=a_arr, tau=taus)
+                             gm_sq, objective_y=objective_y)
 
 
 def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,

@@ -611,6 +611,19 @@ def test_cli_rates_subcommand(tmp_path, capsys):
     assert cli.main(["rates", "nonconvex_const", str(out), "--param", "lipschitz=2",
                      "--k-min", "-5"]) == 1
     capsys.readouterr()
+    # parameters and the k range must be finite, and each parameter is given once
+    params = ["--param", "degree=0.5", "--param", "delta=0.1", "--param", "gap=1"]
+    finite = "parameter lipschitz must be a finite number"
+    for flags, message in [(["--param", "lipschitz=nan"], finite),
+                           (["--param", "lipschitz=inf"], finite),
+                           (["--param", "lipschitz=1", "--param", "lipschitz=5"],
+                            "parameter lipschitz is given twice"),
+                           (["--param", "lipschitz=2", "--k-min", "nan"], "need finite"),
+                           (["--param", "lipschitz=2", "--k-max", "inf"], "need finite")]:
+        out.unlink(missing_ok=True)
+        assert cli.main(["rates", "nonconvex_const", str(out), *flags, *params]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_rates_reports_overflow_as_error(tmp_path, capsys):

@@ -287,23 +287,18 @@ class _Halved(ExactOracle):
 
 def test_evaluate_rows_runs_each_oracles_own_evaluate():
     # a model oracle that overrides evaluate is asked through it, not through
-    # the stacked path; rows with fewer candidates repeat their gradient, and
-    # a non-finite answer marks just its row
+    # the stacked path, and a non-finite answer marks just its row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
-    oracles = [ExactOracle(prob), _Halved(prob), NoisyGradientOracle(prob, 0.2, directions=3)]
+    oracles = [ExactOracle(prob), _Halved(prob), NoisyGradientOracle(prob, 0.2)]
     values, candidates, finite = evaluate_rows(oracles, points,
                                                [None, None, np.random.default_rng(1)])
-    assert candidates.shape == (3, 3, 8) and finite.all()
+    assert candidates.shape == (3, 1, 8) and finite.all()
     exact = prob.value_and_gradient(points)[1]
     assert candidates[0, 0].tobytes() == exact[0].tobytes()
     assert candidates[1, 0].tobytes() == (0.5 * exact[1]).tobytes()
-    for row in (0, 1):
-        for padded in candidates[row, 1:]:
-            assert padded.tobytes() == candidates[row, 0].tobytes()
     _, alone = oracles[2].evaluate(points[2], rng=np.random.default_rng(1))
     assert candidates[2, 0].tobytes() == alone[0].tobytes()
-    assert candidates[2, 2].tobytes() == alone[2].tobytes()
     values, candidates, finite = evaluate_rows(oracles, points,
                                                [None, None, np.random.default_rng(1)])
     assert finite.tolist() == [True, False, True]
@@ -363,8 +358,9 @@ class _OnePoint:
 def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
     # evaluate_rows checks every answer, through an answer hook (stacked) and
     # through an oracle's own evaluate (per row) alike: a candidate that does
-    # not match its point is a usage error, and a non-finite value or
-    # candidate marks only its own row
+    # not match its point, or a batch whose answers offer different numbers
+    # of candidates, is a usage error, and a non-finite value or candidate
+    # marks only its own row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8))
     nan_entry = np.array([math.nan] + [0.0] * 7)
@@ -377,15 +373,21 @@ def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
             evaluate_rows([ExactOracle(prob), widened(prob)], points[:2], [None] * 2)
         with pytest.raises(ValueError):
             evaluate_rows([spoiled(prob, extra=np.zeros(9))], points[:1], [None])
-        oracles = [spoiled(prob), spoiled(prob, value=math.inf), spoiled(prob, value=math.nan),
-                   spoiled(prob, gradient=nan_entry), spoiled(prob, extra=np.full(8, -math.inf)),
-                   spoiled(prob, extra=np.zeros(8))]
+        with pytest.raises(ValueError, match="same number of candidate gradients"):
+            evaluate_rows([spoiled(prob), spoiled(prob, extra=np.zeros(8))], points[:2],
+                          [None] * 2)
+        two = dict(extra=np.zeros(8))
+        oracles = [spoiled(prob, **two), spoiled(prob, value=math.inf, **two),
+                   spoiled(prob, value=math.nan, **two), spoiled(prob, gradient=nan_entry, **two),
+                   spoiled(prob, extra=np.full(8, -math.inf)),
+                   spoiled(prob, extra=np.full(8, 1e300))]
         values, candidates, finite = evaluate_rows(oracles, points, [None] * 6)
         assert candidates.shape == (6, 2, 8)
         assert finite.tolist() == [True, False, False, False, False, True]
         assert values[1] == math.inf and np.isfinite(candidates[1]).all()
         assert math.isnan(values[2]) and np.isfinite(candidates[2]).all()
-        assert np.isfinite(values[3]) and np.isnan(candidates[3, :, 0]).all()
+        assert np.isfinite(values[3]) and math.isnan(candidates[3, 0, 0])
+        assert np.isfinite(candidates[3, 1]).all()
         assert np.isfinite(values[4]) and np.isinf(candidates[4, 1]).all()
         assert np.isfinite(candidates[4, 0]).all()
 

@@ -193,13 +193,13 @@ def test_holder_rate_slope_in_k():
 def test_rate_validation_errors():
     with pytest.raises(ValueError):
         bound_nonconvex_schedule(1.0, 1.0, 2.0, 0.1, 0.0, 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rho must be positive"):
         bound_nonconvex_schedule(1.0, 0.0, 1.0, 0.1, 0.0, 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.1, 1.0, 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
         bound_nonconvex_schedule(1.0, 1.0, 1.0, -0.1, 0.0, 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lipschitz must be positive"):
         bound_nonconvex_const(0.0, 1.0, 0.1, 1.0, 1)
     with pytest.raises(ValueError):
         bound_nonconvex_const(1.0, 1.0, 0.1, -1.0, 1)
@@ -209,7 +209,7 @@ def test_rate_validation_errors():
         rho_opt_horizon(1.0, 1.0, 0.1, 0.0, 1)
     with pytest.raises(ValueError):
         bound_convex_ergodic(1.0, 1.0, 0.1, 1.0, 0)  # averaged gap needs k >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="radius must be positive"):
         bound_convex_ergodic(1.0, 1.0, 0.1, 0.0, 4)
     with pytest.raises(ValueError):
         bound_fast_convex(1.0, 1.0, 0.1, 1.0, -1)

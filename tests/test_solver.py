@@ -363,6 +363,10 @@ def test_prox_gradient_batch_validation():
     with pytest.raises(ValueError, match="rho must be positive"):
         prox_gradient(prob.value, [oracles[0], oracles[3]], h,
                       [replace(configs[0], rho=0.0)] * 2, x0, rngs)
+    # every answer of a batch offers one candidate count
+    mixed = [NoisyGradientOracle(prob, 0.3, directions=m) for m in (1, 3)]
+    with pytest.raises(ValueError, match="same number of candidate gradients"):
+        prox_gradient(prob.value, mixed, h, [replace(configs[1], rho=1.0)] * 2, x0, rngs)
 
 
 # ------------------------------------------------------------------ theta
@@ -428,6 +432,7 @@ def test_fast_method_matches_reference_loop():
         assert len(calls) == 61
         assert [trace.objective[k] for k in range(61)] == [
             quad.value(trace.iterates[k]) for k in range(61)]
+        # x_{k+1} = tau*z + (1-tau)*y, so the bitwise iterates pin y, z and tau too
         x, theta, a = x0.copy(), theta0, None
         model_sum = np.zeros(8)
         for k in range(60):
@@ -440,17 +445,13 @@ def test_fast_method_matches_reference_loop():
             theta_new = theta_next(a, lip, rule)
             a_new = a + theta_new / lip
             tau = theta_new / (a_new * lip)
+            assert 0.0 < tau <= 1.0
+            # gm is measured on the prox point, not the combined iterate
+            gm = float((y - x) @ (y - x)) * lip ** 2
+            assert trace.gm_sq[k] == pytest.approx(gm, rel=1e-12)
             x = tau * z + (1.0 - tau) * y
             assert np.array_equal(trace.iterates[k + 1], x)
-            assert np.array_equal(trace.y_points[k], y)
-            assert np.array_equal(trace.z_points[k], z)
-            assert trace.tau[k] == tau
-            assert trace.theta[k] == theta
             theta, a = theta_new, a_new
-        assert np.all(trace.tau > 0.0) and np.all(trace.tau <= 1.0)
-        # gm is measured on the prox point, not the combined iterate
-        gm = ((trace.y_points - trace.iterates[:-1]) ** 2).sum(axis=1) / trace.alpha ** 2
-        assert np.allclose(trace.gm_sq, gm, rtol=1e-12)
 
 
 def test_fast_method_first_step_collapses():
@@ -459,7 +460,7 @@ def test_fast_method_first_step_collapses():
     cfg = ScheduleConfig(max_iters=1, rho=0.0)
     trace = fast_prox_gradient(quad.value, ExactOracle(quad), ProxFunction.zero(),
                                cfg, np.zeros(5))
-    assert np.allclose(trace.y_points[0], trace.z_points[0], atol=1e-15)
+    # x_1 = tau*z_0 + (1-tau)*y_0 is the plain prox step only when y_0 = z_0
     expected = -quad.gradient(np.zeros(5)) / quad.lipschitz
     assert np.allclose(trace.iterates[1], expected, atol=1e-15)
 
@@ -485,14 +486,25 @@ def test_fast_method_runs_on_working_constant():
     quad = generate_quadratic_instance(6, conditioning=2.0, seed=2)
     lip, rho = quad.lipschitz, 9.0
     cfg = ScheduleConfig(max_iters=30, rho=rho)
-    oracle = NoisyGradientOracle(quad, noise_bound=0.1)
-    trace = fast_prox_gradient(quad.value, oracle, ProxFunction.zero(), cfg,
-                               np.zeros(6), rng=np.random.default_rng(0))
+    x0 = np.zeros(6)
+    trace = fast_prox_gradient(quad.value, ExactOracle(quad, degree=1.0), ProxFunction.zero(),
+                               cfg, x0)
     eff = lip + rho
     assert np.allclose(trace.alpha, 1.0 / eff, rtol=1e-15)
-    assert trace.theta[0] == 1.0
-    assert trace.a_weights[0] == pytest.approx(1.0 / eff, rel=1e-15)
-    assert trace.theta[1] == pytest.approx(theta_next(1.0 / eff, eff), rel=1e-15)
+    # the equality_root reference loop, run on L + rho throughout
+    x, theta, a = x0.copy(), 1.0, 1.0 / eff
+    model_sum = np.zeros(6)
+    for k in range(30):
+        g = quad.gradient(x)
+        y = x - (1.0 / eff) * g
+        model_sum += (theta / eff) * g
+        z = x0 - model_sum
+        theta_new = theta_next(a, eff)
+        a_new = a + theta_new / eff
+        tau = theta_new / (a_new * eff)
+        x = tau * z + (1.0 - tau) * y
+        assert np.array_equal(trace.iterates[k + 1], x)
+        theta, a = theta_new, a_new
 
 
 def test_fast_method_guards():
