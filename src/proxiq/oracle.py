@@ -31,12 +31,16 @@ answer as the pair (value, candidates), a sequence of candidate gradients
 whose first is the answer's gradient.
 
 The exact, noisy-gradient and Holder families are model oracles: they
-answer from the exact value and gradient of their problem.  evaluate_rows
-answers a stack of points for a batch of oracles, one oracle and one
-generator per row, as plain arrays; for model oracles over one problem,
-a batch of one included, it makes a single stacked evaluation of the
-problem.  It is the one place an answer's shapes and finiteness are
-checked, and every solver and certify_oracle ask through it.
+answer from the exact value and gradient of their problem, plus m
+bounded_noise draws under their noise bound, which is zero for the exact
+and Holder families.  evaluate_rows answers a stack of points for a batch
+of oracles, one oracle and one generator per row, as plain arrays; for
+model oracles over one problem, a batch of one included, it makes a
+single stacked evaluation of the problem and draws the batch's noise as
+one (C, m, n) slab, each generator's vectors in the order bounded_noise
+draws them one at a time.  It is the one place an answer's shapes and
+finiteness are checked, and every solver and certify_oracle ask through
+it.
 """
 
 from __future__ import annotations
@@ -133,27 +137,58 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     return lip
 
 
-def bounded_noise(rng, dim, bound):
-    """Random vector with Euclidean norm at most bound.
+def sq_norm(x):
+    """x @ x for one point or for each row of a stack, one BLAS dot per row,
+    so each row's value is bitwise that of the row alone."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
-    The direction is standard normal; the norm equals the bound with
-    probability 1/2 and is uniform on [0, bound] otherwise, so the worst
-    case is exercised often.  A zero bound returns zeros without touching
-    the generator, keeping exact runs bit-identical to noise-free code.
+
+def noise_slab(rngs, bounds, count, dim):
+    """Bounded noise for a batch: a (C, count, dim) slab, count vectors per row.
+
+    Each vector has Euclidean norm at most its row's bound: the direction
+    is standard normal and the norm equals the bound with probability 1/2
+    and is uniform on [0, bound] otherwise, so the worst case is exercised
+    often.  Row i draws from rngs[i], vector by vector, the direction and
+    then its radius; the directions are then scaled to their radii all at
+    once.  A row with a zero bound stays zero without touching its
+    generator, keeping exact runs bit-identical to noise-free code; a zero
+    direction, never met in practice, gives zero after its radius draw.
     """
-    if bound < 0.0:
-        raise ValueError("bound must be nonnegative")
-    if bound == 0.0:
-        return np.zeros(dim)
-    if rng is None:
-        raise ValueError("a generator is required to draw noise")
-    direction = rng.standard_normal(dim)
-    # np.linalg.norm's own formula for a vector, without its call overhead
-    norm = math.sqrt(direction.dot(direction))
-    if norm == 0.0:
-        return np.zeros(dim)
-    radius = float(bound) if rng.random() < 0.5 else float(bound) * rng.random()
-    return (radius / norm) * direction
+    slab = np.zeros((len(bounds), count, dim))
+    radii = np.zeros((len(bounds), count))
+    for row, radius, rng, bound in zip(slab, radii, rngs, bounds):
+        if bound < 0.0:
+            raise ValueError("bound must be nonnegative")
+        if bound == 0.0:
+            continue
+        if rng is None:
+            raise ValueError("a generator is required to draw noise")
+        for j in range(count):
+            rng.standard_normal(out=row[j])
+            radius[j] = bound if rng.random() < 0.5 else bound * rng.random()
+    norms = np.sqrt(sq_norm(slab))
+    # a zero row stays zero whatever it is scaled by, so it keeps its radius
+    slab *= np.divide(radii, norms, out=radii, where=norms > 0.0)[..., None]
+    return slab
+
+
+def bounded_noise(rng, dim, bound):
+    """One random vector with Euclidean norm at most bound: noise_slab's
+    single draw."""
+    return noise_slab([rng], [bound], 1, dim)[0, 0]
+
+
+def _perturbed(exact, rngs, bounds, count):
+    """Candidate gradients (C, count, n): each row of exact plus its noise
+    slab.  A row with a zero bound draws nothing and is exact bitwise."""
+    quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
+    if len(quiet) == len(bounds):  # an exact batch draws and adds nothing
+        return exact[:, None].repeat(count, axis=1)
+    candidates = exact[:, None] + noise_slab(rngs, bounds, count, exact.shape[1])
+    if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
+        candidates[quiet] = exact[quiet, None]
+    return candidates
 
 
 def spectral_norm(operator, iters=200, tol=1e-10):
@@ -233,16 +268,24 @@ class ModelOracle:
     """An oracle that answers from the exact value and gradient of self.problem.
 
     answer turns the exact pair at a query point into the oracle's answer,
-    the (value, candidates) pair that evaluate returns.  This base answers
-    exactly; subclasses override answer to perturb.  One
-    problem.value_and_gradient call serves a query, so the residual it
-    computes once feeds both the value and the gradient.  The problem takes
-    a stack (C, n) too, returning one value per row, since evaluate_rows
-    answers every batch of model oracles over it in one evaluation.
+    the (value, candidates) pair that evaluate returns: the exact value and
+    self.directions candidates, the exact gradient plus bounded_noise draws
+    under self.noise_bound, drawn in sequence from rng.  The base's bound is
+    zero, so an exact answer draws nothing.  One problem.value_and_gradient
+    call serves a query, so the residual it computes once feeds both the
+    value and the gradient.  The problem takes a stack (C, n) too,
+    returning one value per row, since evaluate_rows answers every batch of
+    model oracles over it in one evaluation and draws the whole batch's
+    noise as one slab, each generator in the order its own answer would.
+    A subclass may override answer to spoil it; evaluate_rows then asks
+    that hook row by row.
     """
 
+    noise_bound = 0.0
+    directions = 1
+
     def answer(self, value, exact, rng=None):
-        return value, (exact,)
+        return value, _perturbed(exact[None], [rng], [self.noise_bound], self.directions)[0]
 
     def evaluate(self, x, rng=None):
         return self.answer(*self.problem.value_and_gradient(np.asarray(x, dtype=float)), rng)
@@ -255,6 +298,15 @@ def _stacks(oracles):
                and o.problem is oracles[0].problem for o in oracles)
 
 
+def _candidate_count(counts):
+    """The one candidate count of a batch's answers, given each answer's."""
+    counts = sorted(set(counts))
+    if len(counts) > 1:
+        raise ValueError("every answer of a batch must offer the same number of candidate"
+                         f" gradients; these offer {counts}")
+    return counts[0]
+
+
 def evaluate_rows(oracles, points, rngs):
     """Answers of a batch of oracles, row i of points for oracles[i] with
     the generator rngs[i].
@@ -262,37 +314,49 @@ def evaluate_rows(oracles, points, rngs):
     A batch of model oracles over one problem makes one stacked exact
     evaluation: the problem's value_and_gradient runs once on the whole
     stack (C, n), giving each row bitwise the answer it gives that row
-    alone, then each oracle's answer hook draws exactly what evaluate
-    would.  Any other batch calls each oracle's evaluate on its row.
-    Either way every random stream is the one of a run alone.  This is
-    where an answer is checked.  Returns (values (C,), candidates (C, m, n),
-    finite (C,)): row i's value and candidate gradients, its first
-    candidate being the answer's gradient, and whether all of them are
-    finite.  Every row offers the same number m of candidates.  Rows
-    offering different numbers, a candidate whose shape differs from its
-    point, or a stacked evaluation that does not give (C,) values and a
-    (C, n) gradient raise ValueError.
+    alone.  Their noise is one (C, m, n) slab, added to the exact gradients
+    in one operation; row i's generator draws its m vectors in the order
+    its own answer would, and a row with a zero bound keeps its exact
+    gradient bitwise.  A model oracle that overrides the answer hook is
+    asked through it, row by row, and any other batch calls each oracle's
+    evaluate on its row.  Either way every random stream is the one of a
+    run alone.  This is where an answer is checked.  Returns (values (C,),
+    candidates (C, m, n), finite (C,)): row i's value and candidate
+    gradients, its first candidate being the answer's gradient, and whether
+    all of them are finite.  Every row offers the same number m of
+    candidates.  Rows offering different numbers, a candidate whose shape
+    differs from its point, or a stacked evaluation that does not give (C,)
+    values and a (C, n) gradient raise ValueError.
     """
-    if _stacks(oracles):
+    if not _stacks(oracles):
+        values, candidates = _as_arrays([oracle.evaluate(row, rng=rng)
+                                         for oracle, row, rng in zip(oracles, points, rngs)],
+                                        points)
+    else:
         values, exact = oracles[0].problem.value_and_gradient(points)
         if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
             raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
                              " and a (C, n) gradient")
-        answers = [oracle.answer(value, grad, rng)
-                   for oracle, value, grad, rng in zip(oracles, values, exact, rngs)]
-    else:
-        answers = [oracle.evaluate(row, rng=rng)
-                   for oracle, row, rng in zip(oracles, points, rngs)]
-    values, candidates = zip(*answers)
-    counts = sorted(set(map(len, candidates)))
-    if len(counts) > 1:
-        raise ValueError("every answer of a batch must offer the same number of candidate"
-                         f" gradients; these offer {counts}")
-    candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
-    if candidates.shape != (len(points), counts[0], points.shape[1]):
-        raise ValueError("gradient and point shapes differ")
+        if all(type(o).answer is ModelOracle.answer for o in oracles):
+            count = _candidate_count(o.directions for o in oracles)
+            candidates = _perturbed(exact, rngs, [o.noise_bound for o in oracles], count)
+        else:
+            values, candidates = _as_arrays(
+                [oracle.answer(value, grad, rng)
+                 for oracle, value, grad, rng in zip(oracles, values, exact, rngs)], points)
     values = np.array(values, dtype=float)
     return values, candidates, np.isfinite(values) & np.isfinite(candidates).all(axis=(1, 2))
+
+
+def _as_arrays(answers, points):
+    """The values and the candidates (C, m, n) of one answer per row of
+    points, the candidates' count and shapes checked."""
+    values, candidates = zip(*answers)
+    count = _candidate_count(map(len, candidates))
+    candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
+    if candidates.shape != (len(points), count, points.shape[1]):
+        raise ValueError("gradient and point shapes differ")
+    return values, candidates
 
 
 class ExactOracle(ModelOracle):
@@ -339,10 +403,6 @@ class NoisyGradientOracle(ModelOracle):
         delta = self.noise_bound if q == 1.0 else self.noise_bound * float(diameter) ** (1.0 - q)
         self.certificate = OracleCertificate(delta=delta, lipschitz=float(problem.lipschitz),
                                              degree=q)
-
-    def answer(self, value, exact, rng=None):
-        n, bound = exact.size, self.noise_bound
-        return value, [exact + bounded_noise(rng, n, bound) for _ in range(self.directions)]
 
 
 class ShiftedPointOracle:

@@ -28,19 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import spectral_norm
+from .oracle import spectral_norm, sq_norm
 
 
 def _matvec(matrix, x):
     """matrix @ x for one point x or for each row of a stack, one BLAS
     matrix-vector product per row, so row i does not depend on the others."""
     return np.matmul(matrix, x[..., None])[..., 0]
-
-
-def sq_norm(x):
-    """x @ x for one point or for each row of a stack, one BLAS dot per row,
-    so each row's value is bitwise that of the row alone."""
-    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
 def _per_point(values):

@@ -9,6 +9,8 @@ validated strictly; out-of-range inputs raise instead of being clamped.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .oracle import holder_smoothing_constant
@@ -29,14 +31,23 @@ def _check_degree(degree, lo=0.0, hi=2.0):
 
 def _positive(**named):
     for name, value in named.items():
+        _finite(name, value)
         if value <= 0.0:
             raise ValueError(f"{name} must be positive")
 
 
 def _nonnegative(**named):
     for name, value in named.items():
+        _finite(name, value)
         if value < 0.0:
             raise ValueError(f"{name} must be nonnegative")
+
+
+def _finite(name, value):
+    # NaN passes every comparison test above, and an infinite parameter
+    # makes an infinite or NaN bound
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
 
 
 def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):

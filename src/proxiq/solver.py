@@ -32,8 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .oracle import evaluate_rows
-from .problems import sq_norm
+from .oracle import evaluate_rows, sq_norm
 from .prox import prox_apply, prox_rows
 from .rates import rho_opt_horizon
 
@@ -186,7 +185,8 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     iterate but the last is the value of the oracle answer queried there;
     objective is called only on the final iterate.  When an answer carries
     several candidate gradients, the step follows the one whose prox step
-    moves farthest, the first one on ties.  Raises DivergenceError if an
+    moves farthest, the first one on ties; one prox call makes the steps of
+    every run along every candidate.  Raises DivergenceError if an
     oracle answer is not finite or the composite value blows up or turns
     non-finite, which in practice means a certificate lied.
 
@@ -211,14 +211,29 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     return run
 
 
-def _prox_move(h, alpha, x, grad):
-    """Prox steps of the rows of x along grad, and each row's squared move."""
-    nxt = prox_rows(h, alpha, x - alpha[:, None] * grad)
-    return nxt, sq_norm(nxt - x)
+def _farthest_move(h, alpha, x, candidates):
+    """Each row's prox step along the candidate gradient that moves it
+    farthest, and the squared move.
+
+    One prox_rows call takes the steps of all rows along all their
+    candidates (C, m, n) as one (C*m, n) stack; argmax then picks each
+    row's longest move, the first candidate's on ties.  The rows are
+    finite, so no NaN takes part in a pick.
+    """
+    runs, count, dim = candidates.shape
+    steps = prox_rows(h, alpha.repeat(count),
+                      (x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim))
+    moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
+    pick = moves_sq.argmax(axis=1) + count * np.arange(runs)  # rows of the stack
+    return steps[pick], moves_sq.reshape(-1)[pick]
 
 
 def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
-    """The step loop of prox_gradient over a batch of runs."""
+    """The step loop of prox_gradient over a batch of runs.
+
+    Each step is one evaluate_rows call for the live runs and one
+    _farthest_move, a single prox call over all their candidates, C*m rows.
+    """
     runs = len(oracles)
     if runs == 0 or len(configs) != runs or len(rngs) != runs:
         raise ValueError("a batch needs one oracle, config and generator per run")
@@ -263,14 +278,8 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
             candidates = candidates[keep]
         if k == iters or not len(live):
             break
-        nxt, move_sq = _prox_move(h, alpha, x, candidates[:, 0])
-        for j in range(1, candidates.shape[1]):
-            cand, cand_sq = _prox_move(h, alpha, x, candidates[:, j])
-            farther = cand_sq > move_sq
-            nxt[farther] = cand[farther]
-            move_sq = np.where(farther, cand_sq, move_sq)
+        x, move_sq = _farthest_move(h, alpha, x, candidates)
         gm_sq[live, k] = move_sq / alpha_sq
-        x = nxt
     for i in live:
         outcomes[i] = RunTrace.assemble(
             iterates[:, i] if keep_iterates else None, objective_vals[i],

@@ -28,7 +28,7 @@ from proxiq import (
     spectral_norm,
 )
 from proxiq.harness import ball_pair_sampler
-from proxiq.oracle import evaluate_rows
+from proxiq.oracle import evaluate_rows, noise_slab
 
 
 # ---------------------------------------------------------------- majorize
@@ -207,6 +207,82 @@ def test_bounded_noise_requires_generator():
         bounded_noise(None, 4, 0.5)
     with pytest.raises(ValueError):
         bounded_noise(np.random.default_rng(0), 4, -0.1)
+
+
+def _sequential_bounded_noise(rng, dim, bound):
+    """One noise vector drawn and scaled on its own, as bounded_noise did
+    before the slab."""
+    if bound < 0.0:
+        raise ValueError("bound must be nonnegative")
+    if bound == 0.0:
+        return np.zeros(dim)
+    if rng is None:
+        raise ValueError("a generator is required to draw noise")
+    direction = rng.standard_normal(dim)
+    # np.linalg.norm's own formula for a vector, without its call overhead
+    norm = math.sqrt(direction.dot(direction))
+    if norm == 0.0:
+        return np.zeros(dim)
+    radius = float(bound) if rng.random() < 0.5 else float(bound) * rng.random()
+    return (radius / norm) * direction
+
+
+def test_noise_slab_matches_sequential_draws():
+    # each row of the slab is its generator's vectors drawn one at a time,
+    # bitwise, and every generator ends where the sequential draws leave it
+    bounds = [0.3, 0.0, 2.5, 1e-3, 0.0, 7.0]
+    for count in (1, 3):
+        for dim in (1, 7, 64):
+            rngs = [np.random.default_rng(seed) for seed in range(len(bounds))]
+            refs = [np.random.default_rng(seed) for seed in range(len(bounds))]
+            slab = noise_slab(rngs, bounds, count, dim)
+            assert slab.shape == (len(bounds), count, dim)
+            for row, ref, bound in zip(slab, refs, bounds):
+                for noise in row:
+                    assert noise.tobytes() == _sequential_bounded_noise(ref, dim, bound).tobytes()
+            assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+    # bounded_noise is the slab's single draw
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(20):
+        assert bounded_noise(rng, 6, 0.8).tobytes() == _sequential_bounded_noise(ref, 6, 0.8).tobytes()
+    assert rng.random() == ref.random()
+    with pytest.raises(ValueError, match="nonnegative"):
+        noise_slab([rng, rng], [0.1, -0.1], 1, 4)
+    with pytest.raises(ValueError, match="generator is required"):
+        noise_slab([rng, None], [0.1, 0.1], 1, 4)
+
+
+class _Concave:
+    """F(x) = -||x||**2 / 2, whose gradient -x has a -0.0 wherever x has a 0.0."""
+
+    lipschitz = 1.0
+
+    def value_and_gradient(self, x):
+        return -0.5 * (x * x).sum(axis=-1), -x
+
+
+def test_evaluate_rows_adds_the_slab_to_noisy_rows_only():
+    # a zero bound adds nothing: not even the +0.0 that turns -0.0 into 0.0
+    prob = _Concave()
+    points = np.array([[0.0, 1.5, 0.0, -2.0]] * 3)
+    exact = -points
+    assert np.signbit(exact[:, 0]).all()
+    for count in (1, 3):
+        oracles = [NoisyGradientOracle(prob, bound, directions=count) for bound in (0.0, 0.4)]
+        if count == 1:
+            oracles.append(ExactOracle(prob))
+        rngs = [np.random.default_rng(seed) for seed in range(len(oracles))]
+        refs = [np.random.default_rng(seed) for seed in range(len(oracles))]
+        values, candidates, finite = evaluate_rows(oracles, points[:len(oracles)], rngs)
+        assert finite.all() and candidates.shape == (len(oracles), count, 4)
+        for i, oracle in enumerate(oracles):
+            for candidate in candidates[i]:
+                noise = _sequential_bounded_noise(refs[i], 4, oracle.noise_bound)
+                want = exact[i] if oracle.noise_bound == 0.0 else exact[i] + noise
+                assert candidate.tobytes() == want.tobytes()
+        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+        # the per-row answer hook keeps the -0.0 too
+        assert oracles[0].evaluate(points[0])[1].tobytes() == np.tile(exact[0], (count, 1)).tobytes()
 
 
 def test_spectral_norm_matches_svd():

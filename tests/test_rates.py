@@ -1,6 +1,7 @@
 """Rate evaluators: spot values, algebraic identities, curve sampling."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,17 @@ def test_rate_validation_errors():
         holder_delta_opt(1.0, 1.5, 0.5, 1.0, 4)  # exponent above 1
     with pytest.raises(ValueError):
         holder_delta_opt(1.0, 0.5, 0.5, 0.0, 4)
+    # NaN passes a plain comparison, so non-finite parameters are caught apart
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lipschitz must be finite"):
+            sample_curve("nonconvex_const",
+                         {"lipschitz": bad, "degree": 0.5, "delta": 0.1, "gap": 1.0}, [1, 2])
+        with pytest.raises(ValueError, match="delta must be finite"):
+            bound_fast_convex(1.0, 0.5, bad, 1.0, 3)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            bound_nonconvex_schedule(1.0, bad, 1.0, 0.1, 0.0, 0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="gap must be finite"):
+            holder_delta_opt(1.0, 0.5, 0.5, bad, 4)
 
 
 def test_scalar_and_array_returns():

@@ -28,6 +28,9 @@ from proxiq import (
     prox_gradient,
     theta_next,
 )
+from proxiq.oracle import sq_norm
+from proxiq.prox import prox_rows
+from proxiq.solver import _farthest_move
 
 
 class _WrongConstant(ExactOracle):
@@ -218,6 +221,53 @@ def test_prox_gradient_follows_the_farthest_candidate():
     assert np.array_equal(far.iterates[1], x0 - far.alpha[0] * (2.0 * prob.gradient(x0)))
     assert far.gm_sq[0] == pytest.approx(4.0 * plain.gm_sq[0], rel=1e-12)
     assert far.objective[1] == prob.value(far.iterates[1])
+
+
+def _sequential_farthest_move(h, alpha, x, candidates):
+    """The worst-case pick as a loop over the candidates, one prox call each,
+    a later candidate replacing the pick only when it moves strictly farther."""
+    def _prox_move(h, alpha, x, grad):
+        nxt = prox_rows(h, alpha, x - alpha[:, None] * grad)
+        return nxt, sq_norm(nxt - x)
+
+    nxt, move_sq = _prox_move(h, alpha, x, candidates[:, 0])
+    for j in range(1, candidates.shape[1]):
+        cand, cand_sq = _prox_move(h, alpha, x, candidates[:, j])
+        farther = cand_sq > move_sq
+        nxt[farther] = cand[farther]
+        move_sq = np.where(farther, cand_sq, move_sq)
+    return nxt, move_sq
+
+
+def test_farthest_move_matches_sequential_pick():
+    # one prox call on the (C*m, n) stack and an argmax pick the same step,
+    # bitwise, as one prox call per candidate and a strict comparison
+    rng = np.random.default_rng(11)
+    for h in (ProxFunction.zero(), ProxFunction.l1_norm(0.3), ProxFunction.l1_ball(2.0)):
+        for count in (1, 4):
+            x = prox_rows(h, np.full(6, 1.0), rng.uniform(-1.0, 1.0, (6, 9)))
+            alpha = rng.uniform(0.1, 1.0, 6)
+            candidates = 3.0 * rng.standard_normal((6, count, 9))
+            got = _farthest_move(h, alpha, x, candidates)
+            want = _sequential_farthest_move(h, alpha, x, candidates)
+            for stacked, looped in zip(got, want, strict=True):
+                assert stacked.tobytes() == looped.tobytes()
+
+    # ties: equal move lengths along different moves; the first of the
+    # longest moves wins, as a strict comparison in candidate order picks it
+    x = np.zeros((3, 3))
+    alpha = np.array([0.5, 0.25, 1.0])
+    candidates = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                           [[0.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 0.0]],
+                           [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]])
+    nxt, move_sq = _farthest_move(ProxFunction.zero(), alpha, x, candidates)
+    first = [0, 0, 1]
+    assert np.array_equal(nxt, -alpha[:, None] * candidates[np.arange(3), first])
+    assert np.array_equal(move_sq, (alpha * np.array([1.0, 2.0, 2.0])) ** 2)
+    for stacked, looped in zip((nxt, move_sq),
+                               _sequential_farthest_move(ProxFunction.zero(), alpha, x,
+                                                         candidates), strict=True):
+        assert stacked.tobytes() == looped.tobytes()
 
 
 def test_prox_gradient_turns_non_finite_answers_into_divergence():
