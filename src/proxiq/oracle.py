@@ -278,7 +278,7 @@ class ModelOracle:
     model oracles over it in one evaluation and draws the whole batch's
     noise as one slab, each generator in the order its own answer would.
     A subclass may override answer to spoil it; evaluate_rows then asks
-    that hook row by row.
+    its evaluate, and so that hook, row by row.
     """
 
     noise_bound = 0.0
@@ -292,9 +292,11 @@ class ModelOracle:
 
 
 def _stacks(oracles):
-    """Whether a batch can share one stacked exact evaluation: model oracles
-    over one problem that answer through ModelOracle.evaluate."""
+    """Whether a batch can share one stacked exact evaluation and one noise
+    slab: model oracles over one problem that answer through
+    ModelOracle.evaluate and ModelOracle.answer."""
     return all(isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
+               and type(o).answer is ModelOracle.answer
                and o.problem is oracles[0].problem for o in oracles)
 
 
@@ -317,46 +319,33 @@ def evaluate_rows(oracles, points, rngs):
     alone.  Their noise is one (C, m, n) slab, added to the exact gradients
     in one operation; row i's generator draws its m vectors in the order
     its own answer would, and a row with a zero bound keeps its exact
-    gradient bitwise.  A model oracle that overrides the answer hook is
-    asked through it, row by row, and any other batch calls each oracle's
-    evaluate on its row.  Either way every random stream is the one of a
-    run alone.  This is where an answer is checked.  Returns (values (C,),
-    candidates (C, m, n), finite (C,)): row i's value and candidate
-    gradients, its first candidate being the answer's gradient, and whether
-    all of them are finite.  Every row offers the same number m of
-    candidates.  Rows offering different numbers, a candidate whose shape
-    differs from its point, or a stacked evaluation that does not give (C,)
-    values and a (C, n) gradient raise ValueError.
+    gradient bitwise.  Any other batch, one with a model oracle that
+    overrides its answer hook included, calls each oracle's evaluate on its
+    row.  Either way every random stream is the one of a run alone.  This
+    is where an answer is checked.  Returns (values (C,), candidates
+    (C, m, n), finite (C,)): row i's value and candidate gradients, its
+    first candidate being the answer's gradient, and whether all of them
+    are finite.  Every row offers the same number m of candidates.  Rows
+    offering different numbers, a candidate whose shape differs from its
+    point, or a stacked evaluation that does not give (C,) values and a
+    (C, n) gradient raise ValueError.
     """
-    if not _stacks(oracles):
-        values, candidates = _as_arrays([oracle.evaluate(row, rng=rng)
-                                         for oracle, row, rng in zip(oracles, points, rngs)],
-                                        points)
-    else:
+    if _stacks(oracles):
         values, exact = oracles[0].problem.value_and_gradient(points)
         if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
             raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
                              " and a (C, n) gradient")
-        if all(type(o).answer is ModelOracle.answer for o in oracles):
-            count = _candidate_count(o.directions for o in oracles)
-            candidates = _perturbed(exact, rngs, [o.noise_bound for o in oracles], count)
-        else:
-            values, candidates = _as_arrays(
-                [oracle.answer(value, grad, rng)
-                 for oracle, value, grad, rng in zip(oracles, values, exact, rngs)], points)
+        count = _candidate_count(o.directions for o in oracles)
+        candidates = _perturbed(exact, rngs, [o.noise_bound for o in oracles], count)
+    else:
+        values, candidates = zip(*[oracle.evaluate(row, rng=rng)
+                                   for oracle, row, rng in zip(oracles, points, rngs)])
+        count = _candidate_count(map(len, candidates))
+        candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
+        if candidates.shape != (len(points), count, points.shape[1]):
+            raise ValueError("gradient and point shapes differ")
     values = np.array(values, dtype=float)
     return values, candidates, np.isfinite(values) & np.isfinite(candidates).all(axis=(1, 2))
-
-
-def _as_arrays(answers, points):
-    """The values and the candidates (C, m, n) of one answer per row of
-    points, the candidates' count and shapes checked."""
-    values, candidates = zip(*answers)
-    count = _candidate_count(map(len, candidates))
-    candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
-    if candidates.shape != (len(points), count, points.shape[1]):
-        raise ValueError("gradient and point shapes differ")
-    return values, candidates
 
 
 class ExactOracle(ModelOracle):

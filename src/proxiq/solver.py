@@ -217,14 +217,20 @@ def _farthest_move(h, alpha, x, candidates):
 
     One prox_rows call takes the steps of all rows along all their
     candidates (C, m, n) as one (C*m, n) stack; argmax then picks each
-    row's longest move, the first candidate's on ties.  The rows are
-    finite, so no NaN takes part in a pick.
+    row's longest move, the first candidate's on ties.  A finite candidate
+    can still overflow into a NaN move; such a move is picked only as the
+    first candidate's, since a later one must move strictly farther.
     """
     runs, count, dim = candidates.shape
     steps = prox_rows(h, alpha.repeat(count),
                       (x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim))
     moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
-    pick = moves_sq.argmax(axis=1) + count * np.arange(runs)  # rows of the stack
+    if count == 1:  # nothing to pick
+        return steps, moves_sq[:, 0]
+    # argmax takes the first NaN: fmax makes a later candidate's NaN -inf
+    ranked = np.fmax(moves_sq, -np.inf)
+    ranked[:, 0] = moves_sq[:, 0]
+    pick = ranked.argmax(axis=1) + count * np.arange(runs)  # rows of the stack
     return steps[pick], moves_sq.reshape(-1)[pick]
 
 

@@ -405,22 +405,6 @@ class _Spoiled(ExactOracle):
         return value, (grad,) if self.extra is None else (grad, self.extra)
 
 
-class _OwnEvaluate:
-    """Mixin: the same answer through an evaluate of the oracle's own, so
-    evaluate_rows asks it row by row instead of stacking."""
-
-    def evaluate(self, x, rng=None):
-        return super().evaluate(x, rng=rng)
-
-
-class _RowWidened(_OwnEvaluate, _Widened):
-    pass
-
-
-class _RowSpoiled(_OwnEvaluate, _Spoiled):
-    pass
-
-
 class _OnePoint:
     """A problem whose value_and_gradient takes one point only: given a
     stack it answers one value for all of it."""
@@ -432,40 +416,44 @@ class _OnePoint:
 
 
 def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
-    # evaluate_rows checks every answer, through an answer hook (stacked) and
-    # through an oracle's own evaluate (per row) alike: a candidate that does
-    # not match its point, or a batch whose answers offer different numbers
-    # of candidates, is a usage error, and a non-finite value or candidate
+    # evaluate_rows checks every answer; an oracle with its own answer hook
+    # is asked row by row, through its evaluate: a candidate that does not
+    # match its point, or a batch whose answers offer different numbers of
+    # candidates, is a usage error, and a non-finite value or candidate
     # marks only its own row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8))
     nan_entry = np.array([math.nan] + [0.0] * 7)
     with pytest.raises(ValueError, match="stack"):
         evaluate_rows([ExactOracle(_OnePoint())] * 2, points[:2], [None] * 2)
-    for widened, spoiled in ((_Widened, _Spoiled), (_RowWidened, _RowSpoiled)):
-        with pytest.raises(ValueError, match="shapes differ"):
-            evaluate_rows([widened(prob)] * 3, points[:3], [None] * 3)
-        with pytest.raises(ValueError):
-            evaluate_rows([ExactOracle(prob), widened(prob)], points[:2], [None] * 2)
-        with pytest.raises(ValueError):
-            evaluate_rows([spoiled(prob, extra=np.zeros(9))], points[:1], [None])
-        with pytest.raises(ValueError, match="same number of candidate gradients"):
-            evaluate_rows([spoiled(prob), spoiled(prob, extra=np.zeros(8))], points[:2],
-                          [None] * 2)
-        two = dict(extra=np.zeros(8))
-        oracles = [spoiled(prob, **two), spoiled(prob, value=math.inf, **two),
-                   spoiled(prob, value=math.nan, **two), spoiled(prob, gradient=nan_entry, **two),
-                   spoiled(prob, extra=np.full(8, -math.inf)),
-                   spoiled(prob, extra=np.full(8, 1e300))]
-        values, candidates, finite = evaluate_rows(oracles, points, [None] * 6)
-        assert candidates.shape == (6, 2, 8)
-        assert finite.tolist() == [True, False, False, False, False, True]
-        assert values[1] == math.inf and np.isfinite(candidates[1]).all()
-        assert math.isnan(values[2]) and np.isfinite(candidates[2]).all()
-        assert np.isfinite(values[3]) and math.isnan(candidates[3, 0, 0])
-        assert np.isfinite(candidates[3, 1]).all()
-        assert np.isfinite(values[4]) and np.isinf(candidates[4, 1]).all()
-        assert np.isfinite(candidates[4, 0]).all()
+    with pytest.raises(ValueError, match="shapes differ"):
+        evaluate_rows([_Widened(prob)] * 3, points[:3], [None] * 3)
+    with pytest.raises(ValueError):
+        evaluate_rows([ExactOracle(prob), _Widened(prob)], points[:2], [None] * 2)
+    with pytest.raises(ValueError):
+        evaluate_rows([_Spoiled(prob, extra=np.zeros(9))], points[:1], [None])
+    with pytest.raises(ValueError, match="same number of candidate gradients"):
+        evaluate_rows([_Spoiled(prob), _Spoiled(prob, extra=np.zeros(8))], points[:2],
+                      [None] * 2)
+    two = dict(extra=np.zeros(8))
+    oracles = [_Spoiled(prob, **two), _Spoiled(prob, value=math.inf, **two),
+               _Spoiled(prob, value=math.nan, **two), _Spoiled(prob, gradient=nan_entry, **two),
+               _Spoiled(prob, extra=np.full(8, -math.inf)),
+               _Spoiled(prob, extra=np.full(8, 1e300))]
+    values, candidates, finite = evaluate_rows(oracles, points, [None] * 6)
+    assert candidates.shape == (6, 2, 8)
+    assert finite.tolist() == [True, False, False, False, False, True]
+    assert values[1] == math.inf and np.isfinite(candidates[1]).all()
+    assert math.isnan(values[2]) and np.isfinite(candidates[2]).all()
+    assert np.isfinite(values[3]) and math.isnan(candidates[3, 0, 0])
+    assert np.isfinite(candidates[3, 1]).all()
+    assert np.isfinite(values[4]) and np.isinf(candidates[4, 1]).all()
+    assert np.isfinite(candidates[4, 0]).all()
+    # the stacked path marks a non-finite row the same way
+    points[1, 2] = math.nan
+    values, candidates, finite = evaluate_rows([ExactOracle(prob)] * 3, points[:3], [None] * 3)
+    assert finite.tolist() == [True, False, True]
+    assert math.isnan(values[1]) and np.isfinite(candidates[[0, 2]]).all()
 
 
 # --------------------------------------------------------------- families
@@ -805,6 +793,11 @@ def test_certify_raises_on_non_finite_answer():
     for oracle in (_Halved(prob), _Spoiled(prob, value=math.nan)):
         with pytest.raises(ValueError, match="not finite"):
             certify_oracle(oracle, prob.value, sampler, pairs=5, rng=np.random.default_rng(1))
+    def nan_query(rng):
+        return np.zeros(8), np.full(8, math.nan)
+
+    with pytest.raises(ValueError, match="not finite"):  # stacked: a NaN query point
+        certify_oracle(ExactOracle(prob), prob.value, nan_query, pairs=5)
 
 
 def test_certify_requires_positive_pairs():

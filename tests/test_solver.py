@@ -269,6 +269,22 @@ def test_farthest_move_matches_sequential_pick():
                                                          candidates), strict=True):
         assert stacked.tobytes() == looped.tobytes()
 
+    # a finite candidate whose step overflows: its projection onto the ball
+    # is NaN, and a NaN move after the first candidate never wins the pick,
+    # while the first candidate's NaN move keeps it
+    ball = ProxFunction.l1_ball(2.0)
+    x = np.zeros((2, 2))
+    alpha = np.array([2.0, 2.0])
+    candidates = np.array([[[1.0, 0.0], [-1e308, 0.0], [3.0, 0.0]],
+                           [[-1e308, 0.0], [0.0, 1.0], [5.0, 5.0]]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nxt, move_sq = _farthest_move(ball, alpha, x, candidates)
+        want = _sequential_farthest_move(ball, alpha, x, candidates)
+    assert np.array_equal(nxt[0], [-2.0, 0.0]) and move_sq[0] == 4.0
+    assert np.isnan(nxt[1, 0]) and np.isnan(move_sq[1])
+    for stacked, looped in zip((nxt, move_sq), want, strict=True):
+        assert stacked.tobytes() == looped.tobytes()
+
 
 def test_prox_gradient_turns_non_finite_answers_into_divergence():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
