@@ -38,16 +38,16 @@ of oracles, one oracle and one generator per row, as plain arrays; for
 model oracles over one problem, a batch of one included, it makes a
 single stacked evaluation of the problem and draws the batch's noise as
 one (C, m, n) slab, each generator's vectors in the order bounded_noise
-draws them one at a time.  It is the one place an answer's shapes and
-finiteness are checked, and every solver and certify_oracle ask through
-it.
+draws them one at a time.  A model oracle's evaluate is that same answer
+for a stack of one.  evaluate_rows is the one place an answer's shapes
+and finiteness are checked, and every solver and certify_oracle ask
+through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -179,23 +179,18 @@ def bounded_noise(rng, dim, bound):
     return noise_slab([rng], [bound], 1, dim)[0, 0]
 
 
-def _perturbed(exact, rngs, bounds, count):
-    """Candidate gradients (C, count, n): each row of exact plus its noise
-    slab.  A row with a zero bound draws nothing and is exact bitwise."""
-    quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
-    if len(quiet) == len(bounds):  # an exact batch draws and adds nothing
-        return exact[:, None].repeat(count, axis=1)
-    candidates = exact[:, None] + noise_slab(rngs, bounds, count, exact.shape[1])
-    if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
-        candidates[quiet] = exact[quiet, None]
-    return candidates
+# power iteration of spectral_norm: at most this many steps, stopping once
+# the estimate moves by at most this relative amount
+_POWER_ITERS = 200
+_POWER_TOL = 1e-10
 
 
-def spectral_norm(operator, iters=200, tol=1e-10):
+def spectral_norm(operator):
     """Largest singular value via power iteration on operator.T @ operator.
 
-    Deterministic: starts from the normalized all-ones vector and runs a
-    fixed maximum of iterations with a relative stopping tolerance.
+    Deterministic: starts from the normalized all-ones vector and runs at
+    most _POWER_ITERS iterations with the relative stopping tolerance
+    _POWER_TOL.
     """
     a = np.asarray(operator, dtype=float)
     if a.ndim != 2:
@@ -203,13 +198,13 @@ def spectral_norm(operator, iters=200, tol=1e-10):
     n = a.shape[1]
     v = np.ones(n) / math.sqrt(n)
     estimate = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = a.T @ (a @ v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(norm - estimate) <= tol * max(norm, 1.0):
+        if abs(norm - estimate) <= _POWER_TOL * max(norm, 1.0):
             estimate = norm
             break
         estimate = norm
@@ -248,55 +243,37 @@ class SaddleProblem:
         # the maximizer costs no further pass over the operator
         return self.value_and_maximizer(x)[0]
 
-    def value_and_gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:  # a stack (C, n), as a model oracle's batch asks: row by row
-            values, grads = zip(*map(self.value_and_gradient, x))
-            return np.array(values), np.array(grads)
-        value, u = self.value_and_maximizer(x)
-        return value, self.operator @ u
-
-    def gradient(self, x):
-        return self.value_and_gradient(x)[1]
-
-    @cached_property
-    def lipschitz(self):
-        return spectral_norm(self.operator) ** 2 / self.concavity
-
 
 class ModelOracle:
     """An oracle that answers from the exact value and gradient of self.problem.
 
-    answer turns the exact pair at a query point into the oracle's answer,
-    the (value, candidates) pair that evaluate returns: the exact value and
-    self.directions candidates, the exact gradient plus bounded_noise draws
-    under self.noise_bound, drawn in sequence from rng.  The base's bound is
-    zero, so an exact answer draws nothing.  One problem.value_and_gradient
-    call serves a query, so the residual it computes once feeds both the
-    value and the gradient.  The problem takes a stack (C, n) too,
-    returning one value per row, since evaluate_rows answers every batch of
-    model oracles over it in one evaluation and draws the whole batch's
-    noise as one slab, each generator in the order its own answer would.
-    A subclass may override answer to spoil it; evaluate_rows then asks
-    its evaluate, and so that hook, row by row.
+    Its answer is the exact value and self.directions candidates, the exact
+    gradient plus bounded_noise draws under self.noise_bound, drawn in
+    sequence from rng.  The base's bound is zero, so an exact answer draws
+    nothing.  One problem.value_and_gradient call serves a query, so the
+    residual it computes once feeds both the value and the gradient.  The
+    problem takes a stack (C, n), returning one value per row: evaluate is
+    the answer to a stack of one, and evaluate_rows answers every batch of
+    model oracles over one problem in one evaluation, drawing the whole
+    batch's noise as one slab, each generator in the order its own answer
+    would.  A subclass may override evaluate to spoil the answer, calling
+    super().evaluate for the honest one; evaluate_rows then asks it row by
+    row.
     """
 
     noise_bound = 0.0
     directions = 1
 
-    def answer(self, value, exact, rng=None):
-        return value, _perturbed(exact[None], [rng], [self.noise_bound], self.directions)[0]
-
     def evaluate(self, x, rng=None):
-        return self.answer(*self.problem.value_and_gradient(np.asarray(x, dtype=float)), rng)
+        values, candidates = _model_answers([self], np.asarray(x, dtype=float)[None], [rng])
+        return float(values[0]), candidates[0]
 
 
 def _stacks(oracles):
     """Whether a batch can share one stacked exact evaluation and one noise
     slab: model oracles over one problem that answer through
-    ModelOracle.evaluate and ModelOracle.answer."""
+    ModelOracle.evaluate."""
     return all(isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
-               and type(o).answer is ModelOracle.answer
                and o.problem is oracles[0].problem for o in oracles)
 
 
@@ -309,34 +286,51 @@ def _candidate_count(counts):
     return counts[0]
 
 
+def _model_answers(oracles, points, rngs):
+    """Answers of model oracles over one problem at a stack of points:
+    values (C,) and candidate gradients (C, m, n).
+
+    One value_and_gradient call evaluates the whole stack; each row's
+    candidates are its exact gradient plus its noise slab.  A row with a
+    zero bound draws nothing and is exact bitwise.
+    """
+    values, exact = oracles[0].problem.value_and_gradient(points)
+    if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
+        raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
+                         " and a (C, n) gradient")
+    count = _candidate_count(o.directions for o in oracles)
+    bounds = [o.noise_bound for o in oracles]
+    quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
+    if len(quiet) == len(bounds):  # an exact batch draws and adds nothing
+        return values, exact[:, None].repeat(count, axis=1)
+    candidates = exact[:, None] + noise_slab(rngs, bounds, count, exact.shape[1])
+    if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
+        candidates[quiet] = exact[quiet, None]
+    return values, candidates
+
+
 def evaluate_rows(oracles, points, rngs):
     """Answers of a batch of oracles, row i of points for oracles[i] with
     the generator rngs[i].
 
-    A batch of model oracles over one problem makes one stacked exact
-    evaluation: the problem's value_and_gradient runs once on the whole
-    stack (C, n), giving each row bitwise the answer it gives that row
-    alone.  Their noise is one (C, m, n) slab, added to the exact gradients
-    in one operation; row i's generator draws its m vectors in the order
-    its own answer would, and a row with a zero bound keeps its exact
-    gradient bitwise.  Any other batch, one with a model oracle that
-    overrides its answer hook included, calls each oracle's evaluate on its
-    row.  Either way every random stream is the one of a run alone.  This
-    is where an answer is checked.  Returns (values (C,), candidates
-    (C, m, n), finite (C,)): row i's value and candidate gradients, its
-    first candidate being the answer's gradient, and whether all of them
-    are finite.  Every row offers the same number m of candidates.  Rows
-    offering different numbers, a candidate whose shape differs from its
-    point, or a stacked evaluation that does not give (C,) values and a
-    (C, n) gradient raise ValueError.
+    A batch of model oracles over one problem that answer through
+    ModelOracle.evaluate makes one stacked exact evaluation: the problem's
+    value_and_gradient runs once on the whole stack (C, n), giving each row
+    bitwise the answer it gives that row alone.  Their noise is one
+    (C, m, n) slab, added to the exact gradients in one operation; row i's
+    generator draws its m vectors in the order its own answer would, and a
+    row with a zero bound keeps its exact gradient bitwise.  Any other
+    batch calls each oracle's evaluate on its row.  Either way every random
+    stream is the one of a run alone.  This is where an answer is checked.
+    Returns (values (C,), candidates (C, m, n), finite (C,)): row i's value
+    and candidate gradients, its first candidate being the answer's
+    gradient, and whether all of them are finite.  Every row offers the
+    same number m of candidates.  Rows offering different numbers, a
+    candidate whose shape differs from its point, or a stacked evaluation
+    that does not give (C,) values and a (C, n) gradient raise ValueError.
     """
     if _stacks(oracles):
-        values, exact = oracles[0].problem.value_and_gradient(points)
-        if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
-            raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
-                             " and a (C, n) gradient")
-        count = _candidate_count(o.directions for o in oracles)
-        candidates = _perturbed(exact, rngs, [o.noise_bound for o in oracles], count)
+        values, candidates = _model_answers(oracles, points, rngs)
     else:
         values, candidates = zip(*[oracle.evaluate(row, rng=rng)
                                    for oracle, row, rng in zip(oracles, points, rngs)])

@@ -1,9 +1,11 @@
 """Simple convex terms and their proximal maps.
 
-Everything here is exact: soft thresholding for the l1 norm, sort-based
-projection for the l1 ball, and the identity for the zero function.  The
-maps work on a stack of points (C, n) row by row, so the batched solver
-treats a run alone and inside a batch the same way.
+Every term is zero on its domain: the zero function and the indicator of
+an l1 ball.  Their proximal maps read no step size and are exact: the
+identity, and sort-based projection onto the ball.  Every prox output lies
+in the domain, so the solvers take h as 0 there and never evaluate it.
+The maps work on a stack of points (C, n) row by row, so the batched
+solver treats a run alone and inside a batch the same way.
 """
 
 from __future__ import annotations
@@ -87,29 +89,22 @@ def _shrink_onto_ball(rows, radius):
 class ProxFunction:
     """One of the simple convex terms h shared by the solvers.
 
-    kind 'zero' is h = 0, 'l1_norm' is h(x) = weight*||x||_1, and 'l1_ball'
-    is the indicator of {x : ||x||_1 <= radius}.
+    kind 'zero' is h = 0 and 'l1_ball' is the indicator of
+    {x : ||x||_1 <= radius}.  Either is zero on its domain and +inf off it.
     """
 
     kind: str
-    weight: float = 0.0
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "l1_norm", "l1_ball"):
+        if self.kind not in ("zero", "l1_ball"):
             raise ValueError(f"unknown prox kind {self.kind!r}")
-        if self.kind == "l1_norm" and self.weight <= 0.0:
-            raise ValueError("l1_norm needs a positive weight")
         if self.kind == "l1_ball" and self.radius <= 0.0:
             raise ValueError("l1_ball needs a positive radius")
 
     @staticmethod
     def zero():
         return ProxFunction("zero")
-
-    @staticmethod
-    def l1_norm(weight):
-        return ProxFunction("l1_norm", weight=float(weight))
 
     @staticmethod
     def l1_ball(radius):
@@ -122,33 +117,19 @@ class ProxFunction:
         return float(np.abs(np.asarray(x)).sum()) <= _slack_radius(self.radius)
 
     def value(self, x):
-        return self.value_on_domain(x) if self.contains(x) else np.inf
-
-    def value_on_domain(self, x):
-        """h(x) for an x known to lie in dom h, such as a prox output; one
-        value per row for a stack.
-
-        The indicator is 0 there, so no membership check is paid.
-        """
-        if self.kind == "l1_norm":
-            norms = np.abs(np.asarray(x)).sum(axis=-1)
-            return self.weight * (float(norms) if norms.ndim == 0 else norms)
-        return 0.0
+        return 0.0 if self.contains(x) else np.inf
 
 
-def prox_apply(h, gamma, x):
-    """Proximal map of gamma*h at one point x: prox_rows on a stack of one."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    return prox_rows(h, np.array([gamma]), np.asarray(x, dtype=float)[None])[0]
+def prox_apply(h, x):
+    """Proximal map of h at one point x: prox_rows on a stack of one."""
+    return prox_rows(h, np.asarray(x, dtype=float)[None])[0]
 
 
-def prox_rows(h, gammas, points):
-    """Proximal map of gammas[i]*h at each row i of a stack (C, n), exact for
-    every supported kind; row i is the prox of that row alone."""
+def prox_rows(h, points):
+    """Proximal map of h at each row of a stack (C, n), exact for every
+    supported kind; row i is the prox of that row alone.  Neither kind
+    depends on a step size, so none is taken."""
     points = np.asarray(points, dtype=float)
     if h.kind == "zero":
         return points.copy()
-    if h.kind == "l1_norm":
-        return soft_threshold(points, gammas[:, None] * h.weight)
     return project_l1_rows(points, h.radius)

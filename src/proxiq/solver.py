@@ -93,7 +93,7 @@ class RunTrace:
     """
 
     iterates: Optional[np.ndarray]  # (K+1, n)
-    objective: np.ndarray          # (K+1,) composite value f(x_k)
+    objective: np.ndarray          # (K+1,) F(x_k); h is 0 on its domain
     alpha: np.ndarray              # (K,)
     delta: float                   # the certificate's accuracy, fixed for the run
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
@@ -153,18 +153,19 @@ def _check(step, f, ceiling=math.inf, finite=True):
         raise exc
 
 
-def _answer(oracle, h, x, rng, step, ceiling=math.inf):
+def _answer(oracle, x, rng, step, ceiling=math.inf):
     """A single run's answer at x, a batch of one through evaluate_rows:
-    F + h there and the gradient, after the failure rule (at x0, whose value
+    F there and the gradient, after the failure rule (at x0, whose value
     sets the ceiling, only finiteness counts).  Only prox_gradient picks
     among candidates, so several raise ValueError.  Iterates lie in dom h
-    (x0 by _start, the rest as prox outputs), so h is taken at its value there.
+    (x0 by _start, the rest as prox outputs), where h is 0, so F there is
+    the composite value.
     """
     values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
     if candidates.shape[1] > 1:
         raise ValueError(f"oracle answer at step {step} offers {candidates.shape[1]}"
                          " candidate gradients; this method follows one")
-    f = float(values[0]) + h.value_on_domain(x)
+    f = float(values[0])
     _check(step, f, ceiling, finite[0])
     return f, candidates[0, 0]
 
@@ -179,9 +180,10 @@ def _buffers(x, iters):
 def prox_gradient(objective, oracle, h, config, x0, rng=None):
     """Proximal gradient iteration with inexact oracle calls.
 
-    objective is the exact smooth part F (h contributes through its prox
-    and value).  Each step queries the oracle and moves with the constant
-    step step_scale / (L + q*rho) of the oracle's certificate.  F at every
+    objective is the exact smooth part F; h contributes through its prox
+    only, as it is 0 on its domain, where every iterate lies.  Each step
+    queries the oracle and moves with the constant step
+    step_scale / (L + q*rho) of the oracle's certificate.  F at every
     iterate but the last is the value of the oracle answer queried there;
     objective is called only on the final iterate.  When an answer carries
     several candidate gradients, the step follows the one whose prox step
@@ -222,8 +224,7 @@ def _farthest_move(h, alpha, x, candidates):
     first candidate's, since a later one must move strictly farther.
     """
     runs, count, dim = candidates.shape
-    steps = prox_rows(h, alpha.repeat(count),
-                      (x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim))
+    steps = prox_rows(h, (x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim))
     moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
     if count == 1:  # nothing to pick
         return steps, moves_sq[:, 0]
@@ -263,10 +264,9 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
         if keep_iterates:
             iterates[k, live] = x
         if k < iters:
-            values, candidates, finite = evaluate_rows(live_oracles, x, live_rngs)
-            f = values + h.value_on_domain(x)
+            f, candidates, finite = evaluate_rows(live_oracles, x, live_rngs)
         else:
-            f = np.array([float(objective(row)) for row in x]) + h.value_on_domain(x)
+            f = np.array([float(objective(row)) for row in x])
             finite = np.ones(len(live), dtype=bool)
         if k == 0:
             ceiling = _ceiling(f)
@@ -340,16 +340,16 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     iters = config.max_iters
     iterates, objective_vals, gm_sq = _buffers(x, iters)
     objective_y = np.empty(iters)
-    f, grad = _answer(oracle, h, x, rng, 0)
+    f, grad = _answer(oracle, x, rng, 0)
     objective_vals[0] = f
     ceiling = _ceiling(f)
     theta = _THETA0[theta_rule]
     a_weight = theta / lip
     model_sum = np.zeros(x.size)
     for k in range(iters):
-        y = prox_apply(h, alpha, x - alpha * grad)
+        y = prox_apply(h, x - alpha * grad)
         model_sum += (theta / lip) * grad
-        z = prox_apply(h, 1.0, origin - model_sum)
+        z = prox_apply(h, origin - model_sum)
         theta_new = theta_next(a_weight, lip, theta_rule)
         a_new = a_weight + theta_new / lip
         tau = theta_new / (a_new * lip)
@@ -359,11 +359,11 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         x = tau * z + (1.0 - tau) * y
         iterates[k + 1] = x
         if k + 1 < iters:
-            f, grad = _answer(oracle, h, x, rng, k + 1, ceiling)
+            f, grad = _answer(oracle, x, rng, k + 1, ceiling)
         else:  # no answer after the last step
-            f = float(objective(x)) + h.value_on_domain(x)
+            f = float(objective(x))
             _check(k + 1, f, ceiling)
-        fy = float(objective(y)) + h.value_on_domain(y)
+        fy = float(objective(y))
         _check(k + 1, fy)  # y only has to stay finite
         objective_vals[k + 1] = f
         objective_y[k] = fy
@@ -400,7 +400,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     iterates, objective_vals, gm_sq = _buffers(x, iters)
     alpha_arr = np.empty(iters)
     history: List[AdaptiveState] = []
-    f0, grad = _answer(oracle, h, x, rng, 0)
+    f0, grad = _answer(oracle, x, rng, 0)
     objective_vals[0] = f0
     ceiling = _ceiling(f0)
     epsilon = float(epsilon0)
@@ -408,14 +408,14 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     f_best = f_min - epsilon
     for k in range(iters):
         if k > 0:
-            _, grad = _answer(oracle, h, x, rng, k, ceiling)
+            _, grad = _answer(oracle, x, rng, k, ceiling)
         retries = 0
         while True:
             gap = f0 - f_best
             rho = rho_opt_horizon(lip, degree, delta, gap, k) if delta > 0.0 else 0.0
             alpha_k = config.step_scale / (lip + degree * rho)
-            nxt = prox_apply(h, alpha_k, x - alpha_k * grad)
-            f_next = float(objective(nxt)) + h.value_on_domain(nxt)
+            nxt = prox_apply(h, x - alpha_k * grad)
+            f_next = float(objective(nxt))
             _check(k + 1, f_next, ceiling)
             if f_next >= f_best:
                 break

@@ -284,8 +284,8 @@ class _FaultyOracle(NoisyGradientOracle):
         super().__init__(*args, **kwargs)
         self.queries = 0
 
-    def answer(self, value, exact, rng=None):
-        value, candidates = super().answer(value, exact, rng)
+    def evaluate(self, x, rng=None):
+        value, candidates = super().evaluate(x, rng=rng)
         self.queries += 1
         query, kind = self.faults.get((self.certificate.degree, self.noise_bound), (0, None))
         if kind is None or self.queries < query:

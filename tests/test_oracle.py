@@ -281,7 +281,7 @@ def test_evaluate_rows_adds_the_slab_to_noisy_rows_only():
                 want = exact[i] if oracle.noise_bound == 0.0 else exact[i] + noise
                 assert candidate.tobytes() == want.tobytes()
         assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
-        # the per-row answer hook keeps the -0.0 too
+        # evaluate, the answer to a stack of one, keeps the -0.0 too
         assert oracles[0].evaluate(points[0])[1].tobytes() == np.tile(exact[0], (count, 1)).tobytes()
 
 
@@ -332,20 +332,33 @@ def test_evaluate_rows_matches_evaluate_per_row():
     assert candidates.shape == (3, 1, 8)
     assert np.array_equal(candidates[:, 0], prob.value_and_gradient(points)[1])
 
-    # a batch of one takes the stacked path too, bitwise the oracle's evaluate
+    # a batch of one answers bitwise as the oracle's evaluate, on the stacked
+    # path for the model oracles and through evaluate for the saddle oracle
     holder = HolderPowerProblem(centers=np.full(8, 0.1), exponent=0.5, holder_constant=1.0)
     gen = np.random.default_rng(8)
     saddle = SaddleProblem(gen.standard_normal((8, 3)), gen.standard_normal(3), 2.0)
     for oracle, x in ((ExactOracle(prob), points[0]),
                       (NoisyGradientOracle(prob, 0.2, directions=3), points[1]),
                       (HolderOracle(holder, degree=0.5, delta=0.1), points[2]),
-                      (ExactOracle(saddle), points[0])):
+                      (SaddleOracle(saddle, 0.0), points[0])):
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
         value, alone = oracle.evaluate(x, rng=ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert finite.tolist() == [True] and values[0].tobytes() == np.float64(value).tobytes()
         assert candidates[0].tobytes() == np.array(alone).tobytes()
+
+
+class _Counted(NoisyGradientOracle):
+    """Noisy oracle whose own evaluate counts its calls and answers honestly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def evaluate(self, x, rng=None):
+        self.calls += 1
+        return super().evaluate(x, rng=rng)
 
 
 class _Halved(ExactOracle):
@@ -380,18 +393,33 @@ def test_evaluate_rows_runs_each_oracles_own_evaluate():
     assert finite.tolist() == [True, False, True]
     assert np.isfinite(values).all() and np.isnan(candidates[1]).all()
     assert np.isfinite(candidates[[0, 2]]).all()
+    # an override that calls super().evaluate is asked once per row and
+    # gets back its row's honest answer, without looping back into
+    # evaluate_rows: the stacked path's bytes and random streams
+    bounds = (0.0, 0.2, 1.5)
+    counted = [_Counted(prob, d, directions=2) for d in bounds]
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    values, candidates, _ = evaluate_rows(counted, points, rngs)
+    assert [o.calls for o in counted] == [1, 1, 1]
+    ref_rngs = [np.random.default_rng(i) for i in range(3)]
+    want = evaluate_rows([NoisyGradientOracle(prob, d, directions=2) for d in bounds], points,
+                         ref_rngs)
+    assert values.tobytes() == want[0].tobytes()
+    assert candidates.tobytes() == want[1].tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
 
 class _Widened(ExactOracle):
-    """Exact oracle whose answer hook returns a gradient one entry too long."""
+    """Exact oracle whose own evaluate returns a gradient one entry too long."""
 
-    def answer(self, value, exact, rng=None):
-        return value, (np.append(exact, 0.0),)
+    def evaluate(self, x, rng=None):
+        value, (grad,) = super().evaluate(x, rng=rng)
+        return value, (np.append(grad, 0.0),)
 
 
 class _Spoiled(ExactOracle):
-    """Exact oracle whose answer hook replaces the value or the gradient, or
-    adds a candidate."""
+    """Exact oracle whose own evaluate replaces the value or the gradient,
+    or adds a candidate."""
 
     def __init__(self, problem, value=None, gradient=None, extra=None):
         super().__init__(problem)
@@ -399,9 +427,10 @@ class _Spoiled(ExactOracle):
         self.bad_gradient = gradient
         self.extra = extra
 
-    def answer(self, value, exact, rng=None):
+    def evaluate(self, x, rng=None):
+        value, (grad,) = super().evaluate(x, rng=rng)
         value = value if self.bad_value is None else self.bad_value
-        grad = exact if self.bad_gradient is None else self.bad_gradient
+        grad = grad if self.bad_gradient is None else self.bad_gradient
         return value, (grad,) if self.extra is None else (grad, self.extra)
 
 
@@ -416,11 +445,11 @@ class _OnePoint:
 
 
 def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
-    # evaluate_rows checks every answer; an oracle with its own answer hook
-    # is asked row by row, through its evaluate: a candidate that does not
-    # match its point, or a batch whose answers offer different numbers of
-    # candidates, is a usage error, and a non-finite value or candidate
-    # marks only its own row
+    # evaluate_rows checks every answer; an oracle with its own evaluate is
+    # asked row by row, through it: a candidate that does not match its
+    # point, or a batch whose answers offer different numbers of candidates,
+    # is a usage error, and a non-finite value or candidate marks only its
+    # own row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8))
     nan_entry = np.array([math.nan] + [0.0] * 7)
@@ -623,11 +652,13 @@ def test_saddle_fused_value_and_gradient_is_bitwise():
     a = rng.standard_normal((4, 3))
     center = rng.standard_normal(3)
     sp = SaddleProblem(operator=a, concave_center=center, concavity=0.7)
+    exact = SaddleOracle(sp, 0.0)
     for x in rng.standard_normal((6, 4)) * 3.0:
-        value, grad = sp.value_and_gradient(x)
+        # the exact oracle's value and gradient share one value_and_maximizer
+        value, (grad,) = exact.evaluate(x)
         assert value == sp.value(x)
-        assert np.array_equal(grad, sp.gradient(x))
-        assert np.array_equal(grad, a @ (center + a.T @ x / 0.7))
+        assert np.array_equal(sp.value_and_maximizer(x)[1], center + a.T @ x / 0.7)
+        assert grad.tobytes() == (a @ sp.value_and_maximizer(x)[1]).tobytes()
 
 
 def test_saddle_value_is_inner_maximum():
@@ -648,10 +679,10 @@ def test_saddle_value_is_inner_maximum():
     eps = 1e-6
     fd = np.array([(sp.value(x + eps * e) - sp.value(x - eps * e)) / (2 * eps)
                    for e in np.eye(3)])
-    assert np.max(np.abs(sp.gradient(x) - fd)) <= 1e-8
+    assert np.max(np.abs(a @ sp.value_and_maximizer(x)[1] - fd)) <= 1e-8
 
     top = np.linalg.svd(a, compute_uv=False)[0]
-    assert abs(sp.lipschitz - top ** 2 / 0.7) <= 1e-10
+    assert abs(SaddleOracle(sp, 0.0).certificate.lipschitz - top ** 2 / 0.7) <= 1e-10
 
 
 def test_saddle_oracle_certificates():
@@ -661,19 +692,20 @@ def test_saddle_oracle_certificates():
     sp = SaddleProblem(operator=a, concave_center=center, concavity=0.7)
     x = rng.standard_normal(3)
     norm_a = spectral_norm(a)
+    gradient = a @ sp.value_and_maximizer(x)[1]
 
     exact = SaddleOracle(sp, 0.0)
     assert exact.certificate.convex_lower_bound
     assert exact.certificate.delta == 0.0
     assert exact.certificate.lipschitz == norm_a ** 2 / 0.7
-    assert np.allclose(exact.evaluate(x)[1][0], sp.gradient(x))
+    assert np.allclose(exact.evaluate(x)[1][0], gradient)
 
     oracle = SaddleOracle(sp, 0.3)
     assert oracle.operator_norm == norm_a
     _, (noisy,) = oracle.evaluate(x, rng=np.random.default_rng(2))
     assert not oracle.certificate.convex_lower_bound
     assert abs(oracle.certificate.delta - 0.3 * norm_a) <= 1e-12
-    assert np.linalg.norm(noisy - sp.gradient(x)) <= 0.3 * norm_a + 1e-12
+    assert np.linalg.norm(noisy - gradient) <= 0.3 * norm_a + 1e-12
 
     with pytest.raises(ValueError):
         SaddleOracle(sp, -0.1)
