@@ -69,6 +69,10 @@ class OracleCertificate:
     def __post_init__(self):
         if not 0.0 <= self.degree < 2.0:
             raise ValueError("degree must lie in [0, 2)")
+        # NaN fails every comparison, so certify_oracle could never refute it
+        for name in ("delta", "lipschitz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
         if self.lipschitz <= 0.0:
@@ -179,36 +183,20 @@ def bounded_noise(rng, dim, bound):
     return noise_slab([rng], [bound], 1, dim)[0, 0]
 
 
-# power iteration of spectral_norm: at most this many steps, stopping once
-# the estimate moves by at most this relative amount
-_POWER_ITERS = 200
-_POWER_TOL = 1e-10
-
-
 def spectral_norm(operator):
-    """Largest singular value via power iteration on operator.T @ operator.
+    """Largest singular value of a matrix, rounded up so it is never below
+    the true one.
 
-    Deterministic: starts from the normalized all-ones vector and runs at
-    most _POWER_ITERS iterations with the relative stopping tolerance
-    _POWER_TOL.
+    The singular values come from one LAPACK SVD, whose computed top value
+    can sit a few ulp below the exact one; scaling it by
+    1 + max(shape) * eps lifts it over that rounding error.  Smoothness
+    constants built from it are therefore upper bounds, as a certificate
+    needs, and exceed the tight value by a relative few ulp only.
     """
     a = np.asarray(operator, dtype=float)
     if a.ndim != 2:
         raise ValueError("operator must be a matrix")
-    n = a.shape[1]
-    v = np.ones(n) / math.sqrt(n)
-    estimate = 0.0
-    for _ in range(_POWER_ITERS):
-        w = a.T @ (a @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - estimate) <= _POWER_TOL * max(norm, 1.0):
-            estimate = norm
-            break
-        estimate = norm
-    return math.sqrt(estimate)
+    return float(np.linalg.norm(a, 2) * (1.0 + max(a.shape) * np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -451,9 +439,10 @@ class SaddleOracle:
     The inner problem is solved in closed form and the approximation error
     is injected deliberately: the returned gradient is A @ u with u within
     the inner accuracy of the true maximizer.  Certifies at degree 1 with
-    delta = inner_accuracy * ||A||.  An exact inner solution makes the
-    answer the true gradient of a convex function, so the certificate then
-    claims the convex lower bound too.
+    delta = inner_accuracy * ||A|| and L = ||A||**2 / kappa, where ||A|| is
+    spectral_norm's upper bound, so both constants are upper bounds too.
+    An exact inner solution makes the answer the true gradient of a convex
+    function, so the certificate then claims the convex lower bound too.
     """
 
     def __init__(self, saddle, inner_accuracy):

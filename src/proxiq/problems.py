@@ -127,7 +127,11 @@ def generate_logsum_instance(n, N, radius, noise_level=None, seed=0):
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """Least squares 0.5*||B x - c||**2 with a known minimizer."""
+    """Least squares 0.5*||B x - c||**2 with a known minimizer.
+
+    lipschitz is spectral_norm(B)**2, an upper bound on the smoothness
+    constant ||B||**2 that exceeds it by a relative few ulp at most.
+    """
 
     operator: np.ndarray
     offset: np.ndarray

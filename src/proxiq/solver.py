@@ -69,6 +69,8 @@ class ScheduleConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.rho):
+            raise ValueError("rho must be finite")
         if self.rho < 0.0:
             raise ValueError("rho must be nonnegative")
         if not 0.0 < self.step_scale <= 1.0:
@@ -97,15 +99,12 @@ class RunTrace:
     alpha: np.ndarray              # (K,)
     delta: float                   # the certificate's accuracy, fixed for the run
     gm_sq: np.ndarray              # (K,) squared gradient-mapping norm
-    min_gm_sq: np.ndarray          # (K,) running minimum of gm_sq
     objective_y: Optional[np.ndarray] = None  # (K,) f(y_k), fast method only
 
-    @classmethod
-    def assemble(cls, iterates, objective, alpha, delta, gm_sq, objective_y=None):
-        """A trace from the per-step arrays, with the running minimum filled in."""
-        return cls(iterates=iterates, objective=objective, alpha=alpha, delta=delta,
-                   gm_sq=gm_sq, min_gm_sq=np.minimum.accumulate(gm_sq),
-                   objective_y=objective_y)
+    @property
+    def min_gm_sq(self):
+        """(K,) running minimum of gm_sq."""
+        return np.minimum.accumulate(self.gm_sq)
 
     @property
     def steps(self):
@@ -287,7 +286,7 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
         x, move_sq = _farthest_move(h, alpha, x, candidates)
         gm_sq[live, k] = move_sq / alpha_sq
     for i in live:
-        outcomes[i] = RunTrace.assemble(
+        outcomes[i] = RunTrace(
             iterates[:, i] if keep_iterates else None, objective_vals[i],
             np.full(iters, alphas[i]), certs[i].delta, gm_sq[i])
     return outcomes
@@ -369,8 +368,8 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         objective_y[k] = fy
         theta = theta_new
         a_weight = a_new
-    return RunTrace.assemble(iterates, objective_vals, np.full(iters, alpha), cert.delta,
-                             gm_sq, objective_y=objective_y)
+    return RunTrace(iterates, objective_vals, np.full(iters, alpha), cert.delta, gm_sq,
+                    objective_y=objective_y)
 
 
 def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
@@ -434,4 +433,4 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         f_min = min(f_min, f_next)
         epsilon /= 2.0
         f_best = f_min - epsilon
-    return RunTrace.assemble(iterates, objective_vals, alpha_arr, delta, gm_sq), history
+    return RunTrace(iterates, objective_vals, alpha_arr, delta, gm_sq), history

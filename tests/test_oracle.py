@@ -290,7 +290,7 @@ def test_spectral_norm_matches_svd():
     for shape in [(5, 3), (3, 5), (4, 4)]:
         a = rng.standard_normal(shape)
         top = np.linalg.svd(a, compute_uv=False)[0]
-        assert abs(spectral_norm(a) - top) <= 1e-8 * top
+        assert top <= spectral_norm(a) <= top * (1.0 + 1e-14)
     assert spectral_norm(np.zeros((3, 2))) == 0.0
     with pytest.raises(ValueError):
         spectral_norm(np.zeros(3))
@@ -310,6 +310,14 @@ def test_certificate_validation():
         OracleCertificate(delta=-1.0, lipschitz=2.0, degree=1.0)
     with pytest.raises(ValueError):
         OracleCertificate(delta=0.1, lipschitz=0.0, degree=1.0)
+    # a NaN constant fails every comparison, so no pair could refute it
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            OracleCertificate(delta=bad, lipschitz=2.0, degree=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            OracleCertificate(delta=0.1, lipschitz=bad, degree=1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        NoisyGradientOracle(generate_quadratic_instance(2), math.nan)
 
 
 def test_evaluate_rows_matches_evaluate_per_row():

@@ -138,6 +138,10 @@ def test_quadratic_instance_constants():
     assert sigma[0] == pytest.approx(1.0, abs=1e-12)
     assert sigma[0] / sigma[-1] == pytest.approx(3.0, rel=1e-10)
     assert p.lipschitz == pytest.approx(1.0, abs=1e-9)
+    # the generator builds sigma_max = 1 exactly; the claimed L may exceed
+    # it by rounding but never fall short of it
+    for n in (1, 16, 32, 64):
+        assert 1.0 <= generate_quadratic_instance(n).lipschitz <= 1.0 + 1e-12
     assert p.value(p.x_star) == pytest.approx(0.0, abs=1e-24)
     assert np.linalg.norm(p.gradient(p.x_star)) <= 1e-12
     assert p.f_star == 0.0
