@@ -7,7 +7,7 @@ from .oracle import (CertificationReport, ExactOracle, HolderOracle, MinibatchOr
 from .problems import (HolderPowerProblem, LogSumProblem, QuadraticProblem,
                        generate_holder_instance, generate_logsum_instance,
                        generate_quadratic_instance, sample_l1_ball)
-from .prox import ProxFunction, project_l1_ball, prox_apply, soft_threshold
+from .prox import ProxFunction, project_l1_ball, soft_threshold
 from .rates import (CURVE_KINDS, bound_convex_ergodic, bound_fast_convex,
                     bound_nonconvex_const, bound_nonconvex_horizon,
                     bound_nonconvex_schedule, holder_delta_opt, nonconvex_plateau,

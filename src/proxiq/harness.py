@@ -318,7 +318,7 @@ def run_cells(problem, config, cells, directions=1):
                                 max_iters=config.solver.iterations,
                                 step_scale=config.solver.step_scale) for _, d, _ in cells]
     x0 = np.zeros(problem.dim)
-    f0 = problem.value(x0) + h.value(x0)
+    f0 = problem.value(x0)
     start = time.perf_counter()
     runs = prox_gradient(problem.value, oracles, h, schedules, x0,
                          [np.random.default_rng(seed) for seed in seeds])

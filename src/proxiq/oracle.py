@@ -47,6 +47,7 @@ through it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -334,14 +335,15 @@ class ExactOracle(ModelOracle):
     """Exact value and gradient wrapped in the oracle interface.
 
     The zero-delta certificate is valid at any degree, so the degree is
-    whatever the caller wants to run with.
+    whatever the caller wants to run with.  It claims the convex lower
+    bound when the problem is convex.
     """
 
-    def __init__(self, problem, degree=1.0, convex_lower_bound=False):
+    def __init__(self, problem, degree=1.0):
         self.problem = problem
         self.certificate = OracleCertificate(delta=0.0, lipschitz=float(problem.lipschitz),
                                              degree=float(degree),
-                                             convex_lower_bound=bool(convex_lower_bound))
+                                             convex_lower_bound=problem.convex)
 
 
 class NoisyGradientOracle(ModelOracle):
@@ -366,6 +368,8 @@ class NoisyGradientOracle(ModelOracle):
             raise ValueError("degree < 1 needs a domain diameter to rescale delta")
         if noise_bound < 0.0:
             raise ValueError("noise_bound must be nonnegative")
+        if isinstance(directions, bool) or not isinstance(directions, numbers.Integral):
+            raise ValueError(f"directions must be an integer, got {directions!r}")
         if directions < 1:
             raise ValueError("directions must be at least 1")
         self.problem = problem
@@ -518,6 +522,9 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     """
     if pairs <= 0:
         raise ValueError("pairs must be positive")
+    # an infinite tolerance would certify any claim and a NaN one refute every claim
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     cert = oracle.certificate

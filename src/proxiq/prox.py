@@ -1,15 +1,16 @@
-"""Simple convex terms and their proximal maps.
+"""The simple convex term h and its proximal map.
 
-Every term is zero on its domain: the zero function and the indicator of
-an l1 ball.  Their proximal maps read no step size and are exact: the
-identity, and sort-based projection onto the ball.  Every prox output lies
-in the domain, so the solvers take h as 0 there and never evaluate it.
-The maps work on a stack of points (C, n) row by row, so the batched
-solver treats a run alone and inside a batch the same way.
+h is the indicator of the l1 ball of radius R in (0, inf], so R = inf is
+h = 0.  Its proximal map reads no step size and is exact: sort-based
+projection onto the ball, which copies every row already inside.  Every
+prox output lies in the domain, so the solvers take h as 0 there and
+never evaluate it.  The projection works on a stack of points (C, n) row
+by row, so the batched solver treats a run alone and in a batch alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,11 @@ def project_l1_rows(points, radius):
     The rest are projected by sort and threshold in O(n log n) (Duchi et
     al., ICML 2008): the projection is soft_threshold(x, t) with t the
     smallest shift making the result feasible.  Every step runs along the
-    rows, so row i does not depend on the other rows.
+    rows, so row i does not depend on the other rows.  At radius inf every
+    row is inside, NaN and infinite entries included, and the output is a
+    bitwise copy.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:  # NaN fails too
         raise ValueError("radius must be positive")
     points = np.asarray(points, dtype=float)
     out = points.copy()
@@ -87,49 +90,30 @@ def _shrink_onto_ball(rows, radius):
 
 @dataclass(frozen=True)
 class ProxFunction:
-    """One of the simple convex terms h shared by the solvers.
+    """The simple convex term h shared by the solvers: the indicator of
+    {x : ||x||_1 <= radius}, zero on its domain and +inf off it.
 
-    kind 'zero' is h = 0 and 'l1_ball' is the indicator of
-    {x : ||x||_1 <= radius}.  Either is zero on its domain and +inf off it.
+    radius lies in (0, inf]; the default inf is h = 0.  The solvers take
+    its prox as project_l1_rows or project_l1_ball at this radius.
     """
 
-    kind: str
-    radius: float = 0.0
+    radius: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("zero", "l1_ball"):
-            raise ValueError(f"unknown prox kind {self.kind!r}")
-        if self.kind == "l1_ball" and self.radius <= 0.0:
-            raise ValueError("l1_ball needs a positive radius")
+        if not self.radius > 0.0:  # NaN fails too
+            raise ValueError("radius must be positive")
 
     @staticmethod
     def zero():
-        return ProxFunction("zero")
+        return ProxFunction()
 
     @staticmethod
     def l1_ball(radius):
-        return ProxFunction("l1_ball", radius=float(radius))
+        return ProxFunction(float(radius))
 
     def contains(self, x):
         """Domain membership, with slack so freshly projected points pass."""
-        if self.kind != "l1_ball":
-            return True
         return float(np.abs(np.asarray(x)).sum()) <= _slack_radius(self.radius)
 
     def value(self, x):
         return 0.0 if self.contains(x) else np.inf
-
-
-def prox_apply(h, x):
-    """Proximal map of h at one point x: prox_rows on a stack of one."""
-    return prox_rows(h, np.asarray(x, dtype=float)[None])[0]
-
-
-def prox_rows(h, points):
-    """Proximal map of h at each row of a stack (C, n), exact for every
-    supported kind; row i is the prox of that row alone.  Neither kind
-    depends on a step size, so none is taken."""
-    points = np.asarray(points, dtype=float)
-    if h.kind == "zero":
-        return points.copy()
-    return project_l1_rows(points, h.radius)

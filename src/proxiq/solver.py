@@ -1,6 +1,7 @@
 """Proximal gradient solvers driven by inexact oracles.
 
-Three variants share the step x+ = prox_{alpha h}(x - alpha g).  Each
+Three variants share the step x+ = prox_{alpha h}(x - alpha g), the
+projection onto h's l1 ball of radius h.radius (inf for h = 0).  Each
 reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 * prox_gradient: the constant step step_scale / (L + q*rho); works for
@@ -27,13 +28,14 @@ farthest; the other two solvers reject such an answer with ValueError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .oracle import evaluate_rows, sq_norm
-from .prox import prox_apply, prox_rows
+from .prox import project_l1_ball, project_l1_rows
 from .rates import rho_opt_horizon
 
 
@@ -75,6 +77,9 @@ class ScheduleConfig:
             raise ValueError("rho must be nonnegative")
         if not 0.0 < self.step_scale <= 1.0:
             raise ValueError("step_scale must lie in (0, 1]")
+        # a bool or a float would reach np.empty or range as a count
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -216,14 +221,16 @@ def _farthest_move(h, alpha, x, candidates):
     """Each row's prox step along the candidate gradient that moves it
     farthest, and the squared move.
 
-    One prox_rows call takes the steps of all rows along all their
-    candidates (C, m, n) as one (C*m, n) stack; argmax then picks each
-    row's longest move, the first candidate's on ties.  A finite candidate
-    can still overflow into a NaN move; such a move is picked only as the
-    first candidate's, since a later one must move strictly farther.
+    One project_l1_rows call, the prox of h, takes the steps of all rows
+    along all their candidates (C, m, n) as one (C*m, n) stack; argmax
+    then picks each row's longest move, the first candidate's on ties.  A
+    finite candidate can still overflow into a NaN move; such a move is
+    picked only as the first candidate's, since a later one must move
+    strictly farther.
     """
     runs, count, dim = candidates.shape
-    steps = prox_rows(h, (x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim))
+    steps = project_l1_rows((x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim),
+                            h.radius)
     moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
     if count == 1:  # nothing to pick
         return steps, moves_sq[:, 0]
@@ -346,9 +353,9 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     a_weight = theta / lip
     model_sum = np.zeros(x.size)
     for k in range(iters):
-        y = prox_apply(h, x - alpha * grad)
+        y = project_l1_ball(x - alpha * grad, h.radius)
         model_sum += (theta / lip) * grad
-        z = prox_apply(h, origin - model_sum)
+        z = project_l1_ball(origin - model_sum, h.radius)
         theta_new = theta_next(a_weight, lip, theta_rule)
         a_new = a_weight + theta_new / lip
         tau = theta_new / (a_new * lip)
@@ -413,7 +420,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
             gap = f0 - f_best
             rho = rho_opt_horizon(lip, degree, delta, gap, k) if delta > 0.0 else 0.0
             alpha_k = config.step_scale / (lip + degree * rho)
-            nxt = prox_apply(h, x - alpha_k * grad)
+            nxt = project_l1_ball(x - alpha_k * grad, h.radius)
             f_next = float(objective(nxt))
             _check(k + 1, f_next, ceiling)
             if f_next >= f_best:

@@ -3,8 +3,10 @@
 perfbench/run.py validates every bundle it times (the trace columns, the
 running minimum against the bound, the summary's last row), so an output
 format change that the benchmark cannot read fails here rather than only
-when the benchmark runs.  Each run works in a temporary copy, so the
-checkout stays clean.
+when the benchmark runs.  The traced run wraps the package's layer
+functions in spans and must write the untraced bundle byte for byte, so a
+change to a function the tracer wraps fails here too.  Each run works in a
+temporary copy, so the checkout stays clean.
 """
 
 import json
@@ -18,14 +20,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["fig1", "worst_case"])
-def test_benchmark_accepts_the_bundles(workload, tmp_path):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param("fig1", 0, id="fig1"),
+    pytest.param("worst_case", 0, id="worst_case"),
+    pytest.param("worst_case", 1, id="worst_case-traced"),
+])
+def test_benchmark_accepts_the_bundles(workload, trace, tmp_path):
     ignore = shutil.ignore_patterns("__pycache__", ".perfbench_work")
     for name in ("perfbench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", "3", "--seconds", "0", "--trace", "0", "--tiny"],
+                           "--seed", "3", "--seconds", "0", "--trace", str(trace), "--tiny"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -582,6 +582,19 @@ def test_cli_certify_exit_codes(tmp_path, capsys):
                             "claimed_delta_scale": 0.05}))
     assert cli.main(["certify", str(liar), "--pairs", "400"]) == 2
     assert "REFUTED" in capsys.readouterr().out
+    # a tolerance that is not finite and nonnegative is a usage error: inf
+    # would certify the understated claim and NaN refute any claim
+    understated = write_config(
+        tmp_path / "understated.json",
+        make_config(tmp_path / "under", problem={"n": 8, "N": 16, "radius": 2.0, "seed": 3},
+                    oracle={"degrees": [1.0], "noise_bounds": [0.5],
+                            "claimed_delta_scale": 0.05}))
+    certify = ["certify", str(understated), "--pairs", "200", "--tolerance"]
+    assert cli.main(certify + ["1e-7"]) == 2
+    assert "REFUTED" in capsys.readouterr().out
+    for tolerance in ("inf", "nan", "-1"):
+        assert cli.main(certify + [tolerance]) == 1
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_cli_divergence_exit_code(tmp_path, monkeypatch):

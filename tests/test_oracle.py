@@ -256,6 +256,7 @@ class _Concave:
     """F(x) = -||x||**2 / 2, whose gradient -x has a -0.0 wherever x has a 0.0."""
 
     lipschitz = 1.0
+    convex = False
 
     def value_and_gradient(self, x):
         return -0.5 * (x * x).sum(axis=-1), -x
@@ -447,6 +448,7 @@ class _OnePoint:
     stack it answers one value for all of it."""
 
     lipschitz = 2.0
+    convex = False
 
     def value_and_gradient(self, x):
         return float(np.sum(x * x)), 2.0 * x
@@ -520,6 +522,11 @@ def test_noisy_gradient_certificate_and_cap():
         NoisyGradientOracle(prob, 0.25, degree=1.5)
     with pytest.raises(ValueError):
         NoisyGradientOracle(prob, -0.1)
+    # a count of directions that is not an integer is refused, not truncated
+    for bad in (2.7, 2.0, True, 0):
+        with pytest.raises(ValueError, match="directions"):
+            NoisyGradientOracle(prob, 0.25, directions=bad)
+    assert NoisyGradientOracle(prob, 0.25, directions=np.int64(3)).directions == 3
 
 
 def test_noisy_gradient_candidates():
@@ -743,11 +750,14 @@ def test_holder_oracle_certificate():
 
 def test_exact_oracle_zero_delta():
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=6)
-    oracle = ExactOracle(prob, degree=0.5, convex_lower_bound=True)
+    oracle = ExactOracle(prob, degree=0.5)
     x = np.ones(4)
     value, (grad,) = oracle.evaluate(x)
+    # the convexity claim is the problem's
     assert oracle.certificate == OracleCertificate(delta=0.0, lipschitz=prob.lipschitz,
                                                    degree=0.5, convex_lower_bound=True)
+    logsum = generate_logsum_instance(4, 6, 2.0, seed=0)
+    assert not ExactOracle(logsum).certificate.convex_lower_bound
     assert value == prob.value(x)
     assert np.array_equal(grad, prob.gradient(x))
 
@@ -783,7 +793,9 @@ def test_certify_refutes_understated_noise():
 def test_certify_refutes_false_convexity_claim():
     # residuals near 3 keep every term of the objective in its concave regime
     prob = LogSumProblem(rows=np.eye(2), targets=np.array([3.0, 3.0]), radius=1.0)
-    fake = ExactOracle(prob, convex_lower_bound=True)
+    fake = ExactOracle(prob)
+    assert not fake.certificate.convex_lower_bound
+    fake.certificate = replace(fake.certificate, convex_lower_bound=True)
     report = certify_oracle(fake, prob.value, ball_pair_sampler(1.0, 2),
                             pairs=400, rng=np.random.default_rng(5))
     assert not report.certified
@@ -794,7 +806,7 @@ def test_certify_refutes_false_convexity_claim():
 
 def test_certify_accepts_true_convexity_claim():
     prob = generate_quadratic_instance(8, conditioning=5.0, seed=2)
-    oracle = ExactOracle(prob, convex_lower_bound=True)
+    oracle = ExactOracle(prob)
     report = certify_oracle(oracle, prob.value, ball_pair_sampler(3.0, 8),
                             pairs=400, rng=np.random.default_rng(6))
     assert report.certified

@@ -1,12 +1,17 @@
 """Prox layer: shrinkage, l1-ball projection, prox optimality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from proxiq import ProxFunction, project_l1_ball, prox_apply, soft_threshold
-from proxiq.prox import project_l1_rows, prox_rows
+from proxiq import ProxFunction, project_l1_ball, soft_threshold
+from proxiq.prox import project_l1_rows
+
+# radii that are not > 0, NaN among them
+_BAD_RADII = (math.nan, 0.0, -1.0)
 
 
 def bisect_l1_projection(x, radius, iters=200):
@@ -42,8 +47,9 @@ def test_project_l1_ball_hand_values():
     out = project_l1_ball(x, 2.0)
     assert np.array_equal(out, x)
     assert out is not x
-    with pytest.raises(ValueError):
-        project_l1_ball(x, 0.0)
+    for radius in _BAD_RADII:
+        with pytest.raises(ValueError, match="radius must be positive"):
+            project_l1_ball([5.0, -3.0], radius)
 
 
 def test_projection_matches_bisection_reference():
@@ -135,9 +141,9 @@ def test_row_projection_equals_projection_of_each_row(rows, radius, ratios):
     for point, got in zip(points, stacked):
         assert got.tobytes() == project_l1_ball(point, radius).tobytes()
     for h in (ProxFunction.zero(), ProxFunction.l1_ball(radius)):
-        got = prox_rows(h, points)
+        got = project_l1_rows(points, h.radius)
         for point, row in zip(points, got):
-            assert row.tobytes() == prox_apply(h, point).tobytes()
+            assert row.tobytes() == project_l1_ball(point, h.radius).tobytes()
             # the solvers take h as 0 at every prox output without evaluating it
             assert h.value(row) == 0.0
 
@@ -147,14 +153,18 @@ def test_row_projection_moves_only_the_rows_outside():
     out = project_l1_rows(points, 2.0)
     assert out is not points
     assert np.array_equal(out, [[2.0, 0.0], [0.5, -0.5], [-1.5, 0.5], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        project_l1_rows(points, 0.0)
+    for radius in _BAD_RADII:
+        with pytest.raises(ValueError, match="radius must be positive"):
+            project_l1_rows(points, radius)
 
 
 def test_prox_function_kinds_and_values():
     zero = ProxFunction.zero()
+    assert zero == ProxFunction(math.inf)
     assert zero.value([5.0, 5.0]) == 0.0
     assert zero.contains([1e9])
+    assert zero.contains([math.inf, -math.inf])
+    assert not zero.contains([math.nan])
 
     ball = ProxFunction.l1_ball(2.0)
     assert ball.value([1.0, 0.5]) == 0.0
@@ -162,21 +172,26 @@ def test_prox_function_kinds_and_values():
     assert ball.contains([2.0 * (1.0 + 1e-10), 0.0])  # slack for fresh projections
     assert not ball.contains([3.0, 0.0])
 
-    for kind in ("huber", "l1_norm"):
-        with pytest.raises(ValueError, match="unknown prox kind"):
-            ProxFunction(kind)
-    with pytest.raises(ValueError):
-        ProxFunction.l1_ball(-1.0)
+    for radius in _BAD_RADII:
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ProxFunction.l1_ball(radius)
 
 
-def test_prox_apply_each_kind():
-    x = np.array([3.0, -0.5, 0.2])
-    out = prox_apply(ProxFunction.zero(), x)
-    assert np.array_equal(out, x)
+def test_prox_at_each_radius():
+    # at radius inf, h = 0, every row is inside the ball and comes back as a
+    # fresh bitwise copy, signed zeros, infinities and NaNs included
+    points = np.array([[3.0, -0.5, 0.2], [-0.0, math.inf, -math.inf],
+                       [math.nan, -0.0, 1e300], [0.0, 0.0, 0.0]])
+    out = project_l1_rows(points, ProxFunction.zero().radius)
+    assert out is not points
+    assert out.tobytes() == points.tobytes()
+    x = points[0]
+    out = project_l1_ball(x, math.inf)
+    assert out.tobytes() == x.tobytes()
     assert out is not x
 
-    ball = ProxFunction.l1_ball(1.0)
-    assert prox_apply(ball, x).tobytes() == project_l1_ball(x, 1.0).tobytes()
+    # at a finite radius the point outside is shrunk onto the ball
+    assert np.array_equal(project_l1_ball(x, ProxFunction.l1_ball(1.0).radius), [1.0, 0.0, 0.0])
 
 
 def test_prox_minimizes_its_objective():
@@ -184,7 +199,7 @@ def test_prox_minimizes_its_objective():
     for h in (ProxFunction.zero(), ProxFunction.l1_ball(1.5)):
         for _ in range(10):
             x = rng.standard_normal(5) * 2.0
-            p = prox_apply(h, x)
+            p = project_l1_ball(x, h.radius)
             base = 0.5 * float((p - x) @ (p - x)) + h.value(p)
             for _ in range(200):
                 z = p + rng.standard_normal(5) * rng.uniform(1e-4, 1.0)

@@ -25,13 +25,13 @@ from proxiq import (
     fast_prox_gradient,
     generate_logsum_instance,
     generate_quadratic_instance,
-    prox_apply,
+    project_l1_ball,
     prox_gradient,
     rho_opt_fast,
     theta_next,
 )
 from proxiq.oracle import sq_norm
-from proxiq.prox import prox_rows
+from proxiq.prox import project_l1_rows
 from proxiq.solver import _farthest_move
 
 
@@ -95,6 +95,11 @@ def test_schedule_config_validation():
                 dict(step_scale=0.0), dict(step_scale=1.5), dict(max_iters=0)]:
         with pytest.raises(ValueError):
             ScheduleConfig(**{**ok, **bad})
+    # a count that is not an integer is refused up front, not run or failed later
+    for bad in (2.5, 3.0, True, "5"):
+        with pytest.raises(ValueError, match="max_iters"):
+            ScheduleConfig(**{**ok, "max_iters": bad})
+    assert ScheduleConfig(**{**ok, "max_iters": np.int64(5)}).max_iters == 5
 
 
 # -------------------------------------------------------------- plain loop
@@ -124,6 +129,7 @@ def test_prox_gradient_matches_reference_loop():
 def test_prox_gradient_single_step_solves_separable():
     class _OneDim:
         lipschitz = 1.0
+        convex = True
 
         def value(self, x):
             return 0.5 * float(x @ x)
@@ -192,6 +198,10 @@ def test_prox_gradient_guards():
     with pytest.raises(ValueError):
         prox_gradient(prob.value, ExactOracle(prob), ProxFunction.l1_ball(1.0),
                       cfg, np.ones(4))
+    # h = 0 is the ball at radius inf, whose domain holds no NaN point
+    with pytest.raises(ValueError, match="outside dom h"):
+        prox_gradient(prob.value, ExactOracle(prob), ProxFunction.zero(),
+                      cfg, np.array([math.nan, 0.0, 0.0, 0.0]))
 
 
 class _Scaled:
@@ -229,7 +239,7 @@ def _sequential_farthest_move(h, alpha, x, candidates):
     """The worst-case pick as a loop over the candidates, one prox call each,
     a later candidate replacing the pick only when it moves strictly farther."""
     def _prox_move(h, alpha, x, grad):
-        nxt = prox_rows(h, x - alpha[:, None] * grad)
+        nxt = project_l1_rows(x - alpha[:, None] * grad, h.radius)
         return nxt, sq_norm(nxt - x)
 
     nxt, move_sq = _prox_move(h, alpha, x, candidates[:, 0])
@@ -247,7 +257,7 @@ def test_farthest_move_matches_sequential_pick():
     rng = np.random.default_rng(11)
     for h in (ProxFunction.zero(), ProxFunction.l1_ball(2.0)):
         for count in (1, 4):
-            x = prox_rows(h, rng.uniform(-1.0, 1.0, (6, 9)))
+            x = project_l1_rows(rng.uniform(-1.0, 1.0, (6, 9)), h.radius)
             alpha = rng.uniform(0.1, 1.0, 6)
             candidates = 3.0 * rng.standard_normal((6, count, 9))
             got = _farthest_move(h, alpha, x, candidates)
@@ -403,7 +413,7 @@ def test_prox_gradient_takes_every_oracle_family():
         value, (grad,) = oracle.evaluate(x0, rng=np.random.default_rng(0))
         alpha = trace.alpha[0]
         assert trace.objective[0] == value
-        assert np.array_equal(trace.iterates[1], prox_apply(h, x0 - alpha * grad))
+        assert np.array_equal(trace.iterates[1], project_l1_ball(x0 - alpha * grad, h.radius))
         assert trace.objective[-1] == objective(trace.iterates[-1])
         runs = prox_gradient(objective, [oracle, oracle], h, [cfg] * 2, x0,
                              [np.random.default_rng(0), np.random.default_rng(1)])
@@ -643,6 +653,7 @@ def test_adaptive_validation():
 def test_adaptive_flat_objective_never_retries():
     class _Flat:
         lipschitz = 1.0
+        convex = True
 
         def value(self, x):
             return 5.0
@@ -687,6 +698,7 @@ def test_adaptive_runs_and_keeps_invariants():
 def test_adaptive_gives_up_when_target_keeps_running_away():
     class _Drop:
         lipschitz = 1.0
+        convex = False  # its gradient is not the gradient of its value
 
         def value(self, x):
             return -10.0 * float(x[0])
