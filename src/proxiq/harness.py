@@ -4,10 +4,14 @@ certificate checks, and rate-curve export.
 Every output is reproducible from the config file alone.  Per-cell
 randomness is seeded by the cell's own coordinates (degree, noise level,
 repeat index), so editing the grid never reshuffles the randomness of
-cells that were already there.  All cells of a sweep run as one batch: one
-prox_gradient call advances every cell in lockstep as one (C, n) state,
+cells that were already there.  A sweep splits its grid into contiguous
+chunks, one per CPU the process may use, and runs each chunk as one batch
+in its own forked process, the first in the calling one: one prox_gradient
+call advances every cell of the chunk in lockstep as one (C, n) state,
 each with its own oracle and generator, and gives each cell bitwise the
-run it would have alone.  Files are written in grid order.  This module
+run it would have alone, so no byte depends on the split.  Each process
+writes its chunk's traces; the calling one collects every chunk's results
+and writes the summary and the bound curves in grid order.  This module
 alone decides the bundle's format, and every table goes through
 rates.write_csv: %.17g floats and forced newlines.  A trace holds only
 what varies by step; the step size alpha and the certificate's delta,
@@ -23,8 +27,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -247,9 +256,9 @@ class CellResult:
     """Outcome of one (degree, noise, repeat) cell.
 
     trace is the cell's RunTrace without its iterates, or None for a
-    diverged cell; its objective holds F at x_0 .. x_K.  The cells of a
-    sweep run as one batch, so wall_time is the batch's elapsed time, the
-    same for every cell of it.
+    diverged cell; its objective holds F at x_0 .. x_K.  wall_time is the
+    elapsed time of the batch the cell ran in, the same for every cell of
+    that batch; a sweep runs one batch per chunk, each on its own clock.
     """
 
     degree: float
@@ -308,7 +317,8 @@ def run_cells(problem, config, cells, directions=1):
     untouched.  With directions = m > 1 each oracle offers m noise draws
     per step and the run follows the one that moves farthest; the first
     draw consumes the generator like the plain run, so m = 1 is the plain
-    cell.  Every CellResult carries the batch's wall time.
+    cell.  Every CellResult carries the batch's wall time.  A sweep calls
+    this once per chunk of its grid, each chunk in its own process.
     """
     h = ProxFunction.l1_ball(problem.radius)
     seeds = [cell_seed(config.master_seed, q, d, r) for q, d, r in cells]
@@ -371,17 +381,109 @@ def _grid(config):
             for r in range(config.repeats)]
 
 
+def _chunks(count):
+    """Contiguous (start, stop) slices of a grid of count cells, one per CPU
+    this process may run on and at most one per cell; one slice where the
+    platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [(0, count)]
+    parts = min(len(os.sched_getaffinity(0)), count)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _fork_worker(work):
+    """Fork a process that calls work() and pipes back its pickled result, or
+    the exception it raised; return (pid, the pipe's read end)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: every path out of this block is os._exit
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, work(), ""), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                payload = _failure_payload(exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _failure_payload(exc):
+    """(False, exc, its traceback text) pickled, or (False, None, the text)
+    when exc cannot cross the pipe."""
+    text = traceback.format_exc()
+    try:
+        payload = pickle.dumps((False, exc, text), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)  # an exception may pickle and still not load
+    except Exception:
+        payload = pickle.dumps((False, None, text), pickle.HIGHEST_PROTOCOL)
+    return payload
+
+
+def _worker_result(payload, status, chunk):
+    """The result a worker for cells chunk = (start, stop) piped back, or its
+    exception raised again; RuntimeError if it died or cut its payload short."""
+    where = f"sweep worker for cells {chunk[0]}..{chunk[1] - 1}"
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise RuntimeError(f"{where} was killed by {signal.Signals(-code).name}")
+    if code != 0:
+        raise RuntimeError(f"{where} exited with status {code}")
+    try:
+        ok, value, text = pickle.loads(payload)
+    except Exception as exc:
+        raise RuntimeError(f"{where} sent a truncated result ({len(payload)} bytes)") from exc
+    if ok:
+        return value
+    remote = RuntimeError(f"{where} raised:\n{text}")
+    if value is None:
+        raise remote
+    raise value from remote
+
+
 def _sweep(config, directions, prefix, write_bounds):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_cells(_instance(config), config, _grid(config), directions)
-    for cell in results:
-        trace = cell.trace
-        if trace is not None:
-            rates.write_csv(out / (prefix + cell.trace_filename),
-                            ("k", "f", "gm_sq", "min_gm_sq", "bound"),
-                            (range(trace.steps), trace.objective[:-1], trace.gm_sq,
-                             trace.min_gm_sq, cell.bound))
+    problem, grid = _instance(config), _grid(config)
+
+    def run_chunk(start, stop):
+        results = run_cells(problem, config, grid[start:stop], directions)
+        for cell in results:
+            trace = cell.trace
+            if trace is not None:
+                rates.write_csv(out / (prefix + cell.trace_filename),
+                                ("k", "f", "gm_sq", "min_gm_sq", "bound"),
+                                (range(trace.steps), trace.objective[:-1], trace.gm_sq,
+                                 trace.min_gm_sq, cell.bound))
+        return results
+
+    first, *rest = _chunks(len(grid))
+    workers = []  # (pid, pipe, chunk) of every worker not yet reaped, in grid order
+    try:
+        for chunk in rest:
+            workers.append((*_fork_worker(partial(run_chunk, *chunk)), chunk))
+        results = run_chunk(*first)
+        while workers:
+            pid, pipe, chunk = workers[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            results += _worker_result(payload, status, chunk)
+    finally:  # on any failure, no worker outlives the sweep
+        for pid, pipe, _ in workers:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
     if write_bounds:
         _write_bounds_csv(out / "bound_q_delta.csv", results)
     _write_summary_csv(out / (prefix + "summary.csv"), results)
@@ -394,8 +496,11 @@ def run_experiment(config):
     Writes one trace CSV per successful cell, the bound curves, and a
     summary with each cell's plateau, domination flag, step size and
     delta.  A diverged cell is reported in the summary and skipped in the
-    trace output; its siblings are unaffected.  Returns the CellResults in
-    grid order.
+    trace output; its siblings are unaffected.  The grid runs as one batch
+    per chunk, one chunk per CPU, each chunk after the first in a forked
+    worker; the bytes do not depend on the split.  A worker's exception is
+    raised again here, and a worker that dies is a RuntimeError; no worker
+    outlives the call.  Returns the CellResults in grid order.
     """
     return _sweep(config, 1, "", write_bounds=True)
 

@@ -396,8 +396,11 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     """
     if not 1.0 <= oracle.certificate.degree < 2.0:
         raise ValueError("the adaptive variant needs degree in [1, 2)")
-    if epsilon0 <= 0.0:
-        raise ValueError("epsilon0 must be positive")
+    # a NaN slack would fail every acceptance test and end as a false divergence
+    if not math.isfinite(epsilon0) or epsilon0 <= 0.0:
+        raise ValueError(f"epsilon0 must be finite and positive, got {epsilon0!r}")
+    if isinstance(max_doublings, bool) or not isinstance(max_doublings, numbers.Integral):
+        raise ValueError(f"max_doublings must be an integer, got {max_doublings!r}")
     if max_doublings < 1:
         raise ValueError("max_doublings must be positive")
     x, (cert,) = _start(h, x0, [oracle], [config])

@@ -2,8 +2,12 @@
 seeding, grid sweeps and their output files, adversarial reruns,
 certificate checks, curve export, and the CLI exit codes."""
 
+import contextlib
 import copy
 import json
+import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,6 +417,164 @@ def test_every_cell_alone_gives_the_full_batch_bytes(tight_grid, directions):
         _assert_same_cell(alone, want)
     # the batch shares one wall clock
     assert len({cell.wall_time for cell in full[directions]}) == 1
+
+
+# ------------------------------------------------ sweeps over forked chunks
+
+
+def _cpus(monkeypatch, count):
+    """Make a sweep see count CPUs, so it splits into min(count, cells) chunks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test if its body is still running after seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _bundle(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("cpus", [3, 64])
+@pytest.mark.parametrize("directions", [0, 3])
+def test_forked_chunks_give_the_one_chunk_bytes(tmp_path, monkeypatch, cpus, directions):
+    # the (degree 1, noise 0.5) cells are the grid's last two, so they fall
+    # in a worker's chunk, and blow up there at their second answer
+    monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty({(1.0, 0.5): (2, "blow-up")}))
+    sweep = harness.run_worst_case if directions else harness.run_experiment
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = {}
+    for count in (1, cpus):
+        _cpus(monkeypatch, count)
+        out = tmp_path / f"cpus{count}"
+        config = harness.parse_config(make_config(out, worst_case_directions=directions))
+        runs[count] = sweep(config), _bundle(out)
+        _assert_no_child_left()
+    assert len(forks) == min(cpus, 8) - 1
+    (one, one_files), (split, split_files) = runs[1], runs[cpus]
+    assert [c.status for c in split].count("diverged") == 2
+    assert split_files == one_files
+    for got, want in zip(split, one, strict=True):
+        if want.trace is None:
+            assert (got.seed_label, got.status, got.trace) == (want.seed_label, "diverged", None)
+        else:
+            _assert_same_cell(got, want)
+    path = write_config(tmp_path / "config.json",
+                        make_config(tmp_path / "cli", worst_case_directions=directions))
+    assert cli.main(["worst-case" if directions else "run", str(path)]) == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_cpu_never_forks(tmp_path, monkeypatch, cpus):
+    if cpus is None:  # a platform without sched_getaffinity runs one chunk
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        _cpus(monkeypatch, cpus)
+
+    def no_fork():
+        raise AssertionError("a one-chunk sweep forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    results = harness.run_experiment(harness.parse_config(make_config(tmp_path / "out")))
+    assert len(results) == 8
+    assert all(cell.status == "ok" for cell in results)
+    assert len({cell.wall_time for cell in results}) == 1
+
+
+def _unpicklable(message):
+    """An exception that cannot cross the pipe: pickle refuses a class that
+    is local to a function."""
+    class Local(Exception):
+        pass
+    return Local(message)
+
+
+def _in_workers(monkeypatch, action):
+    """Make harness.run_cells call action() in every worker process and run
+    as usual in the sweep's own process."""
+    parent, real = os.getpid(), harness.run_cells
+
+    def run_cells(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_cells", run_cells)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("exc, expected, match", [
+    (ValueError("bad cells"), ValueError, "^bad cells$"),
+    (harness.ConfigError("bad config"), harness.ConfigError, "^bad config$"),
+    (_unpicklable("lost class"), RuntimeError, r"(?s)cells 4\.\.7 raised:.*lost class"),
+], ids=["ValueError", "ConfigError", "unpicklable"])
+def test_worker_exception_reaches_the_caller(tmp_path, monkeypatch, exc, expected, match):
+    _cpus(monkeypatch, 2)
+    _in_workers(monkeypatch, lambda: _raise(exc))
+    config = harness.parse_config(make_config(tmp_path / "out"))
+    with _deadline(60), pytest.raises(expected, match=match) as info:
+        harness.run_experiment(config)
+    assert type(info.value) is expected
+    _assert_no_child_left()
+    # the CLI reports a worker's validation error as its own
+    if expected is not RuntimeError:
+        path = write_config(tmp_path / "config.json", make_config(tmp_path / "cli"))
+        assert cli.main(["run", str(path)]) == 1
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("action, match", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), r"cells 4\.\.7 was killed by SIGKILL"),
+    (lambda: os._exit(5), r"cells 4\.\.7 exited with status 5"),
+    (lambda: os._exit(0), r"cells 4\.\.7 sent a truncated result \(0 bytes\)"),
+], ids=["SIGKILL", "exit_5", "no_payload"])
+def test_worker_death_is_a_runtime_error(tmp_path, monkeypatch, action, match):
+    _cpus(monkeypatch, 2)
+    _in_workers(monkeypatch, action)
+    config = harness.parse_config(make_config(tmp_path / "out"))
+    with _deadline(60), pytest.raises(RuntimeError, match=match):
+        harness.run_experiment(config)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), ValueError("parent chunk")],
+                         ids=["KeyboardInterrupt", "ValueError"])
+def test_failing_own_chunk_kills_and_reaps_every_worker(tmp_path, monkeypatch, exc):
+    _cpus(monkeypatch, 4)
+    parent, real = os.getpid(), harness.run_cells
+
+    def run_cells(*args, **kwargs):
+        if os.getpid() == parent:
+            raise exc
+        time.sleep(60)  # still running when the sweep gives up
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_cells", run_cells)
+    config = harness.parse_config(make_config(tmp_path / "out"))
+    with _deadline(30), pytest.raises(type(exc)):
+        harness.run_experiment(config)
+    _assert_no_child_left()
 
 
 def test_worst_case_single_direction_is_bitwise(small_problem, grid_run, tmp_path):

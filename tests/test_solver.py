@@ -639,11 +639,17 @@ def test_adaptive_validation():
         adaptive_prox_gradient(quad.value, ExactOracle(quad, degree=0.5), ProxFunction.zero(),
                                cfg, np.zeros(4), 1.0)
     exact = ExactOracle(quad)
-    with pytest.raises(ValueError):
-        adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4), 0.0)
-    with pytest.raises(ValueError):
-        adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4),
-                               1.0, max_doublings=0)
+    # a NaN slack used to run and end in a misleading DivergenceError
+    for bad in [0.0, -1.0, float("nan"), float("inf")]:
+        with pytest.raises(ValueError, match="epsilon0"):
+            adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4), bad)
+    for bad in [0, 2.5, 3.0, True, "5"]:
+        with pytest.raises(ValueError, match="max_doublings"):
+            adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4),
+                                   1.0, max_doublings=bad)
+    trace, _ = adaptive_prox_gradient(quad.value, exact, ProxFunction.zero(), cfg, np.zeros(4),
+                                      1.0, max_doublings=np.int64(3))
+    assert trace.steps == 5
     with pytest.raises(ValueError, match="3 candidate gradients"):
         adaptive_prox_gradient(quad.value, NoisyGradientOracle(quad, 0.1, directions=3),
                                ProxFunction.zero(), replace(cfg, rho=1.0), np.zeros(4), 1.0,
