@@ -5,7 +5,8 @@ directions), certify (empirical certificate check), rates (export a
 theoretical curve), reproduce-fig1 (the bundled benchmark preset).
 
 Exit codes: 0 success, 1 validation error, 2 certificate refuted,
-3 divergence.
+3 divergence.  A config file that cannot be read, or an output that cannot
+be written, is a validation error too, reported as one "error:" line.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def main(argv=None):
         config = harness.fig1_config(args.output_dir, iterations=args.iterations,
                                      repeats=args.repeats, master_seed=args.master_seed)
         return _sweep_exit(harness.run_experiment(config))
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

@@ -13,9 +13,13 @@ run it would have alone, so no byte depends on the split.  Each process
 writes its chunk's traces; the calling one collects every chunk's results
 and writes the summary and the bound curves in grid order.  This module
 alone decides the bundle's format, and every table goes through
-rates.write_csv: %.17g floats and forced newlines.  A trace holds only
-what varies by step; the step size alpha and the certificate's delta,
-fixed for a run, are summary columns, and the summary's final_f is F(x_K).
+rates.write_csv: %.17g floats and forced newlines.  Numbers that several
+files share are formatted once per process and handed to write_csv as
+text: the step counter k, the same in every trace, and each (q, delta)
+bound curve, the same in the traces of its repeats and in the bound file.
+A trace holds only what varies by step; the step size alpha and the
+certificate's delta, fixed for a run, are summary columns, and the
+summary's final_f is F(x_K).
 
 The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
@@ -345,15 +349,17 @@ def run_cells(problem, config, cells, directions=1):
     return results
 
 
-def _write_bounds_csv(path, cells):
-    # one curve per (q, delta): the bound does not depend on the repeat
-    curves = {(cell.degree, cell.noise_bound): cell.bound for cell in cells}
+def _write_bounds_csv(path, cells, steps, curve_text):
+    """The bound curves, one per (q, delta), since a curve does not depend
+    on the repeat; steps is the text of k, and curve_text(cell) that of the
+    cell's curve."""
+    curves = {(cell.degree, cell.noise_bound): cell for cell in cells}
     q, delta, ks, values = [], [], [], []
-    for (degree, noise_bound), curve in curves.items():
-        q += [degree] * len(curve)
-        delta += [noise_bound] * len(curve)
-        ks += range(len(curve))
-        values += curve.tolist()
+    for (degree, noise_bound), cell in curves.items():
+        q += [degree] * len(steps)
+        delta += [noise_bound] * len(steps)
+        ks += steps
+        values += curve_text(cell)
     rates.write_csv(path, ("q", "delta", "k", "bound"), (q, delta, ks, values))
 
 
@@ -451,6 +457,16 @@ def _sweep(config, directions, prefix, write_bounds):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, grid = _instance(config), _grid(config)
+    # text that several files share: the step counter, formatted before any
+    # worker forks, and each (q, delta) bound curve, formatted once per process
+    steps = rates.format_numbers(range(config.solver.iterations))
+    curves = {}
+
+    def curve_text(cell):
+        key = (cell.degree, cell.noise_bound)
+        if key not in curves:
+            curves[key] = rates.format_numbers(cell.bound)
+        return curves[key]
 
     def run_chunk(start, stop):
         results = run_cells(problem, config, grid[start:stop], directions)
@@ -459,8 +475,8 @@ def _sweep(config, directions, prefix, write_bounds):
             if trace is not None:
                 rates.write_csv(out / (prefix + cell.trace_filename),
                                 ("k", "f", "gm_sq", "min_gm_sq", "bound"),
-                                (range(trace.steps), trace.objective[:-1], trace.gm_sq,
-                                 trace.min_gm_sq, cell.bound))
+                                (steps, trace.objective[:-1], trace.gm_sq, trace.min_gm_sq,
+                                 curve_text(cell)))
         return results
 
     first, *rest = _chunks(len(grid))
@@ -485,7 +501,7 @@ def _sweep(config, directions, prefix, write_bounds):
             except (ProcessLookupError, ChildProcessError):
                 pass
     if write_bounds:
-        _write_bounds_csv(out / "bound_q_delta.csv", results)
+        _write_bounds_csv(out / "bound_q_delta.csv", results, steps, curve_text)
     _write_summary_csv(out / (prefix + "summary.csv"), results)
     return results
 

@@ -254,16 +254,21 @@ class ModelOracle:
     directions = 1
 
     def evaluate(self, x, rng=None):
-        values, candidates = _model_answers([self], np.asarray(x, dtype=float)[None], [rng])
+        values, candidates = _model_answers([self], np.asarray(x, dtype=float)[None], [rng],
+                                            self.directions)
         return float(values[0]), candidates[0]
 
 
-def _stacks(oracles):
-    """Whether a batch can share one stacked exact evaluation and one noise
-    slab: model oracles over one problem that answer through
-    ModelOracle.evaluate."""
-    return all(isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
-               and o.problem is oracles[0].problem for o in oracles)
+def stacked_count(oracles):
+    """How evaluate_rows answers a batch: the one candidate count of a batch
+    that shares one stacked exact evaluation and one noise slab, model
+    oracles over one problem that answer through ModelOracle.evaluate; None
+    for any other batch, which it asks row by row.  Raises ValueError for a
+    stacked batch whose oracles offer different counts."""
+    if not all(isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
+               and o.problem is oracles[0].problem for o in oracles):
+        return None
+    return _candidate_count(o.directions for o in oracles)
 
 
 def _candidate_count(counts):
@@ -275,9 +280,9 @@ def _candidate_count(counts):
     return counts[0]
 
 
-def _model_answers(oracles, points, rngs):
+def _model_answers(oracles, points, rngs, count):
     """Answers of model oracles over one problem at a stack of points:
-    values (C,) and candidate gradients (C, m, n).
+    values (C,) and candidate gradients (C, m, n), m = count.
 
     One value_and_gradient call evaluates the whole stack; each row's
     candidates are its exact gradient plus its noise slab.  A row with a
@@ -287,7 +292,6 @@ def _model_answers(oracles, points, rngs):
     if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
         raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
                          " and a (C, n) gradient")
-    count = _candidate_count(o.directions for o in oracles)
     bounds = [o.noise_bound for o in oracles]
     quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
     if len(quiet) == len(bounds):  # an exact batch draws and adds nothing
@@ -318,8 +322,15 @@ def evaluate_rows(oracles, points, rngs):
     candidate whose shape differs from its point, or a stacked evaluation
     that does not give (C,) values and a (C, n) gradient raise ValueError.
     """
-    if _stacks(oracles):
-        values, candidates = _model_answers(oracles, points, rngs)
+    return answer_rows(oracles, points, rngs, stacked_count(oracles))
+
+
+def answer_rows(oracles, points, rngs, count):
+    """evaluate_rows for a batch whose stacked_count is count.  A caller
+    that asks one batch many times, such as prox_gradient's step loop,
+    decides count once and again only when the batch changes."""
+    if count is not None:
+        values, candidates = _model_answers(oracles, points, rngs, count)
     else:
         values, candidates = zip(*[oracle.evaluate(row, rng=rng)
                                    for oracle, row, rng in zip(oracles, points, rngs)])

@@ -250,21 +250,43 @@ _CURVES = {
 CURVE_KINDS = tuple(_CURVES)
 
 
+def format_numbers(values):
+    """The %.17g text of each number of a sequence, as a list of strings.
+
+    A run of consecutive entries with one float64 bit pattern is formatted
+    once and its text repeated.  Runs compare bits, not values: 0.0 and
+    -0.0 are equal yet print differently, and NaN equals nothing.  Integers
+    print as the double they round to, as %.17g prints them.
+    """
+    numbers = np.asarray(values, dtype=np.float64)
+    bits = numbers.view(np.int64)
+    starts = np.ones(numbers.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    texts = list(map("{:.17g}".format, numbers[starts].tolist()))
+    if len(texts) == numbers.size:  # no run to repeat
+        return texts
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=numbers.size)).tolist()
+
+
 def write_csv(path, header, columns):
     """Write equal-length columns as CSV under a header of column names.
 
-    Numbers are written %.17g, which round-trips every finite double.  A
-    column whose first entry is a string is text and written verbatim, so
-    its entries must hold no comma or line break.  Lines end in a bare
-    newline on every platform.
+    Numbers are written %.17g, which round-trips every finite double, by
+    format_numbers, so a run of repeated numbers is formatted once.  A
+    column whose first entry is a string is text: its entries are strings,
+    written verbatim, so they must hold no comma or line break.  That is how
+    a caller passes a column it writes into several files, such as a
+    sweep's step counter: format it once with format_numbers and hand every
+    file the text.  Lines end in a bare newline on every platform.
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    if len({len(c) for c in cols}) > 1:
+    texts = [column if len(column) and isinstance(column[0], str) else format_numbers(column)
+             for column in columns]
+    if len({len(text) for text in texts}) > 1:
         raise ValueError("columns differ in length")
-    fmt = ",".join("{}" if c and isinstance(c[0], str) else "{:.17g}" for c in cols) + "\n"
+    lines = [",".join(header), *map(",".join, zip(*texts))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(fmt.format(*row) for row in zip(*cols))
+        fh.write("\n".join(lines) + "\n")
 
 
 def sample_curve(kind, parameters, ks):

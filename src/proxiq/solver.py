@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .oracle import evaluate_rows, sq_norm
+from .oracle import answer_rows, evaluate_rows, sq_norm, stacked_count
 from .prox import project_l1_ball, project_l1_rows
 from .rates import rho_opt_horizon
 
@@ -244,8 +244,10 @@ def _farthest_move(h, alpha, x, candidates):
 def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
     """The step loop of prox_gradient over a batch of runs.
 
-    Each step is one evaluate_rows call for the live runs and one
-    _farthest_move, a single prox call over all their candidates, C*m rows.
+    Each step is one evaluate_rows answer for the live runs, through
+    answer_rows with the batch's stacked_count, decided at the start and
+    again only when a run leaves, and one _farthest_move, a single prox
+    call over all their candidates, C*m rows.
     """
     runs = len(oracles)
     if runs == 0 or len(configs) != runs or len(rngs) != runs:
@@ -266,11 +268,12 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
     alpha = np.array(alphas)
     alpha_sq = np.array([a ** 2 for a in alphas])
     live_oracles, live_rngs = list(oracles), list(rngs)
+    count = stacked_count(live_oracles)  # how the live batch answers
     for k in range(iters + 1):
         if keep_iterates:
             iterates[k, live] = x
         if k < iters:
-            f, candidates, finite = evaluate_rows(live_oracles, x, live_rngs)
+            f, candidates, finite = answer_rows(live_oracles, x, live_rngs, count)
         else:
             f = np.array([float(objective(row)) for row in x])
             finite = np.ones(len(live), dtype=bool)
@@ -287,6 +290,7 @@ def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
                                                  alpha_sq[keep], ceiling[keep])
             live_oracles = [o for o, kept in zip(live_oracles, keep) if kept]
             live_rngs = [r for r, kept in zip(live_rngs, keep) if kept]
+            count = stacked_count(live_oracles) if len(live) else None
             candidates = candidates[keep]
         if k == iters or not len(live):
             break

@@ -482,6 +482,44 @@ def test_forked_chunks_give_the_one_chunk_bytes(tmp_path, monkeypatch, cpus, dir
     _assert_no_child_left()
 
 
+def _rendered(header, columns):
+    """A table's bytes as one str.format per row renders it, %.17g numbers."""
+    fmt = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    return (",".join(header) + "\n" + "".join(fmt.format(*row) for row in zip(*columns))).encode()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("directions", [0, 3])
+def test_shared_texts_give_every_file_its_cells_numbers(tmp_path, monkeypatch, cpus, directions):
+    # a sweep formats the step counter once and each (q, delta) bound curve
+    # once per process; the grid's two degrees, two noise bounds and two
+    # repeats would catch a curve text handed to the wrong cell, and three
+    # chunks make the calling process write curves its own chunk never saw
+    _cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    config = harness.parse_config(make_config(out, worst_case_directions=directions))
+    sweep = harness.run_worst_case if directions else harness.run_experiment
+    with _deadline(60):
+        results = sweep(config)
+    _assert_no_child_left()
+    prefix = "worst_" if directions else ""
+    assert [cell.status for cell in results] == ["ok"] * 8
+    for cell in results:
+        trace = cell.trace
+        want = _rendered(("k", "f", "gm_sq", "min_gm_sq", "bound"),
+                         (range(trace.steps), trace.objective[:-1].tolist(),
+                          trace.gm_sq.tolist(), trace.min_gm_sq.tolist(), cell.bound.tolist()))
+        assert (out / (prefix + cell.trace_filename)).read_bytes() == want, cell.trace_filename
+    if not directions:
+        curves = {(cell.degree, cell.noise_bound): cell.bound for cell in results}
+        rows = [(q, d, k, b) for (q, d), curve in curves.items()
+                for k, b in enumerate(curve.tolist())]
+        want = _rendered(("q", "delta", "k", "bound"), list(zip(*rows)))
+        assert (out / "bound_q_delta.csv").read_bytes() == want
+    else:
+        assert not (out / "bound_q_delta.csv").exists()
+
+
 @pytest.mark.parametrize("cpus", [1, None])
 def test_one_cpu_never_forks(tmp_path, monkeypatch, cpus):
     if cpus is None:  # a platform without sched_getaffinity runs one chunk
@@ -701,7 +739,7 @@ def test_rates_command_writes_the_requested_curve(tmp_path):
     assert np.array_equal(got[:, 1], want)
 
 
-def test_cli_run_and_validation_exit_codes(tmp_path, capsys):
+def test_cli_run_and_validation_exit_codes(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path / "config.json", make_config(tmp_path / "out"))
     assert cli.main(["run", str(path)]) == 0
     assert (tmp_path / "out" / "summary.csv").exists()
@@ -710,6 +748,25 @@ def test_cli_run_and_validation_exit_codes(tmp_path, capsys):
     broken.write_text("{not json")
     assert cli.main(["run", str(broken)]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # a config that cannot be read, or a bundle that cannot be written, is
+    # one error line too, also when a worker's write fails and the sweep
+    # raises the worker's error again
+    capsys.readouterr()
+    assert cli.main(["run", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+    (tmp_path / "file").write_text("")
+    under_file = write_config(tmp_path / "under_file.json", make_config(tmp_path / "file" / "out"))
+    assert cli.main(["run", str(under_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+    _cpus(monkeypatch, 2)  # the grid's last cell falls in the worker's chunk
+    blocked = tmp_path / "blocked"
+    (blocked / "trace_q1_delta0.5_rep1.csv").mkdir(parents=True)
+    path = write_config(tmp_path / "blocked.json", make_config(blocked))
+    with _deadline(60):
+        assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    _assert_no_child_left()
 
     typo = write_config(tmp_path / "typo.json",
                         make_config(tmp_path / "out2", iterations=10))

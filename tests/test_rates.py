@@ -22,7 +22,7 @@ from proxiq import (
     rho_opt_horizon,
     sample_curve,
 )
-from proxiq.rates import write_csv
+from proxiq.rates import format_numbers, write_csv
 
 
 # -------------------------------------------------------------- spot values
@@ -334,3 +334,74 @@ def test_write_csv_round_trips_numbers_bitwise_and_text_verbatim(tmp_path, rows)
         assert float(fields[1]).hex() == x.hex()  # bitwise, the sign of zero included
         assert float(fields[2]).hex() == y.hex()
         assert fields[3] == text
+
+
+def _reference_csv(header, columns):
+    """write_csv's bytes as each row used to be rendered: one str.format
+    per row, %.17g for a number and text verbatim."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    fmt = ",".join("{}" if c and isinstance(c[0], str) else "{:.17g}" for c in cols) + "\n"
+    return (",".join(header) + "\n" + "".join(fmt.format(*row) for row in zip(*cols))).encode()
+
+
+def _bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+# values whose text a value comparison would get wrong, or that print oddly:
+# both zeros, NaNs of several payloads and signs, infinities, subnormals
+_ODD = _bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+             0x7FF4000000000ABC, 0xFFFFFFFFFFFFFFFF) + [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    -1.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@st.composite
+def _table(draw):
+    """A header and equal-length columns of every kind write_csv takes, drawn
+    from a few values each so that runs of repeats are common."""
+    rows = draw(st.integers(0, 40))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        return draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+
+    def steps():
+        start = draw(st.integers(-2 ** 53, 2 ** 53 - rows))
+        return range(start, start + rows)
+
+    floats = st.sampled_from(_ODD) | st.floats()
+    ints = st.integers(-2 ** 53, 2 ** 53)
+    kinds = [
+        lambda: np.array(column(floats)),
+        lambda: column(floats),
+        lambda: [0.0, -0.0] * (rows // 2) + [0.0] * (rows % 2),
+        lambda: column(ints),
+        lambda: np.array(column(ints), dtype=np.int64),
+        steps,
+        lambda: column(st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"),
+                               max_size=3)),
+        lambda: [""] * rows,
+    ]
+    picks = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
+    columns = [kind() for kind in picks]
+    return tuple(f"c{i}" for i in range(len(columns))), columns
+
+
+@settings(database=None, deadline=None, max_examples=200,  # each example writes a file
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_table())
+def test_write_csv_writes_the_per_row_rendering_bytes(tmp_path, table):
+    # format_numbers formats a run of one bit pattern once; the bytes must
+    # be those of formatting every entry of every row
+    header, columns = table
+    path = tmp_path / "table.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _reference_csv(header, columns)
+
+
+def test_format_numbers_compares_bits_not_values():
+    nans = _bits(0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000)
+    assert format_numbers([0.0, -0.0, -0.0, 0.0, *nans, 1, 1.0, 2 ** 53 + 1]) == [
+        "0", "-0", "-0", "0", "nan", "nan", "nan", "1", "1", "9007199254740992"]
+    assert format_numbers([]) == [] and format_numbers(np.zeros(0)) == []
