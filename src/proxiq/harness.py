@@ -17,7 +17,10 @@ rates.write_csv: %.17g floats and forced newlines.  Numbers that several
 files share are formatted once per process and handed to write_csv as
 text: the step counter k, the same in every trace, and each (q, delta)
 bound curve, the same in the traces of its repeats and in the bound file.
-A trace holds only what varies by step; the step size alpha and the
+A worker sends its curves' texts back with its results, so the bound file
+formats none again.  A trace's min_gm_sq text is taken from its gm_sq
+text, as each new running minimum is bitwise an entry of gm_sq.  A trace
+holds only what varies by step; the step size alpha and the
 certificate's delta, fixed for a run, are summary columns, and the
 summary's final_f is F(x_K).
 
@@ -458,7 +461,8 @@ def _sweep(config, directions, prefix, write_bounds):
     out.mkdir(parents=True, exist_ok=True)
     problem, grid = _instance(config), _grid(config)
     # text that several files share: the step counter, formatted before any
-    # worker forks, and each (q, delta) bound curve, formatted once per process
+    # worker forks, and each (q, delta) bound curve, formatted once by the
+    # process whose chunk first needs it; workers send theirs back
     steps = rates.format_numbers(range(config.solver.iterations))
     curves = {}
 
@@ -473,25 +477,28 @@ def _sweep(config, directions, prefix, write_bounds):
         for cell in results:
             trace = cell.trace
             if trace is not None:
+                gm_sq = rates.format_numbers(trace.gm_sq)
                 rates.write_csv(out / (prefix + cell.trace_filename),
                                 ("k", "f", "gm_sq", "min_gm_sq", "bound"),
-                                (steps, trace.objective[:-1], trace.gm_sq, trace.min_gm_sq,
-                                 curve_text(cell)))
-        return results
+                                (steps, trace.objective[:-1], gm_sq,
+                                 rates.running_min_text(trace.gm_sq, gm_sq), curve_text(cell)))
+        return results, curves
 
     first, *rest = _chunks(len(grid))
     workers = []  # (pid, pipe, chunk) of every worker not yet reaped, in grid order
     try:
         for chunk in rest:
             workers.append((*_fork_worker(partial(run_chunk, *chunk)), chunk))
-        results = run_chunk(*first)
+        results = run_chunk(*first)[0]
         while workers:
             pid, pipe, chunk = workers[0]
             with pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
             workers.pop(0)
-            results += _worker_result(payload, status, chunk)
+            chunk_results, chunk_curves = _worker_result(payload, status, chunk)
+            results += chunk_results
+            curves.update(chunk_curves)
     finally:  # on any failure, no worker outlives the sweep
         for pid, pipe, _ in workers:
             pipe.close()

@@ -18,6 +18,13 @@ Both also take a stack of points (C, n) and then return C values and a
 alone: products with a matrix are stacked matrix-vector products, and
 sums run along the last axis.  One GEMM over the stack would be faster on
 paper but is not bitwise equal, and its rounding changes with C.
+
+The logsum constant ||rows||_F**2 is summed leaf by leaf in a small reused
+buffer instead of from a squared copy of rows, in the order NumPy's own
+pairwise sum takes, so it is bitwise float((rows ** 2).sum()).  That
+equality rests on NumPy's summation order, which is not a documented
+interface; a property test in tests/test_problems.py compares the two on
+shapes around the leaf size and would fail if that order changed.
 """
 
 from __future__ import annotations
@@ -42,6 +49,35 @@ def _per_point(values):
     return float(values) if values.ndim == 0 else values
 
 
+# elements per np.add.reduce call in _squared_frobenius: a 256 KiB buffer
+_LEAF = 1 << 15
+
+
+def _squared_frobenius(matrix):
+    """float((matrix ** 2).sum()), bitwise, without a temporary of matrix's size.
+
+    NumPy's float64 add-reduce over a contiguous range is one pairwise sum:
+    a range of n > 128 elements splits at n2 = n//2 - (n//2) % 8 and the
+    sums of the two parts are added.  This makes the same splits down to
+    ranges of at most _LEAF elements, squares each such range into one
+    reused buffer and leaves its sum to np.add.reduce, so every addition
+    happens as in NumPy's own reduction.  The elements are read in memory
+    order, as (matrix ** 2).sum() reads them; only a matrix that is
+    contiguous in neither order is copied.
+    """
+    flat = np.ravel(matrix, order="K")
+    buffer = np.empty(min(flat.size, _LEAF))
+
+    def pairwise(lo, hi):
+        if hi - lo > _LEAF:
+            half = (hi - lo) // 2
+            mid = lo + half - half % 8
+            return pairwise(lo, mid) + pairwise(mid, hi)
+        return float(np.add.reduce(np.square(flat[lo:hi], out=buffer[:hi - lo])))
+
+    return pairwise(0, flat.size)
+
+
 @dataclass(frozen=True)
 class LogSumProblem:
     """Sum of log(1 + residual**2) terms over an l1 ball.
@@ -53,7 +89,8 @@ class LogSumProblem:
     smoothness constant only where it is at least 2*||rows||_2**2.  That
     holds for generated instances with many rows (64 x 128 and larger) but
     fails for a few rows or a dominant direction: a single row gets half
-    the true constant.
+    the true constant.  It is computed by _squared_frobenius, bitwise
+    float((rows ** 2).sum()) with no (N, n) temporary.
 
     value_and_gradient computes the residual r = rows @ x - targets and
     r*r once: one pass over rows for r and one for rows.T @ (2r/(1 + r*r)).
@@ -79,7 +116,7 @@ class LogSumProblem:
 
     @cached_property
     def lipschitz(self):
-        return float((self.rows ** 2).sum())
+        return _squared_frobenius(self.rows)
 
     def value(self, x):
         r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
@@ -116,7 +153,8 @@ def generate_logsum_instance(n, N, radius, noise_level=None, seed=0):
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((N, n)) / np.sqrt(n)
+    rows = rng.standard_normal((N, n))
+    rows /= np.sqrt(n)  # in place: one (N, n) array
     x_true = sample_l1_ball(rng, n, radius)
     clean = rows @ x_true
     if noise_level is None:

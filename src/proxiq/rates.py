@@ -259,14 +259,32 @@ def format_numbers(values):
     print as the double they round to, as %.17g prints them.
     """
     numbers = np.asarray(values, dtype=np.float64)
-    bits = numbers.view(np.int64)
-    starts = np.ones(numbers.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
+    starts = _run_starts(numbers)
     texts = list(map("{:.17g}".format, numbers[starts].tolist()))
     if len(texts) == numbers.size:  # no run to repeat
         return texts
     return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=numbers.size)).tolist()
+
+
+def running_min_text(values, texts):
+    """format_numbers(np.minimum.accumulate(values)), given texts =
+    format_numbers(values), with no number formatted again.
+
+    Where a run of the running minimum starts, its bits differ from the
+    step before, so np.minimum, which returns one of its two inputs, took
+    that step's entry: every entry of the run has that entry's text.
+    """
+    mins = np.minimum.accumulate(np.asarray(values, dtype=np.float64))
+    starts = _run_starts(mins)
+    return [texts[i] for i in np.repeat(starts, np.diff(starts, append=mins.size)).tolist()]
+
+
+def _run_starts(numbers):
+    """Where each run of consecutive entries with one float64 bit pattern starts."""
+    bits = numbers.view(np.int64)
+    starts = np.ones(numbers.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def write_csv(path, header, columns):

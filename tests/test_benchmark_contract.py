@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("workload, trace", [
     pytest.param("fig1", 0, id="fig1"),
+    pytest.param("wide", 0, id="wide"),
     pytest.param("worst_case", 0, id="worst_case"),
     pytest.param("worst_case", 1, id="worst_case-traced"),
 ])

@@ -499,9 +499,21 @@ def test_shared_texts_give_every_file_its_cells_numbers(tmp_path, monkeypatch, c
     out = tmp_path / "out"
     config = harness.parse_config(make_config(out, worst_case_directions=directions))
     sweep = harness.run_worst_case if directions else harness.run_experiment
+    formatted, real = [], rates.format_numbers  # the calling process's calls only
+
+    def format_numbers(values):
+        formatted.append(np.array(values, dtype=float))
+        return real(values)
+
+    monkeypatch.setattr(rates, "format_numbers", format_numbers)
     with _deadline(60):
         results = sweep(config)
     _assert_no_child_left()
+    # the caller formats the curves of its own chunk, each once, and takes
+    # the others' texts from the workers that formatted them
+    own = results[slice(*harness._chunks(len(results))[0])]
+    curve_calls = [v for v in formatted if any(np.array_equal(v, c.bound) for c in results)]
+    assert len(curve_calls) == len({(c.degree, c.noise_bound) for c in own})
     prefix = "worst_" if directions else ""
     assert [cell.status for cell in results] == ["ok"] * 8
     for cell in results:

@@ -1,8 +1,10 @@
 """Problem families: values, gradients, constants, generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from proxiq import (
@@ -17,6 +19,7 @@ from proxiq import (
     sample_l1_ball,
 )
 from proxiq.harness import ball_pair_sampler
+from proxiq.problems import _LEAF, _squared_frobenius
 
 
 def finite_difference_gradient(value, x, eps=1e-6):
@@ -73,6 +76,58 @@ def test_logsum_smoothness_constant_certifies_one_row():
     report = certify_oracle(ExactOracle(p), p.value, ball_pair_sampler(1.0, 1),
                             pairs=400, rng=np.random.default_rng(0))
     assert report.certified, report.summary()
+
+
+# entry scales: zeros, subnormals, ordinary numbers, and 1e150, whose
+# squares near 1e300 leave little headroom before a sum overflows
+_SCALES = {"zero": 0.0, "subnormal": 1e-310, "unit": 1.0, "huge": 1e150}
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(rows=st.integers(1, 3),
+       cols=st.sampled_from([_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF,
+                             2 * _LEAF + 1]) | st.integers(1, 300),
+       scales=st.lists(st.sampled_from(sorted(_SCALES)), min_size=1, max_size=4),
+       layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2 ** 16))
+# Fortran order, where summing in C order would round differently
+@example(rows=2, cols=_LEAF, scales=["unit"], layout="F", seed=0)
+@example(rows=3, cols=300, scales=["unit"], layout="F", seed=4)
+def test_squared_frobenius_is_the_sum_of_squares_bitwise(rows, cols, scales, layout, seed):
+    # the leafwise sum copies NumPy's pairwise order, which no interface
+    # promises; shapes run to just under, at and just over one and two
+    # leaves, and a NumPy that sums in another order fails here
+    rng = np.random.default_rng(seed)
+    picks = rng.choice([_SCALES[name] for name in scales], size=(rows, 2 * cols))
+    wide = rng.standard_normal((rows, 2 * cols)) * picks
+    matrix = {"C": wide[:, :cols].copy(), "F": np.asfortranarray(wide[:, :cols]),
+              "strided": wide[:, ::2]}[layout]
+    assert _squared_frobenius(matrix).hex() == float((matrix ** 2).sum()).hex()
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the wide benchmark's instance: rows is (2048, 1024), 16 MiB, and an array
+# of its size on top of it would double the peak
+
+
+def test_logsum_generator_builds_one_matrix():
+    p, peak = _traced_peak(lambda: generate_logsum_instance(1024, 2048, 4.0, seed=0))
+    assert p.rows.shape == (2048, 1024)
+    assert peak < p.rows.nbytes + 2 ** 20
+
+
+def test_logsum_lipschitz_needs_no_full_size_temporary():
+    p = generate_logsum_instance(1024, 2048, 4.0, seed=0)
+    lipschitz, peak = _traced_peak(lambda: p.lipschitz)
+    assert peak < 2 ** 20
+    assert lipschitz == float((p.rows ** 2).sum())
 
 
 def test_logsum_generator_reproducible_and_grounded():

@@ -22,7 +22,7 @@ from proxiq import (
     rho_opt_horizon,
     sample_curve,
 )
-from proxiq.rates import format_numbers, write_csv
+from proxiq.rates import format_numbers, running_min_text, write_csv
 
 
 # -------------------------------------------------------------- spot values
@@ -405,3 +405,22 @@ def test_format_numbers_compares_bits_not_values():
     assert format_numbers([0.0, -0.0, -0.0, 0.0, *nans, 1, 1.0, 2 ** 53 + 1]) == [
         "0", "-0", "-0", "0", "nan", "nan", "nan", "1", "1", "9007199254740992"]
     assert format_numbers([]) == [] and format_numbers(np.zeros(0)) == []
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(values=st.lists(st.sampled_from(_ODD + [3.0, 2.0, 1.0, 0.5]) | st.floats(),
+                       max_size=60))
+def test_running_min_text_is_the_formatted_running_minimum(values):
+    # a sweep takes a trace's min_gm_sq text from its gm_sq text; repeats of
+    # a few values make ties, and _ODD holds both zeros, NaNs and subnormals
+    assert running_min_text(values, format_numbers(values)) == format_numbers(
+        np.minimum.accumulate(np.array(values, dtype=float)))
+
+
+def test_running_min_text_on_ties_and_signed_zeros():
+    for values in ([3.0, 1.0, 2.0, 1.0, 0.5, 0.5, 4.0], [1.0, 0.0, -0.0, 0.0, -0.0, 2.0],
+                   [-0.0, 0.0, -0.0], [2.0], []):
+        want = format_numbers(np.minimum.accumulate(np.array(values, dtype=float)))
+        assert running_min_text(values, format_numbers(values)) == want, values
+    # the texts come from the entries, so no number is formatted again
+    assert running_min_text([3.0, 1.0, 2.0, 0.0], ["a", "b", "c", "d"]) == ["a", "b", "b", "d"]
