@@ -327,7 +327,7 @@ def evaluate_rows(oracles, points, rngs):
 
 def answer_rows(oracles, points, rngs, count):
     """evaluate_rows for a batch whose stacked_count is count.  A caller
-    that asks one batch many times, such as prox_gradient's step loop,
+    that asks one batch many times, such as the solvers' step loop,
     decides count once and again only when the batch changes."""
     if count is not None:
         values, candidates = _model_answers(oracles, points, rngs, count)

@@ -5,8 +5,7 @@ projection onto h's l1 ball of radius h.radius (inf for h = 0).  Each
 reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 * prox_gradient: the constant step step_scale / (L + q*rho); works for
-  nonconvex smooth parts.  It advances a batch of runs in lockstep as one
-  (C, n) state, each run bitwise the run alone; one run is a batch of one.
+  nonconvex smooth parts.
 * fast_prox_gradient: accelerated variant for convex smooth parts, mixing
   the prox step with an aggregated linear model anchored at x0.
 * adaptive_prox_gradient: plain iteration whose quadratic majorization
@@ -15,11 +14,12 @@ reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
-guarantees control.  They share one start check, one answer step and one
-failure rule.  The answer step asks a batch through oracle.evaluate_rows,
-which reads each oracle's (value, candidates) answer and checks its shapes
-and finiteness; a non-finite answer or a blown-up objective ends a run
-with DivergenceError.
+guarantees control.  They share one loop, which advances a batch of runs
+in lockstep as one (C, n) state, each run bitwise the run alone, and owns
+the start check, the answer at each iterate through oracle.answer_rows,
+which checks its shapes and finiteness, the failure rule and the traces:
+a non-finite answer or a blown-up objective ends a run with
+DivergenceError.  Each solver passes the loop only its step rule.
 prox_gradient also serves the worst-case sweep: when an answer carries
 several candidate gradients, it steps along the one whose prox step moves
 farthest; the other two solvers reject such an answer with ValueError.
@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .oracle import answer_rows, evaluate_rows, sq_norm, stacked_count
-from .prox import project_l1_ball, project_l1_rows
+from .oracle import answer_rows, sq_norm, stacked_count
+from .prox import project_l1_rows
 from .rates import rho_opt_horizon
 
 
@@ -151,34 +151,93 @@ def _failures(step, f, ceiling, finite):
             for j in failed}
 
 
-def _check(step, f, ceiling=math.inf, finite=True):
-    """The failure rule for a single run: raise what ends it at step."""
-    for exc in _failures(step, np.array([f]), ceiling, np.array([finite])).values():
-        raise exc
+def _leave(run, failures, outcomes, oracles, rngs):
+    """Ends each failed run, {row: DivergenceError}, with its error.
+    Returns the state of the others, compacted by one mask, their oracles,
+    their generators and their stacked_count."""
+    keep = np.ones(len(run["index"]), dtype=bool)
+    for j, exc in failures.items():
+        outcomes[run["index"][j]] = exc
+        keep[j] = False
+    run = {name: value[keep] for name, value in run.items()}
+    live_oracles = [oracles[i] for i in run["index"]]
+    return (run, live_oracles, [rngs[i] for i in run["index"]],
+            stacked_count(live_oracles) if live_oracles else None)
 
 
-def _answer(oracle, x, rng, step, ceiling=math.inf):
-    """A single run's answer at x, a batch of one through evaluate_rows:
-    F there and the gradient, after the failure rule (at x0, whose value
-    sets the ceiling, only finiteness counts).  Only prox_gradient picks
-    among candidates, so several raise ValueError.  Iterates lie in dom h
-    (x0 by _start, the rest as prox outputs), where h is 0, so F there is
-    the composite value.
+def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
+    """The step loop of every solver, over a batch or a single run as
+    prox_gradient describes; a run's result is finish(trace, records) when
+    finish is given.
+
+    Each step k answers the live runs at x_k with one answer_rows call,
+    with the batch's stacked_count, decided at the start and again only
+    when a run leaves; objective, called once per row, gives F at the
+    final iterates.  The failure rule then ends runs, and step(k, run)
+    moves the others to x_{k+1}.  run maps names to the live runs' state,
+    one row per run, compacted by one mask when runs leave: index, x,
+    lip = L + q*rho, alpha, alpha_sq, f0, ceiling and the answer's
+    candidates, and the step rule's own state.  step returns the step's
+    records {name: one value per run}, gm_sq and optionally alpha and
+    objective_y among them, and {row: DivergenceError} for the runs it
+    ends; it may leave F at the new iterates as run["f_next"], which the
+    trace then records in place of the next answer's value.
     """
-    values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
-    if candidates.shape[1] > 1:
-        raise ValueError(f"oracle answer at step {step} offers {candidates.shape[1]}"
-                         " candidate gradients; this method follows one")
-    f = float(values[0])
-    _check(step, f, ceiling, finite[0])
-    return f, candidates[0, 0]
-
-
-def _buffers(x, iters):
-    """Iterates (x0 filled in), objective and gm_sq arrays for a run."""
-    iterates = np.empty((iters + 1, x.size))
-    iterates[0] = x
-    return iterates, np.empty(iters + 1), np.empty(iters)
+    batch = isinstance(oracle, (list, tuple))
+    oracles, configs, rngs = ((list(oracle), list(config), list(rng)) if batch
+                              else ([oracle], [config], [rng]))
+    runs = len(oracles)
+    if runs == 0 or len(configs) != runs or len(rngs) != runs:
+        raise ValueError("a batch needs one oracle, config and generator per run")
+    iters = configs[0].max_iters
+    if any(cfg.max_iters != iters for cfg in configs):
+        raise ValueError("the runs of a batch share max_iters")
+    x0, certs = _start(h, x0, oracles, configs)
+    lips = [c.lipschitz + c.degree * cfg.rho for c, cfg in zip(certs, configs)]
+    alphas = [cfg.step_scale / lip for cfg, lip in zip(configs, lips)]
+    outcomes = [None] * runs
+    run, live_oracles, live_rngs, count = _leave(
+        dict(index=np.arange(runs), x=np.tile(x0, (runs, 1)), lip=np.array(lips),
+             alpha=np.array(alphas), alpha_sq=np.array([a ** 2 for a in alphas])),
+        {}, outcomes, oracles, rngs)
+    objective_vals = np.empty((runs, iters + 1))
+    records = {}
+    iterates = None if batch else np.empty((iters + 1, runs, x0.size))
+    for k in range(iters + 1):
+        if iterates is not None:
+            iterates[k, run["index"]] = run["x"]
+        if k < iters:
+            f, run["candidates"], finite = answer_rows(live_oracles, run["x"], live_rngs, count)
+        else:  # no answer after the last step
+            f = (run["f_next"] if "f_next" in run
+                 else np.array([float(objective(row)) for row in run["x"]]))
+            finite = np.ones(len(f), dtype=bool)
+        if k == 0:
+            run.update(f0=f, ceiling=_ceiling(f))
+        objective_vals[run["index"], k] = run.pop("f_next", f)
+        failures = _failures(k, f, run["ceiling"], finite)
+        if failures:
+            run, live_oracles, live_rngs, count = _leave(run, failures, outcomes, oracles, rngs)
+        if k == iters or not live_oracles:
+            break
+        step_records, failures = step(k, run)
+        for name, values in step_records.items():
+            if name not in records:
+                records[name] = np.empty((runs, iters))
+            records[name][run["index"], k] = values
+        if failures:
+            run, live_oracles, live_rngs, count = _leave(run, failures, outcomes, oracles, rngs)
+        if not live_oracles:
+            break
+    for i in run["index"]:
+        rec = {name: values[i] for name, values in records.items()}
+        alpha = rec.pop("alpha") if "alpha" in rec else np.full(iters, alphas[i])
+        trace = RunTrace(None if batch else iterates[:, i], objective_vals[i], alpha,
+                         certs[i].delta, rec.pop("gm_sq"), rec.pop("objective_y", None))
+        outcomes[i] = finish(trace, rec) if finish else trace
+    if not batch and isinstance(outcomes[0], DivergenceError):
+        raise outcomes[0]
+    return outcomes if batch else outcomes[0]
 
 
 def prox_gradient(objective, oracle, h, config, x0, rng=None):
@@ -199,7 +258,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     A batch of runs advances in lockstep from x0: pass lists of C oracles,
     of C ScheduleConfigs sharing max_iters and of C generators (None for
     an oracle that draws nothing) as oracle, config and rng.  Each step
-    answers all runs through oracle.evaluate_rows; for model oracles over
+    answers all runs through oracle.answer_rows; for model oracles over
     one problem that is one stacked evaluation, so that problem's
     value_and_gradient then takes a stack (C, n) and returns one value per
     row, as the logsum, quadratic and power families do.  Every run is
@@ -208,13 +267,11 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     run that fails leaves the batch and the others go on unchanged.  A
     single oracle is a batch of one whose trace keeps its iterates.
     """
-    if isinstance(oracle, (list, tuple)):
-        return _lockstep(objective, list(oracle), h, list(config), x0, list(rng),
-                         keep_iterates=False)
-    run, = _lockstep(objective, [oracle], h, [config], x0, [rng], keep_iterates=True)
-    if isinstance(run, DivergenceError):
-        raise run
-    return run
+    def step(k, run):
+        run["x"], move_sq = _farthest_move(h, run["alpha"], run["x"], run["candidates"])
+        return {"gm_sq": move_sq / run["alpha_sq"]}, {}
+
+    return _lockstep(objective, oracle, h, config, x0, rng, step)
 
 
 def _farthest_move(h, alpha, x, candidates):
@@ -241,66 +298,12 @@ def _farthest_move(h, alpha, x, candidates):
     return steps[pick], moves_sq.reshape(-1)[pick]
 
 
-def _lockstep(objective, oracles, h, configs, x0, rngs, keep_iterates):
-    """The step loop of prox_gradient over a batch of runs.
-
-    Each step is one evaluate_rows answer for the live runs, through
-    answer_rows with the batch's stacked_count, decided at the start and
-    again only when a run leaves, and one _farthest_move, a single prox
-    call over all their candidates, C*m rows.
-    """
-    runs = len(oracles)
-    if runs == 0 or len(configs) != runs or len(rngs) != runs:
-        raise ValueError("a batch needs one oracle, config and generator per run")
-    iters = configs[0].max_iters
-    if any(cfg.max_iters != iters for cfg in configs):
-        raise ValueError("the runs of a batch share max_iters")
-    x0, certs = _start(h, x0, oracles, configs)
-    x = np.tile(x0, (runs, 1))
-    alphas = [cfg.step_scale / (c.lipschitz + c.degree * cfg.rho)
-              for c, cfg in zip(certs, configs)]
-    objective_vals = np.empty((runs, iters + 1))
-    gm_sq = np.empty((runs, iters))
-    iterates = np.empty((iters + 1, runs, x0.size)) if keep_iterates else None
-    outcomes = [None] * runs
-    # state of the runs still going, compacted when one fails
-    live = np.arange(runs)
-    alpha = np.array(alphas)
-    alpha_sq = np.array([a ** 2 for a in alphas])
-    live_oracles, live_rngs = list(oracles), list(rngs)
-    count = stacked_count(live_oracles)  # how the live batch answers
-    for k in range(iters + 1):
-        if keep_iterates:
-            iterates[k, live] = x
-        if k < iters:
-            f, candidates, finite = answer_rows(live_oracles, x, live_rngs, count)
-        else:
-            f = np.array([float(objective(row)) for row in x])
-            finite = np.ones(len(live), dtype=bool)
-        if k == 0:
-            ceiling = _ceiling(f)
-        objective_vals[live, k] = f
-        failures = _failures(k, f, ceiling, finite)
-        if failures:
-            keep = np.ones(len(live), dtype=bool)
-            for j, exc in failures.items():
-                outcomes[live[j]] = exc
-                keep[j] = False
-            live, x, alpha, alpha_sq, ceiling = (live[keep], x[keep], alpha[keep],
-                                                 alpha_sq[keep], ceiling[keep])
-            live_oracles = [o for o, kept in zip(live_oracles, keep) if kept]
-            live_rngs = [r for r, kept in zip(live_rngs, keep) if kept]
-            count = stacked_count(live_oracles) if len(live) else None
-            candidates = candidates[keep]
-        if k == iters or not len(live):
-            break
-        x, move_sq = _farthest_move(h, alpha, x, candidates)
-        gm_sq[live, k] = move_sq / alpha_sq
-    for i in live:
-        outcomes[i] = RunTrace(
-            iterates[:, i] if keep_iterates else None, objective_vals[i],
-            np.full(iters, alphas[i]), certs[i].delta, gm_sq[i])
-    return outcomes
+def _gradient(k, candidates):
+    """Each run's one candidate gradient, which fast and adaptive follow."""
+    if candidates.shape[1] > 1:
+        raise ValueError(f"oracle answer at step {k} offers {candidates.shape[1]}"
+                         " candidate gradients; this method follows one")
+    return candidates[:, 0]
 
 
 def theta_next(a_prev, lipschitz_next, rule="equality_root"):
@@ -337,50 +340,37 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     on the working constant L + q*rho, the smoothness of the quadratic
     majorization the guarantees are proved through.  As in
     prox_gradient, F at every iterate but the last is the value of the
-    oracle answer queried there; objective is called on the final iterate
-    and on the prox points y.  An answer with several candidate gradients
-    raises ValueError.
+    oracle answer queried there, and lists of oracles, configs and
+    generators are a batch; objective gives F at the prox points y_k, where
+    a non-finite value ends the run at step k+1, and at the final iterate.
+    An answer with several candidate gradients raises ValueError.
     """
     if theta_rule not in _THETA0:
         raise ValueError(f"unknown theta rule {theta_rule!r}")
-    x, (cert,) = _start(h, x0, [oracle], [config])
-    lip = cert.lipschitz + cert.degree * config.rho
-    alpha = config.step_scale / lip
-    origin = x.copy()
-    iters = config.max_iters
-    iterates, objective_vals, gm_sq = _buffers(x, iters)
-    objective_y = np.empty(iters)
-    f, grad = _answer(oracle, x, rng, 0)
-    objective_vals[0] = f
-    ceiling = _ceiling(f)
-    theta = _THETA0[theta_rule]
-    a_weight = theta / lip
-    model_sum = np.zeros(x.size)
-    for k in range(iters):
-        y = project_l1_ball(x - alpha * grad, h.radius)
-        model_sum += (theta / lip) * grad
-        z = project_l1_ball(origin - model_sum, h.radius)
-        theta_new = theta_next(a_weight, lip, theta_rule)
+    theta0 = _THETA0[theta_rule]
+
+    def step(k, run):
+        x, lip, grad = run["x"], run["lip"], _gradient(k, run["candidates"])
+        if k == 0:
+            run.update(origin=x.copy(), theta=np.full(len(x), theta0), a_weight=theta0 / lip,
+                       model_sum=np.zeros_like(x))
+        theta, a_weight = run["theta"], run["a_weight"]
+        y = project_l1_rows(x - run["alpha"][:, None] * grad, h.radius)
+        run["model_sum"] += (theta / lip)[:, None] * grad
+        z = project_l1_rows(run["origin"] - run["model_sum"], h.radius)
+        theta_new = np.array([theta_next(a, l, theta_rule) for a, l in zip(a_weight, lip)])
         a_new = a_weight + theta_new / lip
         tau = theta_new / (a_new * lip)
-        if not 0.0 < tau <= 1.0:
+        if not np.all((0.0 < tau) & (tau <= 1.0)):
             raise ValueError(f"tau = {tau!r} outside (0, 1]: momentum rule violated")
-        gm_sq[k] = sq_norm(y - x) / alpha ** 2
-        x = tau * z + (1.0 - tau) * y
-        iterates[k + 1] = x
-        if k + 1 < iters:
-            f, grad = _answer(oracle, x, rng, k + 1, ceiling)
-        else:  # no answer after the last step
-            f = float(objective(x))
-            _check(k + 1, f, ceiling)
-        fy = float(objective(y))
-        _check(k + 1, fy)  # y only has to stay finite
-        objective_vals[k + 1] = f
-        objective_y[k] = fy
-        theta = theta_new
-        a_weight = a_new
-    return RunTrace(iterates, objective_vals, np.full(iters, alpha), cert.delta, gm_sq,
-                    objective_y=objective_y)
+        run.update(x=tau[:, None] * z + (1.0 - tau)[:, None] * y, theta=theta_new,
+                   a_weight=a_new)
+        fy = np.array([float(objective(row)) for row in y])
+        # y only has to stay finite
+        return ({"gm_sq": sq_norm(y - x) / run["alpha_sq"], "objective_y": fy},
+                _failures(k + 1, fy, math.inf, np.ones(len(fy), dtype=bool)))
+
+    return _lockstep(objective, oracle, h, config, x0, rng, step)
 
 
 def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
@@ -393,12 +383,16 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     iterate beats f_best, the slack doubles and the step is recomputed with
     the same oracle answer; after each accepted step the slack halves and
     the target is refreshed.  F(x0) is the value of the first oracle
-    answer; objective gives F at each candidate step.  Returns (trace,
-    history) where history holds one AdaptiveState per accepted step.
-    Requires a certificate degree in [1, 2) (the weight formula) and
-    answers with one candidate gradient.
+    answer; objective gives F at each candidate step, and a candidate whose
+    F is not finite or above the ceiling ends the run at step k+1.  Returns
+    (trace, history) where history holds one AdaptiveState per accepted
+    step.  Requires a certificate degree in [1, 2) (the weight formula) and
+    answers with one candidate gradient.  Lists are a batch, as in
+    prox_gradient; a retry steps again only the runs that beat their target.
     """
-    if not 1.0 <= oracle.certificate.degree < 2.0:
+    batch = isinstance(oracle, (list, tuple))
+    oracles, configs = (oracle, config) if batch else ([oracle], [config])
+    if not all(1.0 <= o.certificate.degree < 2.0 for o in oracles):
         raise ValueError("the adaptive variant needs degree in [1, 2)")
     # a NaN slack would fail every acceptance test and end as a false divergence
     if not math.isfinite(epsilon0) or epsilon0 <= 0.0:
@@ -407,44 +401,50 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         raise ValueError(f"max_doublings must be an integer, got {max_doublings!r}")
     if max_doublings < 1:
         raise ValueError("max_doublings must be positive")
-    x, (cert,) = _start(h, x0, [oracle], [config])
-    lip, degree, delta = cert.lipschitz, cert.degree, cert.delta
-    iters = config.max_iters
-    iterates, objective_vals, gm_sq = _buffers(x, iters)
-    alpha_arr = np.empty(iters)
-    history: List[AdaptiveState] = []
-    f0, grad = _answer(oracle, x, rng, 0)
-    objective_vals[0] = f0
-    ceiling = _ceiling(f0)
-    epsilon = float(epsilon0)
-    f_min = f0
-    f_best = f_min - epsilon
-    for k in range(iters):
-        if k > 0:
-            _, grad = _answer(oracle, x, rng, k, ceiling)
-        retries = 0
-        while True:
-            gap = f0 - f_best
-            rho = rho_opt_horizon(lip, degree, delta, gap, k) if delta > 0.0 else 0.0
-            alpha_k = config.step_scale / (lip + degree * rho)
-            nxt = project_l1_ball(x - alpha_k * grad, h.radius)
-            f_next = float(objective(nxt))
-            _check(k + 1, f_next, ceiling)
-            if f_next >= f_best:
-                break
-            retries += 1
-            if retries > max_doublings:
-                raise DivergenceError(
-                    f"adaptive target chase exceeded {max_doublings} doublings at step {k}")
-            epsilon *= 2.0
-            f_best = f_min - epsilon
-        history.append(AdaptiveState(epsilon=epsilon, f_best=f_best, retry_count=retries))
-        gm_sq[k] = sq_norm(nxt - x) / alpha_k ** 2
-        alpha_arr[k] = alpha_k
-        x = nxt
-        iterates[k + 1] = x
-        objective_vals[k + 1] = f_next
-        f_min = min(f_min, f_next)
-        epsilon /= 2.0
-        f_best = f_min - epsilon
-    return RunTrace(iterates, objective_vals, alpha_arr, delta, gm_sq), history
+
+    def step(k, run):
+        x, index, grad = run["x"], run["index"], _gradient(k, run["candidates"])
+        if k == 0:
+            run.update(epsilon=np.full(len(x), float(epsilon0)), f_min=run["f0"])
+            run["f_best"] = run["f_min"] - run["epsilon"]
+        epsilon, f_best = run["epsilon"], run["f_best"]
+        alpha, f_next, nxt = np.empty(len(x)), np.empty(len(x)), np.empty_like(x)
+        retries = np.zeros(len(x), dtype=int)
+        failures = {}
+        chase = f"adaptive target chase exceeded {max_doublings} doublings at step {k}"
+        chasing = np.arange(len(x))  # the runs whose step is not accepted yet
+        while len(chasing):
+            for j in chasing:
+                cert = oracles[index[j]].certificate
+                gap = float(run["f0"][j] - f_best[j])
+                rho = (rho_opt_horizon(cert.lipschitz, cert.degree, cert.delta, gap, k)
+                       if cert.delta > 0.0 else 0.0)
+                alpha[j] = configs[index[j]].step_scale / (cert.lipschitz + cert.degree * rho)
+            nxt[chasing] = project_l1_rows(x[chasing] - alpha[chasing, None] * grad[chasing],
+                                           h.radius)
+            f_next[chasing] = [float(objective(row)) for row in nxt[chasing]]
+            failed = _failures(k + 1, f_next[chasing], run["ceiling"][chasing],
+                               np.ones(len(chasing), dtype=bool))
+            failures.update((chasing[j], exc) for j, exc in failed.items())
+            beaten = f_next[chasing] < f_best[chasing]  # the target ran away: retry
+            beaten[list(failed)] = False
+            chasing = chasing[beaten]
+            retries[chasing] += 1
+            over = retries[chasing] > max_doublings
+            failures.update((j, DivergenceError(chase)) for j in chasing[over])
+            chasing = chasing[~over]
+            epsilon[chasing] *= 2.0
+            f_best[chasing] = run["f_min"][chasing] - epsilon[chasing]
+        records = {"gm_sq": sq_norm(nxt - x) / np.array([a ** 2 for a in alpha.tolist()]),
+                   "alpha": alpha, "epsilon": epsilon, "f_best": f_best, "retries": retries}
+        run.update(x=nxt, f_next=f_next, f_min=np.minimum(run["f_min"], f_next),
+                   epsilon=epsilon / 2.0)
+        run["f_best"] = run["f_min"] - run["epsilon"]
+        return records, failures
+
+    def finish(trace, records):
+        return trace, [AdaptiveState(epsilon=float(e), f_best=float(b), retry_count=int(r))
+                       for e, b, r in zip(records["epsilon"], records["f_best"],
+                                          records["retries"])]
+
+    return _lockstep(objective, oracle, h, config, x0, rng, step, finish)
