@@ -523,13 +523,15 @@ class CertificationReport:
 def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e-7, rng=None):
     """Empirically test an oracle's certificate on sampled point pairs.
 
-    For each sampled (x, y) the oracle answers at y and the bound its
-    certificate claims is checked at x against the exact objective, for
-    every candidate gradient of the answer.  When the certificate claims a
-    convex lower bound, no candidate's linearization may overshoot either.
-    The worst pair over all candidates is reported either way, so a
-    refutation comes with a concrete witness.  The oracle answers through
-    evaluate_rows, as a batch of one; a non-finite answer raises ValueError.
+    All pairs (x, y) are sampled first; one evaluate_rows call then answers
+    every y, a non-finite answer raising ValueError, and exact_value gives a
+    finite F(x) per pair.  Every pair and candidate gradient is checked at
+    once, in (pairs, m) arrays, so memory grows with pairs * m * n: the
+    violations F(x) - F(y) - <g, x - y> - (L/2)*r**2 - delta*r**q, r = ||x - y||,
+    must not exceed the tolerance, nor the gaps F(x) - F(y) - <g, x - y> fall
+    below minus it under a convex lower bound claim.  The witnesses are the
+    first pairs, in (pair, candidate) order, of the largest violation and of
+    the smallest gap.
     """
     if pairs <= 0:
         raise ValueError("pairs must be positive")
@@ -539,34 +541,29 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     if rng is None:
         rng = np.random.default_rng(0)
     cert = oracle.certificate
-    max_violation = -math.inf
-    worst_pair = None
+    xs, ys = (np.array(side, dtype=float)
+              for side in zip(*[domain_sampler(rng) for _ in range(int(pairs))]))
+    values, candidates, finite = evaluate_rows([oracle] * len(ys), ys, [rng] * len(ys))
+    if not finite.all():
+        raise ValueError("oracle answer is not finite")
+    exact = np.array([float(exact_value(x)) for x in xs])
+    if not np.isfinite(exact).all():  # a bad F(x) would be blamed on the oracle
+        raise ValueError("exact value is not finite")
+    diffs = xs - ys
+    dist = np.sqrt(sq_norm(diffs))
+    # <g, x - y> as one BLAS dot per pair and candidate, as sq_norm takes them
+    gaps = ((exact - values)[:, None]
+            - np.matmul(candidates[:, :, None, :], diffs[:, None, :, None])[..., 0, 0])
+    violations = (gaps - (0.5 * cert.lipschitz * dist ** 2)[:, None]
+                  - (cert.delta * dist ** cert.degree)[:, None])
+    count = candidates.shape[1]
+    worst, lowest = violations.argmax() // count, gaps.argmin() // count
+    max_violation, min_lower = float(violations.max()), float(gaps.min())
     lower_checked = cert.convex_lower_bound
-    min_lower = math.inf
-    worst_lower = None
-    for _ in range(int(pairs)):
-        x, y = domain_sampler(rng)
-        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-        values, candidates, finite = evaluate_rows([oracle], y[None], [rng])
-        if not finite[0]:
-            raise ValueError("oracle answer is not finite")
-        diff = x - y
-        dist = float(np.linalg.norm(diff))
-        value_gap = float(exact_value(x)) - float(values[0])
-        quadratic = 0.5 * cert.lipschitz * dist ** 2
-        error = cert.delta * dist ** cert.degree
-        for grad in candidates[0]:
-            gap = value_gap - float(grad @ diff)
-            violation = gap - quadratic - error
-            if violation > max_violation:
-                max_violation = violation
-                worst_pair = (x, y)
-            if lower_checked and gap < min_lower:
-                min_lower = gap
-                worst_lower = (x, y)
     certified = max_violation <= tolerance and (not lower_checked or min_lower >= -tolerance)
     return CertificationReport(certified=certified, pairs=int(pairs), tolerance=float(tolerance),
-                               max_violation=float(max_violation), worst_pair=worst_pair,
+                               max_violation=max_violation, worst_pair=(xs[worst], ys[worst]),
                                lower_bound_checked=lower_checked,
-                               min_lower_slack=float(min_lower) if lower_checked else math.nan,
-                               worst_lower_pair=worst_lower)
+                               min_lower_slack=min_lower if lower_checked else math.nan,
+                               worst_lower_pair=(xs[lowest], ys[lowest]) if lower_checked
+                               else None)

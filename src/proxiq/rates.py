@@ -260,7 +260,7 @@ def format_numbers(values):
     """
     numbers = np.asarray(values, dtype=np.float64)
     starts = _run_starts(numbers)
-    texts = list(map("{:.17g}".format, numbers[starts].tolist()))
+    texts = list(map("%.17g".__mod__, numbers[starts].tolist()))
     if len(texts) == numbers.size:  # no run to repeat
         return texts
     return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=numbers.size)).tolist()

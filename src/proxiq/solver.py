@@ -62,8 +62,8 @@ class ScheduleConfig:
     them the step is the constant alpha = step_scale / (L + q*rho).
     step_scale in (0, 1] keeps the step at or below the 1/(L + q*rho)
     ceiling the guarantees assume.  rho may be 0 only when no quadratic
-    majorization is needed (degree 0 or delta = 0); that needs the
-    certificate, so a run checks it at its start.
+    majorization is needed (degree 0 or delta = 0), as prox_gradient and
+    fast_prox_gradient check at the start; the adaptive method reads no rho.
     """
 
     rho: float
@@ -125,20 +125,15 @@ class AdaptiveState:
     retry_count: int
 
 
-def _start(h, x0, oracles, configs):
-    """The start rule: x0 as a fresh vector in dom h, and each run's
-    certificate, checked against its weight rho."""
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x0 must be a vector")
-    if not h.contains(x):
-        raise ValueError("x0 lies outside dom h")
-    certs = [oracle.certificate for oracle in oracles]
-    for cert, config in zip(certs, configs):
-        if config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
+def _check_rho(oracle, config):
+    """The start rule of the methods that step with rho: a certificate of
+    degree > 0 and delta > 0 needs rho > 0 to majorize its error term."""
+    batch = isinstance(oracle, (list, tuple))
+    for run_oracle, run_config in zip(oracle, config) if batch else [(oracle, config)]:
+        cert = run_oracle.certificate
+        if run_config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
             raise ValueError("rho must be positive when the certificate has degree > 0"
                              " and delta > 0")
-    return x, certs
 
 
 def _failures(step, f, ceiling, finite):
@@ -192,7 +187,12 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
     iters = configs[0].max_iters
     if any(cfg.max_iters != iters for cfg in configs):
         raise ValueError("the runs of a batch share max_iters")
-    x0, certs = _start(h, x0, oracles, configs)
+    x0 = np.array(x0, dtype=float)  # a fresh vector in dom h
+    if x0.ndim != 1:
+        raise ValueError("x0 must be a vector")
+    if not h.contains(x0):
+        raise ValueError("x0 lies outside dom h")
+    certs = [o.certificate for o in oracles]
     lips = [c.lipschitz + c.degree * cfg.rho for c, cfg in zip(certs, configs)]
     alphas = [cfg.step_scale / lip for cfg, lip in zip(configs, lips)]
     outcomes = [None] * runs
@@ -271,6 +271,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
         run["x"], move_sq = _farthest_move(h, run["alpha"], run["x"], run["candidates"])
         return {"gm_sq": move_sq / run["alpha_sq"]}, {}
 
+    _check_rho(oracle, config)
     return _lockstep(objective, oracle, h, config, x0, rng, step)
 
 
@@ -370,6 +371,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         return ({"gm_sq": sq_norm(y - x) / run["alpha_sq"], "objective_y": fy},
                 _failures(k + 1, fy, math.inf, np.ones(len(fy), dtype=bool)))
 
+    _check_rho(oracle, config)
     return _lockstep(objective, oracle, h, config, x0, rng, step)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxiq import (
@@ -16,6 +16,7 @@ from proxiq import (
     MinibatchOracle,
     NoisyGradientOracle,
     OracleCertificate,
+    QuadraticProblem,
     SaddleOracle,
     SaddleProblem,
     ShiftedPointOracle,
@@ -28,6 +29,7 @@ from proxiq import (
     spectral_norm,
 )
 from proxiq.harness import ball_pair_sampler
+from proxiq import oracle as oracle_module
 from proxiq.oracle import evaluate_rows, noise_slab
 
 
@@ -857,3 +859,109 @@ def test_certify_requires_positive_pairs():
     oracle = ExactOracle(prob)
     with pytest.raises(ValueError):
         certify_oracle(oracle, prob.value, ball_pair_sampler(1.0, 4), pairs=0)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["stacked", "per_row"])
+def test_certify_asks_the_oracle_once(per_row, monkeypatch):
+    # every pair is answered by one evaluate_rows call, whatever the family
+    calls = []
+    real = oracle_module.evaluate_rows
+
+    def counting(oracles, points, rngs):
+        calls.append(len(points))
+        return real(oracles, points, rngs)
+
+    monkeypatch.setattr(oracle_module, "evaluate_rows", counting)
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    oracle = (_Counted if per_row else NoisyGradientOracle)(prob, 0.5, directions=3)
+    certify_oracle(oracle, prob.value, ball_pair_sampler(2.0, 8), pairs=50,
+                   rng=np.random.default_rng(1))
+    assert calls == [50]
+    assert not per_row or oracle.calls == 50
+
+
+def test_certify_raises_on_non_finite_exact_value():
+    # a bad F(x) is refused, not reported as the oracle's violation
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
+    for bad in (math.nan, math.inf):
+        values = iter([0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="exact value is not finite"):
+            certify_oracle(ExactOracle(prob), lambda x: next(values),
+                           ball_pair_sampler(2.0, 8), pairs=3)
+
+
+def _certify_per_pair(oracle, exact_value, sampler, pairs, tolerance, rng):
+    """Reference certifier: certify_oracle's report as a loop over pairs and
+    candidates, sampling every pair before the first answer as it does."""
+    cert = oracle.certificate
+    samples = [[np.array(p, dtype=float) for p in sampler(rng)] for _ in range(pairs)]
+    max_violation, worst, min_lower, lowest = -math.inf, None, math.inf, None
+    for x, y in samples:
+        values, candidates, finite = evaluate_rows([oracle], y[None], [rng])
+        assert finite[0]
+        diff = x - y
+        dist = float(np.linalg.norm(diff))
+        for grad in candidates[0]:
+            gap = float(exact_value(x)) - float(values[0]) - float(grad @ diff)
+            violation = gap - 0.5 * cert.lipschitz * dist ** 2 - cert.delta * dist ** cert.degree
+            if violation > max_violation:
+                max_violation, worst = violation, (x, y)
+            if gap < min_lower:
+                min_lower, lowest = gap, (x, y)
+    lower = cert.convex_lower_bound
+    return dict(certified=max_violation <= tolerance and (not lower or min_lower >= -tolerance),
+                max_violation=max_violation, worst_pair=worst,
+                min_lower_slack=min_lower if lower else math.nan,
+                worst_lower_pair=lowest if lower else None)
+
+
+# F(x) = ||A x||**2 / 2 with no offset: F(-x) and its gradient are bitwise
+# those at x, so a pair and its negation tie on every violation and gap
+_SYMMETRIC = QuadraticProblem(operator=generate_quadratic_instance(6, 3.0, seed=1).operator,
+                              offset=np.zeros(6), x_star=np.zeros(6), f_star=0.0)
+_LOGSUM = generate_logsum_instance(8, 12, 2.0, seed=3)
+
+
+def _signed_pool(size, dim, seed):
+    """Pairs drawn from a pool of size pairs, each negated or not."""
+    pool = np.random.default_rng(seed).uniform(-1.0, 1.0, (size, 2, dim))
+
+    def sample(rng):
+        return tuple(pool[rng.integers(size)] * (-1.0 if rng.random() < 0.5 else 1.0))
+    return sample
+
+
+@settings(database=None, deadline=None, max_examples=80)
+@given(per_row=st.booleans(), count=st.sampled_from([1, 3]),
+       noise=st.sampled_from([0.0, 0.05, 0.5]), scale=st.floats(0.01, 2.0),
+       lower=st.booleans(), pool=st.sampled_from([0, 1, 4]), pairs=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 16))
+@example(per_row=False, count=3, noise=0.0, scale=1.0, lower=True, pool=1, pairs=8, seed=0)
+@example(per_row=True, count=3, noise=0.0, scale=0.5, lower=True, pool=1, pairs=8, seed=1)
+def test_certify_matches_a_per_pair_loop(per_row, count, noise, scale, lower, pool, pairs,
+                                         seed):
+    # pool 0 samples the logsum ball; a pool of one pair and its negation
+    # with zero noise ties every entry, so the first pair must be the pick
+    prob, sampler = ((_LOGSUM, ball_pair_sampler(2.0, 8)) if pool == 0
+                     else (_SYMMETRIC, _signed_pool(pool, 6, seed)))
+    oracle = (_Counted if per_row else NoisyGradientOracle)(prob, noise, directions=count)
+    cert = oracle.certificate
+    oracle.certificate = replace(cert, delta=scale * cert.delta,
+                                 lipschitz=scale * cert.lipschitz, convex_lower_bound=lower)
+    report = certify_oracle(oracle, prob.value, sampler, pairs=pairs,
+                            rng=np.random.default_rng(seed))
+    want = _certify_per_pair(oracle, prob.value, sampler, pairs, report.tolerance,
+                             np.random.default_rng(seed))
+    assert report.pairs == pairs and report.lower_bound_checked == lower
+    assert report.certified == want["certified"]
+    assert report.max_violation == pytest.approx(want["max_violation"], rel=1e-12, abs=1e-15)
+    for got, expected in ((report.worst_pair, want["worst_pair"]),
+                          (report.worst_lower_pair, want["worst_lower_pair"])):
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+    if lower:
+        assert report.min_lower_slack == pytest.approx(want["min_lower_slack"], rel=1e-12,
+                                                       abs=1e-15)
+    else:
+        assert math.isnan(report.min_lower_slack)

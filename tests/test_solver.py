@@ -539,11 +539,12 @@ def test_batch_validation(solver):
         solve(prob.value, oracles[:2], h, configs[:2], np.zeros((2, 8)), rng=rngs)
     with pytest.raises(ValueError, match="outside dom h"):
         solve(prob.value, oracles[:2], h, configs[:2], np.ones(8), rng=rngs)
-    # a noisy run of positive degree needs a weight
+    # a noisy run of positive degree needs a weight, in the methods that step with it
     noisy = next(o for o in oracles if o.noise_bound > 0.0 and o.certificate.degree > 0.0)
-    with pytest.raises(ValueError, match="rho must be positive"):
-        solve(prob.value, [oracles[0], noisy], h, [replace(configs[0], rho=0.0)] * 2, x0,
-              rng=rngs)
+    if solver != "adaptive":
+        with pytest.raises(ValueError, match="rho must be positive"):
+            solve(prob.value, [oracles[0], noisy], h, [replace(configs[0], rho=0.0)] * 2, x0,
+                  rng=rngs)
     # every answer of a batch offers one candidate count
     mixed = [NoisyGradientOracle(prob, 0.3, directions=m) for m in (1, 3)]
     with pytest.raises(ValueError, match="same number of candidate gradients"):
@@ -758,6 +759,19 @@ def test_adaptive_validation():
         adaptive_prox_gradient(quad.value, NoisyGradientOracle(quad, 0.1, directions=3),
                                ProxFunction.zero(), replace(cfg, rho=1.0), np.zeros(4), 1.0,
                                rng=np.random.default_rng(0))
+
+
+def test_adaptive_reads_no_rho():
+    # the adaptive weight comes from rho_opt_horizon at every step, so a noisy
+    # run of degree 1 needs no rho and is bitwise the run at any other rho
+    prob = generate_logsum_instance(12, 24, 3.0, seed=6)
+    oracle = NoisyGradientOracle(prob, noise_bound=0.1)
+    runs = [adaptive_prox_gradient(prob.value, oracle, ProxFunction.l1_ball(3.0),
+                                   ScheduleConfig(max_iters=30, rho=rho), np.zeros(12), 1.0,
+                                   rng=np.random.default_rng(3))
+            for rho in (0.0, prob.lipschitz)]
+    assert runs[0][0].steps == 30
+    _assert_same_run(*runs)
 
 
 def test_adaptive_flat_objective_never_retries():
