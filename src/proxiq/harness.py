@@ -72,7 +72,6 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    family: str = "noisy_gradient"
     degrees: Tuple[float, ...] = (0.0, 0.5, 1.0)
     noise_bounds: Tuple[float, ...] = (0.1, 1.0, 3.0)
     claimed_delta_scale: float = 1.0  # != 1 deliberately mis-claims, for refutation tests
@@ -80,7 +79,6 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    algorithm: str = "prox_gradient"
     iterations: int = 5000
     step_scale: float = 0.5
 
@@ -188,8 +186,6 @@ def parse_config(data):
         raise ConfigError("problem.seed must be nonnegative")
 
     oracle = config.oracle
-    if oracle.family != "noisy_gradient":
-        raise ConfigError(f"unsupported oracle family {oracle.family!r}")
     if not oracle.degrees or not oracle.noise_bounds:
         raise ConfigError("degrees and noise_bounds must be nonempty")
     for q in oracle.degrees:
@@ -204,8 +200,6 @@ def parse_config(data):
         raise ConfigError("claimed_delta_scale must be positive")
 
     solver = config.solver
-    if solver.algorithm != "prox_gradient":
-        raise ConfigError(f"unsupported algorithm {solver.algorithm!r}")
     if solver.iterations < 1:
         raise ConfigError("iterations must be positive")
     if not 0.0 < solver.step_scale <= 1.0:
@@ -355,10 +349,11 @@ def run_cells(problem, config, cells, directions=1):
 def _write_bounds_csv(path, cells, steps, curve_text):
     """The bound curves, one per (q, delta), since a curve does not depend
     on the repeat; steps is the text of k, and curve_text(cell) that of the
-    cell's curve."""
+    cell's curve.  Each curve's q and delta are formatted once."""
     curves = {(cell.degree, cell.noise_bound): cell for cell in cells}
     q, delta, ks, values = [], [], [], []
-    for (degree, noise_bound), cell in curves.items():
+    for key, cell in curves.items():
+        degree, noise_bound = rates.format_numbers(key)
         q += [degree] * len(steps)
         delta += [noise_bound] * len(steps)
         ks += steps

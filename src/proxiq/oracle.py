@@ -40,8 +40,10 @@ single stacked evaluation of the problem and draws the batch's noise as
 one (C, m, n) slab, each generator's vectors in the order bounded_noise
 draws them one at a time.  A model oracle's evaluate is that same answer
 for a stack of one.  evaluate_rows is the one place an answer's shapes
-and finiteness are checked, and every solver and certify_oracle ask
-through it.
+and finiteness are checked, and the one answer call: the solvers' step
+loop calls it once per step and certify_oracle once for all its pairs,
+and only it decides whether a batch is stacked and how many candidates
+it offers.
 """
 
 from __future__ import annotations
@@ -314,7 +316,8 @@ def evaluate_rows(oracles, points, rngs):
     generator draws its m vectors in the order its own answer would, and a
     row with a zero bound keeps its exact gradient bitwise.  Any other
     batch calls each oracle's evaluate on its row.  Either way every random
-    stream is the one of a run alone.  This is where an answer is checked.
+    stream is the one of a run alone.  This is where an answer is checked,
+    and where stacked_count decides, at every call, how a batch is answered.
     Returns (values (C,), candidates (C, m, n), finite (C,)): row i's value
     and candidate gradients, its first candidate being the answer's
     gradient, and whether all of them are finite.  Every row offers the
@@ -322,13 +325,7 @@ def evaluate_rows(oracles, points, rngs):
     candidate whose shape differs from its point, or a stacked evaluation
     that does not give (C,) values and a (C, n) gradient raise ValueError.
     """
-    return answer_rows(oracles, points, rngs, stacked_count(oracles))
-
-
-def answer_rows(oracles, points, rngs, count):
-    """evaluate_rows for a batch whose stacked_count is count.  A caller
-    that asks one batch many times, such as the solvers' step loop,
-    decides count once and again only when the batch changes."""
+    count = stacked_count(oracles)
     if count is not None:
         values, candidates = _model_answers(oracles, points, rngs, count)
     else:

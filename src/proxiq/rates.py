@@ -252,18 +252,8 @@ CURVE_KINDS = tuple(_CURVES)
 
 def format_numbers(values):
     """The %.17g text of each number of a sequence, as a list of strings.
-
-    A run of consecutive entries with one float64 bit pattern is formatted
-    once and its text repeated.  Runs compare bits, not values: 0.0 and
-    -0.0 are equal yet print differently, and NaN equals nothing.  Integers
-    print as the double they round to, as %.17g prints them.
-    """
-    numbers = np.asarray(values, dtype=np.float64)
-    starts = _run_starts(numbers)
-    texts = list(map("%.17g".__mod__, numbers[starts].tolist()))
-    if len(texts) == numbers.size:  # no run to repeat
-        return texts
-    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=numbers.size)).tolist()
+    Integers print as the double they round to, as %.17g prints them."""
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def running_min_text(values, texts):
@@ -291,12 +281,12 @@ def write_csv(path, header, columns):
     """Write equal-length columns as CSV under a header of column names.
 
     Numbers are written %.17g, which round-trips every finite double, by
-    format_numbers, so a run of repeated numbers is formatted once.  A
-    column whose first entry is a string is text: its entries are strings,
-    written verbatim, so they must hold no comma or line break.  That is how
-    a caller passes a column it writes into several files, such as a
-    sweep's step counter: format it once with format_numbers and hand every
-    file the text.  Lines end in a bare newline on every platform.
+    format_numbers.  A column whose first entry is a string is text: its
+    entries are strings, written verbatim, so they must hold no comma or
+    line break.  That is how a caller passes a column it writes into
+    several files, such as a sweep's step counter: format it once with
+    format_numbers and hand every file the text.  Lines end in a bare
+    newline on every platform.
     """
     texts = [column if len(column) and isinstance(column[0], str) else format_numbers(column)
              for column in columns]

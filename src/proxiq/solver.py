@@ -16,13 +16,16 @@ All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
 guarantees control.  They share one loop, which advances a batch of runs
 in lockstep as one (C, n) state, each run bitwise the run alone, and owns
-the start check, the answer at each iterate through oracle.answer_rows,
-which checks its shapes and finiteness, the failure rule and the traces:
-a non-finite answer or a blown-up objective ends a run with
-DivergenceError.  Each solver passes the loop only its step rule.
-prox_gradient also serves the worst-case sweep: when an answer carries
-several candidate gradients, it steps along the one whose prox step moves
-farthest; the other two solvers reject such an answer with ValueError.
+the start check, the answer at each iterate through one
+oracle.evaluate_rows call a step, which checks its shapes and finiteness,
+the failure rule and the traces: a non-finite answer or a blown-up
+objective ends a run with DivergenceError.  F at x_k, k < K, is the value
+of the answer at x_k; objective gives it at x_K.  Each solver passes the
+loop only its step rule, and every rule takes its gradient step through
+one prox kernel, _farthest_move.  prox_gradient also serves the
+worst-case sweep: when an answer carries several candidate gradients, it
+steps along the one whose prox step moves farthest; the other two solvers
+reject such an answer with ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import answer_rows, sq_norm, stacked_count
+from .oracle import evaluate_rows, sq_norm
 from .prox import project_l1_rows
 from .rates import rho_opt_horizon
 
@@ -148,16 +151,14 @@ def _failures(step, f, ceiling, finite):
 
 def _leave(run, failures, outcomes, oracles, rngs):
     """Ends each failed run, {row: DivergenceError}, with its error.
-    Returns the state of the others, compacted by one mask, their oracles,
-    their generators and their stacked_count."""
+    Returns the state of the others, compacted by one mask, their oracles
+    and their generators."""
     keep = np.ones(len(run["index"]), dtype=bool)
     for j, exc in failures.items():
         outcomes[run["index"][j]] = exc
         keep[j] = False
     run = {name: value[keep] for name, value in run.items()}
-    live_oracles = [oracles[i] for i in run["index"]]
-    return (run, live_oracles, [rngs[i] for i in run["index"]],
-            stacked_count(live_oracles) if live_oracles else None)
+    return run, [oracles[i] for i in run["index"]], [rngs[i] for i in run["index"]]
 
 
 def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
@@ -165,18 +166,16 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
     prox_gradient describes; a run's result is finish(trace, records) when
     finish is given.
 
-    Each step k answers the live runs at x_k with one answer_rows call,
-    with the batch's stacked_count, decided at the start and again only
-    when a run leaves; objective, called once per row, gives F at the
-    final iterates.  The failure rule then ends runs, and step(k, run)
-    moves the others to x_{k+1}.  run maps names to the live runs' state,
-    one row per run, compacted by one mask when runs leave: index, x,
-    lip = L + q*rho, alpha, alpha_sq, f0, ceiling and the answer's
-    candidates, and the step rule's own state.  step returns the step's
-    records {name: one value per run}, gm_sq and optionally alpha and
-    objective_y among them, and {row: DivergenceError} for the runs it
-    ends; it may leave F at the new iterates as run["f_next"], which the
-    trace then records in place of the next answer's value.
+    Each step k answers the live runs at x_k with one evaluate_rows call,
+    and the trace records F(x_k) as the answer's value; objective, called
+    once per row, gives F at the final iterates x_K.  The failure rule
+    then ends runs, and step(k, run) moves the others to x_{k+1}.  run
+    maps names to the live runs' state, one row per run, compacted by one
+    mask when runs leave: index, x, lip = L + q*rho, alpha, alpha_sq, f0,
+    ceiling and the answer's candidates, and the step rule's own state.
+    step returns the step's records {name: one value per run}, gm_sq and
+    optionally alpha and objective_y among them, and {row:
+    DivergenceError} for the runs it ends.
     """
     batch = isinstance(oracle, (list, tuple))
     oracles, configs, rngs = ((list(oracle), list(config), list(rng)) if batch
@@ -196,7 +195,7 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
     lips = [c.lipschitz + c.degree * cfg.rho for c, cfg in zip(certs, configs)]
     alphas = [cfg.step_scale / lip for cfg, lip in zip(configs, lips)]
     outcomes = [None] * runs
-    run, live_oracles, live_rngs, count = _leave(
+    run, live_oracles, live_rngs = _leave(
         dict(index=np.arange(runs), x=np.tile(x0, (runs, 1)), lip=np.array(lips),
              alpha=np.array(alphas), alpha_sq=np.array([a ** 2 for a in alphas])),
         {}, outcomes, oracles, rngs)
@@ -207,17 +206,16 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
         if iterates is not None:
             iterates[k, run["index"]] = run["x"]
         if k < iters:
-            f, run["candidates"], finite = answer_rows(live_oracles, run["x"], live_rngs, count)
+            f, run["candidates"], finite = evaluate_rows(live_oracles, run["x"], live_rngs)
         else:  # no answer after the last step
-            f = (run["f_next"] if "f_next" in run
-                 else np.array([float(objective(row)) for row in run["x"]]))
+            f = np.array([float(objective(row)) for row in run["x"]])
             finite = np.ones(len(f), dtype=bool)
         if k == 0:
             run.update(f0=f, ceiling=_ceiling(f))
-        objective_vals[run["index"], k] = run.pop("f_next", f)
+        objective_vals[run["index"], k] = f
         failures = _failures(k, f, run["ceiling"], finite)
         if failures:
-            run, live_oracles, live_rngs, count = _leave(run, failures, outcomes, oracles, rngs)
+            run, live_oracles, live_rngs = _leave(run, failures, outcomes, oracles, rngs)
         if k == iters or not live_oracles:
             break
         step_records, failures = step(k, run)
@@ -226,7 +224,7 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
                 records[name] = np.empty((runs, iters))
             records[name][run["index"], k] = values
         if failures:
-            run, live_oracles, live_rngs, count = _leave(run, failures, outcomes, oracles, rngs)
+            run, live_oracles, live_rngs = _leave(run, failures, outcomes, oracles, rngs)
         if not live_oracles:
             break
     for i in run["index"]:
@@ -250,16 +248,17 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     iterate but the last is the value of the oracle answer queried there;
     objective is called only on the final iterate.  When an answer carries
     several candidate gradients, the step follows the one whose prox step
-    moves farthest, the first one on ties; one prox call makes the steps of
-    every run along every candidate.  Raises DivergenceError if an
+    moves farthest, the first one on ties; _farthest_move, the prox kernel
+    all three solvers step through, makes the steps of every run along
+    every candidate in one prox call.  Raises DivergenceError if an
     oracle answer is not finite or the composite value blows up or turns
     non-finite, which in practice means a certificate lied.
 
     A batch of runs advances in lockstep from x0: pass lists of C oracles,
     of C ScheduleConfigs sharing max_iters and of C generators (None for
     an oracle that draws nothing) as oracle, config and rng.  Each step
-    answers all runs through oracle.answer_rows; for model oracles over
-    one problem that is one stacked evaluation, so that problem's
+    answers all runs with one oracle.evaluate_rows call; for model oracles
+    over one problem that is one stacked evaluation, so that problem's
     value_and_gradient then takes a stack (C, n) and returns one value per
     row, as the logsum, quadratic and power families do.  Every run is
     bitwise the run alone, whatever the batch.  Returns one entry per run:
@@ -277,7 +276,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
 
 def _farthest_move(h, alpha, x, candidates):
     """Each row's prox step along the candidate gradient that moves it
-    farthest, and the squared move.
+    farthest, and the squared move: the one prox kernel of every step rule.
 
     One project_l1_rows call, the prox of h, takes the steps of all rows
     along all their candidates (C, m, n) as one (C*m, n) stack; argmax
@@ -342,7 +341,8 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     majorization the guarantees are proved through.  As in
     prox_gradient, F at every iterate but the last is the value of the
     oracle answer queried there, and lists of oracles, configs and
-    generators are a batch; objective gives F at the prox points y_k, where
+    generators are a batch; y_k is the _farthest_move step along the
+    answer's one gradient.  objective gives F at the prox points y_k, where
     a non-finite value ends the run at step k+1, and at the final iterate.
     An answer with several candidate gradients raises ValueError.
     """
@@ -356,7 +356,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
             run.update(origin=x.copy(), theta=np.full(len(x), theta0), a_weight=theta0 / lip,
                        model_sum=np.zeros_like(x))
         theta, a_weight = run["theta"], run["a_weight"]
-        y = project_l1_rows(x - run["alpha"][:, None] * grad, h.radius)
+        y, move_sq = _farthest_move(h, run["alpha"], x, run["candidates"])
         run["model_sum"] += (theta / lip)[:, None] * grad
         z = project_l1_rows(run["origin"] - run["model_sum"], h.radius)
         theta_new = np.array([theta_next(a, l, theta_rule) for a, l in zip(a_weight, lip)])
@@ -368,7 +368,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
                    a_weight=a_new)
         fy = np.array([float(objective(row)) for row in y])
         # y only has to stay finite
-        return ({"gm_sq": sq_norm(y - x) / run["alpha_sq"], "objective_y": fy},
+        return ({"gm_sq": move_sq / run["alpha_sq"], "objective_y": fy},
                 _failures(k + 1, fy, math.inf, np.ones(len(fy), dtype=bool)))
 
     _check_rho(oracle, config)
@@ -385,8 +385,11 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     iterate beats f_best, the slack doubles and the step is recomputed with
     the same oracle answer; after each accepted step the slack halves and
     the target is refreshed.  F(x0) is the value of the first oracle
-    answer; objective gives F at each candidate step, and a candidate whose
-    F is not finite or above the ceiling ends the run at step k+1.  Returns
+    answer, and F at each later iterate but the last is the value of the
+    answer there, as in prox_gradient.  objective gives F at each candidate
+    step, which the acceptance test reads, and at the final iterate; a
+    candidate whose F is not finite or above the ceiling ends the run at
+    step k+1.  Each candidate is a _farthest_move step.  Returns
     (trace, history) where history holds one AdaptiveState per accepted
     step.  Requires a certificate degree in [1, 2) (the weight formula) and
     answers with one candidate gradient.  Lists are a batch, as in
@@ -405,12 +408,14 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         raise ValueError("max_doublings must be positive")
 
     def step(k, run):
-        x, index, grad = run["x"], run["index"], _gradient(k, run["candidates"])
+        x, index = run["x"], run["index"]
+        _gradient(k, run["candidates"])  # refuses an answer with several candidates
         if k == 0:
             run.update(epsilon=np.full(len(x), float(epsilon0)), f_min=run["f0"])
             run["f_best"] = run["f_min"] - run["epsilon"]
         epsilon, f_best = run["epsilon"], run["f_best"]
-        alpha, f_next, nxt = np.empty(len(x)), np.empty(len(x)), np.empty_like(x)
+        alpha, f_next, move_sq = np.empty((3, len(x)))
+        nxt = np.empty_like(x)
         retries = np.zeros(len(x), dtype=int)
         failures = {}
         chase = f"adaptive target chase exceeded {max_doublings} doublings at step {k}"
@@ -422,8 +427,8 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
                 rho = (rho_opt_horizon(cert.lipschitz, cert.degree, cert.delta, gap, k)
                        if cert.delta > 0.0 else 0.0)
                 alpha[j] = configs[index[j]].step_scale / (cert.lipschitz + cert.degree * rho)
-            nxt[chasing] = project_l1_rows(x[chasing] - alpha[chasing, None] * grad[chasing],
-                                           h.radius)
+            nxt[chasing], move_sq[chasing] = _farthest_move(h, alpha[chasing], x[chasing],
+                                                            run["candidates"][chasing])
             f_next[chasing] = [float(objective(row)) for row in nxt[chasing]]
             failed = _failures(k + 1, f_next[chasing], run["ceiling"][chasing],
                                np.ones(len(chasing), dtype=bool))
@@ -437,10 +442,9 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
             chasing = chasing[~over]
             epsilon[chasing] *= 2.0
             f_best[chasing] = run["f_min"][chasing] - epsilon[chasing]
-        records = {"gm_sq": sq_norm(nxt - x) / np.array([a ** 2 for a in alpha.tolist()]),
+        records = {"gm_sq": move_sq / np.array([a ** 2 for a in alpha.tolist()]),
                    "alpha": alpha, "epsilon": epsilon, "f_best": f_best, "retries": retries}
-        run.update(x=nxt, f_next=f_next, f_min=np.minimum(run["f_min"], f_next),
-                   epsilon=epsilon / 2.0)
+        run.update(x=nxt, f_min=np.minimum(run["f_min"], f_next), epsilon=epsilon / 2.0)
         run["f_best"] = run["f_min"] - run["epsilon"]
         return records, failures
 

@@ -109,13 +109,13 @@ def test_parse_config_rejects_bad_input():
     bad("unsupported problem family", problem={"family": "quadratic"})
     bad("must be positive", problem={"n": 0})
     bad("must be positive", problem={"radius": 0.0})
-    bad("unsupported oracle family", oracle={"family": "minibatch"})
+    bad("unknown keys in oracle", oracle={"family": "noisy_gradient"})
     bad("nonempty", oracle={"degrees": []})
     bad("degrees must lie", oracle={"degrees": [0.0, 1.5]})
     bad("degrees must lie", oracle={"degrees": [-0.1]})
     bad("nonnegative", oracle={"noise_bounds": [-1.0]})
     bad("claimed_delta_scale", oracle={"claimed_delta_scale": 0.0})
-    bad("unsupported algorithm", solver={"algorithm": "fast"})
+    bad("unknown keys in solver", solver={"algorithm": "prox_gradient"})
     bad("iterations", solver={"iterations": 0})
     bad("step_scale", solver={"step_scale": 0.0})
     bad("step_scale", solver={"step_scale": 1.5})

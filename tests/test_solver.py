@@ -29,8 +29,10 @@ from proxiq import (
     project_l1_ball,
     prox_gradient,
     rho_opt_fast,
+    rho_opt_horizon,
     theta_next,
 )
+from proxiq import solver as solver_module
 from proxiq.oracle import sq_norm
 from proxiq.prox import project_l1_rows
 from proxiq.solver import _farthest_move
@@ -435,6 +437,33 @@ def test_batch_isolates_failures(solver):
         _assert_same_run(runs[i], solve(prob.value, oracles[i], h, configs[i], np.ones(4)))
 
 
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_each_step_asks_the_oracle_once(solver, monkeypatch):
+    # K steps make K evaluate_rows calls, one per step for all live runs,
+    # whether the batch is stacked, asked row by row, or loses a run
+    calls = []
+    real = solver_module.evaluate_rows
+
+    def counting(oracles, points, rngs):
+        calls.append(len(points))
+        return real(oracles, points, rngs)
+
+    monkeypatch.setattr(solver_module, "evaluate_rows", counting)
+    solve = _SOLVERS[solver]
+    prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
+    h, x0 = ProxFunction.l1_ball(1.0), np.full(4, 0.2)
+    # a short step keeps the adaptive target within its ten doublings
+    cfg = ScheduleConfig(max_iters=8, rho=1.0, step_scale=0.05)
+    batches = [[NoisyGradientOracle(prob, 0.1)] * 3, [ShiftedPointOracle(prob, 0.1)] * 3,
+               [ExactOracle(prob), _Poisoned(prob, 3, "gradient"), ExactOracle(prob)]]
+    for oracles, want in zip(batches, [[3] * 8, [3] * 8, [3] * 4 + [2] * 4]):
+        calls.clear()
+        runs = solve(prob.value, oracles, h, [cfg] * 3, x0,
+                     rng=[np.random.default_rng(i) for i in range(3)])
+        assert calls == want
+        assert sum(isinstance(run, DivergenceError) for run in runs) == (want[-1] == 2)
+
+
 def test_prox_gradient_final_blowup_leaves_siblings():
     # a blow-up ends a run as well; its siblings finish.  objective runs
     # once per final iterate, in run order
@@ -820,14 +849,58 @@ def test_adaptive_runs_and_keeps_invariants():
 
 
 def test_adaptive_records_objective_at_accepted_iterates():
-    # F(x_0) is the first answer's value, F at each accepted iterate is
-    # objective's, here one above the answers
+    # as in every solver, F at x_0 .. x_{K-1} is the answers' value and F at
+    # x_K is objective's, here one above the answers
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=3)
     trace, _ = adaptive_prox_gradient(lambda x: quad.value(x) + 1.0, ExactOracle(quad),
                                       ProxFunction.zero(), ScheduleConfig(max_iters=5, rho=0.0),
                                       np.ones(4), 1.0)
-    assert trace.objective[0] == quad.value(np.ones(4))
-    assert list(trace.objective[1:]) == [quad.value(x) + 1.0 for x in trace.iterates[1:]]
+    assert list(trace.objective[:-1]) == [quad.value(x) for x in trace.iterates[:-1]]
+    assert trace.objective[-1] == quad.value(trace.iterates[-1]) + 1.0
+
+
+def test_adaptive_matches_reference_loop():
+    # a noisy run inside an l1 ball: every accepted step, retry and slack
+    # update, one oracle answer per step, bitwise
+    prob = generate_logsum_instance(12, 24, 3.0, seed=6)
+    oracle = NoisyGradientOracle(prob, noise_bound=0.1)
+    h, x0, epsilon0 = ProxFunction.l1_ball(0.5), np.zeros(12), 1e-3
+    cfg = ScheduleConfig(max_iters=40, rho=0.0, step_scale=0.5)
+    trace, history = adaptive_prox_gradient(prob.value, oracle, h, cfg, x0, epsilon0,
+                                            rng=np.random.default_rng(5))
+    cert, rng = oracle.certificate, np.random.default_rng(5)
+    x, epsilon = x0.copy(), epsilon0
+    on_ball = 0
+    for k in range(40):
+        value, (g,) = oracle.evaluate(x, rng=rng)
+        assert trace.objective[k] == value
+        if k == 0:
+            f0 = f_min = value
+            f_best = f_min - epsilon
+        retries = 0
+        while True:
+            rho = rho_opt_horizon(cert.lipschitz, cert.degree, cert.delta, f0 - f_best, k)
+            alpha = 0.5 / (cert.lipschitz + cert.degree * rho)
+            candidate = project_l1_ball(x - alpha * g, h.radius)
+            f_candidate = prob.value(candidate)
+            if not f_candidate < f_best:
+                break
+            retries += 1
+            epsilon *= 2.0
+            f_best = f_min - epsilon
+        assert trace.alpha[k] == alpha
+        assert trace.gm_sq[k] == sq_norm(candidate - x) / alpha ** 2
+        assert history[k] == AdaptiveState(epsilon=epsilon, f_best=f_best, retry_count=retries)
+        assert np.array_equal(trace.iterates[k + 1], candidate)
+        on_ball += abs(np.abs(candidate).sum() - h.radius) < 1e-9
+        f_min = min(f_min, f_candidate)
+        epsilon /= 2.0
+        f_best = f_min - epsilon
+        x = candidate
+    assert trace.objective[40] == prob.value(x)
+    # the run retries and the prox projects, so both paths are pinned
+    assert max(state.retry_count for state in history) >= 1
+    assert on_ball >= 1
 
 
 def test_adaptive_gives_up_when_target_keeps_running_away():
