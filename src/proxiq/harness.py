@@ -14,15 +14,15 @@ writes its chunk's traces; the calling one collects every chunk's results
 and writes the summary and the bound curves in grid order.  This module
 alone decides the bundle's format, and every table goes through
 rates.write_csv: %.17g floats and forced newlines.  Numbers that several
-files share are formatted once per process and handed to write_csv as
-text: the step counter k, the same in every trace, and each (q, delta)
-bound curve, the same in the traces of its repeats and in the bound file.
-A worker sends its curves' texts back with its results, so the bound file
-formats none again.  A trace's min_gm_sq text is taken from its gm_sq
-text, as each new running minimum is bitwise an entry of gm_sq.  A trace
-holds only what varies by step; the step size alpha and the
-certificate's delta, fixed for a run, are summary columns, and the
-summary's final_f is F(x_K).
+files share are formatted once per sweep, before any worker forks, and
+handed to write_csv as text: the step counter k, the same in every trace,
+and one table of bound curves, one per (q, delta), each the same in the
+traces of its repeats and in the bound file.  Workers inherit both through
+the fork and send back only their cells' results.  A trace's min_gm_sq
+text is taken from its gm_sq text, as each new running minimum is bitwise
+an entry of gm_sq.  A trace holds only what varies by step; the step size
+alpha and the certificate's delta, fixed for a run, are summary columns,
+and the summary's final_f is F(x_K).
 
 The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
@@ -302,10 +302,14 @@ def _cell_oracle(problem, degree, noise_bound, directions=1):
                                diameter=2.0 * problem.radius, directions=directions)
 
 
-def _cell_bound(problem, config, degree, delta_eff, f0):
+def _bound_curves(problem, config, keys, f0):
+    """The bound curve of each distinct (degree, noise bound) of keys, in
+    first-seen order; it depends on neither the repeat nor the directions."""
     ks = np.arange(config.solver.iterations, dtype=float)
-    return rates.bound_nonconvex_const(problem.lipschitz, float(degree), delta_eff,
-                                       f0 - problem.f_lower, ks)
+    return {(q, d): rates.bound_nonconvex_const(problem.lipschitz, float(q),
+                                                _cell_oracle(problem, q, d).certificate.delta,
+                                                f0 - problem.f_lower, ks)
+            for q, d in dict.fromkeys(keys)}
 
 
 def run_cells(problem, config, cells, directions=1):
@@ -318,8 +322,9 @@ def run_cells(problem, config, cells, directions=1):
     untouched.  With directions = m > 1 each oracle offers m noise draws
     per step and the run follows the one that moves farthest; the first
     draw consumes the generator like the plain run, so m = 1 is the plain
-    cell.  Every CellResult carries the batch's wall time.  A sweep calls
-    this once per chunk of its grid, each chunk in its own process.
+    cell.  Repeats share their one bound curve, from _bound_curves as in
+    the sweep's table.  Every CellResult carries the batch's wall time.  A
+    sweep calls this once per chunk of its grid, each chunk in its own process.
     """
     h = ProxFunction.l1_ball(problem.radius)
     seeds = [cell_seed(config.master_seed, q, d, r) for q, d, r in cells]
@@ -330,34 +335,33 @@ def run_cells(problem, config, cells, directions=1):
                                 step_scale=config.solver.step_scale) for _, d, _ in cells]
     x0 = np.zeros(problem.dim)
     f0 = problem.value(x0)
+    curves = _bound_curves(problem, config, ((q, d) for q, d, _ in cells), f0)
     start = time.perf_counter()
     runs = prox_gradient(problem.value, oracles, h, schedules, x0,
                          [np.random.default_rng(seed) for seed in seeds])
     wall_time = time.perf_counter() - start
     results = []
-    for (q, d, r), seed, oracle, run in zip(cells, seeds, oracles, runs):
+    for (q, d, r), seed, run in zip(cells, seeds, runs):
         diverged = isinstance(run, DivergenceError)
         results.append(CellResult(
             degree=float(q), noise_bound=float(d), repeat=r,
             seed_label="-".join(map(str, seed.entropy)),
-            status="diverged" if diverged else "ok", f0=f0,
-            bound=_cell_bound(problem, config, q, oracle.certificate.delta, f0),
+            status="diverged" if diverged else "ok", f0=f0, bound=curves[q, d],
             wall_time=wall_time, trace=None if diverged else run))
     return results
 
 
-def _write_bounds_csv(path, cells, steps, curve_text):
+def _write_bounds_csv(path, steps, curves):
     """The bound curves, one per (q, delta), since a curve does not depend
-    on the repeat; steps is the text of k, and curve_text(cell) that of the
-    cell's curve.  Each curve's q and delta are formatted once."""
-    curves = {(cell.degree, cell.noise_bound): cell for cell in cells}
+    on the repeat; steps is the text of k, and curves maps each (q, delta)
+    to the text of its curve.  Each curve's q and delta are formatted once."""
     q, delta, ks, values = [], [], [], []
-    for key, cell in curves.items():
+    for key, text in curves.items():
         degree, noise_bound = rates.format_numbers(key)
         q += [degree] * len(steps)
         delta += [noise_bound] * len(steps)
         ks += steps
-        values += curve_text(cell)
+        values += text
     rates.write_csv(path, ("q", "delta", "k", "bound"), (q, delta, ks, values))
 
 
@@ -455,17 +459,12 @@ def _sweep(config, directions, prefix, write_bounds):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem, grid = _instance(config), _grid(config)
-    # text that several files share: the step counter, formatted before any
-    # worker forks, and each (q, delta) bound curve, formatted once by the
-    # process whose chunk first needs it; workers send theirs back
+    # text that several files share, formatted once before any worker forks:
+    # the step counter and the (q, delta) bound curves
     steps = rates.format_numbers(range(config.solver.iterations))
-    curves = {}
-
-    def curve_text(cell):
-        key = (cell.degree, cell.noise_bound)
-        if key not in curves:
-            curves[key] = rates.format_numbers(cell.bound)
-        return curves[key]
+    f0 = problem.value(np.zeros(problem.dim))
+    curves = {key: rates.format_numbers(curve) for key, curve
+              in _bound_curves(problem, config, ((q, d) for q, d, _ in grid), f0).items()}
 
     def run_chunk(start, stop):
         results = run_cells(problem, config, grid[start:stop], directions)
@@ -476,24 +475,23 @@ def _sweep(config, directions, prefix, write_bounds):
                 rates.write_csv(out / (prefix + cell.trace_filename),
                                 ("k", "f", "gm_sq", "min_gm_sq", "bound"),
                                 (steps, trace.objective[:-1], gm_sq,
-                                 rates.running_min_text(trace.gm_sq, gm_sq), curve_text(cell)))
-        return results, curves
+                                 rates.running_min_text(trace.gm_sq, gm_sq),
+                                 curves[cell.degree, cell.noise_bound]))
+        return results
 
     first, *rest = _chunks(len(grid))
     workers = []  # (pid, pipe, chunk) of every worker not yet reaped, in grid order
     try:
         for chunk in rest:
             workers.append((*_fork_worker(partial(run_chunk, *chunk)), chunk))
-        results = run_chunk(*first)[0]
+        results = run_chunk(*first)
         while workers:
             pid, pipe, chunk = workers[0]
             with pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
             workers.pop(0)
-            chunk_results, chunk_curves = _worker_result(payload, status, chunk)
-            results += chunk_results
-            curves.update(chunk_curves)
+            results += _worker_result(payload, status, chunk)
     finally:  # on any failure, no worker outlives the sweep
         for pid, pipe, _ in workers:
             pipe.close()
@@ -503,7 +501,7 @@ def _sweep(config, directions, prefix, write_bounds):
             except (ProcessLookupError, ChildProcessError):
                 pass
     if write_bounds:
-        _write_bounds_csv(out / "bound_q_delta.csv", results, steps, curve_text)
+        _write_bounds_csv(out / "bound_q_delta.csv", steps, curves)
     _write_summary_csv(out / (prefix + "summary.csv"), results)
     return results
 

@@ -56,6 +56,18 @@ from typing import Optional
 import numpy as np
 
 
+def _finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def _count(value, name):
+    """value as an int of at least 1; a bool or a non-integral number is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OracleCertificate:
     """Error certificate (delta, L, q) an oracle holds for all its answers.
@@ -73,9 +85,8 @@ class OracleCertificate:
         if not 0.0 <= self.degree < 2.0:
             raise ValueError("degree must lie in [0, 2)")
         # NaN fails every comparison, so certify_oracle could never refute it
-        for name in ("delta", "lipschitz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _finite("delta", self.delta)
+        _finite("lipschitz", self.lipschitz)
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
         if self.lipschitz <= 0.0:
@@ -95,12 +106,12 @@ def majorize_amgm(delta, degree, rho):
     q = float(degree)
     if not 0.0 <= q < 2.0:
         raise ValueError("degree must lie in [0, 2)")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:  # NaN fails too
+        raise ValueError("delta must be finite and nonnegative")
     if q == 0.0:
         return 0.0, float(delta)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive when degree > 0")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be finite and positive when degree > 0")
     additive = (2.0 - q) * delta ** (2.0 / (2.0 - q)) / (2.0 * rho ** (q / (2.0 - q)))
     return 0.5 * q * rho, additive
 
@@ -125,12 +136,14 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     h = float(holder_constant)
     if not 0.0 <= nu <= 1.0:
         raise ValueError("exponent must lie in [0, 1]")
+    _finite("holder_constant", h)
     if h <= 0.0:
         raise ValueError("holder_constant must be positive")
     if not 0.0 <= q < 1.0 + nu:
         raise ValueError("degree must lie in [0, 1 + exponent)")
     if nu == 1.0:
         return h
+    _finite("delta", delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive when exponent < 1")
     lam = (1.0 + nu - q) / (2.0 - q)
@@ -296,8 +309,6 @@ def _model_answers(oracles, points, rngs, count):
                          " and a (C, n) gradient")
     bounds = [o.noise_bound for o in oracles]
     quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
-    if len(quiet) == len(bounds):  # an exact batch draws and adds nothing
-        return values, exact[:, None].repeat(count, axis=1)
     candidates = exact[:, None] + noise_slab(rngs, bounds, count, exact.shape[1])
     if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
         candidates[quiet] = exact[quiet, None]
@@ -374,15 +385,13 @@ class NoisyGradientOracle(ModelOracle):
             raise ValueError("degree must lie in [0, 1] for a noisy-gradient oracle")
         if q != 1.0 and diameter is None:
             raise ValueError("degree < 1 needs a domain diameter to rescale delta")
+        if diameter is not None and not diameter > 0.0:  # NaN fails too
+            raise ValueError("diameter must be positive")
         if noise_bound < 0.0:
             raise ValueError("noise_bound must be nonnegative")
-        if isinstance(directions, bool) or not isinstance(directions, numbers.Integral):
-            raise ValueError(f"directions must be an integer, got {directions!r}")
-        if directions < 1:
-            raise ValueError("directions must be at least 1")
         self.problem = problem
         self.noise_bound = float(noise_bound)
-        self.directions = int(directions)
+        self.directions = _count(directions, "directions")
         delta = self.noise_bound if q == 1.0 else self.noise_bound * float(diameter) ** (1.0 - q)
         self.certificate = OracleCertificate(delta=delta, lipschitz=float(problem.lipschitz),
                                              degree=q)
@@ -423,10 +432,10 @@ class MinibatchOracle:
 
     def __init__(self, components, batch_size, claimed_delta=0.0, claimed_lipschitz=1.0,
                  degree=1.0):
-        if not 1 <= batch_size <= len(components):
-            raise ValueError("batch_size out of range")
         self.components = list(components)
-        self.batch_size = int(batch_size)
+        self.batch_size = _count(batch_size, "batch_size")
+        if self.batch_size > len(self.components):
+            raise ValueError("batch_size out of range")
         self.certificate = OracleCertificate(delta=float(claimed_delta),
                                              lipschitz=float(claimed_lipschitz),
                                              degree=float(degree))

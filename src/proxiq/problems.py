@@ -107,7 +107,7 @@ class LogSumProblem:
     def __post_init__(self):
         if self.rows.ndim != 2 or self.targets.shape != (self.rows.shape[0],):
             raise ValueError("rows must be (N, n) with matching targets (N,)")
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # NaN fails too
             raise ValueError("radius must be positive")
 
     @property
@@ -150,8 +150,8 @@ def generate_logsum_instance(n, N, radius, noise_level=None, seed=0):
     """
     if n < 1 or N < 1:
         raise ValueError("dimensions must be at least 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:  # x_true would not be finite
+        raise ValueError("radius must be positive and finite")
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((N, n))
     rows /= np.sqrt(n)  # in place: one (N, n) array
@@ -208,8 +208,8 @@ def generate_quadratic_instance(n, conditioning=10.0, seed=0):
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if conditioning < 1.0:
-        raise ValueError("conditioning must be at least 1")
+    if not 1.0 <= conditioning < np.inf:  # NaN fails too
+        raise ValueError("conditioning must be finite and at least 1")
     rng = np.random.default_rng(seed)
     qu, _ = np.linalg.qr(rng.standard_normal((n, n)))
     qv, _ = np.linalg.qr(rng.standard_normal((n, n)))

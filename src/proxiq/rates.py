@@ -9,11 +9,9 @@ validated strictly; out-of-range inputs raise instead of being clamped.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .oracle import holder_smoothing_constant
+from .oracle import _finite, holder_smoothing_constant
 
 
 def _ret(values):
@@ -41,13 +39,6 @@ def _nonnegative(**named):
         _finite(name, value)
         if value < 0.0:
             raise ValueError(f"{name} must be nonnegative")
-
-
-def _finite(name, value):
-    # NaN passes every comparison test above, and an infinite parameter
-    # makes an infinite or NaN bound
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
 
 
 def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):

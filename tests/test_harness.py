@@ -491,10 +491,11 @@ def _rendered(header, columns):
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("directions", [0, 3])
 def test_shared_texts_give_every_file_its_cells_numbers(tmp_path, monkeypatch, cpus, directions):
-    # a sweep formats the step counter once and each (q, delta) bound curve
-    # once per process; the grid's two degrees, two noise bounds and two
-    # repeats would catch a curve text handed to the wrong cell, and three
-    # chunks make the calling process write curves its own chunk never saw
+    # a sweep formats the step counter and each (q, delta) bound curve once,
+    # in the calling process before any worker forks; the grid's two
+    # degrees, two noise bounds and two repeats would catch a curve text
+    # handed to the wrong cell, and three chunks make the calling process
+    # format curves its own chunk never meets
     _cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     config = harness.parse_config(make_config(out, worst_case_directions=directions))
@@ -509,11 +510,11 @@ def test_shared_texts_give_every_file_its_cells_numbers(tmp_path, monkeypatch, c
     with _deadline(60):
         results = sweep(config)
     _assert_no_child_left()
-    # the caller formats the curves of its own chunk, each once, and takes
-    # the others' texts from the workers that formatted them
-    own = results[slice(*harness._chunks(len(results))[0])]
-    curve_calls = [v for v in formatted if any(np.array_equal(v, c.bound) for c in results)]
-    assert len(curve_calls) == len({(c.degree, c.noise_bound) for c in own})
+    # the caller formats each distinct curve of the whole grid exactly once
+    curves = {(cell.degree, cell.noise_bound): cell.bound for cell in results}
+    assert len(curves) == 4
+    assert [sum(np.array_equal(v, curve) for v in formatted)
+            for curve in curves.values()] == [1] * 4
     prefix = "worst_" if directions else ""
     assert [cell.status for cell in results] == ["ok"] * 8
     for cell in results:
@@ -523,7 +524,6 @@ def test_shared_texts_give_every_file_its_cells_numbers(tmp_path, monkeypatch, c
                           trace.gm_sq.tolist(), trace.min_gm_sq.tolist(), cell.bound.tolist()))
         assert (out / (prefix + cell.trace_filename)).read_bytes() == want, cell.trace_filename
     if not directions:
-        curves = {(cell.degree, cell.noise_bound): cell.bound for cell in results}
         rows = [(q, d, k, b) for (q, d), curve in curves.items()
                 for k, b in enumerate(curve.tolist())]
         want = _rendered(("q", "delta", "k", "bound"), list(zip(*rows)))

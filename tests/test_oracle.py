@@ -30,6 +30,7 @@ from proxiq import (
 )
 from proxiq.harness import ball_pair_sampler
 from proxiq import oracle as oracle_module
+from proxiq.rates import holder_delta_opt
 from proxiq.oracle import evaluate_rows, noise_slab
 
 
@@ -965,3 +966,40 @@ def test_certify_matches_a_per_pair_loop(per_row, count, noise, scale, lower, po
                                                        abs=1e-15)
     else:
         assert math.isnan(report.min_lower_slack)
+
+
+# ------------------------------------------------------------- bad inputs
+
+
+_SMALL = generate_logsum_instance(4, 8, 2.0)
+_COMPONENTS = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0), _Linear([1.0, 1.0], 0.0)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_logsum_instance(4, 8, math.nan),
+    lambda: generate_logsum_instance(4, 8, math.inf),
+    lambda: LogSumProblem(rows=np.ones((2, 3)), targets=np.zeros(2), radius=math.nan),
+    lambda: generate_quadratic_instance(4, conditioning=math.nan),
+    lambda: generate_quadratic_instance(4, conditioning=math.inf),
+    lambda: NoisyGradientOracle(_SMALL, 0.1, degree=0.5, diameter=-8.0),
+    lambda: NoisyGradientOracle(_SMALL, 0.1, degree=0.5, diameter=0.0),
+    lambda: NoisyGradientOracle(_SMALL, 0.1, degree=1.0, diameter=math.nan),
+    lambda: MinibatchOracle(_COMPONENTS, 2.5),
+    lambda: MinibatchOracle(_COMPONENTS, True),
+    lambda: majorize_amgm(math.nan, 0.5, 1.0),
+    lambda: majorize_amgm(0.1, 0.5, math.nan),
+    lambda: majorize_amgm(math.inf, 0.5, 1.0),
+    lambda: holder_smoothing_constant(math.nan, 1.0, 0.5, 1.0),
+    lambda: holder_smoothing_constant(math.inf, 1.0, 0.5, 1.0),
+    lambda: holder_smoothing_constant(1.0, 0.5, 0.5, math.inf),
+    lambda: holder_delta_opt(math.nan, 1.0, 0.5, 1.0, 10.0),
+], ids=["logsum-radius-nan", "logsum-radius-inf", "logsum-problem-radius-nan",
+        "quadratic-conditioning-nan", "quadratic-conditioning-inf", "noisy-diameter-negative",
+        "noisy-diameter-zero", "noisy-diameter-nan", "minibatch-fractional",
+        "minibatch-bool", "amgm-delta-nan", "amgm-rho-nan", "amgm-delta-inf",
+        "holder-constant-nan", "holder-constant-inf", "holder-delta-inf", "delta-opt-nan"])
+def test_bad_inputs_raise(build):
+    # each of these used to build NaN or inf data, a zero or truncated
+    # parameter, or a TypeError; NaN fails every "not x > 0" check
+    with pytest.raises(ValueError):
+        build()
