@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import rates
-from .oracle import NoisyGradientOracle, certify_oracle
+from .oracle import NoisyGradientOracle, _positive, certify_oracle
 from .problems import generate_logsum_instance, sample_l1_ball
 from .prox import ProxFunction, project_l1_ball
 from .solver import DivergenceError, RunTrace, ScheduleConfig, prox_gradient
@@ -540,6 +540,7 @@ def ball_pair_sampler(radius, dim):
     small claimed delta only show up at short range where the quadratic
     term cannot mask them.
     """
+    _positive(radius=radius)
     log_lo, log_hi = -4.0, float(np.log10(2.0 * radius))
 
     def sample(rng):

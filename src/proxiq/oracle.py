@@ -44,6 +44,11 @@ and finiteness are checked, and the one answer call: the solvers' step
 loop calls it once per step and certify_oracle once for all its pairs,
 and only it decides whether a batch is stacked and how many candidates
 it offers.
+
+The package's scalar checks live here, one helper per rule: _finite,
+_count (a positive integer, never a bool), _positive and _nonnegative (both
+finite too) and _check_degree.  The other modules check their scalar
+parameters through them, and each message names the parameter.
 """
 
 from __future__ import annotations
@@ -68,6 +73,27 @@ def _count(value, name):
     return int(value)
 
 
+def _positive(**named):
+    for name, value in named.items():
+        _finite(name, value)
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
+def _nonnegative(**named):
+    for name, value in named.items():
+        _finite(name, value)
+        if value < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
+def _check_degree(degree, lo=0.0, hi=2.0):
+    q = float(degree)
+    if not lo <= q < hi:  # NaN fails too
+        raise ValueError(f"degree must lie in [{lo:g}, {hi:g})")
+    return q
+
+
 @dataclass(frozen=True)
 class OracleCertificate:
     """Error certificate (delta, L, q) an oracle holds for all its answers.
@@ -82,15 +108,10 @@ class OracleCertificate:
     convex_lower_bound: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.degree < 2.0:
-            raise ValueError("degree must lie in [0, 2)")
+        _check_degree(self.degree)
         # NaN fails every comparison, so certify_oracle could never refute it
-        _finite("delta", self.delta)
-        _finite("lipschitz", self.lipschitz)
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-        if self.lipschitz <= 0.0:
-            raise ValueError("lipschitz must be positive")
+        _nonnegative(delta=self.delta)
+        _positive(lipschitz=self.lipschitz)
 
 
 def majorize_amgm(delta, degree, rho):
@@ -103,15 +124,11 @@ def majorize_amgm(delta, degree, rho):
     Returns the pair (quadratic coefficient, additive constant).  At q = 0
     the split degenerates to (0, delta) and rho is irrelevant.
     """
-    q = float(degree)
-    if not 0.0 <= q < 2.0:
-        raise ValueError("degree must lie in [0, 2)")
-    if not 0.0 <= delta < math.inf:  # NaN fails too
-        raise ValueError("delta must be finite and nonnegative")
+    q = _check_degree(degree)
+    _nonnegative(delta=delta)
     if q == 0.0:
         return 0.0, float(delta)
-    if not 0.0 < rho < math.inf:
-        raise ValueError("rho must be finite and positive when degree > 0")
+    _positive(rho=rho)
     additive = (2.0 - q) * delta ** (2.0 / (2.0 - q)) / (2.0 * rho ** (q / (2.0 - q)))
     return 0.5 * q * rho, additive
 
@@ -136,16 +153,12 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     h = float(holder_constant)
     if not 0.0 <= nu <= 1.0:
         raise ValueError("exponent must lie in [0, 1]")
-    _finite("holder_constant", h)
-    if h <= 0.0:
-        raise ValueError("holder_constant must be positive")
+    _positive(holder_constant=h)
     if not 0.0 <= q < 1.0 + nu:
         raise ValueError("degree must lie in [0, 1 + exponent)")
     if nu == 1.0:
         return h
-    _finite("delta", delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive when exponent < 1")
+    _positive(delta=delta)
     lam = (1.0 + nu - q) / (2.0 - q)
     try:
         base = (h / (1.0 + nu)) ** (1.0 / lam)
@@ -231,8 +244,7 @@ class SaddleProblem:
     concavity: float
 
     def __post_init__(self):
-        if self.concavity <= 0.0:
-            raise ValueError("concavity must be positive")
+        _positive(concavity=self.concavity)
         if self.operator.shape[1] != self.concave_center.shape[0]:
             raise ValueError("operator and concave_center dimensions differ")
 
@@ -385,10 +397,9 @@ class NoisyGradientOracle(ModelOracle):
             raise ValueError("degree must lie in [0, 1] for a noisy-gradient oracle")
         if q != 1.0 and diameter is None:
             raise ValueError("degree < 1 needs a domain diameter to rescale delta")
-        if diameter is not None and not diameter > 0.0:  # NaN fails too
-            raise ValueError("diameter must be positive")
-        if noise_bound < 0.0:
-            raise ValueError("noise_bound must be nonnegative")
+        if diameter is not None:
+            _positive(diameter=diameter)
+        _nonnegative(noise_bound=noise_bound)
         self.problem = problem
         self.noise_bound = float(noise_bound)
         self.directions = _count(directions, "directions")
@@ -406,8 +417,7 @@ class ShiftedPointOracle:
     """
 
     def __init__(self, problem, shift_bound):
-        if shift_bound < 0.0:
-            raise ValueError("shift_bound must be nonnegative")
+        _nonnegative(shift_bound=shift_bound)
         self.problem = problem
         self.shift_bound = float(shift_bound)
         lip = float(problem.lipschitz)
@@ -467,8 +477,7 @@ class SaddleOracle:
     """
 
     def __init__(self, saddle, inner_accuracy):
-        if inner_accuracy < 0.0:
-            raise ValueError("inner_accuracy must be nonnegative")
+        _nonnegative(inner_accuracy=inner_accuracy)
         self.saddle = saddle
         self.inner_accuracy = float(inner_accuracy)
         self.operator_norm = spectral_norm(saddle.operator)
@@ -539,8 +548,7 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     first pairs, in (pair, candidate) order, of the largest violation and of
     the smallest gap.
     """
-    if pairs <= 0:
-        raise ValueError("pairs must be positive")
+    pairs = _count(pairs, "pairs")
     # an infinite tolerance would certify any claim and a NaN one refute every claim
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
@@ -548,7 +556,7 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
         rng = np.random.default_rng(0)
     cert = oracle.certificate
     xs, ys = (np.array(side, dtype=float)
-              for side in zip(*[domain_sampler(rng) for _ in range(int(pairs))]))
+              for side in zip(*[domain_sampler(rng) for _ in range(pairs)]))
     values, candidates, finite = evaluate_rows([oracle] * len(ys), ys, [rng] * len(ys))
     if not finite.all():
         raise ValueError("oracle answer is not finite")
@@ -567,7 +575,7 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     max_violation, min_lower = float(violations.max()), float(gaps.min())
     lower_checked = cert.convex_lower_bound
     certified = max_violation <= tolerance and (not lower_checked or min_lower >= -tolerance)
-    return CertificationReport(certified=certified, pairs=int(pairs), tolerance=float(tolerance),
+    return CertificationReport(certified=certified, pairs=pairs, tolerance=float(tolerance),
                                max_violation=max_violation, worst_pair=(xs[worst], ys[worst]),
                                lower_bound_checked=lower_checked,
                                min_lower_slack=min_lower if lower_checked else math.nan,

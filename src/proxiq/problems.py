@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import spectral_norm, sq_norm
+from .oracle import _count, _finite, _positive, spectral_norm, sq_norm
 
 
 def _matvec(matrix, x):
@@ -148,10 +148,11 @@ def generate_logsum_instance(n, N, radius, noise_level=None, seed=0):
     the root-mean-square clean response.  Zero noise_level makes x_true a
     global minimizer with value 0.
     """
-    if n < 1 or N < 1:
-        raise ValueError("dimensions must be at least 1")
-    if not 0.0 < radius < np.inf:  # x_true would not be finite
-        raise ValueError("radius must be positive and finite")
+    _count(n, "n")
+    _count(N, "N")
+    if noise_level is not None:
+        _finite("noise_level", noise_level)
+    _positive(radius=radius)  # x_true would not be finite
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((N, n))
     rows /= np.sqrt(n)  # in place: one (N, n) array
@@ -206,8 +207,7 @@ def generate_quadratic_instance(n, conditioning=10.0, seed=0):
     with the spectrum log-spaced in between.  The offset is chosen so the
     minimizer is known exactly and the optimal value is zero.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    _count(n, "n")
     if not 1.0 <= conditioning < np.inf:  # NaN fails too
         raise ValueError("conditioning must be finite and at least 1")
     rng = np.random.default_rng(seed)
@@ -242,8 +242,7 @@ class HolderPowerProblem:
     def __post_init__(self):
         if not 0.0 < self.exponent <= 1.0:
             raise ValueError("exponent must lie in (0, 1]")
-        if self.holder_constant <= 0.0:
-            raise ValueError("holder_constant must be positive")
+        _positive(holder_constant=self.holder_constant)
 
     @property
     def dim(self):
@@ -275,6 +274,7 @@ def generate_holder_instance(n, nu, seed=0):
     x - c = a*1, y - c = -a*1.  At nu = 1 the objective is a unit quadratic
     and H = 1.
     """
+    _count(n, "n")
     if not 0.0 < nu <= 1.0:
         raise ValueError("nu must lie in (0, 1]")
     rng = np.random.default_rng(seed)

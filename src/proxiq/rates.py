@@ -4,41 +4,21 @@ The nonconvex bounds control the best squared gradient-mapping norm seen so
 far; the convex ones control objective gaps of averaged or accelerated
 iterates.  Every evaluator is vectorized in the iteration counter k and
 accepts real-valued k so curves can be sampled smoothly.  Parameters are
-validated strictly; out-of-range inputs raise instead of being clamped.
+validated strictly, through the oracle module's scalar checks; out-of-range
+inputs raise instead of being clamped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .oracle import _finite, holder_smoothing_constant
+from .oracle import _check_degree, _nonnegative, _positive, holder_smoothing_constant
 
 
 def _ret(values):
     # hand back a plain float for scalar queries, an array otherwise
     values = np.asarray(values, dtype=float)
     return float(values) if values.ndim == 0 else values
-
-
-def _check_degree(degree, lo=0.0, hi=2.0):
-    q = float(degree)
-    if not lo <= q < hi:
-        raise ValueError(f"degree must lie in [{lo:g}, {hi:g})")
-    return q
-
-
-def _positive(**named):
-    for name, value in named.items():
-        _finite(name, value)
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive")
-
-
-def _nonnegative(**named):
-    for name, value in named.items():
-        _finite(name, value)
-        if value < 0.0:
-            raise ValueError(f"{name} must be nonnegative")
 
 
 def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):

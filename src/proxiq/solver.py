@@ -31,13 +31,12 @@ reject such an answer with ValueError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .oracle import evaluate_rows, sq_norm
+from .oracle import _count, _nonnegative, _positive, evaluate_rows, sq_norm
 from .prox import project_l1_rows
 from .rates import rho_opt_horizon
 
@@ -74,17 +73,11 @@ class ScheduleConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.rho):
-            raise ValueError("rho must be finite")
-        if self.rho < 0.0:
-            raise ValueError("rho must be nonnegative")
+        _nonnegative(rho=self.rho)
         if not 0.0 < self.step_scale <= 1.0:
             raise ValueError("step_scale must lie in (0, 1]")
         # a bool or a float would reach np.empty or range as a count
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _count(self.max_iters, "max_iters")
 
 
 @dataclass
@@ -314,10 +307,7 @@ def theta_next(a_prev, lipschitz_next, rule="equality_root"):
     the same recursion tightened by a factor 4, which for constant L
     reproduces the linear sequence theta_k = (k+1)/2.
     """
-    if a_prev <= 0.0:
-        raise ValueError("a_prev must be positive")
-    if lipschitz_next <= 0.0:
-        raise ValueError("lipschitz_next must be positive")
+    _positive(a_prev=a_prev, lipschitz_next=lipschitz_next)
     if rule == "equality_root":
         return (1.0 + math.sqrt(1.0 + 4.0 * lipschitz_next * a_prev)) / 2.0
     if rule == "half_linear":
@@ -400,12 +390,8 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     if not all(1.0 <= o.certificate.degree < 2.0 for o in oracles):
         raise ValueError("the adaptive variant needs degree in [1, 2)")
     # a NaN slack would fail every acceptance test and end as a false divergence
-    if not math.isfinite(epsilon0) or epsilon0 <= 0.0:
-        raise ValueError(f"epsilon0 must be finite and positive, got {epsilon0!r}")
-    if isinstance(max_doublings, bool) or not isinstance(max_doublings, numbers.Integral):
-        raise ValueError(f"max_doublings must be an integer, got {max_doublings!r}")
-    if max_doublings < 1:
-        raise ValueError("max_doublings must be positive")
+    _positive(epsilon0=epsilon0)
+    _count(max_doublings, "max_doublings")
 
     def step(k, run):
         x, index = run["x"], run["index"]

@@ -22,16 +22,19 @@ from proxiq import (
     ShiftedPointOracle,
     bounded_noise,
     certify_oracle,
+    generate_holder_instance,
     generate_logsum_instance,
     generate_quadratic_instance,
     holder_smoothing_constant,
     majorize_amgm,
     spectral_norm,
+    theta_next,
 )
 from proxiq.harness import ball_pair_sampler
 from proxiq import oracle as oracle_module
 from proxiq.rates import holder_delta_opt
-from proxiq.oracle import evaluate_rows, noise_slab
+from proxiq.oracle import (_check_degree, _count, _finite, _nonnegative, _positive,
+                           evaluate_rows, noise_slab)
 
 
 # ---------------------------------------------------------------- majorize
@@ -975,31 +978,83 @@ _SMALL = generate_logsum_instance(4, 8, 2.0)
 _COMPONENTS = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0), _Linear([1.0, 1.0], 0.0)]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: generate_logsum_instance(4, 8, math.nan),
-    lambda: generate_logsum_instance(4, 8, math.inf),
-    lambda: LogSumProblem(rows=np.ones((2, 3)), targets=np.zeros(2), radius=math.nan),
-    lambda: generate_quadratic_instance(4, conditioning=math.nan),
-    lambda: generate_quadratic_instance(4, conditioning=math.inf),
-    lambda: NoisyGradientOracle(_SMALL, 0.1, degree=0.5, diameter=-8.0),
-    lambda: NoisyGradientOracle(_SMALL, 0.1, degree=0.5, diameter=0.0),
-    lambda: NoisyGradientOracle(_SMALL, 0.1, degree=1.0, diameter=math.nan),
-    lambda: MinibatchOracle(_COMPONENTS, 2.5),
-    lambda: MinibatchOracle(_COMPONENTS, True),
-    lambda: majorize_amgm(math.nan, 0.5, 1.0),
-    lambda: majorize_amgm(0.1, 0.5, math.nan),
-    lambda: majorize_amgm(math.inf, 0.5, 1.0),
-    lambda: holder_smoothing_constant(math.nan, 1.0, 0.5, 1.0),
-    lambda: holder_smoothing_constant(math.inf, 1.0, 0.5, 1.0),
-    lambda: holder_smoothing_constant(1.0, 0.5, 0.5, math.inf),
-    lambda: holder_delta_opt(math.nan, 1.0, 0.5, 1.0, 10.0),
+@pytest.mark.parametrize("build, name", [
+    (lambda: generate_logsum_instance(4, 8, math.nan), "radius"),
+    (lambda: generate_logsum_instance(4, 8, math.inf), "radius"),
+    (lambda: LogSumProblem(rows=np.ones((2, 3)), targets=np.zeros(2), radius=math.nan), "radius"),
+    (lambda: generate_quadratic_instance(4, conditioning=math.nan), "conditioning"),
+    (lambda: generate_quadratic_instance(4, conditioning=math.inf), "conditioning"),
+    (lambda: NoisyGradientOracle(_SMALL, 0.1, degree=0.5, diameter=-8.0), "diameter"),
+    (lambda: NoisyGradientOracle(_SMALL, 0.1, degree=0.5, diameter=0.0), "diameter"),
+    (lambda: NoisyGradientOracle(_SMALL, 0.1, degree=1.0, diameter=math.nan), "diameter"),
+    (lambda: MinibatchOracle(_COMPONENTS, 2.5), "batch_size"),
+    (lambda: MinibatchOracle(_COMPONENTS, True), "batch_size"),
+    (lambda: majorize_amgm(math.nan, 0.5, 1.0), "delta"),
+    (lambda: majorize_amgm(0.1, 0.5, math.nan), "rho"),
+    (lambda: majorize_amgm(math.inf, 0.5, 1.0), "delta"),
+    (lambda: holder_smoothing_constant(math.nan, 1.0, 0.5, 1.0), "holder_constant"),
+    (lambda: holder_smoothing_constant(math.inf, 1.0, 0.5, 1.0), "holder_constant"),
+    (lambda: holder_smoothing_constant(1.0, 0.5, 0.5, math.inf), "delta"),
+    (lambda: holder_delta_opt(math.nan, 1.0, 0.5, 1.0, 10.0), "holder_constant"),
+    (lambda: generate_logsum_instance(4, 8, 2.0, noise_level=math.nan), "noise_level"),
+    (lambda: generate_logsum_instance(4, 8, 2.0, noise_level=math.inf), "noise_level"),
+    (lambda: HolderPowerProblem(np.zeros(3), 0.5, math.nan), "holder_constant"),
+    (lambda: HolderPowerProblem(np.zeros(3), 0.5, math.inf), "holder_constant"),
+    (lambda: SaddleProblem(np.eye(2), np.zeros(2), math.nan), "concavity"),
+    (lambda: SaddleProblem(np.eye(2), np.zeros(2), math.inf), "concavity"),
+    (lambda: theta_next(math.nan, 1.0), "a_prev"),
+    (lambda: certify_oracle(ExactOracle(_SMALL), _SMALL.value, ball_pair_sampler(2.0, 4),
+                            pairs=2.5), "pairs"),
+    (lambda: certify_oracle(ExactOracle(_SMALL), _SMALL.value, ball_pair_sampler(2.0, 4),
+                            pairs=True), "pairs"),
+    (lambda: generate_logsum_instance(2.5, 8, 2.0), "n"),
+    (lambda: generate_quadratic_instance(2.5), "n"),
+    (lambda: generate_holder_instance(0, 0.5), "n"),
+    (lambda: ball_pair_sampler(math.nan, 3), "radius"),
 ], ids=["logsum-radius-nan", "logsum-radius-inf", "logsum-problem-radius-nan",
         "quadratic-conditioning-nan", "quadratic-conditioning-inf", "noisy-diameter-negative",
         "noisy-diameter-zero", "noisy-diameter-nan", "minibatch-fractional",
         "minibatch-bool", "amgm-delta-nan", "amgm-rho-nan", "amgm-delta-inf",
-        "holder-constant-nan", "holder-constant-inf", "holder-delta-inf", "delta-opt-nan"])
-def test_bad_inputs_raise(build):
+        "holder-constant-nan", "holder-constant-inf", "holder-delta-inf", "delta-opt-nan",
+        "logsum-noise-nan", "logsum-noise-inf", "power-holder-constant-nan",
+        "power-holder-constant-inf", "saddle-concavity-nan", "saddle-concavity-inf",
+        "theta-a-prev-nan", "certify-pairs-fractional", "certify-pairs-bool",
+        "logsum-n-fractional", "quadratic-n-fractional", "holder-n-zero",
+        "sampler-radius-nan"])
+def test_bad_inputs_raise(build, name):
     # each of these used to build NaN or inf data, a zero or truncated
-    # parameter, or a TypeError; NaN fails every "not x > 0" check
-    with pytest.raises(ValueError):
+    # parameter, a TypeError or an error naming another parameter; NaN
+    # fails every "not x > 0" check
+    with pytest.raises(ValueError, match=f"^{name} must "):
         build()
+
+
+def test_scalar_checks():
+    # every scalar check of the package goes through these five helpers
+    count = _count(np.int64(3), "pairs")
+    assert count == 3 and type(count) is int
+    for bad in (True, 2.5, 0):
+        with pytest.raises(ValueError, match=r"^pairs must be a positive integer, got"):
+            _count(bad, "pairs")
+    for bad in (np.float64("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^width must be finite$"):
+            _finite("width", bad)
+        with pytest.raises(ValueError, match="^width must be finite$"):
+            _positive(width=bad)
+        with pytest.raises(ValueError, match="^width must be finite$"):
+            _nonnegative(width=bad)
+    _positive(width=5e-324)
+    with pytest.raises(ValueError, match="^width must be positive$"):
+        _positive(width=0.0)
+    _nonnegative(width=0.0)
+    with pytest.raises(ValueError, match="^width must be nonnegative$"):
+        _nonnegative(width=-5e-324)
+    # each keyword is checked and named in turn
+    with pytest.raises(ValueError, match="^height must be positive$"):
+        _positive(width=1.0, height=-1.0)
+    assert _check_degree(np.float64(1.5)) == 1.5 and type(_check_degree(1)) is float
+    for bad in (math.nan, -0.1, 2.0):
+        with pytest.raises(ValueError, match=r"^degree must lie in \[0, 2\)$"):
+            _check_degree(bad)
+    with pytest.raises(ValueError, match=r"^degree must lie in \[1, 2\)$"):
+        _check_degree(0.5, lo=1.0)

@@ -392,8 +392,8 @@ def _table(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_table())
 def test_write_csv_writes_the_per_row_rendering_bytes(tmp_path, table):
-    # format_numbers formats a run of one bit pattern once; the bytes must
-    # be those of formatting every entry of every row
+    # write_csv formats whole columns through format_numbers and joins them
+    # into lines; the bytes must be those of formatting each row on its own
     header, columns = table
     path = tmp_path / "table.csv"
     write_csv(path, header, columns)
