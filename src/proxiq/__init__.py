@@ -1,7 +1,7 @@
 """Composite optimization with inexact first-order oracles of tunable degree."""
 
 from .oracle import (CertificationReport, ExactOracle, HolderOracle, MinibatchOracle,
-                     NoisyGradientOracle, OracleCertificate, SaddleOracle, SaddleProblem,
+                     NoisyGradientOracle, Oracle, OracleCertificate, SaddleOracle, SaddleProblem,
                      ShiftedPointOracle, bounded_noise, certify_oracle,
                      holder_smoothing_constant, majorize_amgm, spectral_norm)
 from .problems import (HolderPowerProblem, LogSumProblem, QuadraticProblem,

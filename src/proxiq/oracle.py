@@ -16,39 +16,30 @@ never overshoots F.
 Any gradient that satisfies the certificate is an admissible answer, so
 an answer may carry several candidate gradients; the noisy-gradient
 family offers m noise draws this way, and the solver's worst-case run
-steps along the one that moves farthest.  The candidate count belongs to
-the whole batch: every answer evaluate_rows reads at once offers the same
-number of candidates.
+steps along the one that moves farthest.
 
 Besides the abstract certificate this module provides several constructive
 oracle families (additive gradient noise, evaluation at shifted points,
 mini-batch subsampling, approximate inner maximization, weakly smooth
 functions), the AM-GM split used by the solvers, and an empirical
-certifier that hunts for violating point pairs.  Each family is one class:
-its constructor checks the family's parameters and keeps the certificate
-they imply as oracle.certificate, and evaluate(x, rng=None) returns the
-answer as the pair (value, candidates), a sequence of candidate gradients
-whose first is the answer's gradient.
-
-The exact, noisy-gradient and Holder families are model oracles: they
-answer from the exact value and gradient of their problem, plus m
-bounded_noise draws under their noise bound, which is zero for the exact
-and Holder families.  evaluate_rows answers a stack of points for a batch
-of oracles, one oracle and one generator per row, as plain arrays; for
-model oracles over one problem, a batch of one included, it makes a
-single stacked evaluation of the problem and draws the batch's noise as
-one (C, m, n) slab, each generator's vectors in the order bounded_noise
-draws them one at a time.  A model oracle's evaluate is that same answer
-for a stack of one.  evaluate_rows is the one place an answer's shapes
-and finiteness are checked, and the one answer call: the solvers' step
-loop calls it once per step and certify_oracle once for all its pairs,
-and only it decides whether a batch is stacked and how many candidates
-it offers.
+certifier that hunts for violating point pairs.  Each family is one Oracle
+class: its constructor checks the family's parameters and keeps the
+certificate they imply as oracle.certificate, and its static method
+answers(oracles, points, rngs) answers a stack of points (C, n), row i for
+oracles[i] with the generator rngs[i], as values (C,) and candidate
+gradients (C, m, n), the first being the answer's gradient.  Each row is
+bitwise its answer alone, and each generator draws what it draws alone,
+for the rows it serves in row order.  evaluate(x, rng=None) is the answer
+to a stack of one.  A subclass spoils an answer by overriding answers and
+calling its parent's for the honest one.  evaluate_rows is the one answer
+call, once per solver step and once for all of certify_oracle's pairs, and
+checks the shapes and finiteness of every answer.
 
 The package's scalar checks live here, one helper per rule: _finite,
 _count (a positive integer, never a bool), _positive and _nonnegative (both
-finite too) and _check_degree.  The other modules check their scalar
-parameters through them, and each message names the parameter.
+finite too), _check_degree and _check_k (an iteration count or horizon,
+a scalar or an array).  The other modules check their scalar parameters
+through them, and each message names the parameter.
 """
 
 from __future__ import annotations
@@ -92,6 +83,15 @@ def _check_degree(degree, lo=0.0, hi=2.0):
     if not lo <= q < hi:  # NaN fails too
         raise ValueError(f"degree must lie in [{lo:g}, {hi:g})")
     return q
+
+
+def _check_k(k, floor=0.0, name="k"):
+    """An iteration count, a scalar or an array, as a float array; NaN, +-inf
+    or an entry below floor is an error."""
+    k = np.asarray(k, dtype=float)
+    if not ((k >= floor) & (k < math.inf)).all():  # NaN fails too
+        raise ValueError(f"{name} must be finite and at least {floor:g}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,21 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     return lip
 
 
+def _row_dot(a, b):
+    """a @ b for one pair of vectors or for each row of broadcast stacks, one
+    BLAS dot per row, so each row's value is bitwise that of the row alone."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def sq_norm(x):
-    """x @ x for one point or for each row of a stack, one BLAS dot per row,
-    so each row's value is bitwise that of the row alone."""
-    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+    """x @ x for one point or for each row of a stack, as _row_dot takes it."""
+    return _row_dot(x, x)
+
+
+def _matvec(matrix, x):
+    """matrix @ x for one point x or for each row of a stack, one BLAS
+    matrix-vector product per row, so row i does not depend on the others."""
+    return np.matmul(matrix, x[..., None])[..., 0]
 
 
 def noise_slab(rngs, bounds, count, dim):
@@ -236,7 +247,9 @@ class SaddleProblem:
     has the closed-form maximizer u(x) = c + A.T x / kappa.  This makes
     F(x) = <A c, x> + ||A.T x||**2 / (2 kappa), a convex smooth function
     with gradient A u(x) and smoothness constant ||A||**2 / kappa.  The
-    value and the maximizer share the one product A.T x.
+    value and the maximizer share the one product A.T x.  Both take a
+    point or a stack (C, n), row i bitwise the point x[i] alone: the
+    products are one BLAS product per row, as problems' are.
     """
 
     operator: np.ndarray
@@ -250,115 +263,84 @@ class SaddleProblem:
 
     def value_and_maximizer(self, x):
         x = np.asarray(x, dtype=float)
-        atx = self.operator.T @ x
-        value = float((self.operator @ self.concave_center) @ x
-                      + atx @ atx / (2.0 * self.concavity))
-        return value, self.concave_center + atx / self.concavity
+        atx = _matvec(self.operator.T, x)
+        value = (_row_dot(x, self.operator @ self.concave_center)
+                 + sq_norm(atx) / (2.0 * self.concavity))
+        return (float(value) if x.ndim == 1 else value), self.concave_center + atx / self.concavity
 
     def value(self, x):
         # the maximizer costs no further pass over the operator
         return self.value_and_maximizer(x)[0]
 
 
-class ModelOracle:
+def _shared(oracles, name):
+    """The one object, such as a problem, that every oracle of a batch
+    answers from under name."""
+    first = getattr(oracles[0], name)
+    if any(getattr(o, name) is not first for o in oracles):
+        raise ValueError(f"the oracles of a batch must share one {name}")
+    return first
+
+
+class Oracle:
+    """The base of every family: a family defines the static method answers
+    (see the module docstring), and evaluate is its answer to a stack of one."""
+
+    def evaluate(self, x, rng=None):
+        values, candidates, _ = evaluate_rows([self], np.asarray(x, dtype=float)[None], [rng])
+        return float(values[0]), candidates[0]
+
+
+class ModelOracle(Oracle):
     """An oracle that answers from the exact value and gradient of self.problem.
 
     Its answer is the exact value and self.directions candidates, the exact
-    gradient plus bounded_noise draws under self.noise_bound, drawn in
-    sequence from rng.  The base's bound is zero, so an exact answer draws
-    nothing.  One problem.value_and_gradient call serves a query, so the
-    residual it computes once feeds both the value and the gradient.  The
-    problem takes a stack (C, n), returning one value per row: evaluate is
-    the answer to a stack of one, and evaluate_rows answers every batch of
-    model oracles over one problem in one evaluation, drawing the whole
-    batch's noise as one slab, each generator in the order its own answer
-    would.  A subclass may override evaluate to spoil the answer, calling
-    super().evaluate for the honest one; evaluate_rows then asks it row by
-    row.
+    gradient plus bounded_noise draws under self.noise_bound; the base's
+    bound is zero, so an exact answer draws nothing.  A batch shares one
+    problem and one candidate count: one value_and_gradient call on the
+    stack (C, n) feeds the values and gradients from one residual, and the
+    noise is one slab.  A row with a zero bound is exact bitwise.
     """
 
     noise_bound = 0.0
     directions = 1
 
-    def evaluate(self, x, rng=None):
-        values, candidates = _model_answers([self], np.asarray(x, dtype=float)[None], [rng],
-                                            self.directions)
-        return float(values[0]), candidates[0]
-
-
-def stacked_count(oracles):
-    """How evaluate_rows answers a batch: the one candidate count of a batch
-    that shares one stacked exact evaluation and one noise slab, model
-    oracles over one problem that answer through ModelOracle.evaluate; None
-    for any other batch, which it asks row by row.  Raises ValueError for a
-    stacked batch whose oracles offer different counts."""
-    if not all(isinstance(o, ModelOracle) and type(o).evaluate is ModelOracle.evaluate
-               and o.problem is oracles[0].problem for o in oracles):
-        return None
-    return _candidate_count(o.directions for o in oracles)
-
-
-def _candidate_count(counts):
-    """The one candidate count of a batch's answers, given each answer's."""
-    counts = sorted(set(counts))
-    if len(counts) > 1:
-        raise ValueError("every answer of a batch must offer the same number of candidate"
-                         f" gradients; these offer {counts}")
-    return counts[0]
-
-
-def _model_answers(oracles, points, rngs, count):
-    """Answers of model oracles over one problem at a stack of points:
-    values (C,) and candidate gradients (C, m, n), m = count.
-
-    One value_and_gradient call evaluates the whole stack; each row's
-    candidates are its exact gradient plus its noise slab.  A row with a
-    zero bound draws nothing and is exact bitwise.
-    """
-    values, exact = oracles[0].problem.value_and_gradient(points)
-    if np.shape(values) != (len(points),) or np.shape(exact) != points.shape:
-        raise ValueError("value_and_gradient must answer a stack (C, n) with C values"
-                         " and a (C, n) gradient")
-    bounds = [o.noise_bound for o in oracles]
-    quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
-    candidates = exact[:, None] + noise_slab(rngs, bounds, count, exact.shape[1])
-    if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
-        candidates[quiet] = exact[quiet, None]
-    return values, candidates
+    @staticmethod
+    def answers(oracles, points, rngs):
+        counts = sorted({o.directions for o in oracles})
+        if len(counts) > 1:
+            raise ValueError("every answer of a batch must offer the same number of candidate"
+                             f" gradients; these offer {counts}")
+        values, exact = _shared(oracles, "problem").value_and_gradient(points)
+        bounds = [o.noise_bound for o in oracles]
+        quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
+        candidates = exact[:, None] + noise_slab(rngs, bounds, counts[0], exact.shape[1])
+        if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
+            candidates[quiet] = exact[quiet, None]
+        return values, candidates
 
 
 def evaluate_rows(oracles, points, rngs):
     """Answers of a batch of oracles, row i of points for oracles[i] with
-    the generator rngs[i].
+    the generator rngs[i], by one call of the answers they share; a batch
+    mixing answers raises ValueError.
 
-    A batch of model oracles over one problem that answer through
-    ModelOracle.evaluate makes one stacked exact evaluation: the problem's
-    value_and_gradient runs once on the whole stack (C, n), giving each row
-    bitwise the answer it gives that row alone.  Their noise is one
-    (C, m, n) slab, added to the exact gradients in one operation; row i's
-    generator draws its m vectors in the order its own answer would, and a
-    row with a zero bound keeps its exact gradient bitwise.  Any other
-    batch calls each oracle's evaluate on its row.  Either way every random
-    stream is the one of a run alone.  This is where an answer is checked,
-    and where stacked_count decides, at every call, how a batch is answered.
     Returns (values (C,), candidates (C, m, n), finite (C,)): row i's value
-    and candidate gradients, its first candidate being the answer's
-    gradient, and whether all of them are finite.  Every row offers the
-    same number m of candidates.  Rows offering different numbers, a
-    candidate whose shape differs from its point, or a stacked evaluation
-    that does not give (C,) values and a (C, n) gradient raise ValueError.
+    and candidate gradients, the first being the answer's gradient, and
+    whether all of them are finite, so a non-finite answer marks only its
+    row.  An answer that is not C values and (C, m, n) candidates, one m
+    for the batch, raises ValueError.
     """
-    count = stacked_count(oracles)
-    if count is not None:
-        values, candidates = _model_answers(oracles, points, rngs, count)
-    else:
-        values, candidates = zip(*[oracle.evaluate(row, rng=rng)
-                                   for oracle, row, rng in zip(oracles, points, rngs)])
-        count = _candidate_count(map(len, candidates))
-        candidates = np.array(candidates, dtype=float)  # ragged shapes raise ValueError here
-        if candidates.shape != (len(points), count, points.shape[1]):
-            raise ValueError("gradient and point shapes differ")
-    values = np.array(values, dtype=float)
+    answers = type(oracles[0]).answers
+    if any(type(o).answers is not answers for o in oracles):
+        raise ValueError("the oracles of a batch must share one stacked answer")
+    values, candidates = answers(oracles, points, rngs)
+    values = np.asarray(values, dtype=float)
+    candidates = np.asarray(candidates, dtype=float)
+    shape = candidates.shape
+    if values.shape != (len(points),) or shape[:1] + shape[2:] != points.shape:
+        raise ValueError(f"an answer to a stack {points.shape} must give {len(points)} values"
+                         f" and (C, m, n) candidates, not {values.shape} and {shape}")
     return values, candidates, np.isfinite(values) & np.isfinite(candidates).all(axis=(1, 2))
 
 
@@ -408,12 +390,14 @@ class NoisyGradientOracle(ModelOracle):
                                              degree=q)
 
 
-class ShiftedPointOracle:
+class ShiftedPointOracle(Oracle):
     """Exact gradient evaluated at a point displaced by at most the shift bound.
 
     The value stays the exact F(x); only the gradient is off.  Smoothness
     turns the displacement into a degree-1 certificate with
-    delta = L * shift, keeping L itself unchanged.
+    delta = L * shift, keeping L itself unchanged.  A batch over one
+    problem answers with one stacked value call and one stacked gradient
+    call, the shifts drawn as one noise slab.
     """
 
     def __init__(self, problem, shift_bound):
@@ -424,20 +408,22 @@ class ShiftedPointOracle:
         self.certificate = OracleCertificate(delta=lip * self.shift_bound, lipschitz=lip,
                                              degree=1.0)
 
-    def evaluate(self, x, rng=None):
-        x = np.asarray(x, dtype=float)
-        shifted = x + bounded_noise(rng, x.size, self.shift_bound)
-        return float(self.problem.value(x)), (self.problem.gradient(shifted),)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        problem = _shared(oracles, "problem")
+        shifts = noise_slab(rngs, [o.shift_bound for o in oracles], 1, points.shape[1])[:, 0]
+        return problem.value(points), problem.gradient(points + shifts)[:, None]
 
 
-class MinibatchOracle:
+class MinibatchOracle(Oracle):
     """Subsampled gradient of a finite sum over random fixed-size batches.
 
     The gradient is the batch average and the value is the exact mean of
     all components.  No certificate can be derived from the batch alone
     (the error is probabilistic), so the claimed constants are passed
     through and certify_oracle is the judge.  A full batch needs no
-    generator and reproduces the exact mean gradient.
+    generator and reproduces the exact mean gradient.  The components take
+    one point each, so a stack is answered row by row.
     """
 
     def __init__(self, components, batch_size, claimed_delta=0.0, claimed_lipschitz=1.0,
@@ -450,21 +436,24 @@ class MinibatchOracle:
                                              lipschitz=float(claimed_lipschitz),
                                              degree=float(degree))
 
-    def evaluate(self, x, rng=None):
-        n = len(self.components)
-        if self.batch_size == n:
-            batch = range(n)
-        else:
-            if rng is None:
-                raise ValueError("a generator is required to sample batches")
-            batch = rng.choice(n, size=self.batch_size, replace=False)
-        x = np.asarray(x, dtype=float)
-        grad = sum(self.components[j].gradient(x) for j in batch) / self.batch_size
-        value = sum(float(c.value(x)) for c in self.components) / n
-        return float(value), (grad,)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, gradients = [], []
+        for oracle, x, rng in zip(oracles, points, rngs):
+            components, size = oracle.components, oracle.batch_size
+            n = len(components)
+            if size == n:
+                batch = range(n)
+            else:
+                if rng is None:
+                    raise ValueError("a generator is required to sample batches")
+                batch = rng.choice(n, size=size, replace=False)
+            gradients.append(sum(components[j].gradient(x) for j in batch) / size)
+            values.append(sum(float(c.value(x)) for c in components) / n)
+        return values, np.array(gradients)[:, None]
 
 
-class SaddleOracle:
+class SaddleOracle(Oracle):
     """Gradient through an approximately solved inner maximization.
 
     The inner problem is solved in closed form and the approximation error
@@ -474,6 +463,8 @@ class SaddleOracle:
     spectral_norm's upper bound, so both constants are upper bounds too.
     An exact inner solution makes the answer the true gradient of a convex
     function, so the certificate then claims the convex lower bound too.
+    A batch over one saddle answers with one stacked value_and_maximizer
+    call, the inner errors drawn as one noise slab.
     """
 
     def __init__(self, saddle, inner_accuracy):
@@ -486,12 +477,15 @@ class SaddleOracle:
             lipschitz=self.operator_norm ** 2 / saddle.concavity, degree=1.0,
             convex_lower_bound=(self.inner_accuracy == 0.0))
 
-    def evaluate(self, x, rng=None):
-        x = np.asarray(x, dtype=float)
-        value, u = self.saddle.value_and_maximizer(x)
-        if self.inner_accuracy > 0.0:
-            u = u + bounded_noise(rng, u.size, self.inner_accuracy)
-        return value, (self.saddle.operator @ u,)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        saddle = _shared(oracles, "saddle")
+        values, u = saddle.value_and_maximizer(points)
+        bounds = [o.inner_accuracy for o in oracles]
+        errors = noise_slab(rngs, bounds, 1, u.shape[1])[:, 0]
+        inexact = [i for i, bound in enumerate(bounds) if bound > 0.0]
+        u[inexact] += errors[inexact]  # an exact row keeps its maximizer bitwise
+        return values, _matvec(saddle.operator, u)[:, None]
 
 
 class HolderOracle(ModelOracle):
@@ -539,8 +533,10 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     """Empirically test an oracle's certificate on sampled point pairs.
 
     All pairs (x, y) are sampled first; one evaluate_rows call then answers
-    every y, a non-finite answer raising ValueError, and exact_value gives a
-    finite F(x) per pair.  Every pair and candidate gradient is checked at
+    every y, a non-finite answer raising ValueError.  exact_value takes one
+    point and gives a finite F(x), called once per pair, so an F that takes
+    one point at a time, such as a mean over single-point components, can
+    serve.  Every pair and candidate gradient is checked at
     once, in (pairs, m) arrays, so memory grows with pairs * m * n: the
     violations F(x) - F(y) - <g, x - y> - (L/2)*r**2 - delta*r**q, r = ||x - y||,
     must not exceed the tolerance, nor the gaps F(x) - F(y) - <g, x - y> fall
@@ -565,9 +561,7 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
         raise ValueError("exact value is not finite")
     diffs = xs - ys
     dist = np.sqrt(sq_norm(diffs))
-    # <g, x - y> as one BLAS dot per pair and candidate, as sq_norm takes them
-    gaps = ((exact - values)[:, None]
-            - np.matmul(candidates[:, :, None, :], diffs[:, None, :, None])[..., 0, 0])
+    gaps = (exact - values)[:, None] - _row_dot(candidates, diffs[:, None])
     violations = (gaps - (0.5 * cert.lipschitz * dist ** 2)[:, None]
                   - (cert.delta * dist ** cert.degree)[:, None])
     count = candidates.shape[1]

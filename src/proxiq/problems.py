@@ -35,13 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import _count, _finite, _positive, spectral_norm, sq_norm
-
-
-def _matvec(matrix, x):
-    """matrix @ x for one point x or for each row of a stack, one BLAS
-    matrix-vector product per row, so row i does not depend on the others."""
-    return np.matmul(matrix, x[..., None])[..., 0]
+from .oracle import _count, _finite, _matvec, _positive, spectral_norm, sq_norm
 
 
 def _per_point(values):

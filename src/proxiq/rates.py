@@ -3,7 +3,9 @@
 The nonconvex bounds control the best squared gradient-mapping norm seen so
 far; the convex ones control objective gaps of averaged or accelerated
 iterates.  Every evaluator is vectorized in the iteration counter k and
-accepts real-valued k so curves can be sampled smoothly.  Parameters are
+accepts real-valued k so curves can be sampled smoothly; a k or horizon
+that is NaN, infinite or below the bound's floor (0, or 1 for the ergodic
+bound) raises.  Parameters are
 validated strictly, through the oracle module's scalar checks; out-of-range
 inputs raise instead of being clamped.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import _check_degree, _nonnegative, _positive, holder_smoothing_constant
+from .oracle import (_check_degree, _check_k, _nonnegative, _positive,
+                     holder_smoothing_constant)
 
 
 def _ret(values):
@@ -39,7 +42,7 @@ def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):
         raise ValueError("beta and zeta must lie in [0, 1)")
     _positive(rho=rho, lipschitz=lipschitz)
     _nonnegative(delta=delta, gap=gap)
-    k = np.asarray(k, dtype=float)
+    k = _check_k(k)
     smooth = lipschitz + q * rho
     lead = 2.0 * smooth * gap / ((1.0 - zeta) * (k + 1.0) ** (1.0 - zeta))
     noise = ((2.0 - q) * smooth * delta ** (2.0 / (2.0 - q))
@@ -56,7 +59,7 @@ def bound_nonconvex_const(lipschitz, degree, delta, gap, k):
     q = _check_degree(degree)
     _positive(lipschitz=lipschitz)
     _nonnegative(delta=delta, gap=gap)
-    k = np.asarray(k, dtype=float)
+    k = _check_k(k)
     lead = 2.0 * (q + 1.0) * lipschitz * gap / (k + 1.0)
     return _ret(lead + nonconvex_plateau(lipschitz, q, delta))
 
@@ -79,7 +82,7 @@ def rho_opt_horizon(lipschitz, degree, delta, gap, horizon):
     q = _check_degree(degree, lo=1.0)
     _positive(lipschitz=lipschitz, gap=gap)
     _nonnegative(delta=delta)
-    horizon = np.asarray(horizon, dtype=float)
+    horizon = _check_k(horizon, name="horizon")
     e = (2.0 - q) / 2.0
     return _ret(lipschitz ** e * float(delta) * (horizon + 1.0) ** e / (2.0 * gap) ** e)
 
@@ -100,7 +103,7 @@ def bound_nonconvex_horizon(lipschitz, degree, delta, gap, k):
     q = _check_degree(degree, lo=1.0)
     _positive(lipschitz=lipschitz, gap=gap)
     _nonnegative(delta=delta)
-    k = np.asarray(k, dtype=float)
+    k = _check_k(k)
     t1 = 2.0 * lipschitz * gap / (k + 1.0)
     t2 = (2.0 * delta * lipschitz ** (1.0 - q / 2.0) * (2.0 * gap) ** (q / 2.0)
           / (k + 1.0) ** (q / 2.0))
@@ -119,9 +122,7 @@ def bound_convex_ergodic(lipschitz, degree, delta, radius, k, rho=None):
     q = _check_degree(degree)
     _positive(lipschitz=lipschitz, radius=radius)
     _nonnegative(delta=delta)
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 1.0):
-        raise ValueError("k must be at least 1")
+    k = _check_k(k, floor=1.0)
     if rho is None:
         return _ret(lipschitz * radius ** 2 / (2.0 * k)
                     + (2.0 + q) * delta * radius ** q / (2.0 * k ** (q / 2.0)))
@@ -138,7 +139,7 @@ def rho_opt_fast(radius, degree, delta, k):
     q = _check_degree(degree)
     _positive(radius=radius)
     _nonnegative(delta=delta)
-    k = np.asarray(k, dtype=float)
+    k = _check_k(k)
     e = (2.0 - q) / 2.0
     return _ret(((k + 1.0) * (k + 2.0) * (k + 3.0)) ** e * float(delta)
                 / (8.0 * radius ** 2) ** e)
@@ -157,9 +158,7 @@ def bound_fast_convex(lipschitz, degree, delta, radius, k, rho=None):
     q = _check_degree(degree)
     _positive(lipschitz=lipschitz, radius=radius)
     _nonnegative(delta=delta)
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
-        raise ValueError("k must be nonnegative")
+    k = _check_k(k)
     lead = 4.0 * lipschitz * radius ** 2 / ((k + 1.0) * (k + 2.0))
     if rho is None:
         noise = (8.0 ** (q / 2.0) * radius ** q * (k + 3.0) * delta
@@ -189,7 +188,7 @@ def holder_delta_opt(holder_constant, exponent, degree, gap, k):
     nu = float(exponent)
     q = float(degree)
     _positive(gap=gap)
-    k = np.asarray(k, dtype=float)
+    k = _check_k(k)
     coeff = holder_smoothing_constant(holder_constant, nu, q, 1.0)
     c1 = 2.0 * (q + 1.0) * gap * coeff
     if nu == 1.0:

@@ -20,12 +20,14 @@ the start check, the answer at each iterate through one
 oracle.evaluate_rows call a step, which checks its shapes and finiteness,
 the failure rule and the traces: a non-finite answer or a blown-up
 objective ends a run with DivergenceError.  F at x_k, k < K, is the value
-of the answer at x_k; objective gives it at x_K.  Each solver passes the
-loop only its step rule, and every rule takes its gradient step through
-one prox kernel, _farthest_move.  prox_gradient also serves the
-worst-case sweep: when an answer carries several candidate gradients, it
-steps along the one whose prox step moves farthest; the other two solvers
-reject such an answer with ValueError.
+of the answer at x_k; objective gives it at x_K.  objective takes a stack
+(C, n) and returns C values, as every problem's value does, so each F it
+gives is one call on a stack of runs.  Each solver passes the loop only
+its step rule, and every rule takes its gradient step through one prox
+kernel, _farthest_move.  prox_gradient also serves the worst-case sweep:
+when an answer carries several candidate gradients, it steps along the
+one whose prox step moves farthest; the other two solvers reject such an
+answer with ValueError.
 """
 
 from __future__ import annotations
@@ -154,14 +156,22 @@ def _leave(run, failures, outcomes, oracles, rngs):
     return run, [oracles[i] for i in run["index"]], [rngs[i] for i in run["index"]]
 
 
+def _values(objective, x):
+    """F at each row of the stack x (C, n), by one objective call."""
+    f = np.asarray(objective(x), dtype=float)
+    if f.shape != (len(x),):
+        raise ValueError(f"objective must answer a stack of {len(x)} points with {len(x)} values")
+    return f
+
+
 def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
     """The step loop of every solver, over a batch or a single run as
     prox_gradient describes; a run's result is finish(trace, records) when
     finish is given.
 
     Each step k answers the live runs at x_k with one evaluate_rows call,
-    and the trace records F(x_k) as the answer's value; objective, called
-    once per row, gives F at the final iterates x_K.  The failure rule
+    and the trace records F(x_k) as the answer's value; one objective
+    call on the stack gives F at the final iterates x_K.  The failure rule
     then ends runs, and step(k, run) moves the others to x_{k+1}.  run
     maps names to the live runs' state, one row per run, compacted by one
     mask when runs leave: index, x, lip = L + q*rho, alpha, alpha_sq, f0,
@@ -201,7 +211,7 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
         if k < iters:
             f, run["candidates"], finite = evaluate_rows(live_oracles, run["x"], live_rngs)
         else:  # no answer after the last step
-            f = np.array([float(objective(row)) for row in run["x"]])
+            f = _values(objective, run["x"])
             finite = np.ones(len(f), dtype=bool)
         if k == 0:
             run.update(f0=f, ceiling=_ceiling(f))
@@ -239,7 +249,8 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     queries the oracle and moves with the constant step
     step_scale / (L + q*rho) of the oracle's certificate.  F at every
     iterate but the last is the value of the oracle answer queried there;
-    objective is called only on the final iterate.  When an answer carries
+    objective is called only on the final iterates, once, taking the stack
+    (C, n) of the live runs and returning C values.  When an answer carries
     several candidate gradients, the step follows the one whose prox step
     moves farthest, the first one on ties; _farthest_move, the prox kernel
     all three solvers step through, makes the steps of every run along
@@ -250,11 +261,9 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     A batch of runs advances in lockstep from x0: pass lists of C oracles,
     of C ScheduleConfigs sharing max_iters and of C generators (None for
     an oracle that draws nothing) as oracle, config and rng.  Each step
-    answers all runs with one oracle.evaluate_rows call; for model oracles
-    over one problem that is one stacked evaluation, so that problem's
-    value_and_gradient then takes a stack (C, n) and returns one value per
-    row, as the logsum, quadratic and power families do.  Every run is
-    bitwise the run alone, whatever the batch.  Returns one entry per run:
+    answers all runs with one oracle.evaluate_rows call, so the oracles of
+    a batch share one family's stacked answer.  Every run is bitwise the
+    run alone, whatever the batch.  Returns one entry per run:
     its RunTrace without iterates, or the DivergenceError that ended it; a
     run that fails leaves the batch and the others go on unchanged.  A
     single oracle is a batch of one whose trace keeps its iterates.
@@ -332,8 +341,9 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     prox_gradient, F at every iterate but the last is the value of the
     oracle answer queried there, and lists of oracles, configs and
     generators are a batch; y_k is the _farthest_move step along the
-    answer's one gradient.  objective gives F at the prox points y_k, where
-    a non-finite value ends the run at step k+1, and at the final iterate.
+    answer's one gradient.  objective gives F at the prox points y_k, one
+    call on their stack a step, where a non-finite value ends the run at
+    step k+1, and at the final iterates.
     An answer with several candidate gradients raises ValueError.
     """
     if theta_rule not in _THETA0:
@@ -356,7 +366,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
             raise ValueError(f"tau = {tau!r} outside (0, 1]: momentum rule violated")
         run.update(x=tau[:, None] * z + (1.0 - tau)[:, None] * y, theta=theta_new,
                    a_weight=a_new)
-        fy = np.array([float(objective(row)) for row in y])
+        fy = _values(objective, y)
         # y only has to stay finite
         return ({"gm_sq": move_sq / run["alpha_sq"], "objective_y": fy},
                 _failures(k + 1, fy, math.inf, np.ones(len(fy), dtype=bool)))
@@ -376,8 +386,9 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     the same oracle answer; after each accepted step the slack halves and
     the target is refreshed.  F(x0) is the value of the first oracle
     answer, and F at each later iterate but the last is the value of the
-    answer there, as in prox_gradient.  objective gives F at each candidate
-    step, which the acceptance test reads, and at the final iterate; a
+    answer there, as in prox_gradient.  objective gives F at the candidate
+    steps, one call on the stack of the runs still chasing, which the
+    acceptance test reads, and at the final iterates; a
     candidate whose F is not finite or above the ceiling ends the run at
     step k+1.  Each candidate is a _farthest_move step.  Returns
     (trace, history) where history holds one AdaptiveState per accepted
@@ -415,7 +426,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
                 alpha[j] = configs[index[j]].step_scale / (cert.lipschitz + cert.degree * rho)
             nxt[chasing], move_sq[chasing] = _farthest_move(h, alpha[chasing], x[chasing],
                                                             run["candidates"][chasing])
-            f_next[chasing] = [float(objective(row)) for row in nxt[chasing]]
+            f_next[chasing] = _values(objective, nxt[chasing])
             failed = _failures(k + 1, f_next[chasing], run["ceiling"][chasing],
                                np.ones(len(chasing), dtype=bool))
             failures.update((chasing[j], exc) for j, exc in failed.items())

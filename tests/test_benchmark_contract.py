@@ -5,7 +5,8 @@ running minimum against the bound, the summary's last row), so an output
 format change that the benchmark cannot read fails here rather than only
 when the benchmark runs.  The traced run wraps the package's layer
 functions in spans and must write the untraced bundle byte for byte, so a
-change to a function the tracer wraps fails here too.  Each run works in a
+change to a function the tracer wraps fails here too; the traced fig1 and
+worst_case runs pin that for both sweeps.  Each run works in a
 temporary copy, so the checkout stays clean.
 """
 
@@ -22,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("workload, trace", [
     pytest.param("fig1", 0, id="fig1"),
+    pytest.param("fig1", 1, id="fig1-traced"),
     pytest.param("wide", 0, id="wide"),
     pytest.param("worst_case", 0, id="worst_case"),
     pytest.param("worst_case", 1, id="worst_case-traced"),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxiq import cli, harness, rates
+from proxiq import ProxFunction, ScheduleConfig, cli, harness, prox_gradient, rates
 from proxiq.harness import ConfigError
 from proxiq.oracle import NoisyGradientOracle
 from proxiq.problems import generate_logsum_instance
@@ -272,6 +272,25 @@ def test_exact_cells_ignore_the_degree(grid_run):
         assert not np.array_equal(low.bound, high.bound)
 
 
+def test_fig1_degree_acts_only_through_the_step(tmp_path):
+    # a fig1 cell's noisy oracle draws the same noise at every degree; only
+    # its certificate changes.  With rho = L and step scale (1 + q)/2 every
+    # degree steps alpha = 1/(2L), and one generator seed then gives one
+    # run, bitwise, at q = 0, 0.5 and 1
+    problem = harness._instance(harness.fig1_config(tmp_path))
+    lip = problem.lipschitz
+    runs = [prox_gradient(problem.value, harness._cell_oracle(problem, q, 1.0),
+                          ProxFunction.l1_ball(problem.radius),
+                          ScheduleConfig(rho=lip, max_iters=500, step_scale=(1.0 + q) / 2.0),
+                          np.zeros(problem.dim), rng=np.random.default_rng(7))
+            for q in (0.0, 0.5, 1.0)]
+    assert [run.delta for run in runs] == [8.0, 8.0 ** 0.5, 1.0]
+    for run in runs:
+        assert np.all(run.alpha == 1.0 / (2.0 * lip))
+        for name in ("iterates", "objective", "alpha", "gm_sq"):
+            assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes(), name
+
+
 class _FaultyOracle(NoisyGradientOracle):
     """Noisy oracle that answers badly from a given query on.
 
@@ -288,15 +307,20 @@ class _FaultyOracle(NoisyGradientOracle):
         super().__init__(*args, **kwargs)
         self.queries = 0
 
-    def evaluate(self, x, rng=None):
-        value, candidates = super().evaluate(x, rng=rng)
-        self.queries += 1
-        query, kind = self.faults.get((self.certificate.degree, self.noise_bound), (0, None))
-        if kind is None or self.queries < query:
-            return value, candidates
-        if kind == "blow-up":
-            return 1e300, candidates
-        return value, tuple(grad * np.nan for grad in candidates)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = NoisyGradientOracle.answers(oracles, points, rngs)
+        for i, oracle in enumerate(oracles):
+            oracle.queries += 1
+            query, kind = oracle.faults.get((oracle.certificate.degree, oracle.noise_bound),
+                                            (0, None))
+            if kind is None or oracle.queries < query:
+                continue
+            if kind == "blow-up":
+                values[i] = 1e300
+            else:
+                candidates[i] *= np.nan
+        return values, candidates
 
 
 def _faulty(faults):

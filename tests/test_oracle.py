@@ -32,9 +32,10 @@ from proxiq import (
 )
 from proxiq.harness import ball_pair_sampler
 from proxiq import oracle as oracle_module
-from proxiq.rates import holder_delta_opt
-from proxiq.oracle import (_check_degree, _count, _finite, _nonnegative, _positive,
-                           evaluate_rows, noise_slab)
+from proxiq.rates import (bound_convex_ergodic, bound_nonconvex_const, holder_delta_opt,
+                          rho_opt_fast, rho_opt_horizon)
+from proxiq.oracle import (_check_degree, _check_k, _count, _finite, _nonnegative,
+                           _positive, evaluate_rows, noise_slab)
 
 
 # ---------------------------------------------------------------- majorize
@@ -327,90 +328,138 @@ def test_certificate_validation():
         NoisyGradientOracle(generate_quadratic_instance(2), math.nan)
 
 
-def test_evaluate_rows_matches_evaluate_per_row():
-    # one stacked evaluation, then each oracle draws from its own generator
-    # exactly what it draws alone, in the same order
-    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
-    oracles = [NoisyGradientOracle(prob, d, directions=3) for d in (0.0, 0.2, 1.5)]
-    points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
-    rngs = [np.random.default_rng(i) for i in range(3)]
-    values, candidates, finite = evaluate_rows(oracles, points, rngs)
-    assert values.shape == (3,) and candidates.shape == (3, 3, 8) and finite.all()
-    for i, (oracle, rng) in enumerate(zip(oracles, rngs)):
-        ref_rng = np.random.default_rng(i)
-        value, alone = oracle.evaluate(points[i], rng=ref_rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert values[i] == value
-        for stacked, single in zip(candidates[i], alone, strict=True):
-            assert stacked.tobytes() == single.tobytes()
-    values, candidates, _ = evaluate_rows([ExactOracle(prob)] * 3, points, [None] * 3)
-    assert candidates.shape == (3, 1, 8)
-    assert np.array_equal(candidates[:, 0], prob.value_and_gradient(points)[1])
+def _old_model_answer(oracle, x, rng):
+    """A model oracle's answer at one point, written out: the fused value
+    and gradient, then each noise vector drawn on its own."""
+    value, grad = oracle.problem.value_and_gradient(x)
+    if oracle.noise_bound == 0.0:
+        return value, np.tile(grad, (oracle.directions, 1))
+    return value, np.array([grad + _sequential_bounded_noise(rng, x.size, oracle.noise_bound)
+                            for _ in range(oracle.directions)])
 
-    # a batch of one answers bitwise as the oracle's evaluate, on the stacked
-    # path for the model oracles and through evaluate for the saddle oracle
+
+def _old_shifted_answer(oracle, x, rng):
+    shifted = x + bounded_noise(rng, x.size, oracle.shift_bound)
+    return float(oracle.problem.value(x)), oracle.problem.gradient(shifted)[None]
+
+
+def _old_saddle_answer(oracle, x, rng):
+    a, c = oracle.saddle.operator, oracle.saddle.concave_center
+    kappa = oracle.saddle.concavity
+    atx = a.T @ x
+    u = c + atx / kappa
+    if oracle.inner_accuracy > 0.0:
+        u = u + bounded_noise(rng, u.size, oracle.inner_accuracy)
+    return float((a @ c) @ x + atx @ atx / (2.0 * kappa)), (a @ u)[None]
+
+
+def _old_minibatch_answer(oracle, x, rng):
+    components, size = oracle.components, oracle.batch_size
+    n = len(components)
+    batch = range(n) if size == n else rng.choice(n, size=size, replace=False)
+    grad = sum(components[j].gradient(x) for j in batch) / size
+    return sum(float(c.value(x)) for c in components) / n, grad[None]
+
+
+def _family_batches():
+    """A three-row batch of every family over 8-dimensional points, with the
+    answer each gives at one point written out."""
+    prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     holder = HolderPowerProblem(centers=np.full(8, 0.1), exponent=0.5, holder_constant=1.0)
     gen = np.random.default_rng(8)
     saddle = SaddleProblem(gen.standard_normal((8, 3)), gen.standard_normal(3), 2.0)
-    for oracle, x in ((ExactOracle(prob), points[0]),
-                      (NoisyGradientOracle(prob, 0.2, directions=3), points[1]),
-                      (HolderOracle(holder, degree=0.5, delta=0.1), points[2]),
-                      (SaddleOracle(saddle, 0.0), points[0])):
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        values, candidates, finite = evaluate_rows([oracle], x[None], [rng])
-        value, alone = oracle.evaluate(x, rng=ref_rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert finite.tolist() == [True] and values[0].tobytes() == np.float64(value).tobytes()
-        assert candidates[0].tobytes() == np.array(alone).tobytes()
+    parts = [_Linear(gen.standard_normal(8), b) for b in (0.5, -1.0, 2.0, 0.0)]
+    return {
+        "exact": ([ExactOracle(prob)] * 3, _old_model_answer),
+        "noisy": ([NoisyGradientOracle(prob, d, directions=3) for d in (0.0, 0.2, 1.5)],
+                  _old_model_answer),
+        "model-mixed": ([ExactOracle(prob), NoisyGradientOracle(prob, 0.2),
+                         NoisyGradientOracle(prob, 1.5)], _old_model_answer),
+        "holder": ([HolderOracle(holder, degree=q, delta=0.1) for q in (0.0, 0.5, 1.0)],
+                   _old_model_answer),
+        "shifted": ([ShiftedPointOracle(prob, s) for s in (0.0, 0.1, 0.3)], _old_shifted_answer),
+        "saddle": ([SaddleOracle(saddle, a) for a in (0.0, 0.2, 0.05)], _old_saddle_answer),
+        "minibatch": ([MinibatchOracle(parts, b) for b in (2, 4, 3)], _old_minibatch_answer),
+    }
+
+
+def test_evaluate_rows_matches_evaluate_per_row():
+    # every family answers a stack at once, each row bitwise its answer
+    # alone and the answer written out for one point, each generator drawing
+    # what it draws alone, in the same order: with one generator per row,
+    # and with one shared by all rows, as certify_oracle passes them
+    points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
+    for family, (oracles, written_out) in _family_batches().items():
+        for shared in (False, True):
+            def generators():
+                if shared:
+                    return [np.random.default_rng(4)] * 3
+                return [np.random.default_rng(seed) for seed in (4, 5, 6)]
+
+            rngs, alone_rngs, written_rngs = generators(), generators(), generators()
+            values, candidates, finite = evaluate_rows(oracles, points, rngs)
+            assert values.shape == (3,) and candidates.shape[::2] == (3, 8), family
+            assert finite.all(), family
+            for i, oracle in enumerate(oracles):
+                for value, alone in (oracle.evaluate(points[i], rng=alone_rngs[i]),
+                                     written_out(oracle, points[i], written_rngs[i])):
+                    assert values[i].tobytes() == np.float64(value).tobytes(), family
+                    assert candidates[i].tobytes() == np.asarray(alone).tobytes(), family
+            states = [[rng.bit_generator.state for rng in gens]
+                      for gens in (rngs, alone_rngs, written_rngs)]
+            assert states[0] == states[1] == states[2], family
 
 
 class _Counted(NoisyGradientOracle):
-    """Noisy oracle whose own evaluate counts its calls and answers honestly."""
+    """Noisy oracle whose stacked answer counts the rows each oracle answers
+    and answers honestly."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = 0
 
-    def evaluate(self, x, rng=None):
-        self.calls += 1
-        return super().evaluate(x, rng=rng)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        for oracle in oracles:
+            oracle.calls += 1
+        return NoisyGradientOracle.answers(oracles, points, rngs)
 
 
 class _Halved(ExactOracle):
-    """Exact oracle whose own evaluate halves the gradient, NaN from its second query."""
+    """Exact oracle whose stacked answer halves each row's gradient, NaN
+    from the row oracle's second query on."""
 
     def __init__(self, problem):
         super().__init__(problem)
         self.queries = 0
 
-    def evaluate(self, x, rng=None):
-        value, (grad,) = super().evaluate(x, rng=rng)
-        self.queries += 1
-        return value, (grad * (0.5 if self.queries == 1 else math.nan),)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = ExactOracle.answers(oracles, points, rngs)
+        for oracle, row in zip(oracles, candidates):
+            oracle.queries += 1
+            row *= 0.5 if oracle.queries == 1 else math.nan
+        return values, candidates
 
 
-def test_evaluate_rows_runs_each_oracles_own_evaluate():
-    # a model oracle that overrides evaluate is asked through it, not through
-    # the stacked path, and a non-finite answer marks just its row
+def test_evaluate_rows_honours_an_overridden_answer():
+    # a subclass that overrides the stacked answer is asked through it, and
+    # a non-finite answer marks just its row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 8))
-    oracles = [ExactOracle(prob), _Halved(prob), NoisyGradientOracle(prob, 0.2)]
-    values, candidates, finite = evaluate_rows(oracles, points,
-                                               [None, None, np.random.default_rng(1)])
+    oracles = [_Halved(prob) for _ in range(3)]
+    values, candidates, finite = evaluate_rows(oracles, points, [None] * 3)
     assert candidates.shape == (3, 1, 8) and finite.all()
     exact = prob.value_and_gradient(points)[1]
-    assert candidates[0, 0].tobytes() == exact[0].tobytes()
-    assert candidates[1, 0].tobytes() == (0.5 * exact[1]).tobytes()
-    _, alone = oracles[2].evaluate(points[2], rng=np.random.default_rng(1))
-    assert candidates[2, 0].tobytes() == alone[0].tobytes()
-    values, candidates, finite = evaluate_rows(oracles, points,
-                                               [None, None, np.random.default_rng(1)])
+    assert candidates.tobytes() == (0.5 * exact[:, None]).tobytes()
+    oracles[0].queries = oracles[2].queries = 0
+    values, candidates, finite = evaluate_rows(oracles, points, [None] * 3)
     assert finite.tolist() == [True, False, True]
     assert np.isfinite(values).all() and np.isnan(candidates[1]).all()
     assert np.isfinite(candidates[[0, 2]]).all()
-    # an override that calls super().evaluate is asked once per row and
-    # gets back its row's honest answer, without looping back into
-    # evaluate_rows: the stacked path's bytes and random streams
+    # an override that calls its parent's answer is asked once for the
+    # batch and gets back the honest answer: the same bytes and random
+    # streams as the plain family
     bounds = (0.0, 0.2, 1.5)
     counted = [_Counted(prob, d, directions=2) for d in bounds]
     rngs = [np.random.default_rng(i) for i in range(3)]
@@ -422,19 +471,28 @@ def test_evaluate_rows_runs_each_oracles_own_evaluate():
     assert values.tobytes() == want[0].tobytes()
     assert candidates.tobytes() == want[1].tobytes()
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    # a batch shares one stacked answer: one that mixes families, or a
+    # family with its spoiled subclass, is refused before any answer
+    for mixed in ([ExactOracle(prob), _Halved(prob)],
+                  [NoisyGradientOracle(prob, 0.2, directions=2), counted[1]],
+                  [ExactOracle(prob), ShiftedPointOracle(prob, 0.1)]):
+        with pytest.raises(ValueError, match="share one stacked answer"):
+            evaluate_rows(mixed, points[:2], [np.random.default_rng(0)] * 2)
+    assert [o.calls for o in counted] == [1, 1, 1]
 
 
 class _Widened(ExactOracle):
-    """Exact oracle whose own evaluate returns a gradient one entry too long."""
+    """Exact oracle whose stacked answer gives gradients one entry too long."""
 
-    def evaluate(self, x, rng=None):
-        value, (grad,) = super().evaluate(x, rng=rng)
-        return value, (np.append(grad, 0.0),)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = ExactOracle.answers(oracles, points, rngs)
+        return values, np.concatenate([candidates, np.zeros((len(points), 1, 1))], axis=2)
 
 
 class _Spoiled(ExactOracle):
-    """Exact oracle whose own evaluate replaces the value or the gradient,
-    or adds a candidate."""
+    """Exact oracle whose stacked answer replaces a row's value or gradient,
+    or adds a candidate to it."""
 
     def __init__(self, problem, value=None, gradient=None, extra=None):
         super().__init__(problem)
@@ -442,11 +500,15 @@ class _Spoiled(ExactOracle):
         self.bad_gradient = gradient
         self.extra = extra
 
-    def evaluate(self, x, rng=None):
-        value, (grad,) = super().evaluate(x, rng=rng)
-        value = value if self.bad_value is None else self.bad_value
-        grad = grad if self.bad_gradient is None else self.bad_gradient
-        return value, (grad,) if self.extra is None else (grad, self.extra)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = ExactOracle.answers(oracles, points, rngs)
+        rows = []
+        for i, oracle in enumerate(oracles):
+            values[i] = values[i] if oracle.bad_value is None else oracle.bad_value
+            grad = candidates[i, 0] if oracle.bad_gradient is None else oracle.bad_gradient
+            rows.append([grad] if oracle.extra is None else [grad, oracle.extra])
+        return values, rows
 
 
 class _OnePoint:
@@ -461,25 +523,28 @@ class _OnePoint:
 
 
 def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
-    # evaluate_rows checks every answer; an oracle with its own evaluate is
-    # asked row by row, through it: a candidate that does not match its
-    # point, or a batch whose answers offer different numbers of candidates,
-    # is a usage error, and a non-finite value or candidate marks only its
-    # own row
+    # evaluate_rows checks every answer: a candidate that does not match its
+    # point, an answer that is not one per row, or a batch whose answers
+    # offer different numbers of candidates, is a usage error, and a
+    # non-finite value or candidate marks only its own row
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     points = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8))
     nan_entry = np.array([math.nan] + [0.0] * 7)
     with pytest.raises(ValueError, match="stack"):
         evaluate_rows([ExactOracle(_OnePoint())] * 2, points[:2], [None] * 2)
-    with pytest.raises(ValueError, match="shapes differ"):
+    with pytest.raises(ValueError, match=r"must give 3 values and \(C, m, n\) candidates"):
         evaluate_rows([_Widened(prob)] * 3, points[:3], [None] * 3)
     with pytest.raises(ValueError):
-        evaluate_rows([ExactOracle(prob), _Widened(prob)], points[:2], [None] * 2)
-    with pytest.raises(ValueError):
         evaluate_rows([_Spoiled(prob, extra=np.zeros(9))], points[:1], [None])
-    with pytest.raises(ValueError, match="same number of candidate gradients"):
+    with pytest.raises(ValueError):  # ragged: one row offers two candidates
         evaluate_rows([_Spoiled(prob), _Spoiled(prob, extra=np.zeros(8))], points[:2],
                       [None] * 2)
+    with pytest.raises(ValueError, match="same number of candidate gradients"):
+        evaluate_rows([NoisyGradientOracle(prob, 0.1, directions=d) for d in (1, 2)],
+                      points[:2], [np.random.default_rng(0)] * 2)
+    with pytest.raises(ValueError, match="share one problem"):
+        evaluate_rows([ExactOracle(prob), ExactOracle(generate_logsum_instance(8, 12, 2.0))],
+                      points[:2], [None] * 2)
     two = dict(extra=np.zeros(8))
     oracles = [_Spoiled(prob, **two), _Spoiled(prob, value=math.inf, **two),
                _Spoiled(prob, value=math.nan, **two), _Spoiled(prob, gradient=nan_entry, **two),
@@ -494,7 +559,7 @@ def test_evaluate_rows_checks_shapes_and_masks_non_finite_stacked_rows():
     assert np.isfinite(candidates[3, 1]).all()
     assert np.isfinite(values[4]) and np.isinf(candidates[4, 1]).all()
     assert np.isfinite(candidates[4, 0]).all()
-    # the stacked path marks a non-finite row the same way
+    # an honest answer marks a non-finite row the same way
     points[1, 2] = math.nan
     values, candidates, finite = evaluate_rows([ExactOracle(prob)] * 3, points[:3], [None] * 3)
     assert finite.tolist() == [True, False, True]
@@ -824,9 +889,11 @@ def test_certify_checks_every_candidate():
     # the certificate covers every candidate gradient, so one bad alternative
     # refutes it even when the first candidate is honest
     class _BadAlternatives(NoisyGradientOracle):
-        def evaluate(self, x, rng=None):
-            value, (grad, *alternatives) = super().evaluate(x, rng=rng)
-            return value, (grad, *[np.full(grad.shape, 1e3) for _ in alternatives])
+        @staticmethod
+        def answers(oracles, points, rngs):
+            values, candidates = NoisyGradientOracle.answers(oracles, points, rngs)
+            candidates[:, 1:] = 1e3
+            return values, candidates
 
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     sampler = ball_pair_sampler(2.0, 8)
@@ -845,7 +912,7 @@ def test_certify_checks_every_candidate():
 
 
 def test_certify_raises_on_non_finite_answer():
-    # the certifier asks through evaluate_rows, per row and stacked alike
+    # the certifier asks through evaluate_rows, an overridden answer too
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
     sampler = ball_pair_sampler(2.0, 8)
     for oracle in (_Halved(prob), _Spoiled(prob, value=math.nan)):
@@ -865,9 +932,9 @@ def test_certify_requires_positive_pairs():
         certify_oracle(oracle, prob.value, ball_pair_sampler(1.0, 4), pairs=0)
 
 
-@pytest.mark.parametrize("per_row", [False, True], ids=["stacked", "per_row"])
-def test_certify_asks_the_oracle_once(per_row, monkeypatch):
-    # every pair is answered by one evaluate_rows call, whatever the family
+@pytest.mark.parametrize("overridden", [False, True], ids=["stacked", "overridden"])
+def test_certify_asks_the_oracle_once(overridden, monkeypatch):
+    # every pair is answered by one evaluate_rows call, whatever the answer
     calls = []
     real = oracle_module.evaluate_rows
 
@@ -877,11 +944,11 @@ def test_certify_asks_the_oracle_once(per_row, monkeypatch):
 
     monkeypatch.setattr(oracle_module, "evaluate_rows", counting)
     prob = generate_logsum_instance(8, 12, 2.0, seed=3)
-    oracle = (_Counted if per_row else NoisyGradientOracle)(prob, 0.5, directions=3)
+    oracle = (_Counted if overridden else NoisyGradientOracle)(prob, 0.5, directions=3)
     certify_oracle(oracle, prob.value, ball_pair_sampler(2.0, 8), pairs=50,
                    rng=np.random.default_rng(1))
     assert calls == [50]
-    assert not per_row or oracle.calls == 50
+    assert not overridden or oracle.calls == 50
 
 
 def test_certify_raises_on_non_finite_exact_value():
@@ -936,19 +1003,19 @@ def _signed_pool(size, dim, seed):
 
 
 @settings(database=None, deadline=None, max_examples=80)
-@given(per_row=st.booleans(), count=st.sampled_from([1, 3]),
+@given(overridden=st.booleans(), count=st.sampled_from([1, 3]),
        noise=st.sampled_from([0.0, 0.05, 0.5]), scale=st.floats(0.01, 2.0),
        lower=st.booleans(), pool=st.sampled_from([0, 1, 4]), pairs=st.integers(1, 30),
        seed=st.integers(0, 2 ** 16))
-@example(per_row=False, count=3, noise=0.0, scale=1.0, lower=True, pool=1, pairs=8, seed=0)
-@example(per_row=True, count=3, noise=0.0, scale=0.5, lower=True, pool=1, pairs=8, seed=1)
-def test_certify_matches_a_per_pair_loop(per_row, count, noise, scale, lower, pool, pairs,
-                                         seed):
+@example(overridden=False, count=3, noise=0.0, scale=1.0, lower=True, pool=1, pairs=8, seed=0)
+@example(overridden=True, count=3, noise=0.0, scale=0.5, lower=True, pool=1, pairs=8, seed=1)
+def test_certify_matches_a_per_pair_loop(overridden, count, noise, scale, lower, pool,
+                                         pairs, seed):
     # pool 0 samples the logsum ball; a pool of one pair and its negation
     # with zero noise ties every entry, so the first pair must be the pick
     prob, sampler = ((_LOGSUM, ball_pair_sampler(2.0, 8)) if pool == 0
                      else (_SYMMETRIC, _signed_pool(pool, 6, seed)))
-    oracle = (_Counted if per_row else NoisyGradientOracle)(prob, noise, directions=count)
+    oracle = (_Counted if overridden else NoisyGradientOracle)(prob, noise, directions=count)
     cert = oracle.certificate
     oracle.certificate = replace(cert, delta=scale * cert.delta,
                                  lipschitz=scale * cert.lipschitz, convex_lower_bound=lower)
@@ -1011,6 +1078,11 @@ _COMPONENTS = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0), _Linear([1.0,
     (lambda: generate_quadratic_instance(2.5), "n"),
     (lambda: generate_holder_instance(0, 0.5), "n"),
     (lambda: ball_pair_sampler(math.nan, 3), "radius"),
+    (lambda: rho_opt_horizon(1.0, 1.5, 0.1, 1.0, -5), "horizon"),
+    (lambda: bound_nonconvex_const(1.0, 0.5, 0.1, 1.0, -1), "k"),
+    (lambda: bound_nonconvex_const(1.0, 0.5, 0.1, 1.0, math.nan), "k"),
+    (lambda: rho_opt_fast(1.0, 0.5, 0.1, np.array([3.0, -5.0])), "k"),
+    (lambda: bound_convex_ergodic(1.0, 1.0, 0.1, 1.0, np.array([1.0, math.inf])), "k"),
 ], ids=["logsum-radius-nan", "logsum-radius-inf", "logsum-problem-radius-nan",
         "quadratic-conditioning-nan", "quadratic-conditioning-inf", "noisy-diameter-negative",
         "noisy-diameter-zero", "noisy-diameter-nan", "minibatch-fractional",
@@ -1020,7 +1092,8 @@ _COMPONENTS = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0), _Linear([1.0,
         "power-holder-constant-inf", "saddle-concavity-nan", "saddle-concavity-inf",
         "theta-a-prev-nan", "certify-pairs-fractional", "certify-pairs-bool",
         "logsum-n-fractional", "quadratic-n-fractional", "holder-n-zero",
-        "sampler-radius-nan"])
+        "sampler-radius-nan", "horizon-negative", "k-negative", "k-nan",
+        "k-array-negative", "k-array-inf"])
 def test_bad_inputs_raise(build, name):
     # each of these used to build NaN or inf data, a zero or truncated
     # parameter, a TypeError or an error naming another parameter; NaN
@@ -1030,7 +1103,7 @@ def test_bad_inputs_raise(build, name):
 
 
 def test_scalar_checks():
-    # every scalar check of the package goes through these five helpers
+    # every scalar check of the package goes through these six helpers
     count = _count(np.int64(3), "pairs")
     assert count == 3 and type(count) is int
     for bad in (True, 2.5, 0):
@@ -1058,3 +1131,10 @@ def test_scalar_checks():
             _check_degree(bad)
     with pytest.raises(ValueError, match=r"^degree must lie in \[1, 2\)$"):
         _check_degree(0.5, lo=1.0)
+    ks = _check_k([0, 2.5])
+    assert ks.dtype == float and ks.tolist() == [0.0, 2.5] and _check_k(1).ndim == 0
+    for bad in (math.nan, math.inf, -math.inf, -1e-300, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="^k must be finite and at least 0$"):
+            _check_k(bad)
+    with pytest.raises(ValueError, match="^horizon must be finite and at least 1$"):
+        _check_k(0.5, floor=1.0, name="horizon")

@@ -47,28 +47,31 @@ class _WrongConstant(ExactOracle):
                                              degree=1.0)
 
 
-class _Poisoned:
-    """Exact oracle whose answers turn non-finite from a given query on.
+class _Poisoned(ExactOracle):
+    """Exact oracle whose answers turn non-finite from a given query on, or
+    never without one.
 
     The answer itself is non-finite, as a real oracle's with an overflowing
-    or NaN computation would be, and evaluate_rows' finiteness check marks it.
+    or NaN computation would be, and evaluate_rows' finiteness check marks
+    it.  Each oracle of a batch counts its own queries.
     """
 
-    def __init__(self, problem, first_bad, field):
-        self.inner = ExactOracle(problem)
-        self.certificate = self.inner.certificate
+    def __init__(self, problem, first_bad=math.inf, field=None, degree=1.0):
+        super().__init__(problem, degree=degree)
         self.first_bad = first_bad
         self.field = field
         self.queries = 0
 
-    def evaluate(self, x, rng=None):
-        value, (grad,) = self.inner.evaluate(x)
-        self.queries += 1
-        if self.queries > self.first_bad and self.field == "value":
-            value = math.inf
-        if self.queries > self.first_bad and self.field == "gradient":
-            grad = grad * math.nan
-        return value, (grad,)
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = ExactOracle.answers(oracles, points, rngs)
+        for i, oracle in enumerate(oracles):
+            oracle.queries += 1
+            if oracle.queries > oracle.first_bad and oracle.field == "value":
+                values[i] = math.inf
+            if oracle.queries > oracle.first_bad and oracle.field == "gradient":
+                candidates[i] *= math.nan
+        return values, candidates
 
 
 # --------------------------------------------------------------- schedules
@@ -135,11 +138,11 @@ def test_prox_gradient_single_step_solves_separable():
         convex = True
 
         def value(self, x):
-            return 0.5 * float(x @ x)
+            return 0.5 * (x * x).sum(axis=-1)
 
         def value_and_gradient(self, x):
             # a model oracle's problem answers a stack (C, n) row by row
-            return 0.5 * (x * x).sum(axis=-1), np.asarray(x, dtype=float)
+            return self.value(x), np.asarray(x, dtype=float)
 
     prob = _OneDim()
     cfg = ScheduleConfig(max_iters=3, rho=0.0)
@@ -207,17 +210,18 @@ def test_prox_gradient_guards():
                       cfg, np.array([math.nan, 0.0, 0.0, 0.0]))
 
 
-class _Scaled:
+class _Scaled(ExactOracle):
     """Exact oracle that also offers the gradient scaled by each factor."""
 
     def __init__(self, problem, factors):
-        self.inner = ExactOracle(problem)
-        self.certificate = self.inner.certificate
+        super().__init__(problem)
         self.factors = factors
 
-    def evaluate(self, x, rng=None):
-        value, (grad,) = self.inner.evaluate(x)
-        return value, (grad, *[f * grad for f in self.factors])
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = ExactOracle.answers(oracles, points, rngs)
+        factors = np.array([[1.0, *oracle.factors] for oracle in oracles])
+        return values, factors[:, :, None] * candidates
 
 
 def test_prox_gradient_follows_the_farthest_candidate():
@@ -315,8 +319,8 @@ def test_prox_gradient_turns_non_finite_answers_into_divergence():
     # the final iterate's F comes from objective, not from the oracle
     once = ScheduleConfig(max_iters=1, rho=0.0)
     with pytest.raises(DivergenceError, match="step 1"):
-        prox_gradient(lambda x: math.inf, ExactOracle(prob), ProxFunction.zero(),
-                      once, np.ones(4))
+        prox_gradient(lambda x: np.full(len(x), math.inf), ExactOracle(prob),
+                      ProxFunction.zero(), once, np.ones(4))
     # the fast and adaptive solvers ask through the same answer step and
     # report in the batch's words, at x_0 as at any later iterate
     for solver in (fast_prox_gradient, lambda *a: adaptive_prox_gradient(*a, 1.0)):
@@ -422,8 +426,8 @@ def test_batch_isolates_failures(solver):
     # a full first step gains more than the adaptive slack can chase in 10 doublings
     full = replace(short, step_scale=1.0)
     h = ProxFunction.zero()
-    oracles = [ExactOracle(prob), _Poisoned(prob, 3, "gradient"), ExactOracle(prob, degree=1.5),
-               _Poisoned(prob, 6, "value"), ExactOracle(prob)]
+    oracles = [_Poisoned(prob), _Poisoned(prob, 3, "gradient"), _Poisoned(prob, degree=1.5),
+               _Poisoned(prob, 6, "value"), _Poisoned(prob)]
     configs = [short] * 4 + [full]
     runs = solve(prob.value, oracles, h, configs, np.ones(4), rng=[None] * 5)
     assert isinstance(runs[1], DivergenceError) and "step 3" in str(runs[1])
@@ -440,7 +444,7 @@ def test_batch_isolates_failures(solver):
 @pytest.mark.parametrize("solver", _SOLVERS)
 def test_each_step_asks_the_oracle_once(solver, monkeypatch):
     # K steps make K evaluate_rows calls, one per step for all live runs,
-    # whether the batch is stacked, asked row by row, or loses a run
+    # whatever the family, and when the batch loses a run
     calls = []
     real = solver_module.evaluate_rows
 
@@ -455,7 +459,7 @@ def test_each_step_asks_the_oracle_once(solver, monkeypatch):
     # a short step keeps the adaptive target within its ten doublings
     cfg = ScheduleConfig(max_iters=8, rho=1.0, step_scale=0.05)
     batches = [[NoisyGradientOracle(prob, 0.1)] * 3, [ShiftedPointOracle(prob, 0.1)] * 3,
-               [ExactOracle(prob), _Poisoned(prob, 3, "gradient"), ExactOracle(prob)]]
+               [_Poisoned(prob), _Poisoned(prob, 3, "gradient"), _Poisoned(prob)]]
     for oracles, want in zip(batches, [[3] * 8, [3] * 8, [3] * 4 + [2] * 4]):
         calls.clear()
         runs = solve(prob.value, oracles, h, [cfg] * 3, x0,
@@ -466,56 +470,64 @@ def test_each_step_asks_the_oracle_once(solver, monkeypatch):
 
 def test_prox_gradient_final_blowup_leaves_siblings():
     # a blow-up ends a run as well; its siblings finish.  objective runs
-    # once per final iterate, in run order
+    # once, on the stack of final iterates, one row per run
     prob = generate_quadratic_instance(4, conditioning=2.0, seed=3)
-    finals = iter([math.inf, 0.0])
-    runs = prox_gradient(lambda x: next(finals), [ExactOracle(prob)] * 2, ProxFunction.zero(),
+    finals = lambda x: np.array([math.inf, 0.0])
+    runs = prox_gradient(finals, [ExactOracle(prob)] * 2, ProxFunction.zero(),
                          [ScheduleConfig(max_iters=1, rho=0.0)] * 2, np.ones(4), [None] * 2)
     assert isinstance(runs[0], DivergenceError) and "blew up at step 1" in str(runs[0])
     assert isinstance(runs[1], RunTrace) and runs[1].objective[-1] == 0.0
 
 
 class _Spoiled:
-    """objective, spoiled at the calls it lists: call c answers value."""
+    """objective, spoiled at the (call, row) pairs it lists: row r of call c
+    answers value."""
 
-    def __init__(self, objective, calls, value):
-        self.objective, self.calls, self.value = objective, calls, value
+    def __init__(self, objective, spoils, value):
+        self.objective, self.spoils, self.value = objective, spoils, value
         self.count = 0
 
     def __call__(self, x):
+        values = self.objective(x)
+        for call, row in self.spoils:
+            if call == self.count:
+                values[row] = self.value
         self.count += 1
-        return self.value if self.count - 1 in self.calls else self.objective(x)
+        return values
 
 
 def test_fast_method_ends_a_run_at_a_non_finite_prox_point():
-    # objective is called once per live run and step, at y_k, in run order;
-    # the answers at the iterates stay finite
+    # objective is called once a step, on the stack of the live runs' y_k,
+    # one row per run; the answers at the iterates stay finite
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=3)
     h, cfg, x0 = ProxFunction.zero(), ScheduleConfig(max_iters=6, rho=0.0), np.ones(4)
     with pytest.raises(DivergenceError, match=r"^objective blew up at step 3: f = inf$"):
-        fast_prox_gradient(_Spoiled(quad.value, {2}, math.inf), ExactOracle(quad), h, cfg, x0)
-    # in a batch, run 0's F(y_2) is call 4; run 1 finishes as it does alone
-    runs = fast_prox_gradient(_Spoiled(quad.value, {4}, math.nan), [ExactOracle(quad)] * 2, h,
-                              [cfg, replace(cfg, step_scale=0.5)], x0, rng=[None] * 2)
+        fast_prox_gradient(_Spoiled(quad.value, {(2, 0)}, math.inf), ExactOracle(quad), h, cfg,
+                           x0)
+    # in a batch, run 0's F(y_2) is row 0 of call 2; run 1 finishes as it does alone
+    runs = fast_prox_gradient(_Spoiled(quad.value, {(2, 0)}, math.nan), [ExactOracle(quad)] * 2,
+                              h, [cfg, replace(cfg, step_scale=0.5)], x0, rng=[None] * 2)
     assert str(runs[0]) == "objective blew up at step 3: f = nan"
     _assert_same_run(runs[1], fast_prox_gradient(quad.value, ExactOracle(quad), h,
                                                  replace(cfg, step_scale=0.5), x0))
     # F(y_2) is asked before the answer at x_3, so its failure is the one reported
     with pytest.raises(DivergenceError, match=r"^objective blew up at step 3: f = inf$"):
-        fast_prox_gradient(_Spoiled(quad.value, {2}, math.inf), _Poisoned(quad, 3, "value"),
-                           h, cfg, x0)
+        fast_prox_gradient(_Spoiled(quad.value, {(2, 0)}, math.inf),
+                           _Poisoned(quad, 3, "value"), h, cfg, x0)
 
 
 def test_adaptive_candidate_above_the_ceiling_ends_its_run():
     # with a slack this large no candidate beats the target, so objective is
-    # called once per live run and step, at its candidate, in run order
+    # called once a step, on the stack of the live runs' candidates, one row
+    # per run
     quad = generate_quadratic_instance(4, conditioning=2.0, seed=3)
     h, cfg, x0 = ProxFunction.zero(), ScheduleConfig(max_iters=6, rho=0.0), np.ones(4)
     with pytest.raises(DivergenceError, match=r"^objective blew up at step 3: f = 1e\+300$"):
-        adaptive_prox_gradient(_Spoiled(quad.value, {2}, 1e300), ExactOracle(quad), h, cfg, x0,
-                               1e6)
-    runs = adaptive_prox_gradient(_Spoiled(quad.value, {4}, 1e300), [ExactOracle(quad)] * 2, h,
-                                  [cfg, replace(cfg, step_scale=0.5)], x0, 1e6, rng=[None] * 2)
+        adaptive_prox_gradient(_Spoiled(quad.value, {(2, 0)}, 1e300), ExactOracle(quad), h, cfg,
+                               x0, 1e6)
+    runs = adaptive_prox_gradient(_Spoiled(quad.value, {(2, 0)}, 1e300), [ExactOracle(quad)] * 2,
+                                  h, [cfg, replace(cfg, step_scale=0.5)], x0, 1e6,
+                                  rng=[None] * 2)
     assert str(runs[0]) == "objective blew up at step 3: f = 1e+300"
     _, history = runs[1]
     assert [state.retry_count for state in history] == [0] * 6
@@ -809,7 +821,7 @@ def test_adaptive_flat_objective_never_retries():
         convex = True
 
         def value(self, x):
-            return 5.0
+            return np.full(np.shape(x)[:-1], 5.0)
 
         def value_and_gradient(self, x):
             return np.full(np.shape(x)[:-1], 5.0), np.zeros_like(np.asarray(x, dtype=float))
@@ -909,7 +921,7 @@ def test_adaptive_gives_up_when_target_keeps_running_away():
         convex = False  # its gradient is not the gradient of its value
 
         def value(self, x):
-            return -10.0 * float(x[0])
+            return -10.0 * x[..., 0]
 
         def value_and_gradient(self, x):
             return -10.0 * x[..., 0], np.full(np.shape(x), -10.0)
