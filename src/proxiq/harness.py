@@ -257,20 +257,24 @@ class CellResult:
     """Outcome of one (degree, noise, repeat) cell.
 
     trace is the cell's RunTrace without its iterates, or None for a
-    diverged cell; its objective holds F at x_0 .. x_K.  wall_time is the
-    elapsed time of the batch the cell ran in, the same for every cell of
-    that batch; a sweep runs one batch per chunk, each on its own clock.
+    diverged cell; its objective holds F at x_0 .. x_K.  status is read off
+    trace, "ok" or "diverged".  wall_time is the elapsed time of the batch
+    the cell ran in, the same for every cell of that batch; a sweep runs
+    one batch per chunk, each on its own clock.
     """
 
     degree: float
     noise_bound: float
     repeat: int
     seed_label: str
-    status: str                     # "ok" or "diverged"
     f0: float
     bound: np.ndarray
     wall_time: float
     trace: Optional[RunTrace] = None
+
+    @property
+    def status(self):
+        return "diverged" if self.trace is None else "ok"
 
     @property
     def plateau(self):
@@ -342,12 +346,10 @@ def run_cells(problem, config, cells, directions=1):
     wall_time = time.perf_counter() - start
     results = []
     for (q, d, r), seed, run in zip(cells, seeds, runs):
-        diverged = isinstance(run, DivergenceError)
         results.append(CellResult(
             degree=float(q), noise_bound=float(d), repeat=r,
-            seed_label="-".join(map(str, seed.entropy)),
-            status="diverged" if diverged else "ok", f0=f0, bound=curves[q, d],
-            wall_time=wall_time, trace=None if diverged else run))
+            seed_label="-".join(map(str, seed.entropy)), f0=f0, bound=curves[q, d],
+            wall_time=wall_time, trace=None if isinstance(run, DivergenceError) else run))
     return results
 
 

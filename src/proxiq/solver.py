@@ -14,20 +14,18 @@ reads the oracle's certificate (delta, L, q) once, at the start of a run:
 
 All of them record a RunTrace with the squared gradient-mapping norm
 ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
-guarantees control.  They share one loop, which advances a batch of runs
-in lockstep as one (C, n) state, each run bitwise the run alone, and owns
-the start check, the answer at each iterate through one
-oracle.evaluate_rows call a step, which checks its shapes and finiteness,
-the failure rule and the traces: a non-finite answer or a blown-up
-objective ends a run with DivergenceError.  F at x_k, k < K, is the value
-of the answer at x_k; objective gives it at x_K.  objective takes a stack
-(C, n) and returns C values, as every problem's value does, so each F it
-gives is one call on a stack of runs.  Each solver passes the loop only
-its step rule, and every rule takes its gradient step through one prox
-kernel, _farthest_move.  prox_gradient also serves the worst-case sweep:
-when an answer carries several candidate gradients, it steps along the
-one whose prox step moves farthest; the other two solvers reject such an
-answer with ValueError.
+guarantees control.  They share one loop, _lockstep, which advances a
+batch of runs in lockstep, each run bitwise the run alone, and keeps one
+table of per-run columns, the certificate and the schedule among them.
+The loop owns the start check, one oracle.evaluate_rows call a step, the
+failure rule and the traces: a non-finite answer or a blown-up objective
+ends a run with DivergenceError.  F at x_k, k < K, is the value of the
+answer at x_k, and one objective call on the stack (C, n) gives F at x_K.
+Each solver passes the loop its start and step rules, which read the
+columns, and every step rule moves through one prox kernel,
+_farthest_move.  When an answer carries several candidate gradients,
+prox_gradient steps along the one whose prox step moves farthest, as the
+worst-case sweep needs; the other two solvers raise ValueError.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ class DivergenceError(RuntimeError):
     """Objective blow-up or a retry loop that will not terminate."""
 
 
-# start values of the momentum sequence, per rule
-_THETA0 = {"equality_root": 1.0, "half_linear": 0.5}
+# each momentum rule's (theta_0, c, d): theta_next = (1 + sqrt(1 + c*L*a)) / d
+_MOMENTUM = {"equality_root": (1.0, 4.0, 2.0), "half_linear": (0.5, 16.0, 4.0)}
 
 # a run is declared divergent when f exceeds f(x0) by this relative margin
 _BLOWUP_MARGIN = 1e6
@@ -123,15 +121,12 @@ class AdaptiveState:
     retry_count: int
 
 
-def _check_rho(oracle, config):
+def _rho_rule(run):
     """The start rule of the methods that step with rho: a certificate of
     degree > 0 and delta > 0 needs rho > 0 to majorize its error term."""
-    batch = isinstance(oracle, (list, tuple))
-    for run_oracle, run_config in zip(oracle, config) if batch else [(oracle, config)]:
-        cert = run_oracle.certificate
-        if run_config.rho == 0.0 and cert.degree > 0.0 and cert.delta > 0.0:
-            raise ValueError("rho must be positive when the certificate has degree > 0"
-                             " and delta > 0")
+    if np.any((run["rho"] == 0.0) & (run["degree"] > 0.0) & (run["delta"] > 0.0)):
+        raise ValueError("rho must be positive when the certificate has degree > 0"
+                         " and delta > 0")
 
 
 def _failures(step, f, ceiling, finite):
@@ -144,16 +139,14 @@ def _failures(step, f, ceiling, finite):
             for j in failed}
 
 
-def _leave(run, failures, outcomes, oracles, rngs):
+def _leave(run, failures, outcomes):
     """Ends each failed run, {row: DivergenceError}, with its error.
-    Returns the state of the others, compacted by one mask, their oracles
-    and their generators."""
+    Returns the table of the others, every column compacted by one mask."""
     keep = np.ones(len(run["index"]), dtype=bool)
     for j, exc in failures.items():
         outcomes[run["index"][j]] = exc
         keep[j] = False
-    run = {name: value[keep] for name, value in run.items()}
-    return run, [oracles[i] for i in run["index"]], [rngs[i] for i in run["index"]]
+    return {name: column[keep] for name, column in run.items()}
 
 
 def _values(objective, x):
@@ -164,21 +157,21 @@ def _values(objective, x):
     return f
 
 
-def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
+def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     """The step loop of every solver, over a batch or a single run as
     prox_gradient describes; a run's result is finish(trace, records) when
     finish is given.
 
-    Each step k answers the live runs at x_k with one evaluate_rows call,
-    and the trace records F(x_k) as the answer's value; one objective
-    call on the stack gives F at the final iterates x_K.  The failure rule
-    then ends runs, and step(k, run) moves the others to x_{k+1}.  run
-    maps names to the live runs' state, one row per run, compacted by one
-    mask when runs leave: index, x, lip = L + q*rho, alpha, alpha_sq, f0,
-    ceiling and the answer's candidates, and the step rule's own state.
-    step returns the step's records {name: one value per run}, gm_sq and
-    optionally alpha and objective_y among them, and {row:
-    DivergenceError} for the runs it ends.
+    run is the one table of the live runs, a column per name and a row per
+    run: index, oracle, rng, the certificate's lipschitz, degree and delta
+    and the schedule's rho and step_scale, read once here and checked by
+    start(run), then x, lip = L + q*rho, alpha, alpha_sq, f0, ceiling, the
+    answer's candidates and the step rule's own state.  Step k records the
+    value of one evaluate_rows answer at x_k as F(x_k), and F at x_K is one
+    objective call on the stack.  The failure rule ends runs, one mask
+    drops them from every column, and step(k, run) moves the others on; it
+    returns its records {name: one value per run}, gm_sq and optionally
+    alpha and objective_y among them, and {row: DivergenceError}.
     """
     batch = isinstance(oracle, (list, tuple))
     oracles, configs, rngs = ((list(oracle), list(config), list(rng)) if batch
@@ -195,21 +188,26 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
     if not h.contains(x0):
         raise ValueError("x0 lies outside dom h")
     certs = [o.certificate for o in oracles]
-    lips = [c.lipschitz + c.degree * cfg.rho for c, cfg in zip(certs, configs)]
-    alphas = [cfg.step_scale / lip for cfg, lip in zip(configs, lips)]
+    run = {name: np.array([getattr(c, name) for c in certs], dtype=float)
+           for name in ("lipschitz", "degree", "delta")}
+    run.update({name: np.array([getattr(c, name) for c in configs], dtype=float)
+                for name in ("rho", "step_scale")})
+    run.update(index=np.arange(runs), oracle=np.fromiter(oracles, object, runs),
+               rng=np.fromiter(rngs, object, runs), x=np.tile(x0, (runs, 1)))
+    start(run)
+    run["lip"] = run["lipschitz"] + run["degree"] * run["rho"]
+    run["alpha"] = run["step_scale"] / run["lip"]
+    run["alpha_sq"] = np.array([a ** 2 for a in run["alpha"].tolist()])
     outcomes = [None] * runs
-    run, live_oracles, live_rngs = _leave(
-        dict(index=np.arange(runs), x=np.tile(x0, (runs, 1)), lip=np.array(lips),
-             alpha=np.array(alphas), alpha_sq=np.array([a ** 2 for a in alphas])),
-        {}, outcomes, oracles, rngs)
     objective_vals = np.empty((runs, iters + 1))
     records = {}
     iterates = None if batch else np.empty((iters + 1, runs, x0.size))
     for k in range(iters + 1):
         if iterates is not None:
             iterates[k, run["index"]] = run["x"]
-        if k < iters:
-            f, run["candidates"], finite = evaluate_rows(live_oracles, run["x"], live_rngs)
+        if k < iters:  # as lists, which the answers' loops walk faster than object arrays
+            f, run["candidates"], finite = evaluate_rows(run["oracle"].tolist(), run["x"],
+                                                         run["rng"].tolist())
         else:  # no answer after the last step
             f = _values(objective, run["x"])
             finite = np.ones(len(f), dtype=bool)
@@ -218,8 +216,8 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
         objective_vals[run["index"], k] = f
         failures = _failures(k, f, run["ceiling"], finite)
         if failures:
-            run, live_oracles, live_rngs = _leave(run, failures, outcomes, oracles, rngs)
-        if k == iters or not live_oracles:
+            run = _leave(run, failures, outcomes)
+        if k == iters or not len(run["index"]):
             break
         step_records, failures = step(k, run)
         for name, values in step_records.items():
@@ -227,14 +225,14 @@ def _lockstep(objective, oracle, h, config, x0, rng, step, finish=None):
                 records[name] = np.empty((runs, iters))
             records[name][run["index"], k] = values
         if failures:
-            run, live_oracles, live_rngs = _leave(run, failures, outcomes, oracles, rngs)
-        if not live_oracles:
+            run = _leave(run, failures, outcomes)
+        if not len(run["index"]):
             break
-    for i in run["index"]:
+    for j, i in enumerate(run["index"]):
         rec = {name: values[i] for name, values in records.items()}
-        alpha = rec.pop("alpha") if "alpha" in rec else np.full(iters, alphas[i])
+        alpha = rec.pop("alpha") if "alpha" in rec else np.full(iters, run["alpha"][j])
         trace = RunTrace(None if batch else iterates[:, i], objective_vals[i], alpha,
-                         certs[i].delta, rec.pop("gm_sq"), rec.pop("objective_y", None))
+                         float(run["delta"][j]), rec.pop("gm_sq"), rec.pop("objective_y", None))
         outcomes[i] = finish(trace, rec) if finish else trace
     if not batch and isinstance(outcomes[0], DivergenceError):
         raise outcomes[0]
@@ -272,8 +270,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
         run["x"], move_sq = _farthest_move(h, run["alpha"], run["x"], run["candidates"])
         return {"gm_sq": move_sq / run["alpha_sq"]}, {}
 
-    _check_rho(oracle, config)
-    return _lockstep(objective, oracle, h, config, x0, rng, step)
+    return _lockstep(objective, oracle, h, config, x0, rng, _rho_rule, step)
 
 
 def _farthest_move(h, alpha, x, candidates):
@@ -317,11 +314,15 @@ def theta_next(a_prev, lipschitz_next, rule="equality_root"):
     reproduces the linear sequence theta_k = (k+1)/2.
     """
     _positive(a_prev=a_prev, lipschitz_next=lipschitz_next)
-    if rule == "equality_root":
-        return (1.0 + math.sqrt(1.0 + 4.0 * lipschitz_next * a_prev)) / 2.0
-    if rule == "half_linear":
-        return (1.0 + math.sqrt(1.0 + 16.0 * lipschitz_next * a_prev)) / 4.0
-    raise ValueError(f"unknown theta rule {rule!r}")
+    if rule not in _MOMENTUM:
+        raise ValueError(f"unknown theta rule {rule!r}")
+    return float(_theta(a_prev, lipschitz_next, rule))
+
+
+def _theta(a_prev, lipschitz_next, rule):
+    """theta_next's formula, unchecked, on scalars or arrays; the product is (c*L)*a."""
+    _, c, d = _MOMENTUM[rule]
+    return (1.0 + np.sqrt(1.0 + c * lipschitz_next * a_prev)) / d
 
 
 def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_root", rng=None):
@@ -346,9 +347,9 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
     step k+1, and at the final iterates.
     An answer with several candidate gradients raises ValueError.
     """
-    if theta_rule not in _THETA0:
+    if theta_rule not in _MOMENTUM:
         raise ValueError(f"unknown theta rule {theta_rule!r}")
-    theta0 = _THETA0[theta_rule]
+    theta0 = _MOMENTUM[theta_rule][0]
 
     def step(k, run):
         x, lip, grad = run["x"], run["lip"], _gradient(k, run["candidates"])
@@ -359,7 +360,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         y, move_sq = _farthest_move(h, run["alpha"], x, run["candidates"])
         run["model_sum"] += (theta / lip)[:, None] * grad
         z = project_l1_rows(run["origin"] - run["model_sum"], h.radius)
-        theta_new = np.array([theta_next(a, l, theta_rule) for a, l in zip(a_weight, lip)])
+        theta_new = _theta(a_weight, lip, theta_rule)
         a_new = a_weight + theta_new / lip
         tau = theta_new / (a_new * lip)
         if not np.all((0.0 < tau) & (tau <= 1.0)):
@@ -371,8 +372,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
         return ({"gm_sq": move_sq / run["alpha_sq"], "objective_y": fy},
                 _failures(k + 1, fy, math.inf, np.ones(len(fy), dtype=bool)))
 
-    _check_rho(oracle, config)
-    return _lockstep(objective, oracle, h, config, x0, rng, step)
+    return _lockstep(objective, oracle, h, config, x0, rng, _rho_rule, step)
 
 
 def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
@@ -396,21 +396,22 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     answers with one candidate gradient.  Lists are a batch, as in
     prox_gradient; a retry steps again only the runs that beat their target.
     """
-    batch = isinstance(oracle, (list, tuple))
-    oracles, configs = (oracle, config) if batch else ([oracle], [config])
-    if not all(1.0 <= o.certificate.degree < 2.0 for o in oracles):
-        raise ValueError("the adaptive variant needs degree in [1, 2)")
     # a NaN slack would fail every acceptance test and end as a false divergence
     _positive(epsilon0=epsilon0)
     _count(max_doublings, "max_doublings")
 
+    def start(run):
+        if not np.all((1.0 <= run["degree"]) & (run["degree"] < 2.0)):
+            raise ValueError("the adaptive variant needs degree in [1, 2)")
+
     def step(k, run):
-        x, index = run["x"], run["index"]
+        x = run["x"]
+        lipschitz, degree, delta, step_scale = (  # floats: rho_opt_horizon stays scalar
+            run[name].tolist() for name in ("lipschitz", "degree", "delta", "step_scale"))
         _gradient(k, run["candidates"])  # refuses an answer with several candidates
         if k == 0:
             run.update(epsilon=np.full(len(x), float(epsilon0)), f_min=run["f0"])
-            run["f_best"] = run["f_min"] - run["epsilon"]
-        epsilon, f_best = run["epsilon"], run["f_best"]
+        epsilon, f_best = run["epsilon"], run["f_min"] - run["epsilon"]
         alpha, f_next, move_sq = np.empty((3, len(x)))
         nxt = np.empty_like(x)
         retries = np.zeros(len(x), dtype=int)
@@ -419,11 +420,10 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         chasing = np.arange(len(x))  # the runs whose step is not accepted yet
         while len(chasing):
             for j in chasing:
-                cert = oracles[index[j]].certificate
                 gap = float(run["f0"][j] - f_best[j])
-                rho = (rho_opt_horizon(cert.lipschitz, cert.degree, cert.delta, gap, k)
-                       if cert.delta > 0.0 else 0.0)
-                alpha[j] = configs[index[j]].step_scale / (cert.lipschitz + cert.degree * rho)
+                rho = (rho_opt_horizon(lipschitz[j], degree[j], delta[j], gap, k)
+                       if delta[j] > 0.0 else 0.0)
+                alpha[j] = step_scale[j] / (lipschitz[j] + degree[j] * rho)
             nxt[chasing], move_sq[chasing] = _farthest_move(h, alpha[chasing], x[chasing],
                                                             run["candidates"][chasing])
             f_next[chasing] = _values(objective, nxt[chasing])
@@ -442,7 +442,6 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         records = {"gm_sq": move_sq / np.array([a ** 2 for a in alpha.tolist()]),
                    "alpha": alpha, "epsilon": epsilon, "f_best": f_best, "retries": retries}
         run.update(x=nxt, f_min=np.minimum(run["f_min"], f_next), epsilon=epsilon / 2.0)
-        run["f_best"] = run["f_min"] - run["epsilon"]
         return records, failures
 
     def finish(trace, records):
@@ -450,4 +449,4 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
                        for e, b, r in zip(records["epsilon"], records["f_best"],
                                           records["retries"])]
 
-    return _lockstep(objective, oracle, h, config, x0, rng, step, finish)
+    return _lockstep(objective, oracle, h, config, x0, rng, start, step, finish)

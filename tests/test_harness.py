@@ -333,6 +333,8 @@ def _check_diverged_cells_are_isolated(honest_out, out, results, diverged):
     assert {cell for cell, status in statuses.items() if status == "diverged"} == diverged
     assert sum(s == "ok" for s in statuses.values()) == len(results) - len(diverged)
     for cell in results:
+        # status is read off the trace, so the two cannot disagree
+        assert (cell.status == "diverged") == (cell.trace is None)
         exists = (out / cell.trace_filename).exists()
         assert exists == (cell.status == "ok")
         if cell.status == "ok":  # siblings are untouched by the failure
@@ -342,6 +344,7 @@ def _check_diverged_cells_are_isolated(honest_out, out, results, diverged):
 
 def test_diverged_cell_is_isolated(grid_run, tmp_path, monkeypatch):
     _, honest, honest_out = grid_run
+    assert "status" not in harness.CellResult.__dataclass_fields__
     # the (degree 1, noise 0.5) cells blow up at their second answer
     monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty({(1.0, 0.5): (2, "blow-up")}))
     out = tmp_path / "out"

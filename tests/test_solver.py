@@ -592,6 +592,50 @@ def test_batch_validation(solver):
         solve(prob.value, mixed, h, [replace(configs[1], rho=1.0)] * 2, x0, rng=rngs)
 
 
+class _Swapped(NoisyGradientOracle):
+    """Noisy oracle that claims a larger L and delta after its 4th answer.
+
+    The certificate holds for every answer, so a run reads it once, at its
+    start; a swap in the middle of a run must not reach the run.
+    """
+
+    def __init__(self, problem, noise_bound):
+        super().__init__(problem, noise_bound)
+        self.answered = 0
+
+    @staticmethod
+    def answers(oracles, points, rngs):
+        values, candidates = NoisyGradientOracle.answers(oracles, points, rngs)
+        for oracle in oracles:
+            oracle.answered += 1
+            if oracle.answered == 4:
+                cert = oracle.certificate
+                oracle.certificate = replace(cert, lipschitz=10.0 * cert.lipschitz,
+                                             delta=10.0 * cert.delta)
+        return values, candidates
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_every_solver_reads_the_certificate_once(solver):
+    solve = _SOLVERS[solver]
+    prob = generate_logsum_instance(8, 12, 0.2, seed=4)
+    h, x0 = ProxFunction.l1_ball(0.2), np.zeros(8)
+    noise = (0.1, 0.3)
+    configs = [ScheduleConfig(max_iters=20, rho=prob.lipschitz, step_scale=s) for s in (1.0, 0.5)]
+    alone = [solve(prob.value, NoisyGradientOracle(prob, d), h, cfg, x0,
+                   rng=np.random.default_rng(i))
+             for i, (d, cfg) in enumerate(zip(noise, configs))]
+    assert not any(isinstance(run, DivergenceError) for run in alone)
+    swapped = [_Swapped(prob, d) for d in noise]
+    runs = solve(prob.value, swapped, h, configs, x0,
+                 rng=[np.random.default_rng(i) for i in range(2)])
+    assert [o.certificate.lipschitz for o in swapped] == [10.0 * prob.lipschitz] * 2
+    for i, (d, cfg) in enumerate(zip(noise, configs)):
+        _assert_same_run(runs[i], alone[i])
+        _assert_same_run(solve(prob.value, _Swapped(prob, d), h, cfg, x0,
+                               rng=np.random.default_rng(i)), alone[i])
+
+
 # ------------------------------------------------------------------ theta
 
 
@@ -631,6 +675,23 @@ def test_theta_sequences_at_constant_lipschitz():
         assert theta > prev
         assert theta >= (k + 1.0) / 2.0
         prev = theta
+
+
+def test_momentum_formula_on_arrays_is_theta_next():
+    # the fast step takes theta for all its runs in one array expression:
+    # each element is theta_next's, and theta_next the formula written out
+    # for one run with math.sqrt, bit for bit, over positive (a, L)
+    rng = np.random.default_rng(11)
+    a = np.concatenate([np.exp(rng.uniform(-30.0, 30.0, 500)), [1e-300, 1.0, 1e300]])
+    lip = np.concatenate([np.exp(rng.uniform(-30.0, 30.0, 500)), [1e-300, 1.0, 1e-300]])
+    for rule, c, d in [("equality_root", 4.0, 2.0), ("half_linear", 16.0, 4.0)]:
+        got = solver_module._theta(a, lip, rule)
+        assert got.shape == a.shape
+        for g, a_prev, lip_next in zip(got.tolist(), a.tolist(), lip.tolist()):
+            want = theta_next(a_prev, lip_next, rule)
+            assert type(want) is float
+            assert np.float64(g).tobytes() == np.float64(want).tobytes()
+            assert want == (1.0 + math.sqrt(1.0 + c * lip_next * a_prev)) / d
 
 
 # ------------------------------------------------------------- fast method
