@@ -2,8 +2,8 @@
 
 from .oracle import (CertificationReport, ExactOracle, HolderOracle, MinibatchOracle,
                      NoisyGradientOracle, Oracle, OracleCertificate, SaddleOracle, SaddleProblem,
-                     ShiftedPointOracle, bounded_noise, certify_oracle,
-                     holder_smoothing_constant, majorize_amgm, spectral_norm)
+                     ShiftedPointOracle, certify_oracle, holder_smoothing_constant, majorize_amgm,
+                     spectral_norm)
 from .problems import (HolderPowerProblem, LogSumProblem, QuadraticProblem,
                        generate_holder_instance, generate_logsum_instance,
                        generate_quadratic_instance, sample_l1_ball)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import harness, rates
 from .harness import ConfigError
-from .solver import DivergenceError
 
 
 def _build_parser():
@@ -112,9 +111,6 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -406,7 +406,12 @@ def _fork_worker(work):
     """Fork a process that calls work() and pipes back its pickled result, or
     the exception it raised; return (pid, the pipe's read end)."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # such as EAGAIN under a process limit
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:  # the worker: every path out of this block is os._exit
         status = 1
         try:

@@ -29,11 +29,14 @@ answers(oracles, points, rngs) answers a stack of points (C, n), row i for
 oracles[i] with the generator rngs[i], as values (C,) and candidate
 gradients (C, m, n), the first being the answer's gradient.  Each row is
 bitwise its answer alone, and each generator draws what it draws alone,
-for the rows it serves in row order.  evaluate(x, rng=None) is the answer
-to a stack of one.  A subclass spoils an answer by overriding answers and
-calling its parent's for the honest one.  evaluate_rows is the one answer
-call, once per solver step and once for all of certify_oracle's pairs, and
-checks the shapes and finiteness of every answer.
+for the rows it serves in row order.  The noisy families add their noise
+to an exact stack (gradients, query points or inner maximizers) through
+one helper, perturbed, so a zero bound gives the exact stack bitwise and
+draws nothing.  evaluate(x, rng=None) is the answer to a stack of one.
+A subclass spoils an answer by overriding answers and calling its
+parent's for the honest one.  evaluate_rows is the one answer call, once
+per solver step and once for all of certify_oracle's pairs, and checks the
+shapes and finiteness of every answer.
 
 The package's scalar checks live here, one helper per rule: _finite,
 _count (a positive integer, never a bool), _positive and _nonnegative (both
@@ -187,24 +190,28 @@ def _matvec(matrix, x):
     return np.matmul(matrix, x[..., None])[..., 0]
 
 
-def noise_slab(rngs, bounds, count, dim):
-    """Bounded noise for a batch: a (C, count, dim) slab, count vectors per row.
+def perturbed(base, rngs, bounds, count=1):
+    """count noisy copies of each row of a stack base (C, n): a (C, count, n)
+    slab, row i's copies base[i] plus vectors of Euclidean norm at most
+    bounds[i].  The one place noise is added to an exact answer.
 
-    Each vector has Euclidean norm at most its row's bound: the direction
-    is standard normal and the norm equals the bound with probability 1/2
-    and is uniform on [0, bound] otherwise, so the worst case is exercised
-    often.  Row i draws from rngs[i], vector by vector, the direction and
-    then its radius; the directions are then scaled to their radii all at
-    once.  A row with a zero bound stays zero without touching its
-    generator, keeping exact runs bit-identical to noise-free code; a zero
-    direction, never met in practice, gives zero after its radius draw.
+    Each vector's direction is standard normal and its norm equals the bound
+    with probability 1/2 and is uniform on [0, bound] otherwise, so the worst
+    case is exercised often.  Row i draws from rngs[i], vector by vector, the
+    direction and then its radius; the directions are then scaled to their
+    radii all at once.  A row with a zero bound is its base row bitwise,
+    -0.0 included, and leaves its generator untouched, keeping exact runs
+    bit-identical to noise-free code; a zero direction, never met in
+    practice, adds nothing after its radius draw.
     """
-    slab = np.zeros((len(bounds), count, dim))
-    radii = np.zeros((len(bounds), count))
-    for row, radius, rng, bound in zip(slab, radii, rngs, bounds):
+    slab = np.zeros((len(base), count, base.shape[1]))
+    radii = np.zeros((len(base), count))
+    exact = []
+    for i, (row, radius, rng, bound) in enumerate(zip(slab, radii, rngs, bounds)):
         if bound < 0.0:
             raise ValueError("bound must be nonnegative")
         if bound == 0.0:
+            exact.append(i)
             continue
         if rng is None:
             raise ValueError("a generator is required to draw noise")
@@ -214,13 +221,10 @@ def noise_slab(rngs, bounds, count, dim):
     norms = np.sqrt(sq_norm(slab))
     # a zero row stays zero whatever it is scaled by, so it keeps its radius
     slab *= np.divide(radii, norms, out=radii, where=norms > 0.0)[..., None]
+    slab += base[:, None]
+    if exact:  # adding their +0.0 turned a -0.0 into 0.0
+        slab[exact] = base[exact, None]
     return slab
-
-
-def bounded_noise(rng, dim, bound):
-    """One random vector with Euclidean norm at most bound: noise_slab's
-    single draw."""
-    return noise_slab([rng], [bound], 1, dim)[0, 0]
 
 
 def spectral_norm(operator):
@@ -295,11 +299,12 @@ class ModelOracle(Oracle):
     """An oracle that answers from the exact value and gradient of self.problem.
 
     Its answer is the exact value and self.directions candidates, the exact
-    gradient plus bounded_noise draws under self.noise_bound; the base's
-    bound is zero, so an exact answer draws nothing.  A batch shares one
-    problem and one candidate count: one value_and_gradient call on the
-    stack (C, n) feeds the values and gradients from one residual, and the
-    noise is one slab.  A row with a zero bound is exact bitwise.
+    gradient perturbed under self.noise_bound; the base's bound is zero, so
+    an exact answer draws nothing.  A batch shares one problem and one
+    candidate count: one value_and_gradient call on the stack (C, n) feeds
+    the values and gradients from one residual, and one perturbed call
+    gives every candidate, a row with a zero bound the exact gradient
+    bitwise.
     """
 
     noise_bound = 0.0
@@ -312,12 +317,7 @@ class ModelOracle(Oracle):
             raise ValueError("every answer of a batch must offer the same number of candidate"
                              f" gradients; these offer {counts}")
         values, exact = _shared(oracles, "problem").value_and_gradient(points)
-        bounds = [o.noise_bound for o in oracles]
-        quiet = [i for i, bound in enumerate(bounds) if bound == 0.0]
-        candidates = exact[:, None] + noise_slab(rngs, bounds, counts[0], exact.shape[1])
-        if quiet:  # adding the slab's +0.0 turned their -0.0 into 0.0
-            candidates[quiet] = exact[quiet, None]
-        return values, candidates
+        return values, perturbed(exact, rngs, [o.noise_bound for o in oracles], counts[0])
 
 
 def evaluate_rows(oracles, points, rngs):
@@ -397,7 +397,8 @@ class ShiftedPointOracle(Oracle):
     turns the displacement into a degree-1 certificate with
     delta = L * shift, keeping L itself unchanged.  A batch over one
     problem answers with one stacked value call and one stacked gradient
-    call, the shifts drawn as one noise slab.
+    call at the points one perturbed call displaces; a zero shift queries
+    the point itself bitwise, -0.0 included.
     """
 
     def __init__(self, problem, shift_bound):
@@ -411,8 +412,8 @@ class ShiftedPointOracle(Oracle):
     @staticmethod
     def answers(oracles, points, rngs):
         problem = _shared(oracles, "problem")
-        shifts = noise_slab(rngs, [o.shift_bound for o in oracles], 1, points.shape[1])[:, 0]
-        return problem.value(points), problem.gradient(points + shifts)[:, None]
+        shifted = perturbed(points, rngs, [o.shift_bound for o in oracles])[:, 0]
+        return problem.value(points), problem.gradient(shifted)[:, None]
 
 
 class MinibatchOracle(Oracle):
@@ -464,7 +465,8 @@ class SaddleOracle(Oracle):
     An exact inner solution makes the answer the true gradient of a convex
     function, so the certificate then claims the convex lower bound too.
     A batch over one saddle answers with one stacked value_and_maximizer
-    call, the inner errors drawn as one noise slab.
+    call and one perturbed call on the maximizers; an exact inner solution
+    keeps its maximizer bitwise.
     """
 
     def __init__(self, saddle, inner_accuracy):
@@ -481,10 +483,7 @@ class SaddleOracle(Oracle):
     def answers(oracles, points, rngs):
         saddle = _shared(oracles, "saddle")
         values, u = saddle.value_and_maximizer(points)
-        bounds = [o.inner_accuracy for o in oracles]
-        errors = noise_slab(rngs, bounds, 1, u.shape[1])[:, 0]
-        inexact = [i for i, bound in enumerate(bounds) if bound > 0.0]
-        u[inexact] += errors[inexact]  # an exact row keeps its maximizer bitwise
+        u = perturbed(u, rngs, [o.inner_accuracy for o in oracles])[:, 0]
         return values, _matvec(saddle.operator, u)[:, None]
 
 

@@ -238,10 +238,6 @@ class HolderPowerProblem:
             raise ValueError("exponent must lie in (0, 1]")
         _positive(holder_constant=self.holder_constant)
 
-    @property
-    def dim(self):
-        return self.centers.shape[0]
-
     def value(self, x):
         d = np.abs(np.asarray(x, dtype=float) - self.centers)
         p = 1.0 + self.exponent

@@ -4,6 +4,7 @@ certificate checks, curve export, and the CLI exit codes."""
 
 import contextlib
 import copy
+import errno
 import json
 import os
 import signal
@@ -106,6 +107,7 @@ def test_parse_config_rejects_bad_input():
     bad("unknown keys in solver", solver={"zeta": 0.25})
     bad("version must be 1", version=2)
     bad("output_dir is required", output_dir="")
+    bad("output_dir must be a string", output_dir=5)
     bad("unsupported problem family", problem={"family": "quadratic"})
     bad("must be positive", problem={"n": 0})
     bad("must be positive", problem={"radius": 0.0})
@@ -335,6 +337,8 @@ def _check_diverged_cells_are_isolated(honest_out, out, results, diverged):
     for cell in results:
         # status is read off the trace, so the two cannot disagree
         assert (cell.status == "diverged") == (cell.trace is None)
+        if cell.status == "diverged":  # no trace, so nothing is dominated
+            assert cell.dominated is False
         exists = (out / cell.trace_filename).exists()
         assert exists == (cell.status == "ok")
         if cell.status == "ok":  # siblings are untouched by the failure
@@ -654,6 +658,41 @@ def test_failing_own_chunk_kills_and_reaps_every_worker(tmp_path, monkeypatch, e
     _assert_no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_failed_fork_kills_the_started_worker_and_leaks_no_descriptor(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the second fork of a three-chunk sweep fails, as it does with EAGAIN
+    # under a process limit: the sweep raises that error, kills and reaps
+    # the worker it started and closes both ends of every pipe it opened
+    _cpus(monkeypatch, 3)
+    fork, kill, forked, killed = os.fork, os.kill, [], []
+
+    def fork_once_of_two():
+        if len(forked) % 2:
+            forked.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forked.append(fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "fork", fork_once_of_two)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append((pid, sig)) or kill(pid, sig))
+    config = harness.parse_config(make_config(tmp_path / "out"))
+    descriptors = len(os.listdir("/proc/self/fd"))
+    with _deadline(60), pytest.raises(OSError) as info:
+        harness.run_experiment(config)
+    assert info.value.errno == errno.EAGAIN
+    assert forked[1:] == [None] and killed == [(forked[0], signal.SIGKILL)]
+    _assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    # the CLI reports it as one error line
+    path = write_config(tmp_path / "config.json", make_config(tmp_path / "cli"))
+    with _deadline(60):
+        assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EAGAIN}]")
+    _assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
 def test_worst_case_single_direction_is_bitwise(small_problem, grid_run, tmp_path):
     config = harness.parse_config(make_config(tmp_path / "out", worst_case_directions=1))
     plain, = harness.run_cells(small_problem, config, [(1.0, 0.5, 0)])
@@ -885,7 +924,8 @@ def test_cli_rates_subcommand(tmp_path, capsys):
     # parameters and the k range must be finite, and each parameter is given once
     params = ["--param", "degree=0.5", "--param", "delta=0.1", "--param", "gap=1"]
     finite = "parameter lipschitz must be a finite number"
-    for flags, message in [(["--param", "lipschitz=nan"], finite),
+    for flags, message in [(["--param", "lipschitz=abc"], "parameter lipschitz is not a number"),
+                           (["--param", "lipschitz=nan"], finite),
                            (["--param", "lipschitz=inf"], finite),
                            (["--param", "lipschitz=1", "--param", "lipschitz=5"],
                             "parameter lipschitz is given twice"),

@@ -20,7 +20,6 @@ from proxiq import (
     SaddleOracle,
     SaddleProblem,
     ShiftedPointOracle,
-    bounded_noise,
     certify_oracle,
     generate_holder_instance,
     generate_logsum_instance,
@@ -35,7 +34,7 @@ from proxiq import oracle as oracle_module
 from proxiq.rates import (bound_convex_ergodic, bound_nonconvex_const, holder_delta_opt,
                           rho_opt_fast, rho_opt_horizon)
 from proxiq.oracle import (_check_degree, _check_k, _count, _finite, _nonnegative,
-                           _positive, evaluate_rows, noise_slab)
+                           _positive, evaluate_rows, perturbed)
 
 
 # ---------------------------------------------------------------- majorize
@@ -193,16 +192,21 @@ def test_smoothing_constant_rejects_bad_inputs():
 # ------------------------------------------------------------------ noise
 
 
+def _bounded_noise(rng, dim, bound):
+    """One noise vector under bound: perturbed's single draw on a zero point."""
+    return perturbed(np.zeros((1, dim)), [rng], [bound])[0, 0]
+
+
 def test_bounded_noise_zero_bound_skips_generator():
     rng = np.random.default_rng(9)
-    assert np.all(bounded_noise(rng, 5, 0.0) == 0.0)
+    assert np.all(_bounded_noise(rng, 5, 0.0) == 0.0)
     fresh = np.random.default_rng(9)
     assert rng.standard_normal() == fresh.standard_normal()
 
 
 def test_bounded_noise_respects_cap_and_hits_it():
     rng = np.random.default_rng(1)
-    norms = np.array([np.linalg.norm(bounded_noise(rng, 6, 0.8)) for _ in range(2000)])
+    norms = np.array([np.linalg.norm(_bounded_noise(rng, 6, 0.8)) for _ in range(2000)])
     assert norms.max() <= 0.8 * (1.0 + 1e-12)
     at_bound = np.mean(np.isclose(norms, 0.8))
     assert 0.4 < at_bound < 0.6
@@ -211,14 +215,14 @@ def test_bounded_noise_respects_cap_and_hits_it():
 
 def test_bounded_noise_requires_generator():
     with pytest.raises(ValueError):
-        bounded_noise(None, 4, 0.5)
+        _bounded_noise(None, 4, 0.5)
     with pytest.raises(ValueError):
-        bounded_noise(np.random.default_rng(0), 4, -0.1)
+        _bounded_noise(np.random.default_rng(0), 4, -0.1)
 
 
 def _sequential_bounded_noise(rng, dim, bound):
-    """One noise vector drawn and scaled on its own, as bounded_noise did
-    before the slab."""
+    """One noise vector drawn and scaled on its own, the reference for
+    perturbed's draws."""
     if bound < 0.0:
         raise ValueError("bound must be nonnegative")
     if bound == 0.0:
@@ -234,39 +238,46 @@ def _sequential_bounded_noise(rng, dim, bound):
     return (radius / norm) * direction
 
 
-def test_noise_slab_matches_sequential_draws():
-    # each row of the slab is its generator's vectors drawn one at a time,
-    # bitwise, and every generator ends where the sequential draws leave it
+def test_perturbed_matches_sequential_draws():
+    # each copy of a row is the row plus its generator's vectors drawn one
+    # at a time, bitwise, a zero-bound row its base row, -0.0 included, and
+    # every generator ends where the sequential draws leave it
     bounds = [0.3, 0.0, 2.5, 1e-3, 0.0, 7.0]
     for count in (1, 3):
         for dim in (1, 7, 64):
             rngs = [np.random.default_rng(seed) for seed in range(len(bounds))]
             refs = [np.random.default_rng(seed) for seed in range(len(bounds))]
-            slab = noise_slab(rngs, bounds, count, dim)
+            base = np.random.default_rng(dim).standard_normal((len(bounds), dim))
+            base[:, 0] = -0.0
+            slab = perturbed(base, rngs, bounds, count)
             assert slab.shape == (len(bounds), count, dim)
-            for row, ref, bound in zip(slab, refs, bounds):
-                for noise in row:
-                    assert noise.tobytes() == _sequential_bounded_noise(ref, dim, bound).tobytes()
+            for row, x, ref, bound in zip(slab, base, refs, bounds):
+                for copy in row:
+                    want = x if bound == 0.0 else x + _sequential_bounded_noise(ref, dim, bound)
+                    assert copy.tobytes() == want.tobytes()
             assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
-    # bounded_noise is the slab's single draw
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(20):
-        assert bounded_noise(rng, 6, 0.8).tobytes() == _sequential_bounded_noise(ref, 6, 0.8).tobytes()
-    assert rng.random() == ref.random()
+    rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="nonnegative"):
-        noise_slab([rng, rng], [0.1, -0.1], 1, 4)
+        perturbed(np.zeros((2, 4)), [rng, rng], [0.1, -0.1])
     with pytest.raises(ValueError, match="generator is required"):
-        noise_slab([rng, None], [0.1, 0.1], 1, 4)
+        perturbed(np.zeros((2, 4)), [rng, None], [0.1, 0.1])
 
 
 class _Concave:
-    """F(x) = -||x||**2 / 2, whose gradient -x has a -0.0 wherever x has a 0.0."""
+    """F(x) = -||x||**2 / 2, whose gradient -x has a -0.0 wherever x has a
+    0.0, and a 0.0 wherever x has a -0.0."""
 
     lipschitz = 1.0
     convex = False
 
     def value_and_gradient(self, x):
         return -0.5 * (x * x).sum(axis=-1), -x
+
+    def value(self, x):
+        return self.value_and_gradient(x)[0]
+
+    def gradient(self, x):
+        return -x
 
 
 def test_evaluate_rows_adds_the_slab_to_noisy_rows_only():
@@ -291,6 +302,24 @@ def test_evaluate_rows_adds_the_slab_to_noisy_rows_only():
         assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
         # evaluate, the answer to a stack of one, keeps the -0.0 too
         assert oracles[0].evaluate(points[0])[1].tobytes() == np.tile(exact[0], (count, 1)).tobytes()
+
+
+def test_zero_shift_queries_the_point_itself():
+    # a zero shift is no shift: the gradient is taken at the point bitwise,
+    # so a -0.0 coordinate stays -0.0 rather than become -0.0 + 0.0 = 0.0,
+    # and the generator is not touched
+    prob = _Concave()
+    points = np.array([[-0.0, 1.5, 0.0, -2.0]] * 2)
+    oracles = [ShiftedPointOracle(prob, 0.0), ShiftedPointOracle(prob, 0.3)]
+    rngs = [np.random.default_rng(seed) for seed in range(2)]
+    refs = [np.random.default_rng(seed) for seed in range(2)]
+    values, candidates, finite = evaluate_rows(oracles, points, rngs)
+    assert finite.all() and candidates.shape == (2, 1, 4)
+    assert candidates[0, 0].tobytes() == np.array([0.0, -1.5, -0.0, 2.0]).tobytes()
+    noise = _sequential_bounded_noise(refs[1], 4, 0.3)
+    assert candidates[1, 0].tobytes() == (-(points[1] + noise)).tobytes()
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+    assert oracles[0].evaluate(points[0])[1].tobytes() == candidates[0].tobytes()
 
 
 def test_spectral_norm_matches_svd():
@@ -339,7 +368,9 @@ def _old_model_answer(oracle, x, rng):
 
 
 def _old_shifted_answer(oracle, x, rng):
-    shifted = x + bounded_noise(rng, x.size, oracle.shift_bound)
+    shifted = x
+    if oracle.shift_bound > 0.0:
+        shifted = x + _sequential_bounded_noise(rng, x.size, oracle.shift_bound)
     return float(oracle.problem.value(x)), oracle.problem.gradient(shifted)[None]
 
 
@@ -349,7 +380,7 @@ def _old_saddle_answer(oracle, x, rng):
     atx = a.T @ x
     u = c + atx / kappa
     if oracle.inner_accuracy > 0.0:
-        u = u + bounded_noise(rng, u.size, oracle.inner_accuracy)
+        u = u + _sequential_bounded_noise(rng, u.size, oracle.inner_accuracy)
     return float((a @ c) @ x + atx @ atx / (2.0 * kappa)), (a @ u)[None]
 
 
@@ -609,7 +640,7 @@ def test_noisy_gradient_candidates():
     rng = np.random.default_rng(8)
     plain_value, (plain,) = NoisyGradientOracle(prob, 0.25).evaluate(x, rng=rng)
     ref_rng = np.random.default_rng(8)
-    assert np.array_equal(plain, exact + bounded_noise(ref_rng, 6, 0.25))
+    assert np.array_equal(plain, exact + _sequential_bounded_noise(ref_rng, 6, 0.25))
     assert plain_value == prob.value(x)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     one_value, (one,) = NoisyGradientOracle(prob, 0.25, directions=1).evaluate(
@@ -625,7 +656,7 @@ def test_noisy_gradient_candidates():
     assert len(alternatives) == 3
     assert np.array_equal(first, plain)
     ref_rng = np.random.default_rng(8)
-    draws = [bounded_noise(ref_rng, 6, 0.25) for _ in range(4)]
+    draws = [_sequential_bounded_noise(ref_rng, 6, 0.25) for _ in range(4)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     for alt, noise in zip(alternatives, draws[1:]):
         assert np.array_equal(alt, exact + noise)
@@ -883,6 +914,9 @@ def test_certify_accepts_true_convexity_claim():
     assert report.certified
     assert report.lower_bound_checked
     assert report.min_lower_slack >= -report.tolerance
+    assert report.summary() == (f"certified: 400 pairs, max upper violation"
+                                f" {report.max_violation:.3e}, min lower slack"
+                                f" {report.min_lower_slack:.3e}")
 
 
 def test_certify_checks_every_candidate():

@@ -11,6 +11,7 @@ from proxiq import (
     AdaptiveState,
     DivergenceError,
     ExactOracle,
+    HolderOracle,
     MinibatchOracle,
     NoisyGradientOracle,
     OracleCertificate,
@@ -24,8 +25,11 @@ from proxiq import (
     bound_fast_convex,
     bound_nonconvex_const,
     fast_prox_gradient,
+    generate_holder_instance,
     generate_logsum_instance,
     generate_quadratic_instance,
+    holder_delta_opt,
+    holder_smoothing_constant,
     project_l1_ball,
     prox_gradient,
     rho_opt_fast,
@@ -179,6 +183,31 @@ def test_prox_gradient_tracks_nonconvex_bound():
         trace = prox_gradient(prob.value, oracle, h, cfg, x0,
                               rng=np.random.default_rng(seed))
         assert np.all(trace.min_gm_sq <= bound)
+
+
+def test_every_holder_degree_stays_under_its_own_curve():
+    # the weakly smooth family is where the degree is the oracle's own: one
+    # exact gradient certifies every q < 1 + nu, with delta tuned for the
+    # horizon and its own L_q.  Each degree's run stays under its own
+    # constant-schedule curve.  Neither the runs nor the curves order by q
+    # on this family, so no ordering is claimed
+    problem = generate_holder_instance(16, 0.5, seed=4)
+    holder, nu = problem.holder_constant, problem.exponent
+    x0 = np.full(16, 3.0)
+    gap = problem.value(x0) - problem.f_lower
+    degrees = (0.0, 0.5, 1.0, 1.25, 1.45)
+    for horizon in (316, 1000, 3162):
+        deltas = [float(holder_delta_opt(holder, nu, q, gap, horizon)[0]) for q in degrees]
+        lips = [holder_smoothing_constant(holder, nu, q, d) for q, d in zip(degrees, deltas)]
+        traces = prox_gradient(problem.value,
+                               [HolderOracle(problem, q, d) for q, d in zip(degrees, deltas)],
+                               ProxFunction.zero(),
+                               [ScheduleConfig(rho=lip, max_iters=horizon) for lip in lips],
+                               x0, rng=[None] * len(degrees))
+        ks = np.arange(horizon)
+        for q, delta, lip, trace in zip(degrees, deltas, lips, traces):
+            bound = bound_nonconvex_const(lip, q, delta, gap, ks)
+            assert np.all(trace.min_gm_sq <= bound), (q, horizon)
 
 
 def test_prox_gradient_guards():
@@ -590,6 +619,9 @@ def test_batch_validation(solver):
     mixed = [NoisyGradientOracle(prob, 0.3, directions=m) for m in (1, 3)]
     with pytest.raises(ValueError, match="same number of candidate gradients"):
         solve(prob.value, mixed, h, [replace(configs[1], rho=1.0)] * 2, x0, rng=rngs)
+    # F takes the stack of the runs and gives one value each
+    with pytest.raises(ValueError, match="objective must answer a stack of 2 points"):
+        solve(lambda x: prob.value(x[0]), oracles[:2], h, configs[:2], x0, rng=rngs)
 
 
 class _Swapped(NoisyGradientOracle):
