@@ -27,7 +27,8 @@ and the summary's final_f is F(x_K).
 The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
 draws per answer (worst_case_directions); the solver steps along the one
-that moves the iterate farthest.
+that moves the iterate farthest.  The config holds only run inputs: each
+cell's oracle builds its certificate, and certify can only refute it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import pickle
 import signal
 import time
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional, Tuple
@@ -67,14 +68,14 @@ class ProblemSpec:
     N: int = 128
     radius: float = 4.0
     seed: int = 0
-    noise_level: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class OracleSpec:
+    """The grid's axes; each cell's oracle builds its certificate from its own two values."""
+
     degrees: Tuple[float, ...] = (0.0, 0.5, 1.0)
     noise_bounds: Tuple[float, ...] = (0.1, 1.0, 3.0)
-    claimed_delta_scale: float = 1.0  # != 1 deliberately mis-claims, for refutation tests
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,6 @@ _CHECKS = {
     "int": _integer,
     "float": _real,
     "str": _text,
-    "Optional[float]": lambda value, key: None if value is None else _real(value, key),
     "Tuple[float, ...]": _reals,
     "ProblemSpec": lambda value, key: _section(ProblemSpec, value, key),
     "OracleSpec": lambda value, key: _section(OracleSpec, value, key),
@@ -196,8 +196,6 @@ def parse_config(data):
             raise ConfigError("noise_bounds must be nonnegative")
     _distinct_cells(oracle.degrees, "degrees")
     _distinct_cells(oracle.noise_bounds, "noise_bounds")
-    if oracle.claimed_delta_scale <= 0.0:
-        raise ConfigError("claimed_delta_scale must be positive")
 
     solver = config.solver
     if solver.iterations < 1:
@@ -297,7 +295,7 @@ class CellResult:
 
 def _instance(config):
     spec = config.problem
-    return generate_logsum_instance(spec.n, spec.N, spec.radius, spec.noise_level, spec.seed)
+    return generate_logsum_instance(spec.n, spec.N, spec.radius, seed=spec.seed)
 
 
 def _cell_oracle(problem, degree, noise_bound, directions=1):
@@ -570,10 +568,8 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
     Writes certification.txt into the output directory, one line per
     (degree, noise) cell plus a verdict line.  Returns True when every cell
     certified.  Each cell's oracle offers max(1, worst_case_directions)
-    candidates, as in the worst-case run, and every one is audited.  A
-    claimed_delta_scale other than 1 scales the delta each certificate
-    claims; below 1 the claim understates the true error, which the
-    certifier is expected to refute.
+    candidates, as in the worst-case run, and every one is audited against
+    the certificate that oracle built, which a sample can only refute.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -585,9 +581,6 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
         for noise_bound in config.oracle.noise_bounds:
             oracle = _cell_oracle(problem, degree, noise_bound,
                                   max(1, config.worst_case_directions))
-            claim = oracle.certificate
-            oracle.certificate = replace(claim,
-                                         delta=claim.delta * config.oracle.claimed_delta_scale)
             rng = np.random.default_rng(cell_seed(config.master_seed, degree,
                                                   noise_bound, 7878787))
             report = certify_oracle(oracle, problem.value, sampler, pairs=pairs,

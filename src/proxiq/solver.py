@@ -198,6 +198,9 @@ def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     run["lip"] = run["lipschitz"] + run["degree"] * run["rho"]
     run["alpha"] = run["step_scale"] / run["lip"]
     run["alpha_sq"] = np.array([a ** 2 for a in run["alpha"].tolist()])
+    for a, a_sq in zip(run["alpha"].tolist(), run["alpha_sq"].tolist()):
+        if not 0.0 < a_sq < math.inf:  # gm_sq divides by it: a 0 turns a trace to NaN
+            raise ValueError(f"step alpha = {a!r} squares to {a_sq!r}, not a positive finite float")
     outcomes = [None] * runs
     objective_vals = np.empty((runs, iters + 1))
     records = {}
@@ -403,6 +406,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     def start(run):
         if not np.all((1.0 <= run["degree"]) & (run["degree"] < 2.0)):
             raise ValueError("the adaptive variant needs degree in [1, 2)")
+        run["rho"][:] = 0.0  # read by none of its steps: alpha is then s/L, above each of them
 
     def step(k, run):
         x = run["x"]

@@ -72,15 +72,10 @@ def test_parse_config_defaults():
 
 def test_parse_config_reads_every_field(tmp_path):
     data = make_config(tmp_path, master_seed=11, repeats=3, worst_case_directions=4)
-    data["problem"]["noise_level"] = 0.25
-    data["oracle"]["claimed_delta_scale"] = 0.5
     data["solver"]["step_scale"] = 0.75
     config = harness.parse_config(data)
-    assert config.problem == harness.ProblemSpec(n=8, N=12, radius=2.0, seed=3,
-                                                 noise_level=0.25)
-    assert config.oracle.degrees == (0.0, 1.0)
-    assert config.oracle.noise_bounds == (0.0, 0.5)
-    assert config.oracle.claimed_delta_scale == 0.5
+    assert config.problem == harness.ProblemSpec(n=8, N=12, radius=2.0, seed=3)
+    assert config.oracle == harness.OracleSpec(degrees=(0.0, 1.0), noise_bounds=(0.0, 0.5))
     assert config.solver == harness.SolverSpec(iterations=60, step_scale=0.75)
     assert (config.repeats, config.master_seed, config.worst_case_directions) == (3, 11, 4)
 
@@ -116,7 +111,9 @@ def test_parse_config_rejects_bad_input():
     bad("degrees must lie", oracle={"degrees": [0.0, 1.5]})
     bad("degrees must lie", oracle={"degrees": [-0.1]})
     bad("nonnegative", oracle={"noise_bounds": [-1.0]})
-    bad("claimed_delta_scale", oracle={"claimed_delta_scale": 0.0})
+    # a certificate is its oracle's own, and the instance's noise is fixed
+    bad("unknown keys in oracle", oracle={"claimed_delta_scale": 0.5})
+    bad("unknown keys in problem", problem={"noise_level": 0.25})
     bad("unknown keys in solver", solver={"algorithm": "prox_gradient"})
     bad("iterations", solver={"iterations": 0})
     bad("step_scale", solver={"step_scale": 0.0})
@@ -134,8 +131,7 @@ def test_parse_config_rejects_bad_input():
     # Python's json module accepts NaN and Infinity, and int() truncates
     bad("noise_bounds must be a finite number", oracle={"noise_bounds": [float("inf")]})
     bad("radius must be a finite number", problem={"radius": float("nan")})
-    bad("claimed_delta_scale must be a finite number",
-        oracle={"claimed_delta_scale": float("inf")})
+    bad("step_scale must be a finite number", solver={"step_scale": float("inf")})
     bad("iterations must be an integer", solver={"iterations": 20.9})
     bad("n must be an integer", problem={"n": "8"})
     bad("repeats must be an integer", repeats=True)
@@ -291,6 +287,24 @@ def test_fig1_degree_acts_only_through_the_step(tmp_path):
         assert np.all(run.alpha == 1.0 / (2.0 * lip))
         for name in ("iterates", "objective", "alpha", "gm_sq"):
             assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes(), name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the sweep's q acts only through the step, so the sigma = 0.1"
+                          " plateau order of gate test_06 is a step-size effect that the"
+                          " noise of these master seeds flips")
+@pytest.mark.parametrize("master_seed", [3, 6])
+def test_fig1_plateau_order_at_low_noise_survives_the_seed(tmp_path, master_seed):
+    # test_06's sigma = 0.1 medians, from those cells alone: a cell's run is
+    # the same in any batch.  The preset's seed 0 keeps the order by a
+    # relative 1.5e-4 (q = 0.5: 2.35015e-5, q = 1: 2.34979e-5); seed 3 gives
+    # 2.23725e-5 against 2.56882e-5 and seed 6 2.26055e-5 against 2.32368e-5
+    config = harness.fig1_config(tmp_path, iterations=5000, repeats=5, master_seed=master_seed)
+    cells = [(q, 0.1, r) for q in (0.0, 0.5, 1.0) for r in range(5)]
+    results = harness.run_cells(harness._instance(config), config, cells)
+    q0, q05, q1 = (float(np.median([c.plateau for c in results if c.degree == q]))
+                   for q in (0.0, 0.5, 1.0))
+    assert q1 <= q05 <= q0
 
 
 class _FaultyOracle(NoisyGradientOracle):
@@ -727,32 +741,17 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
     assert worst.trace.gm_sq[0] > plain.trace.gm_sq[0]
 
 
-def test_scaled_claim_wrapper_only_touches_delta(small_problem, tmp_path, monkeypatch):
-    # certify_command mis-claims by replacing the delta of the oracle's
+def test_scaled_claim_wrapper_only_touches_delta(small_problem, understate_claims):
+    # the tests' planted lie replaces the delta of each cell oracle's
     # certificate; the noise, and so every answer, stays as it was
-    audited = []
-    real = harness.certify_oracle
-
-    def recording(oracle, *args, **kwargs):
-        audited.append(oracle.certificate)
-        return real(oracle, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "certify_oracle", recording)
-    data = make_config(tmp_path / "out")
-    data["oracle"]["claimed_delta_scale"] = 0.25
-    harness.certify_command(harness.parse_config(data), pairs=10)
-    cells = [(q, d) for q in (0.0, 1.0) for d in (0.0, 0.5)]
-    assert len(audited) == len(cells)
-    for cert, (q, d) in zip(audited, cells):
-        true = harness._cell_oracle(small_problem, q, d).certificate
-        assert cert == replace(true, delta=0.25 * true.delta)
+    honest = {m: harness._cell_oracle(small_problem, 1.0, 0.3, m) for m in (1, 3)}
+    understate_claims(0.25)
     for directions in (1, 3):
-        honest = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
-        liar = NoisyGradientOracle(small_problem, 0.3, degree=1.0, directions=directions)
-        liar.certificate = replace(liar.certificate, delta=0.25 * liar.certificate.delta)
-        assert liar.certificate == replace(honest.certificate, delta=0.25 * 0.3)
+        liar = harness._cell_oracle(small_problem, 1.0, 0.3, directions)
+        assert liar.certificate == replace(honest[directions].certificate, delta=0.25 * 0.3)
         value, candidates = liar.evaluate(np.zeros(8), rng=np.random.default_rng(0))
-        want_value, want = honest.evaluate(np.zeros(8), rng=np.random.default_rng(0))
+        want_value, want = honest[directions].evaluate(np.zeros(8),
+                                                       rng=np.random.default_rng(0))
         assert value == want_value
         assert len(candidates) == len(want) == directions
         for grad, want_grad in zip(candidates, want):
@@ -769,7 +768,8 @@ def test_certify_command_accepts_honest_cells(tmp_path):
     assert lines[-1] == "all certified"
 
 
-def test_certify_command_audits_the_worst_case_oracle(tmp_path, monkeypatch):
+def test_certify_command_audits_the_worst_case_oracle(tmp_path, monkeypatch,
+                                                      understate_claims):
     # with worst_case_directions = m each cell's audited oracle offers the m
     # candidates the worst-case run steps along
     audited = []
@@ -783,18 +783,16 @@ def test_certify_command_audits_the_worst_case_oracle(tmp_path, monkeypatch):
     honest = harness.parse_config(make_config(tmp_path / "honest", worst_case_directions=3))
     assert harness.certify_command(honest, pairs=200) is True
     assert len(audited) == 4 and all(oracle.directions == 3 for oracle in audited)
-    data = make_config(tmp_path / "liar", worst_case_directions=3)
-    data["oracle"]["claimed_delta_scale"] = 0.25
-    assert harness.certify_command(harness.parse_config(data), pairs=400) is False
+    understate_claims(0.25)
+    liar = harness.parse_config(make_config(tmp_path / "liar", worst_case_directions=3))
+    assert harness.certify_command(liar, pairs=400) is False
     assert len(audited) == 8 and all(oracle.directions == 3 for oracle in audited)
     assert "REFUTED" in (tmp_path / "liar" / "certification.txt").read_text()
 
 
-def test_certify_command_refutes_understated_claim(tmp_path):
-    data = make_config(tmp_path / "out",
-                       oracle={"degrees": [0.0, 1.0], "noise_bounds": [0.0, 0.5],
-                               "claimed_delta_scale": 0.05})
-    config = harness.parse_config(data)
+def test_certify_command_refutes_understated_claim(tmp_path, understate_claims):
+    understate_claims(0.05)
+    config = harness.parse_config(make_config(tmp_path / "out"))
     assert harness.certify_command(config, pairs=400) is False
     text = (tmp_path / "out" / "certification.txt").read_text()
     assert "q=1 delta=0.5 REFUTED" in text
@@ -868,15 +866,12 @@ def test_cli_worst_case_exit_codes(tmp_path):
     assert cli.main(["worst-case", str(plain)]) == 1
 
 
-def test_cli_certify_exit_codes(tmp_path, capsys):
+def test_cli_certify_exit_codes(tmp_path, capsys, understate_claims):
     path = write_config(tmp_path / "config.json", make_config(tmp_path / "ok"))
     assert cli.main(["certify", str(path), "--pairs", "200"]) == 0
     assert "all certified" in capsys.readouterr().out
-    liar = write_config(
-        tmp_path / "liar.json",
-        make_config(tmp_path / "bad",
-                    oracle={"degrees": [0.0, 1.0], "noise_bounds": [0.0, 0.5],
-                            "claimed_delta_scale": 0.05}))
+    understate_claims(0.05)
+    liar = write_config(tmp_path / "liar.json", make_config(tmp_path / "bad"))
     assert cli.main(["certify", str(liar), "--pairs", "400"]) == 2
     assert "REFUTED" in capsys.readouterr().out
     # a tolerance that is not finite and nonnegative is a usage error: inf
@@ -884,8 +879,7 @@ def test_cli_certify_exit_codes(tmp_path, capsys):
     understated = write_config(
         tmp_path / "understated.json",
         make_config(tmp_path / "under", problem={"n": 8, "N": 16, "radius": 2.0, "seed": 3},
-                    oracle={"degrees": [1.0], "noise_bounds": [0.5],
-                            "claimed_delta_scale": 0.05}))
+                    oracle={"degrees": [1.0], "noise_bounds": [0.5]}))
     certify = ["certify", str(understated), "--pairs", "200", "--tolerance"]
     assert cli.main(certify + ["1e-7"]) == 2
     assert "REFUTED" in capsys.readouterr().out

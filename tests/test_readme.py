@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from proxiq import harness
@@ -24,6 +24,21 @@ def test_readme_config_parses():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1, "README should document exactly one JSON config"
     harness.parse_config(json.loads(blocks[0]))
+
+
+def test_readme_names_every_config_key():
+    # the converse: a key the parser accepts cannot go undocumented.  Each
+    # leaf field of the config's spec classes is a key of the JSON block or
+    # a name in backticks
+    text = README.read_text()
+    block = json.loads(re.findall(r"```json\n(.*?)```", text, re.DOTALL)[0])
+    named = set(re.findall(r"`([^`\n]+)`", text)) | set(block)
+    named |= {key for value in block.values() if isinstance(value, dict) for key in value}
+    specs = (harness.ExperimentConfig, harness.ProblemSpec, harness.OracleSpec,
+             harness.SolverSpec)
+    keys = {field.name for spec in specs for field in fields(spec)
+            if not field.type.endswith("Spec")}
+    assert keys - named == set()
 
 
 def _documented_columns():

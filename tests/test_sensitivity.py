@@ -21,20 +21,22 @@ def _report(defect, check, caught):
     assert caught, f"{check} misses the defect: {defect}"
 
 
-def _config(out, iterations=1000, **oracle):
+def _config(out, iterations=1000):
     return {"version": 1, "output_dir": str(out),
             "problem": {"family": "logsum", "n": 64, "N": 128, "radius": 4.0, "seed": 0},
-            "oracle": {"degrees": [0.0, 0.5, 1.0], "noise_bounds": [0.1, 1.0, 3.0], **oracle},
+            "oracle": {"degrees": [0.0, 0.5, 1.0], "noise_bounds": [0.1, 1.0, 3.0]},
             "solver": {"iterations": iterations, "step_scale": 0.5},
             "repeats": 1, "master_seed": 0}
 
 
-def test_noise_beyond_its_claim_is_refuted_by_certify(tmp_path):
-    # claimed_delta_scale 0.1 claims a tenth of the noise each oracle draws
+def test_noise_beyond_its_claim_is_refuted_by_certify(tmp_path, understate_claims):
+    # the planted oracles claim a tenth of the noise each draws
     codes, refuted = {}, {}
-    for name, scale in (("honest", 1.0), ("planted", 0.1)):
+    for name in ("honest", "planted"):
+        if name == "planted":
+            understate_claims(0.1)
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(_config(tmp_path / name, claimed_delta_scale=scale)))
+        path.write_text(json.dumps(_config(tmp_path / name)))
         with redirect_stdout(io.StringIO()):  # the CLI prints certification.txt
             codes[name] = cli.main(["certify", str(path), "--pairs", "300"])
         lines = (tmp_path / name / "certification.txt").read_text().splitlines()

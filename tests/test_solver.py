@@ -615,6 +615,17 @@ def test_batch_validation(solver):
         with pytest.raises(ValueError, match="rho must be positive"):
             solve(prob.value, [oracles[0], noisy], h, [replace(configs[0], rho=0.0)] * 2, x0,
                   rng=rngs)
+    # a step that squares to 0 would make every gm_sq NaN: the adaptive steps
+    # stay under s/L, the others take s/(L + q*rho)
+    with pytest.raises(ValueError, match=r"step alpha = \S+ squares to 0.0"):
+        solve(prob.value, oracles[:2], h, [replace(c, step_scale=1e-300) for c in configs[:2]],
+              x0, rng=rngs)
+    huge_rho = [replace(c, rho=1.7e308) for c in configs[:2]]
+    if solver != "adaptive":
+        with pytest.raises(ValueError, match=r"step alpha = \S+e-308 squares to 0.0"):
+            solve(prob.value, [oracles[0], noisy], h, huge_rho, x0, rng=rngs)
+    else:  # which reads no rho
+        assert _trace(solve(prob.value, oracles[:2], h, huge_rho, x0, rng=rngs)[0]).steps == 40
     # every answer of a batch offers one candidate count
     mixed = [NoisyGradientOracle(prob, 0.3, directions=m) for m in (1, 3)]
     with pytest.raises(ValueError, match="same number of candidate gradients"):
