@@ -322,11 +322,12 @@ def run_cells(problem, config, cells, directions=1):
     them all in lockstep from x0 = 0.  A cell's run is bitwise the same in
     any batch, alone included, and a diverged cell leaves its siblings
     untouched.  With directions = m > 1 each oracle offers m noise draws
-    per step and the run follows the one that moves farthest; the first
-    draw consumes the generator like the plain run, so m = 1 is the plain
-    cell.  Repeats share their one bound curve, from _bound_curves as in
-    the sweep's table.  Every CellResult carries the batch's wall time.  A
-    sweep calls this once per chunk of its grid, each chunk in its own process.
+    per step, one block of m directions and one of 2m uniforms, and the run
+    follows the one that moves farthest.  m = 1 draws one vector as the
+    plain run does, so it is the plain cell.  Repeats share their one bound
+    curve, from _bound_curves as in the sweep's table.  Every CellResult
+    carries the batch's wall time.  A sweep calls this once per chunk of its
+    grid, each chunk in its own process.
     """
     h = ProxFunction.l1_ball(problem.radius)
     seeds = [cell_seed(config.master_seed, q, d, r) for q, d, r in cells]

@@ -197,15 +197,20 @@ def perturbed(base, rngs, bounds, count=1):
 
     Each vector's direction is standard normal and its norm equals the bound
     with probability 1/2 and is uniform on [0, bound] otherwise, so the worst
-    case is exercised often.  Row i draws from rngs[i], vector by vector, the
-    direction and then its radius; the directions are then scaled to their
-    radii all at once.  A row with a zero bound is its base row bitwise,
-    -0.0 included, and leaves its generator untouched, keeping exact runs
-    bit-identical to noise-free code; a zero direction, never met in
-    practice, adds nothing after its radius draw.
+    case is exercised often.  Row i draws from rngs[i], rows in order.  With
+    count = 1 it draws the direction, a uniform and, when that is not below
+    1/2, a second uniform for the radius: the stream the seeded gate runs
+    have always drawn.  With count = m > 1 it draws its m directions as one
+    (m, n) block, then one (2, m) block of uniforms, whose first row picks
+    the bound (below 1/2) or the second row's fraction of it.  The
+    directions are then scaled to their radii all at once.  A row with a
+    zero bound is its base row bitwise, -0.0 included, and leaves its
+    generator untouched, keeping exact runs bit-identical to noise-free
+    code; a zero direction, never met in practice, adds nothing.
     """
     slab = np.zeros((len(base), count, base.shape[1]))
     radii = np.zeros((len(base), count))
+    uniforms = np.zeros((len(base), 2, count)) if count > 1 else None
     exact = []
     for i, (row, radius, rng, bound) in enumerate(zip(slab, radii, rngs, bounds)):
         if bound < 0.0:
@@ -215,9 +220,15 @@ def perturbed(base, rngs, bounds, count=1):
             continue
         if rng is None:
             raise ValueError("a generator is required to draw noise")
-        for j in range(count):
-            rng.standard_normal(out=row[j])
-            radius[j] = bound if rng.random() < 0.5 else bound * rng.random()
+        if uniforms is None:
+            rng.standard_normal(out=row[0])
+            radius[0] = bound if rng.random() < 0.5 else bound * rng.random()
+        else:
+            rng.standard_normal(out=row)
+            rng.random(out=uniforms[i])
+    if uniforms is not None:  # a zero bound's radii are 0
+        radii = np.asarray(bounds, dtype=float)[:, None] * np.where(
+            uniforms[:, 0] < 0.5, 1.0, uniforms[:, 1])
     norms = np.sqrt(sq_norm(slab))
     # a zero row stays zero whatever it is scaled by, so it keeps its radius
     slab *= np.divide(radii, norms, out=radii, where=norms > 0.0)[..., None]
@@ -367,10 +378,13 @@ class NoisyGradientOracle(ModelOracle):
     any degree q in [0, 1] with delta scaled by D**(1-q), because
     ||x - y|| <= D there.  Degrees above 1 are not certifiable this way.
 
-    With directions = m the exact gradient is perturbed by m noise vectors
-    drawn in sequence: the first gives the gradient, the others the
-    alternatives, all under the same certificate.  This is how the
-    worst-case sweep picks its noise direction.
+    With directions = m the exact gradient is perturbed by m noise vectors,
+    all under the same certificate: the first gives the gradient, the
+    others the alternatives.  This is how the worst-case sweep picks its
+    noise direction.  At m = 1 the one vector is drawn as it always was,
+    the stream the gate's seeded runs ride; at m > 1 the m directions come
+    as one block and then their radii's 2m uniforms (see perturbed), so the
+    first candidate is not the m = 1 draw.
     """
 
     def __init__(self, problem, noise_bound, degree=1.0, diameter=None, directions=1):

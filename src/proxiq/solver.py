@@ -157,6 +157,15 @@ def _values(objective, x):
     return f
 
 
+def _square(a):
+    """a ** 2 of a float, inf where Python's power overflows (a above about
+    1.34e154) instead of OverflowError, so the start check can refuse it."""
+    try:
+        return a ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     """The step loop of every solver, over a batch or a single run as
     prox_gradient describes; a run's result is finish(trace, records) when
@@ -197,7 +206,7 @@ def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     start(run)
     run["lip"] = run["lipschitz"] + run["degree"] * run["rho"]
     run["alpha"] = run["step_scale"] / run["lip"]
-    run["alpha_sq"] = np.array([a ** 2 for a in run["alpha"].tolist()])
+    run["alpha_sq"] = np.array([_square(a) for a in run["alpha"].tolist()])
     for a, a_sq in zip(run["alpha"].tolist(), run["alpha_sq"].tolist()):
         if not 0.0 < a_sq < math.inf:  # gm_sq divides by it: a 0 turns a trace to NaN
             raise ValueError(f"step alpha = {a!r} squares to {a_sq!r}, not a positive finite float")

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from proxiq import ProxFunction, ScheduleConfig, cli, harness, prox_gradient, rates
 from proxiq.harness import ConfigError
-from proxiq.oracle import NoisyGradientOracle
+from proxiq.oracle import NoisyGradientOracle, sq_norm
 from proxiq.problems import generate_logsum_instance
+from proxiq.prox import project_l1_rows
 
 # Small grid that finishes in milliseconds but still exercises exact and
 # noisy cells at two degrees with two repeats.
@@ -733,12 +734,20 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
     with pytest.raises(ConfigError, match="worst_case_directions"):
         harness.run_worst_case(plain_cfg)
     cfg3 = harness.parse_config(make_config(tmp_path / "b", worst_case_directions=3))
-    plain, = harness.run_cells(small_problem, plain_cfg, [(1.0, 0.5, 0)])
     worst, = harness.run_cells(small_problem, cfg3, [(1.0, 0.5, 0)],
                                directions=cfg3.worst_case_directions)
-    # on the first step both see the same iterate, so three tries can only
-    # move farther than the single plain draw
-    assert worst.trace.gm_sq[0] > plain.trace.gm_sq[0]
+    # the first step, from x0 = 0, moves along the farthest of the three
+    # candidates the cell's oracle gives there with a fresh copy of its generator
+    oracle = harness._cell_oracle(small_problem, 1.0, 0.5, 3)
+    rng = np.random.default_rng(harness.cell_seed(cfg3.master_seed, 1.0, 0.5, 0))
+    x0 = np.zeros(small_problem.dim)
+    _, candidates = oracle.evaluate(x0, rng=rng)
+    lip = small_problem.lipschitz
+    alpha = cfg3.solver.step_scale / (lip + 1.0 * lip)
+    moves = project_l1_rows(x0 - alpha * candidates, small_problem.radius) - x0
+    gm_sq = sq_norm(moves) / alpha ** 2
+    assert len(set(gm_sq.tolist())) == 3
+    assert worst.trace.gm_sq[0] == gm_sq.max()
 
 
 def test_scaled_claim_wrapper_only_touches_delta(small_problem, understate_claims):

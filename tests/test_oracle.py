@@ -238,10 +238,36 @@ def _sequential_bounded_noise(rng, dim, bound):
     return (radius / norm) * direction
 
 
+def _block_bounded_noise(rng, count, dim, bound):
+    """count > 1 noise vectors drawn as one block, the reference for
+    perturbed's draws at count > 1: the (count, dim) directions, then count
+    coin flips and count fractions, each vector scaled on its own."""
+    if bound == 0.0:
+        return np.zeros((count, dim))
+    directions = rng.standard_normal((count, dim))
+    coins, fractions = rng.random((2, count))
+    noise = np.zeros((count, dim))
+    for vector, direction, coin, fraction in zip(noise, directions, coins, fractions):
+        norm = math.sqrt(direction.dot(direction))
+        if norm > 0.0:
+            radius = float(bound) if coin < 0.5 else float(bound) * float(fraction)
+            vector[:] = (radius / norm) * direction
+    return noise
+
+
+def _reference_noise(rng, count, dim, bound):
+    """The (count, dim) noise of one row of perturbed, written out: one
+    vector drawn on its own at count = 1, a block at count > 1."""
+    if count == 1:
+        return _sequential_bounded_noise(rng, dim, bound)[None]
+    return _block_bounded_noise(rng, count, dim, bound)
+
+
 def test_perturbed_matches_sequential_draws():
-    # each copy of a row is the row plus its generator's vectors drawn one
-    # at a time, bitwise, a zero-bound row its base row, -0.0 included, and
-    # every generator ends where the sequential draws leave it
+    # each row's copies are the row plus its generator's vectors drawn as
+    # written out, one vector at count 1 and one block at count > 1, bitwise;
+    # a zero-bound row is its base row, -0.0 included, and every generator
+    # ends where the written-out draws leave it
     bounds = [0.3, 0.0, 2.5, 1e-3, 0.0, 7.0]
     for count in (1, 3):
         for dim in (1, 7, 64):
@@ -252,15 +278,38 @@ def test_perturbed_matches_sequential_draws():
             slab = perturbed(base, rngs, bounds, count)
             assert slab.shape == (len(bounds), count, dim)
             for row, x, ref, bound in zip(slab, base, refs, bounds):
-                for copy in row:
-                    want = x if bound == 0.0 else x + _sequential_bounded_noise(ref, dim, bound)
-                    assert copy.tobytes() == want.tobytes()
+                want = x if bound == 0.0 else x + _reference_noise(ref, count, dim, bound)
+                assert row.tobytes() == np.broadcast_to(want, row.shape).tobytes()
+            assert [rng.bit_generator.state for rng in rngs] == [
+                ref.bit_generator.state for ref in refs]
             assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="nonnegative"):
         perturbed(np.zeros((2, 4)), [rng, rng], [0.1, -0.1])
     with pytest.raises(ValueError, match="generator is required"):
         perturbed(np.zeros((2, 4)), [rng, None], [0.1, 0.1])
+
+
+def test_block_draws_keep_the_radius_law():
+    # at count > 1 every noise vector still lies within its row's bound and
+    # sits on it half the time, and a zero-bound row is its base row bitwise
+    # with its generator untouched
+    rows, count, dim = 500, 4, 8
+    gen = np.random.default_rng(30)
+    bounds = gen.uniform(0.1, 3.0, rows)
+    bounds[::50] = 0.0
+    base = gen.standard_normal((rows, dim))
+    base[:, 0] = -0.0
+    rngs = [np.random.default_rng(seed) for seed in range(rows)]
+    slab = perturbed(base, rngs, bounds.tolist(), count)
+    noisy = bounds > 0.0
+    norms = np.linalg.norm(slab[noisy] - base[noisy, None], axis=2)
+    assert (norms <= bounds[noisy, None] * (1.0 + 1e-12)).all()
+    at_bound = np.isclose(norms, bounds[noisy, None], rtol=1e-12, atol=0.0).mean()
+    assert 0.45 <= at_bound <= 0.55
+    for i in np.flatnonzero(~noisy):
+        assert slab[i].tobytes() == np.tile(base[i], (count, 1)).tobytes()
+        assert rngs[i].bit_generator.state == np.random.default_rng(i).bit_generator.state
 
 
 class _Concave:
@@ -295,10 +344,11 @@ def test_evaluate_rows_adds_the_slab_to_noisy_rows_only():
         values, candidates, finite = evaluate_rows(oracles, points[:len(oracles)], rngs)
         assert finite.all() and candidates.shape == (len(oracles), count, 4)
         for i, oracle in enumerate(oracles):
-            for candidate in candidates[i]:
-                noise = _sequential_bounded_noise(refs[i], 4, oracle.noise_bound)
-                want = exact[i] if oracle.noise_bound == 0.0 else exact[i] + noise
-                assert candidate.tobytes() == want.tobytes()
+            noise = _reference_noise(refs[i], count, 4, oracle.noise_bound)
+            want = np.tile(exact[i], (count, 1)) if oracle.noise_bound == 0.0 else exact[i] + noise
+            assert candidates[i].tobytes() == want.tobytes()
+        assert [rng.bit_generator.state for rng in rngs] == [
+            ref.bit_generator.state for ref in refs]
         assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
         # evaluate, the answer to a stack of one, keeps the -0.0 too
         assert oracles[0].evaluate(points[0])[1].tobytes() == np.tile(exact[0], (count, 1)).tobytes()
@@ -359,12 +409,11 @@ def test_certificate_validation():
 
 def _old_model_answer(oracle, x, rng):
     """A model oracle's answer at one point, written out: the fused value
-    and gradient, then each noise vector drawn on its own."""
+    and gradient, then its noise drawn as _reference_noise draws it."""
     value, grad = oracle.problem.value_and_gradient(x)
     if oracle.noise_bound == 0.0:
         return value, np.tile(grad, (oracle.directions, 1))
-    return value, np.array([grad + _sequential_bounded_noise(rng, x.size, oracle.noise_bound)
-                            for _ in range(oracle.directions)])
+    return value, grad + _reference_noise(rng, oracle.directions, x.size, oracle.noise_bound)
 
 
 def _old_shifted_answer(oracle, x, rng):
@@ -648,20 +697,18 @@ def test_noisy_gradient_candidates():
     assert np.array_equal(one, plain)
     assert one_value == plain_value
 
-    # m directions: m - 1 alternatives under the same certificate, drawn
-    # after the first candidate exactly like m sequential noise draws
+    # m directions: m candidates under the same certificate, drawn as one
+    # block, the m directions and then the m coins and fractions
     rng = np.random.default_rng(8)
-    _, (first, *alternatives) = NoisyGradientOracle(prob, 0.25, directions=4).evaluate(
-        x, rng=rng)
-    assert len(alternatives) == 3
-    assert np.array_equal(first, plain)
+    _, candidates = NoisyGradientOracle(prob, 0.25, directions=4).evaluate(x, rng=rng)
+    assert candidates.shape == (4, 6)
     ref_rng = np.random.default_rng(8)
-    draws = [_sequential_bounded_noise(ref_rng, 6, 0.25) for _ in range(4)]
+    draws = _block_bounded_noise(ref_rng, 4, 6, 0.25)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for alt, noise in zip(alternatives, draws[1:]):
-        assert np.array_equal(alt, exact + noise)
-        assert np.linalg.norm(alt - exact) <= 0.25 + 1e-12
-    assert len({alt.tobytes() for alt in alternatives}) == 3
+    for candidate, noise in zip(candidates, draws):
+        assert np.array_equal(candidate, exact + noise)
+        assert np.linalg.norm(candidate - exact) <= 0.25 + 1e-12
+    assert len({candidate.tobytes() for candidate in candidates}) == 4
 
     for bad in (0, -1):
         with pytest.raises(ValueError):

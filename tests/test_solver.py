@@ -635,6 +635,25 @@ def test_batch_validation(solver):
         solve(lambda x: prob.value(x[0]), oracles[:2], h, configs[:2], x0, rng=rngs)
 
 
+class _Flat(ExactOracle):
+    """Exact oracle claiming L = 1e-160, so its step 1/L squares past the
+    largest float."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.certificate = replace(self.certificate, lipschitz=1e-160)
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_step_too_large_to_square_is_refused(solver):
+    # a Python float's power raises OverflowError there, which the CLI does
+    # not catch; the start check refuses the step by name instead
+    prob = generate_quadratic_instance(4)
+    with pytest.raises(ValueError, match=r"step alpha = 1e\+160 squares to inf"):
+        _SOLVERS[solver](prob.value, _Flat(prob), ProxFunction.l1_ball(1.0),
+                         ScheduleConfig(rho=0.0, max_iters=3), np.zeros(4))
+
+
 class _Swapped(NoisyGradientOracle):
     """Noisy oracle that claims a larger L and delta after its 4th answer.
 
