@@ -7,12 +7,11 @@ from .oracle import (CertificationReport, ExactOracle, HolderOracle, MinibatchOr
 from .problems import (HolderPowerProblem, LogSumProblem, QuadraticProblem,
                        generate_holder_instance, generate_logsum_instance,
                        generate_quadratic_instance, sample_l1_ball)
-from .prox import ProxFunction, project_l1_ball, soft_threshold
+from .prox import ProxFunction, project_l1_ball
 from .rates import (CURVE_KINDS, bound_convex_ergodic, bound_fast_convex,
-                    bound_nonconvex_const, bound_nonconvex_horizon,
-                    bound_nonconvex_schedule, holder_delta_opt, nonconvex_plateau,
+                    bound_nonconvex_const, bound_nonconvex_horizon, holder_delta_opt,
                     rho_opt_fast, rho_opt_horizon, sample_curve)
 from .solver import (AdaptiveState, DivergenceError, RunTrace, ScheduleConfig,
-                     adaptive_prox_gradient, fast_prox_gradient, prox_gradient, theta_next)
+                     adaptive_prox_gradient, fast_prox_gradient, prox_gradient)
 
 __version__ = "0.1.0"

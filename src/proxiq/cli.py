@@ -6,7 +6,8 @@ theoretical curve), reproduce-fig1 (the bundled benchmark preset).
 
 Exit codes: 0 success, 1 validation error, 2 certificate refuted,
 3 divergence.  A config file that cannot be read, or an output that cannot
-be written, is a validation error too, reported as one "error:" line.
+be written, is a validation error too, reported as one "error:" line, and
+so is a command line the parser refuses, after its usage line.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from . import harness, rates
 from .harness import ConfigError
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, the code of a refuted certificate
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="proxiq",
         description="proximal gradient experiments with inexact oracles")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,8 +90,8 @@ def _sweep_exit(results):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             results = harness.run_experiment(harness.load_config(args.config))
             return _sweep_exit(results)

@@ -1,5 +1,5 @@
-"""Experiment driver: config parsing, grid sweeps, adversarial runs,
-certificate checks, and rate-curve export.
+"""Experiment driver: config parsing, grid sweeps, adversarial runs and
+certificate checks.
 
 Every output is reproducible from the config file alone.  Per-cell
 randomness is seeded by the cell's own coordinates (degree, noise level,
@@ -401,31 +401,57 @@ def _chunks(count):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _fork_worker(work):
-    """Fork a process that calls work() and pipes back its pickled result, or
-    the exception it raised; return (pid, the pipe's read end)."""
+# a worker's first bytes on its pipe: its pid, before its pickled result
+_PID_BYTES = 8
+
+
+def _kill_and_reap(pid):
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass
+
+
+def _fork_worker(work, chunk, workers):
+    """Fork a process that calls work() and pipes back its pid and then its
+    pickled result, or the exception it raised; append (pid, the pipe's
+    read end, chunk) to workers.
+
+    From the moment it exists the worker is in workers, or killed and
+    reaped.  os.fork can raise after the child exists, as Python 3.12's
+    warning on a fork with threads does under an "error" filter; the pid,
+    lost with it, comes off the pipe then.  With no child, as under EAGAIN,
+    that read meets the end of the pipe at once.
+    """
     read_fd, write_fd = os.pipe()
+    # unbuffered, so that after the pid read() returns the payload without a second copy
+    pipe = os.fdopen(read_fd, "rb", buffering=0)
     try:
         pid = os.fork()
-    except OSError:  # such as EAGAIN under a process limit
-        os.close(read_fd)
+    except BaseException:
         os.close(write_fd)
+        with pipe:
+            header = pipe.read(_PID_BYTES)
+        if len(header) == _PID_BYTES:
+            _kill_and_reap(int.from_bytes(header, "little"))
         raise
     if pid == 0:  # the worker: every path out of this block is os._exit
         status = 1
         try:
-            os.close(read_fd)
+            pipe.close()
+            os.write(write_fd, os.getpid().to_bytes(_PID_BYTES, "little"))
             try:
                 payload = pickle.dumps((True, work(), ""), pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:
                 payload = _failure_payload(exc)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(payload)
             status = 0
         finally:
             os._exit(status)
+    workers.append((pid, pipe, chunk))
     os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
 
 
 def _failure_payload(exc):
@@ -489,11 +515,12 @@ def _sweep(config, directions, prefix, write_bounds):
     workers = []  # (pid, pipe, chunk) of every worker not yet reaped, in grid order
     try:
         for chunk in rest:
-            workers.append((*_fork_worker(partial(run_chunk, *chunk)), chunk))
+            _fork_worker(partial(run_chunk, *chunk), chunk, workers)
         results = run_chunk(*first)
         while workers:
             pid, pipe, chunk = workers[0]
             with pipe:
+                pipe.read(_PID_BYTES)  # the pid, known here
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
             workers.pop(0)
@@ -501,11 +528,7 @@ def _sweep(config, directions, prefix, write_bounds):
     finally:  # on any failure, no worker outlives the sweep
         for pid, pipe, _ in workers:
             pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
+            _kill_and_reap(pid)
     if write_bounds:
         _write_bounds_csv(out / "bound_q_delta.csv", steps, curves)
     _write_summary_csv(out / (prefix + "summary.csv"), results)

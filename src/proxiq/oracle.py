@@ -21,8 +21,9 @@ steps along the one that moves farthest.
 Besides the abstract certificate this module provides several constructive
 oracle families (additive gradient noise, evaluation at shifted points,
 mini-batch subsampling, approximate inner maximization, weakly smooth
-functions), the AM-GM split used by the solvers, and an empirical
-certifier that hunts for violating point pairs.  Each family is one Oracle
+functions), the AM-GM split behind the solvers' step 1/(L + q*rho) and
+the rate bounds (the solvers step with L + q*rho and never call it), and
+an empirical certifier that hunts for violating point pairs.  Each family is one Oracle
 class: its constructor checks the family's parameters and keeps the
 certificate they imply as oracle.certificate, and its static method
 answers(oracles, points, rngs) answers a stack of points (C, n), row i for

@@ -24,53 +24,21 @@ def _ret(values):
     return float(values) if values.ndim == 0 else values
 
 
-def bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):
-    """Best gradient-mapping bound under decaying accuracy and step schedules.
-
-    Covers runs with delta_j = delta/(j+1)**(beta*(2-q)/2) and
-    alpha_j = 1/((L + q*rho)*(j+1)**zeta):
-
-        2*(L+q*rho)*gap / ((1-zeta)*(k+1)**(1-zeta))
-        + (2-q)*(L+q*rho)*delta**(2/(2-q))
-          / ((1-zeta)*(1-beta)*rho**(q/(2-q))*(k+1)**(beta-zeta)).
-
-    gap is f(x0) minus a lower bound on the objective.  Requires beta and
-    zeta in [0, 1); the noise term decays only when beta > zeta.
-    """
-    q = _check_degree(degree)
-    if not 0.0 <= beta < 1.0 or not 0.0 <= zeta < 1.0:
-        raise ValueError("beta and zeta must lie in [0, 1)")
-    _positive(rho=rho, lipschitz=lipschitz)
-    _nonnegative(delta=delta, gap=gap)
-    k = _check_k(k)
-    smooth = lipschitz + q * rho
-    lead = 2.0 * smooth * gap / ((1.0 - zeta) * (k + 1.0) ** (1.0 - zeta))
-    noise = ((2.0 - q) * smooth * delta ** (2.0 / (2.0 - q))
-             / ((1.0 - zeta) * (1.0 - beta) * rho ** (q / (2.0 - q)) * (k + 1.0) ** (beta - zeta)))
-    return _ret(lead + noise)
-
-
 def bound_nonconvex_const(lipschitz, degree, delta, gap, k):
     """Constant-schedule bound at the canonical weight rho = L.
 
     2*(q+1)*L*gap/(k+1) + (q+1)*(2-q)*L**((2-2q)/(2-q))*delta**(2/(2-q)).
-    The second term is the noise plateau the iteration cannot descend below.
+    The second term is the noise plateau the iteration cannot descend below,
+    the whole bound at gap = 0.
     """
     q = _check_degree(degree)
     _positive(lipschitz=lipschitz)
     _nonnegative(delta=delta, gap=gap)
     k = _check_k(k)
     lead = 2.0 * (q + 1.0) * lipschitz * gap / (k + 1.0)
-    return _ret(lead + nonconvex_plateau(lipschitz, q, delta))
-
-
-def nonconvex_plateau(lipschitz, degree, delta):
-    """Noise floor of the constant-schedule bound: its k-independent term."""
-    q = _check_degree(degree)
-    _positive(lipschitz=lipschitz)
-    _nonnegative(delta=delta)
-    return ((q + 1.0) * (2.0 - q) * lipschitz ** ((2.0 - 2.0 * q) / (2.0 - q))
-            * delta ** (2.0 / (2.0 - q)))
+    plateau = ((q + 1.0) * (2.0 - q) * lipschitz ** ((2.0 - 2.0 * q) / (2.0 - q))
+               * delta ** (2.0 / (2.0 - q)))
+    return _ret(lead + plateau)
 
 
 def rho_opt_horizon(lipschitz, degree, delta, gap, horizon):
@@ -90,8 +58,12 @@ def rho_opt_horizon(lipschitz, degree, delta, gap, horizon):
 def bound_nonconvex_horizon(lipschitz, degree, delta, gap, k):
     """Flat-schedule bound evaluated at the horizon-optimal weight.
 
-    Exact expansion of bound_nonconvex_schedule(beta=zeta=0) at
-    rho_opt_horizon(..., k):
+    Exact expansion of the flat-schedule bound at weight rho and step
+    1/(L + q*rho),
+
+        2*(L+q*rho)*gap/(k+1) + (2-q)*(L+q*rho)*delta**(2/(2-q))/rho**(q/(2-q)),
+
+    at rho = rho_opt_horizon(..., k):
 
         2*L*gap/(k+1)
         + 2*delta*L**(1-q/2)*(2*gap)**(q/2)/(k+1)**(q/2)
@@ -116,8 +88,10 @@ def bound_convex_ergodic(lipschitz, degree, delta, radius, k, rho=None):
     """Objective-gap bound for the averaged iterates of the plain method, k >= 1.
 
     With an explicit rho:  (L+q*rho)*R**2/(2k) + (2-q)*delta**(2/(2-q))/(2*rho**(q/(2-q))).
-    With rho omitted the weight minimizing the bound is substituted, giving
-    L*R**2/(2k) + (2+q)*delta*R**q/(2*k**(q/2)).
+    With rho omitted it is the display form
+    L*R**2/(2k) + (2+q)*delta*R**q/(2*k**(q/2)), an upper bound on the
+    minimum over rho: that minimum, reached at rho = delta*(k/R**2)**((2-q)/2),
+    carries 1 instead of (2+q)/2 on the accuracy term.
     """
     q = _check_degree(degree)
     _positive(lipschitz=lipschitz, radius=radius)
@@ -205,8 +179,6 @@ def holder_delta_opt(holder_constant, exponent, degree, gap, k):
 # each named curve: its bound function, called as bound(k=ks, **parameters),
 # and the parameter names it takes besides k
 _CURVES = {
-    "nonconvex_schedule": (bound_nonconvex_schedule,
-                           ("lipschitz", "rho", "degree", "delta", "beta", "zeta", "gap")),
     "nonconvex_const": (bound_nonconvex_const, ("lipschitz", "degree", "delta", "gap")),
     "nonconvex_horizon": (bound_nonconvex_horizon, ("lipschitz", "degree", "delta", "gap")),
     "convex_ergodic": (bound_convex_ergodic, ("lipschitz", "degree", "delta", "radius", "rho")),

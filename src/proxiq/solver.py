@@ -45,7 +45,7 @@ class DivergenceError(RuntimeError):
     """Objective blow-up or a retry loop that will not terminate."""
 
 
-# each momentum rule's (theta_0, c, d): theta_next = (1 + sqrt(1 + c*L*a)) / d
+# each momentum rule's (theta_0, c, d): the next theta is (1 + sqrt(1 + c*L*a)) / d
 _MOMENTUM = {"equality_root": (1.0, 4.0, 2.0), "half_linear": (0.5, 16.0, 4.0)}
 
 # a run is declared divergent when f exceeds f(x0) by this relative margin
@@ -106,10 +106,6 @@ class RunTrace:
     def min_gm_sq(self):
         """(K,) running minimum of gm_sq."""
         return np.minimum.accumulate(self.gm_sq)
-
-    @property
-    def steps(self):
-        return len(self.gm_sq)
 
 
 @dataclass
@@ -317,22 +313,15 @@ def _gradient(k, candidates):
     return candidates[:, 0]
 
 
-def theta_next(a_prev, lipschitz_next, rule="equality_root"):
-    """Next weight of the momentum sequence given the accumulated weight.
+def _theta(a_prev, lipschitz_next, rule):
+    """Next weight of the momentum sequence given the accumulated weight,
+    unchecked, on scalars or arrays; the product is (c*L)*a.
 
     equality_root takes the largest root of theta**2/L = a_prev + theta/L,
     the fastest growth the convergence argument allows.  half_linear solves
     the same recursion tightened by a factor 4, which for constant L
     reproduces the linear sequence theta_k = (k+1)/2.
     """
-    _positive(a_prev=a_prev, lipschitz_next=lipschitz_next)
-    if rule not in _MOMENTUM:
-        raise ValueError(f"unknown theta rule {rule!r}")
-    return float(_theta(a_prev, lipschitz_next, rule))
-
-
-def _theta(a_prev, lipschitz_next, rule):
-    """theta_next's formula, unchecked, on scalars or arrays; the product is (c*L)*a."""
     _, c, d = _MOMENTUM[rule]
     return (1.0 + np.sqrt(1.0 + c * lipschitz_next * a_prev)) / d
 

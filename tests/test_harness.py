@@ -566,7 +566,7 @@ def test_shared_texts_give_every_file_its_cells_numbers(tmp_path, monkeypatch, c
     for cell in results:
         trace = cell.trace
         want = _rendered(("k", "f", "gm_sq", "min_gm_sq", "bound"),
-                         (range(trace.steps), trace.objective[:-1].tolist(),
+                         (range(len(trace.gm_sq)), trace.objective[:-1].tolist(),
                           trace.gm_sq.tolist(), trace.min_gm_sq.tolist(), cell.bound.tolist()))
         assert (out / (prefix + cell.trace_filename)).read_bytes() == want, cell.trace_filename
     if not directions:
@@ -674,36 +674,47 @@ def test_failing_own_chunk_kills_and_reaps_every_worker(tmp_path, monkeypatch, e
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+@pytest.mark.parametrize("fail", ["EAGAIN", "DeprecationWarning"])
 def test_failed_fork_kills_the_started_worker_and_leaks_no_descriptor(tmp_path, monkeypatch,
-                                                                       capsys):
-    # the second fork of a three-chunk sweep fails, as it does with EAGAIN
-    # under a process limit: the sweep raises that error, kills and reaps
-    # the worker it started and closes both ends of every pipe it opened
+                                                                       capsys, fail):
+    # the second fork of a three-chunk sweep fails, before its child exists,
+    # as with EAGAIN under a process limit, or after: the sweep raises that
+    # error, kills and reaps every worker it started and closes both ends of
+    # every pipe it opened
     _cpus(monkeypatch, 3)
     fork, kill, forked, killed = os.fork, os.kill, [], []
 
     def fork_once_of_two():
-        if len(forked) % 2:
+        if len(forked) % 2 and fail == "EAGAIN":
             forked.append(None)
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         forked.append(fork())
+        if len(forked) % 2 == 0 and forked[-1]:
+            # Python 3.12 warns when a process that holds threads forks; under
+            # an "error" filter the parent's fork raises and the pid is lost
+            raise DeprecationWarning(f"This process (pid={os.getpid()}) is multi-threaded,"
+                                     " use of fork() may lead to deadlocks in the child.")
         return forked[-1]
 
     monkeypatch.setattr(os, "fork", fork_once_of_two)
     monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append((pid, sig)) or kill(pid, sig))
     config = harness.parse_config(make_config(tmp_path / "out"))
     descriptors = len(os.listdir("/proc/self/fd"))
-    with _deadline(60), pytest.raises(OSError) as info:
+    with _deadline(60), pytest.raises(OSError if fail == "EAGAIN" else DeprecationWarning):
         harness.run_experiment(config)
-    assert info.value.errno == errno.EAGAIN
-    assert forked[1:] == [None] and killed == [(forked[0], signal.SIGKILL)]
+    # the failed fork's child, if any, dies first, then the started worker
+    assert killed == [(pid, signal.SIGKILL) for pid in reversed(forked) if pid]
+    assert len(forked) == 2 and forked[0] and (forked[1] is None) == (fail == "EAGAIN")
     _assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == descriptors
-    # the CLI reports it as one error line
     path = write_config(tmp_path / "config.json", make_config(tmp_path / "cli"))
     with _deadline(60):
-        assert cli.main(["run", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EAGAIN}]")
+        if fail == "EAGAIN":  # the CLI reports it as one error line
+            assert cli.main(["run", str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EAGAIN}]")
+        else:  # not a validation error: it propagates
+            with pytest.raises(DeprecationWarning):
+                cli.main(["run", str(path)])
     _assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
@@ -938,6 +949,25 @@ def test_cli_rates_subcommand(tmp_path, capsys):
         assert cli.main(["rates", "nonconvex_const", str(out), *flags, *params]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rates", "nonconvex_schedule", "curve.csv"],
+     "proxiq rates: argument kind: invalid choice: 'nonconvex_schedule'"),
+    (["certify"], "proxiq certify: the following arguments are required: config"),
+    (["rates", "nonconvex_const", "curve.csv", "--points", "x"],
+     "proxiq rates: argument --points: invalid int value: 'x'"),
+], ids=["unknown-kind", "missing-argument", "non-integer-points"])
+def test_cli_usage_error_is_a_validation_error(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse alone would exit 2, the code of a refuted certificate
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: proxiq {argv[0]} ") and f"\nerror: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as info:
+        cli.main([argv[0], "--help"])
+    assert info.value.code == 0
 
 
 def test_cli_rates_reports_overflow_as_error(tmp_path, capsys):

@@ -27,7 +27,6 @@ from proxiq import (
     holder_smoothing_constant,
     majorize_amgm,
     spectral_norm,
-    theta_next,
 )
 from proxiq.harness import ball_pair_sampler
 from proxiq import oracle as oracle_module
@@ -1150,7 +1149,6 @@ _COMPONENTS = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0), _Linear([1.0,
     (lambda: HolderPowerProblem(np.zeros(3), 0.5, math.inf), "holder_constant"),
     (lambda: SaddleProblem(np.eye(2), np.zeros(2), math.nan), "concavity"),
     (lambda: SaddleProblem(np.eye(2), np.zeros(2), math.inf), "concavity"),
-    (lambda: theta_next(math.nan, 1.0), "a_prev"),
     (lambda: certify_oracle(ExactOracle(_SMALL), _SMALL.value, ball_pair_sampler(2.0, 4),
                             pairs=2.5), "pairs"),
     (lambda: certify_oracle(ExactOracle(_SMALL), _SMALL.value, ball_pair_sampler(2.0, 4),
@@ -1171,7 +1169,7 @@ _COMPONENTS = [_Linear([1.0, 0.0], 1.0), _Linear([0.0, 2.0], 2.0), _Linear([1.0,
         "holder-constant-nan", "holder-constant-inf", "holder-delta-inf", "delta-opt-nan",
         "logsum-noise-nan", "logsum-noise-inf", "power-holder-constant-nan",
         "power-holder-constant-inf", "saddle-concavity-nan", "saddle-concavity-inf",
-        "theta-a-prev-nan", "certify-pairs-fractional", "certify-pairs-bool",
+        "certify-pairs-fractional", "certify-pairs-bool",
         "logsum-n-fractional", "quadratic-n-fractional", "holder-n-zero",
         "sampler-radius-nan", "horizon-negative", "k-negative", "k-nan",
         "k-array-negative", "k-array-inf"])

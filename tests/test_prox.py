@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from proxiq import ProxFunction, project_l1_ball, soft_threshold
-from proxiq.prox import project_l1_rows
+from proxiq import ProxFunction, project_l1_ball
+from proxiq.prox import project_l1_rows, soft_threshold
 
 # radii that are not > 0, NaN among them
 _BAD_RADII = (math.nan, 0.0, -1.0)

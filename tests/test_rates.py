@@ -1,4 +1,5 @@
-"""Rate evaluators: spot values, algebraic identities, curve sampling."""
+"""Rate evaluators: spot values, algebraic identities, curve sampling, and
+each curve kind against a solver run that meets its hypotheses."""
 
 import csv
 import math
@@ -10,14 +11,21 @@ from hypothesis import strategies as st
 
 from proxiq import (
     CURVE_KINDS,
+    HolderOracle,
+    NoisyGradientOracle,
+    ProxFunction,
+    ScheduleConfig,
     bound_convex_ergodic,
     bound_fast_convex,
     bound_nonconvex_const,
     bound_nonconvex_horizon,
-    bound_nonconvex_schedule,
+    fast_prox_gradient,
+    generate_holder_instance,
+    generate_logsum_instance,
+    generate_quadratic_instance,
     holder_delta_opt,
     holder_smoothing_constant,
-    nonconvex_plateau,
+    prox_gradient,
     rho_opt_fast,
     rho_opt_horizon,
     sample_curve,
@@ -25,17 +33,37 @@ from proxiq import (
 from proxiq.rates import format_numbers, running_min_text, write_csv
 
 
+def _bound_nonconvex_schedule(lipschitz, rho, degree, delta, beta, zeta, gap, k):
+    """The best gradient-mapping bound under decaying accuracy and step
+    schedules, delta_j = delta/(j+1)**(beta*(2-q)/2) and
+    alpha_j = 1/((L + q*rho)*(j+1)**zeta), with beta and zeta in [0, 1):
+
+        2*(L+q*rho)*gap / ((1-zeta)*(k+1)**(1-zeta))
+        + (2-q)*(L+q*rho)*delta**(2/(2-q))
+          / ((1-zeta)*(1-beta)*rho**(q/(2-q))*(k+1)**(beta-zeta)).
+
+    No solver runs such schedules, so no curve kind exports it; at
+    beta = zeta = 0 it is the reference the flat-schedule bounds derive from.
+    """
+    q, k = degree, np.asarray(k, dtype=float)
+    smooth = lipschitz + q * rho
+    lead = 2.0 * smooth * gap / ((1.0 - zeta) * (k + 1.0) ** (1.0 - zeta))
+    noise = ((2.0 - q) * smooth * delta ** (2.0 / (2.0 - q))
+             / ((1.0 - zeta) * (1.0 - beta) * rho ** (q / (2.0 - q)) * (k + 1.0) ** (beta - zeta)))
+    return lead + noise
+
+
 # -------------------------------------------------------------- spot values
 
 
 def test_nonconvex_spot_values():
     # q=0, unit constants, k=3: lead 2*1*1/4, noise (2-0)*1*0.5/2 = 0.5 + 1.0
-    assert bound_nonconvex_schedule(1.0, 1.0, 0.0, 0.5, 0.0, 0.0, 1.0, 3) == 1.5
+    assert _bound_nonconvex_schedule(1.0, 1.0, 0.0, 0.5, 0.0, 0.0, 1.0, 3) == 1.5
     # q=1, L=1, delta=0.1, gap=1, k=0: 2*2*1 + 2*0.01
     assert bound_nonconvex_const(1.0, 1.0, 0.1, 1.0, 0) == pytest.approx(4.02, abs=1e-15)
-    # plateau: 2*L*delta at q=0, 2*delta^2 at q=1 and L=1
-    assert nonconvex_plateau(1.0, 0.0, 0.3) == pytest.approx(0.6, abs=1e-15)
-    assert nonconvex_plateau(1.0, 1.0, 0.3) == pytest.approx(0.18, abs=1e-15)
+    # the plateau, the bound at gap = 0: 2*L*delta at q=0, 2*delta^2 at q=1 and L=1
+    assert bound_nonconvex_const(1.0, 0.0, 0.3, 0.0, 0) == pytest.approx(0.6, abs=1e-15)
+    assert bound_nonconvex_const(1.0, 1.0, 0.3, 0.0, 0) == pytest.approx(0.18, abs=1e-15)
     assert rho_opt_horizon(1.0, 1.0, 1.0, 0.5, 0) == 1.0
 
 
@@ -52,7 +80,7 @@ def test_const_bound_is_schedule_at_canonical_weight():
     for lip in (0.7, 1.0, 5.0):
         for q in (0.0, 0.5, 1.0, 1.7):
             for delta in (0.0, 0.3):
-                a = bound_nonconvex_schedule(lip, lip, q, delta, 0.0, 0.0, 2.0, ks)
+                a = _bound_nonconvex_schedule(lip, lip, q, delta, 0.0, 0.0, 2.0, ks)
                 b = bound_nonconvex_const(lip, q, delta, 2.0, ks)
                 assert np.allclose(a, b, rtol=1e-12)
 
@@ -61,7 +89,7 @@ def test_horizon_bound_is_schedule_at_optimal_weight():
     for q in (1.0, 1.3, 1.7):
         for k in (0, 3, 50, 999):
             rho = rho_opt_horizon(2.0, q, 0.25, 1.5, k)
-            direct = bound_nonconvex_schedule(2.0, rho, q, 0.25, 0.0, 0.0, 1.5, k)
+            direct = _bound_nonconvex_schedule(2.0, rho, q, 0.25, 0.0, 0.0, 1.5, k)
             expanded = bound_nonconvex_horizon(2.0, q, 0.25, 1.5, k)
             assert expanded == pytest.approx(direct, rel=1e-12)
 
@@ -75,7 +103,7 @@ def test_horizon_weight_nearly_minimizes_flat_schedule():
     ratios = []
     for delta in (0.25, 0.025):
         best = bound_nonconvex_horizon(2.0, q, delta, 1.5, k)
-        grid_min = min(bound_nonconvex_schedule(2.0, r, q, delta, 0.0, 0.0, 1.5, k)
+        grid_min = min(_bound_nonconvex_schedule(2.0, r, q, delta, 0.0, 0.0, 1.5, k)
                        for r in rhos)
         ratios.append(best / grid_min)
     assert 1.0 - 1e-12 <= ratios[0] <= 1.005
@@ -131,15 +159,15 @@ def test_plateau_decreases_with_degree_for_small_delta():
     qs = np.linspace(0.0, 1.9, 39)
     for lip in (1.0, 2.0, 5.0):
         for delta in (0.05, 0.3):
-            floors = [nonconvex_plateau(lip, q, delta) for q in qs]
+            floors = [bound_nonconvex_const(lip, q, delta, 0.0, 0) for q in qs]
             assert all(a > b for a, b in zip(floors[:-1], floors[1:]))
 
 
 def test_schedule_noise_decays_only_when_beta_exceeds_zeta():
-    lead_only = bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 1e6)
-    decaying = bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.4, 0.5, 0.0, 1.0, 1e6)
+    lead_only = _bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 1e6)
+    decaying = _bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.4, 0.5, 0.0, 1.0, 1e6)
     assert decaying - lead_only < 1e-2  # the accuracy term has washed out
-    growing = bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.4, 0.0, 0.5, 1.0, np.array([100.0, 1e6]))
+    growing = _bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.4, 0.0, 0.5, 1.0, np.array([100.0, 1e6]))
     assert growing[1] > growing[0]
 
 
@@ -147,8 +175,10 @@ def test_const_bound_decreases_to_plateau():
     ks = np.arange(0, 2000)
     vals = bound_nonconvex_const(2.0, 0.5, 0.2, 1.0, ks)
     assert np.all(np.diff(vals) < 0)
-    assert vals[-1] > nonconvex_plateau(2.0, 0.5, 0.2)
-    assert vals[-1] == pytest.approx(nonconvex_plateau(2.0, 0.5, 0.2), rel=1e-2)
+    plateau = bound_nonconvex_const(2.0, 0.5, 0.2, 0.0, ks)  # the bound at gap = 0
+    assert np.all(plateau == plateau[0])
+    assert vals[-1] > plateau[0]
+    assert vals[-1] == pytest.approx(plateau[0], rel=1e-2)
 
 
 # ----------------------------------------------------------------- holder
@@ -193,13 +223,11 @@ def test_holder_rate_slope_in_k():
 
 def test_rate_validation_errors():
     with pytest.raises(ValueError):
-        bound_nonconvex_schedule(1.0, 1.0, 2.0, 0.1, 0.0, 0.0, 1.0, 1)
+        bound_nonconvex_const(1.0, 2.0, 0.1, 1.0, 1)
     with pytest.raises(ValueError, match="rho must be positive"):
-        bound_nonconvex_schedule(1.0, 0.0, 1.0, 0.1, 0.0, 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        bound_nonconvex_schedule(1.0, 1.0, 1.0, 0.1, 1.0, 0.0, 1.0, 1)
+        bound_convex_ergodic(1.0, 1.0, 0.1, 1.0, 4, rho=0.0)
     with pytest.raises(ValueError, match="delta must be nonnegative"):
-        bound_nonconvex_schedule(1.0, 1.0, 1.0, -0.1, 0.0, 0.0, 1.0, 1)
+        bound_nonconvex_const(1.0, 1.0, -0.1, 1.0, 1)
     with pytest.raises(ValueError, match="lipschitz must be positive"):
         bound_nonconvex_const(0.0, 1.0, 0.1, 1.0, 1)
     with pytest.raises(ValueError):
@@ -232,7 +260,7 @@ def test_rate_validation_errors():
         with pytest.raises(ValueError, match="delta must be finite"):
             bound_fast_convex(1.0, 0.5, bad, 1.0, 3)
         with pytest.raises(ValueError, match="rho must be finite"):
-            bound_nonconvex_schedule(1.0, bad, 1.0, 0.1, 0.0, 0.0, 1.0, 1)
+            bound_convex_ergodic(1.0, 1.0, 0.1, 1.0, 4, rho=bad)
         with pytest.raises(ValueError, match="gap must be finite"):
             holder_delta_opt(1.0, 0.5, 0.5, bad, 4)
 
@@ -249,9 +277,6 @@ def test_scalar_and_array_returns():
 def test_sample_curve_dispatch_matches_direct_calls():
     ks = np.array([1.0, 10.0, 100.0])
     cases = {
-        "nonconvex_schedule": (
-            dict(lipschitz=1.0, rho=2.0, degree=1.0, delta=0.1, beta=0.5, zeta=0.0, gap=1.0),
-            bound_nonconvex_schedule(1.0, 2.0, 1.0, 0.1, 0.5, 0.0, 1.0, ks)),
         "nonconvex_const": (
             dict(lipschitz=1.0, degree=1.0, delta=0.1, gap=1.0),
             bound_nonconvex_const(1.0, 1.0, 0.1, 1.0, ks)),
@@ -290,6 +315,210 @@ def test_sample_curve_strict_parameters():
     with pytest.raises(ValueError):
         sample_curve("nonconvex_const",
                      dict(lipschitz=1.0, degree=1.0, delta=0.1, gap=1.0, extra=3.0), ks)
+
+
+# ---------------------------------------------------- every kind against a run
+#
+# Each case runs a solver under its kind's hypotheses and reads the bound
+# through sample_curve, so each row of the curve table, not only the
+# function behind it, is checked against a run.  A bound tuned for a
+# horizon is read at the step it was tuned for: a trace's index k counts
+# k + 1 steps, as the bounds' k does.
+
+
+def _under(kind, parameters, ks, observed):
+    """Assert observed stays under the kind's curve at ks."""
+    ratio = np.asarray(observed, dtype=float) / sample_curve(kind, parameters, ks)
+    assert np.all(ratio <= 1.0), (kind, parameters, float(ratio.max()))
+
+
+def _quad32(distance, direction_seed):
+    """Gate test_07's convex quadratic and a start at the given distance from x*."""
+    quad = generate_quadratic_instance(32, conditioning=3.0, seed=7)
+    direction = np.random.default_rng(direction_seed).standard_normal(32)
+    return quad, quad.x_star + distance * direction / np.linalg.norm(direction)
+
+
+def _ergodic_gaps(quad, oracle, h, config, x0, seed):
+    """F at the running averages of x_1 .. x_k, minus F*, for k = 1 .. K."""
+    trace = prox_gradient(quad.value, oracle, h, config, x0, rng=np.random.default_rng(seed))
+    ks = np.arange(1, config.max_iters + 1)
+    return quad.value(np.cumsum(trace.iterates[1:], axis=0) / ks[:, None]) - quad.f_star
+
+
+def _l1_ball_around(quad, x0):
+    """An l1 ball holding x0 and x*, so the minimizer and the start stay feasible."""
+    radius = float(np.ceil(max(np.abs(x0).sum(), np.abs(quad.x_star).sum())))
+    return radius, ProxFunction.l1_ball(radius)
+
+
+def _nonconvex_const():
+    # a noisy logsum run at the canonical weight rho = L, at every step
+    prob = generate_logsum_instance(16, 32, 4.0, seed=0)
+    x0, delta, K = np.zeros(16), 0.5, 300
+    params = dict(lipschitz=prob.lipschitz, degree=1.0, delta=delta,
+                  gap=prob.value(x0) - prob.f_lower)
+    runs = prox_gradient(prob.value, [NoisyGradientOracle(prob, noise_bound=delta)] * 3,
+                         ProxFunction.l1_ball(4.0),
+                         [ScheduleConfig(max_iters=K, rho=prob.lipschitz)] * 3, x0,
+                         rng=[np.random.default_rng(seed) for seed in range(3)])
+    for trace in runs:
+        _under("nonconvex_const", params, np.arange(K), trace.min_gm_sq)
+
+
+def _nonconvex_horizon():
+    # rho = rho_opt_horizon at the last step: the fig1 instance at q = 1, and
+    # the weakly smooth family at q in [1, 1 + nu), its oracle's own degree
+    prob = generate_logsum_instance(64, 128, 4.0, seed=0)
+    x0 = np.zeros(64)
+    gap = prob.value(x0) - prob.f_lower
+    for K in (300, 3000):
+        runs = [(sigma, seed) for sigma in (0.1, 1.0, 3.0) for seed in range(3)]
+        traces = prox_gradient(
+            prob.value, [NoisyGradientOracle(prob, sigma) for sigma, _ in runs],
+            ProxFunction.l1_ball(4.0),
+            [ScheduleConfig(rho=rho_opt_horizon(prob.lipschitz, 1.0, sigma, gap, K - 1),
+                            max_iters=K) for sigma, _ in runs],
+            x0, rng=[np.random.default_rng(seed) for _, seed in runs])
+        for (sigma, _), trace in zip(runs, traces):
+            _under("nonconvex_horizon",
+                   dict(lipschitz=prob.lipschitz, degree=1.0, delta=sigma, gap=gap),
+                   [K - 1], trace.min_gm_sq[-1])
+    x0 = np.full(16, 3.0)
+    for nu in (0.5, 0.8):
+        problem = generate_holder_instance(16, nu, seed=1)
+        gap = problem.value(x0) - problem.f_lower
+        oracles = [HolderOracle(problem, q, delta)
+                   for q in (1.0, 1.0 + nu / 2.0) for delta in (1e-3, 0.1)]
+        for K in (300, 3000):
+            traces = prox_gradient(
+                problem.value, oracles, ProxFunction.zero(),
+                [ScheduleConfig(rho=rho_opt_horizon(o.certificate.lipschitz, o.certificate.degree,
+                                                    o.certificate.delta, gap, K - 1),
+                                max_iters=K) for o in oracles],
+                x0, rng=[None] * len(oracles))
+            for oracle, trace in zip(oracles, traces):
+                cert = oracle.certificate
+                _under("nonconvex_horizon", dict(lipschitz=cert.lipschitz, degree=cert.degree,
+                                                 delta=cert.delta, gap=gap),
+                       [K - 1], trace.min_gm_sq[-1])
+
+
+def _convex_ergodic():
+    # gate test_07's setting: the averaged iterates at three weights, at every
+    # step; at q = 0.5 on an l1 ball, whose diameter rescales delta
+    quad, x0 = _quad32(5.0, 3)
+    radius, ball = _l1_ball_around(quad, x0)
+    for q, h in ((1.0, ProxFunction.zero()), (0.5, ball)):
+        oracle = NoisyGradientOracle(quad, 0.1, degree=q, diameter=2.0 * radius)
+        for rho in (0.1, 1.0, 10.0):
+            gaps = _ergodic_gaps(quad, oracle, h, ScheduleConfig(rho=rho, max_iters=2000), x0,
+                                 seed=100 + int(rho * 10))
+            _under("convex_ergodic", dict(lipschitz=quad.lipschitz, degree=q,
+                                          delta=oracle.certificate.delta, radius=5.0, rho=rho),
+                   np.arange(1, 2001), gaps)
+
+
+def _convex_ergodic_opt_rho():
+    # the display form bounds the run at the weight delta*(K/R^2)^((2-q)/2)
+    # that minimizes the explicit-weight bound at K, read at K only: at one
+    # weight for every k it is no bound
+    quad, x0 = _quad32(5.0, 3)
+    radius, ball = _l1_ball_around(quad, x0)
+    for q, h in ((1.0, ProxFunction.zero()), (0.5, ball)):
+        oracle = NoisyGradientOracle(quad, 0.1, degree=q, diameter=2.0 * radius)
+        delta = oracle.certificate.delta
+        for K in (300, 2000):
+            rho = delta * (K / 5.0 ** 2) ** ((2.0 - q) / 2.0)
+            gaps = _ergodic_gaps(quad, oracle, h, ScheduleConfig(rho=rho, max_iters=K), x0, seed=K)
+            _under("convex_ergodic_opt_rho",
+                   dict(lipschitz=quad.lipschitz, degree=q, delta=delta, radius=5.0),
+                   [K], gaps[-1])
+
+
+def _fast_convex():
+    # gate test_09's degree-1 setting over noise seeds and horizons, both
+    # fixed before any result was seen; rho is retuned for each horizon
+    quad, x0 = _quad32(10.0, 1)
+    oracle = NoisyGradientOracle(quad, 0.1, degree=1.0)
+    tails = []
+    for K in (500, 1581, 5000):
+        rho = float(rho_opt_fast(10.0, 1.0, 0.1, K))
+        # the five seeds as one batch, each run bitwise the run alone
+        runs = fast_prox_gradient(quad.value, [oracle] * 5, ProxFunction.zero(),
+                                  [ScheduleConfig(rho=rho, max_iters=K)] * 5, x0,
+                                  rng=[np.random.default_rng(seed) for seed in range(5)])
+        tail = []
+        for trace in runs:
+            gaps = trace.objective_y - quad.f_star
+            # the fixed-rho bound holds at every step of every run
+            _under("fast_convex", dict(lipschitz=quad.lipschitz, degree=1.0, delta=0.1,
+                                       radius=10.0, rho=rho), np.arange(K), gaps)
+            tail.append(gaps[K - K // 10:].mean())
+        tails.append(float(np.median(tail)))
+    # and the typical late gap falls as the horizon grows
+    assert np.all(np.diff(tails) < 0.0), tails
+
+
+def _fast_convex_opt_rho():
+    # the same setting at rho = rho_opt_fast of the last step, read there
+    quad, x0 = _quad32(10.0, 1)
+    for K in (500, 1581):
+        rho = float(rho_opt_fast(10.0, 1.0, 0.1, K - 1))
+        runs = fast_prox_gradient(quad.value, [NoisyGradientOracle(quad, 0.1)] * 3,
+                                  ProxFunction.zero(), [ScheduleConfig(rho=rho, max_iters=K)] * 3,
+                                  x0, rng=[np.random.default_rng(seed) for seed in range(3)])
+        for trace in runs:
+            _under("fast_convex_opt_rho", dict(lipschitz=quad.lipschitz, degree=1.0, delta=0.1,
+                                               radius=10.0),
+                   [K - 1], trace.objective_y[-1] - quad.f_star)
+
+
+def _holder_rate():
+    # the weakly smooth family is where the degree is the oracle's own: one
+    # exact gradient certifies every q < 1 + nu, with delta tuned for the
+    # last step and its own L_q.  Each degree's run stays under its own
+    # constant-schedule curve at every step, and at the last step that
+    # curve is the holder rate.  Neither the runs nor the curves order by q
+    # on this family, so no ordering is claimed
+    problem = generate_holder_instance(16, 0.5, seed=4)
+    holder, nu = problem.holder_constant, problem.exponent
+    x0 = np.full(16, 3.0)
+    gap = problem.value(x0) - problem.f_lower
+    degrees = (0.0, 0.5, 1.0, 1.25, 1.45)
+    for horizon in (316, 1000, 3162):
+        deltas = [float(holder_delta_opt(holder, nu, q, gap, horizon - 1)[0]) for q in degrees]
+        lips = [holder_smoothing_constant(holder, nu, q, d) for q, d in zip(degrees, deltas)]
+        traces = prox_gradient(problem.value,
+                               [HolderOracle(problem, q, d) for q, d in zip(degrees, deltas)],
+                               ProxFunction.zero(),
+                               [ScheduleConfig(rho=lip, max_iters=horizon) for lip in lips],
+                               x0, rng=[None] * len(degrees))
+        for q, delta, lip, trace in zip(degrees, deltas, lips, traces):
+            const = dict(lipschitz=lip, degree=q, delta=delta, gap=gap)
+            _under("nonconvex_const", const, np.arange(horizon), trace.min_gm_sq)
+            rate = dict(holder_constant=holder, exponent=nu, degree=q, gap=gap)
+            _under("holder_rate", rate, [horizon - 1], trace.min_gm_sq[-1])
+            assert sample_curve("holder_rate", rate, [horizon - 1]) == pytest.approx(
+                sample_curve("nonconvex_const", const, [horizon - 1]), rel=1e-12)
+
+
+_RUN_CASES = {
+    "nonconvex_const": _nonconvex_const,
+    "nonconvex_horizon": _nonconvex_horizon,
+    "convex_ergodic": _convex_ergodic,
+    "convex_ergodic_opt_rho": _convex_ergodic_opt_rho,
+    "fast_convex": _fast_convex,
+    "fast_convex_opt_rho": _fast_convex_opt_rho,
+    "holder_rate": _holder_rate,
+}
+
+
+@pytest.mark.parametrize("kind", CURVE_KINDS)
+def test_every_curve_kind_bounds_a_run(kind):
+    # a kind added without a run case fails here
+    assert tuple(_RUN_CASES) == CURVE_KINDS
+    _RUN_CASES[kind]()
 
 
 def test_curve_csv_round_trip(tmp_path):

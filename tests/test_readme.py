@@ -5,7 +5,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
-from proxiq import harness
+from proxiq import harness, rates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,6 +39,17 @@ def test_readme_names_every_config_key():
     keys = {field.name for spec in specs for field in fields(spec)
             if not field.type.endswith("Spec")}
     assert keys - named == set()
+
+
+def test_readme_names_every_curve_kind():
+    # the rates kinds table of the command line section names exactly the
+    # kinds the command takes, each with the parameter names it takes
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    documented = {re.fullmatch(r"\s*`(\w+)`\s*", kind).group(1):
+                  tuple(re.findall(r"`(\w+)`", names)) for kind, names in rows}
+    assert len(documented) == len(rows)
+    assert documented == {kind: rates._CURVES[kind][1] for kind in rates.CURVE_KINDS}
 
 
 def _documented_columns():
