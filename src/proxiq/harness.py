@@ -5,24 +5,26 @@ Every output is reproducible from the config file alone.  Per-cell
 randomness is seeded by the cell's own coordinates (degree, noise level,
 repeat index), so editing the grid never reshuffles the randomness of
 cells that were already there.  A sweep splits its grid into contiguous
-chunks, one per CPU the process may use, and runs each chunk as one batch
-in its own forked process, the first in the calling one: one prox_gradient
-call advances every cell of the chunk in lockstep as one (C, n) state,
-each with its own oracle and generator, and gives each cell bitwise the
-run it would have alone, so no byte depends on the split.  Each process
-writes its chunk's traces; the calling one collects every chunk's results
-and writes the summary and the bound curves in grid order.  This module
-alone decides the bundle's format, and every table goes through
-rates.write_csv: %.17g floats and forced newlines.  Numbers that several
-files share are formatted once per sweep, before any worker forks, and
-handed to write_csv as text: the step counter k, the same in every trace,
-and one table of bound curves, one per (q, delta), each the same in the
-traces of its repeats and in the bound file.  Workers inherit both through
-the fork and send back only their cells' results.  A trace's min_gm_sq
-text is taken from its gm_sq text, as each new running minimum is bitwise
-an entry of gm_sq.  A trace holds only what varies by step; the step size
-alpha and the certificate's delta, fixed for a run, are summary columns,
-and the summary's final_f is F(x_K).
+chunks, one per CPU the process may use, or one per cell when the grid has
+fewer than two cells per CPU and the rows matrix is large enough that an
+idle CPU costs more than an extra process's step overhead (_chunks).  It
+runs each chunk as one batch in its own forked process, the first in the
+calling one: one prox_gradient call advances every cell of the chunk in
+lockstep as one (C, n) state, each with its own oracle and generator, and
+gives each cell bitwise the run it would have alone, so no byte depends on
+the split.  Each process writes its chunk's traces; the calling one
+collects every chunk's results and writes the summary and the bound curves
+in grid order.  This module alone decides the bundle's format, and every
+table goes through rates.write_csv: %.17g floats and forced newlines.
+Numbers that several files share are formatted once per sweep, before any
+worker forks, and handed to write_csv as text: the step counter k, the
+same in every trace, and one table of bound curves, one per (q, delta),
+each the same in the traces of its repeats and in the bound file.  Workers
+inherit both through the fork and send back only their cells' results.  A
+trace's min_gm_sq text is taken from its gm_sq text, as each new running
+minimum is bitwise an entry of gm_sq.  A trace holds only what varies by
+step; the step size alpha and the certificate's delta, fixed for a run,
+are summary columns, and the summary's final_f is F(x_K).
 
 The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
@@ -390,13 +392,37 @@ def _grid(config):
             for r in range(config.repeats)]
 
 
-def _chunks(count):
-    """Contiguous (start, stop) slices of a grid of count cells, one per CPU
-    this process may run on and at most one per cell; one slice where the
-    platform cannot fork."""
+# Below this many bytes of the instance's rows matrix a sweep forks no more
+# processes than CPUs: each extra process pays solver._lockstep's fixed step
+# cost again.  On 3-cell grids at 2 CPUs, one process per cell against two
+# chunks measured +20% wall time at 64 x 128 (64 KiB of rows), +11% at
+# 256 x 512 (1 MiB), -9% at 512 x 1024 (4 MiB) and -13% at 1024 x 2048
+# (16 MiB), medians of 11 pairs (BENCH_34.json).
+_PER_CELL_ROWS_BYTES = 4 * 2 ** 20
+
+
+def _cpus():
+    """The CPUs this process may run on; 1 where the platform cannot fork."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return [(0, count)]
-    parts = min(len(os.sched_getaffinity(0)), count)
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _chunks(count, cpus, rows_bytes):
+    """Contiguous (start, stop) slices of a grid of count cells on cpus CPUs.
+
+    A grid of fewer than two cells per CPU on a rows matrix of at least
+    _PER_CELL_ROWS_BYTES gets one slice per cell, so the scheduler shares
+    the CPUs among the cells instead of leaving one idle while another runs
+    two (3 cells on 2 CPUs: 1.5 cells per CPU, not 2).  Every other grid
+    gets one slice per CPU and at most one per cell: a small step costs
+    about as much in lockstep overhead as in work, so an extra process
+    costs more than the idle CPU.  One CPU gives one slice.
+    """
+    if count < 2 * cpus and rows_bytes >= _PER_CELL_ROWS_BYTES:
+        parts = count
+    else:
+        parts = min(cpus, count)
     bounds = [count * i // parts for i in range(parts + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -511,7 +537,7 @@ def _sweep(config, directions, prefix, write_bounds):
                                  curves[cell.degree, cell.noise_bound]))
         return results
 
-    first, *rest = _chunks(len(grid))
+    first, *rest = _chunks(len(grid), _cpus(), problem.rows.nbytes)
     workers = []  # (pid, pipe, chunk) of every worker not yet reaped, in grid order
     try:
         for chunk in rest:
@@ -542,10 +568,12 @@ def run_experiment(config):
     summary with each cell's plateau, domination flag, step size and
     delta.  A diverged cell is reported in the summary and skipped in the
     trace output; its siblings are unaffected.  The grid runs as one batch
-    per chunk, one chunk per CPU, each chunk after the first in a forked
-    worker; the bytes do not depend on the split.  A worker's exception is
-    raised again here, and a worker that dies is a RuntimeError; no worker
-    outlives the call.  Returns the CellResults in grid order.
+    per chunk, each chunk after the first in a forked worker: one chunk per
+    CPU, or one per cell for a grid of fewer than two cells per CPU on a
+    large rows matrix (_chunks); the bytes do not depend on the split.  A
+    worker's exception is raised again here, and a worker that dies is a
+    RuntimeError; no worker outlives the call.  Returns the CellResults in
+    grid order.
     """
     return _sweep(config, 1, "", write_bounds=True)
 

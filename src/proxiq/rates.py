@@ -243,7 +243,8 @@ def sample_curve(kind, parameters, ks):
     """Values of one named bound over an array of iteration counts.
 
     parameters must supply exactly the keys the kind needs; unknown or
-    missing keys raise.
+    missing keys raise, and so does a curve that overflows a float, as a
+    ValueError.
     """
     if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
@@ -255,4 +256,8 @@ def sample_curve(kind, parameters, ks):
     if missing:
         raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
     p = {name: float(parameters[name]) for name in required}
-    return np.asarray(bound(k=np.asarray(ks, dtype=float), **p), dtype=float)
+    try:
+        values = bound(k=np.asarray(ks, dtype=float), **p)
+    except OverflowError as exc:  # a power of Python floats out of range
+        raise ValueError(f"the {kind} curve overflows a float at these parameters") from exc
+    return np.asarray(values, dtype=float)

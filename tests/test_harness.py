@@ -469,8 +469,31 @@ def test_every_cell_alone_gives_the_full_batch_bytes(tight_grid, directions):
 
 
 def _cpus(monkeypatch, count):
-    """Make a sweep see count CPUs, so it splits into min(count, cells) chunks."""
+    """Make a sweep see count CPUs, so a small instance's grid splits into
+    min(count, cells) chunks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+LARGE = harness._PER_CELL_ROWS_BYTES
+
+
+@pytest.mark.parametrize("cells, cpus, rows_bytes, parts", [
+    (45, 2, LARGE, 2),      # the fig1 grid: one chunk per CPU, whatever the size
+    (45, 64, LARGE, 45),    # at most one chunk per cell
+    (3, 2, LARGE - 1, 2),   # small steps: an extra process costs more than an idle CPU
+    (3, 2, LARGE, 3),       # large steps: one process per cell
+    (8, 5, LARGE, 8),
+    (10, 5, LARGE, 5),      # two cells per CPU: one chunk per CPU
+    (3, 1, LARGE, 1),       # one CPU never forks
+    (1, 1, LARGE, 1),
+])
+def test_chunks_split_the_grid(cells, cpus, rows_bytes, parts):
+    chunks = harness._chunks(cells, cpus, rows_bytes)
+    assert len(chunks) == parts <= 2 * cpus - 1
+    # contiguous, in grid order, each nonempty, and sizes differ by at most one
+    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+    assert chunks[-1][1] == cells
+    assert {stop - start for start, stop in chunks} <= {cells // parts, -(-cells // parts)}
 
 
 def _assert_no_child_left():
@@ -496,12 +519,15 @@ def _bundle(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("cpus", [3, 64])
+@pytest.mark.parametrize("cpus", [3, 64, 5])
 @pytest.mark.parametrize("directions", [0, 3])
 def test_forked_chunks_give_the_one_chunk_bytes(tmp_path, monkeypatch, cpus, directions):
     # the (degree 1, noise 0.5) cells are the grid's last two, so they fall
     # in a worker's chunk, and blow up there at their second answer
     monkeypatch.setattr(harness, "NoisyGradientOracle", _faulty({(1.0, 0.5): (2, "blow-up")}))
+    # the grid's 12 x 8 rows count as large, so 8 cells on 5 CPUs fork one
+    # process per cell; 3 CPUs still get 3 chunks, and 1 CPU one
+    monkeypatch.setattr(harness, "_PER_CELL_ROWS_BYTES", 12 * 8 * 8)
     sweep = harness.run_worst_case if directions else harness.run_experiment
     forks = []
     fork = os.fork
@@ -513,7 +539,7 @@ def test_forked_chunks_give_the_one_chunk_bytes(tmp_path, monkeypatch, cpus, dir
         config = harness.parse_config(make_config(out, worst_case_directions=directions))
         runs[count] = sweep(config), _bundle(out)
         _assert_no_child_left()
-    assert len(forks) == min(cpus, 8) - 1
+    assert len(forks) == {3: 2, 5: 7, 64: 7}[cpus]
     (one, one_files), (split, split_files) = runs[1], runs[cpus]
     assert [c.status for c in split].count("diverged") == 2
     assert split_files == one_files
@@ -584,6 +610,7 @@ def test_one_cpu_never_forks(tmp_path, monkeypatch, cpus):
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
         _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(harness, "_PER_CELL_ROWS_BYTES", 0)  # even on a large instance
 
     def no_fork():
         raise AssertionError("a one-chunk sweep forked")
@@ -970,11 +997,23 @@ def test_cli_usage_error_is_a_validation_error(tmp_path, monkeypatch, capsys, ar
     assert info.value.code == 0
 
 
-def test_cli_rates_reports_overflow_as_error(tmp_path, capsys):
-    # the smoothing constant behind this curve overflows a float
-    argv = ["rates", "holder_rate", str(tmp_path / "curve.csv"),
-            "--param", "holder_constant=1000", "--param", "exponent=0",
-            "--param", "degree=0.999", "--param", "gap=1"]
+# a parameter set per curve kind at which a power inside the curve
+# overflows a Python float
+_OVERFLOWS = {
+    "holder_rate": dict(holder_constant=1000, exponent=0, degree=0.999, gap=1),
+    "nonconvex_const": dict(lipschitz=1e-10, degree=1.99, delta=1, gap=1),
+    "nonconvex_horizon": dict(lipschitz=1, degree=1.5, delta=1e200, gap=1),
+    "convex_ergodic": dict(lipschitz=1, degree=0.5, delta=1e300, radius=1, rho=1e-300),
+    "fast_convex": dict(lipschitz=1, degree=0.5, delta=1e300, radius=1, rho=1e-300),
+    "fast_convex_opt_rho": dict(lipschitz=1, degree=1.9, delta=1, radius=1e200),
+}
+
+
+@pytest.mark.parametrize("kind", list(_OVERFLOWS))
+def test_cli_rates_reports_overflow_as_error(tmp_path, capsys, kind):
+    argv = ["rates", kind, str(tmp_path / "curve.csv")]
+    for name, value in _OVERFLOWS[kind].items():
+        argv += ["--param", f"{name}={value}"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -52,6 +52,15 @@ def test_readme_names_every_curve_kind():
     assert documented == {kind: rates._CURVES[kind][1] for kind in rates.CURVE_KINDS}
 
 
+def test_readme_states_the_sweep_split():
+    # the README's one-process-per-cell rule names the threshold the sweep uses
+    text = " ".join(README.read_text().split())
+    rule = re.search(r"fewer than two cells per CPU whose `rows` matrix holds at least "
+                     r"(\d+) MiB gets one chunk per cell", text)
+    assert rule is not None, "README no longer states when a sweep forks one process per cell"
+    assert int(rule.group(1)) * 2 ** 20 == harness._PER_CELL_ROWS_BYTES
+
+
 def _documented_columns():
     """{file name as README writes it: header line} from its "Output files" list."""
     section = README.read_text().split("## Output files", 1)[1].split("\n## ", 1)[0]
