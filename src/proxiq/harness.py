@@ -639,7 +639,7 @@ def certify_command(config, pairs=1000, tolerance=1e-7):
                                     tolerance=tolerance, rng=rng)
             all_ok = all_ok and report.certified
             lines.append(f"q={degree:g} delta={noise_bound:g} {report.summary()}")
-            if not report.certified and report.worst_pair is not None:
+            if not report.certified:
                 x_bad, y_bad = report.worst_pair
                 lines.append(f"  worst pair: x={np.array2string(x_bad, precision=6)}"
                              f" y={np.array2string(y_bad, precision=6)}")

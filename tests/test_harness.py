@@ -998,21 +998,23 @@ def test_cli_usage_error_is_a_validation_error(tmp_path, monkeypatch, capsys, ar
 
 
 # a parameter set per curve kind at which a power inside the curve
-# overflows a Python float
-_OVERFLOWS = {
-    "holder_rate": dict(holder_constant=1000, exponent=0, degree=0.999, gap=1),
-    "nonconvex_const": dict(lipschitz=1e-10, degree=1.99, delta=1, gap=1),
-    "nonconvex_horizon": dict(lipschitz=1, degree=1.5, delta=1e200, gap=1),
-    "convex_ergodic": dict(lipschitz=1, degree=0.5, delta=1e300, radius=1, rho=1e-300),
-    "fast_convex": dict(lipschitz=1, degree=0.5, delta=1e300, radius=1, rho=1e-300),
-    "fast_convex_opt_rho": dict(lipschitz=1, degree=1.9, delta=1, radius=1e200),
-}
+# overflows a Python float, and one at which a product of finite
+# parameters overflows to inf instead
+_OVERFLOWS = [pytest.param(kind, params, id=kind) for kind, params in [
+    ("holder_rate", dict(holder_constant=1000, exponent=0, degree=0.999, gap=1)),
+    ("nonconvex_const", dict(lipschitz=1e-10, degree=1.99, delta=1, gap=1)),
+    ("nonconvex_horizon", dict(lipschitz=1, degree=1.5, delta=1e200, gap=1)),
+    ("convex_ergodic", dict(lipschitz=1, degree=0.5, delta=1e300, radius=1, rho=1e-300)),
+    ("fast_convex", dict(lipschitz=1, degree=0.5, delta=1e300, radius=1, rho=1e-300)),
+    ("fast_convex_opt_rho", dict(lipschitz=1, degree=1.9, delta=1, radius=1e200)),
+]] + [pytest.param("nonconvex_const", dict(lipschitz=1e300, degree=1, delta=1, gap=1e300),
+                   id="nonconvex_const_product")]
 
 
-@pytest.mark.parametrize("kind", list(_OVERFLOWS))
-def test_cli_rates_reports_overflow_as_error(tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind, params", _OVERFLOWS)
+def test_cli_rates_reports_overflow_as_error(tmp_path, capsys, kind, params):
     argv = ["rates", kind, str(tmp_path / "curve.csv")]
-    for name, value in _OVERFLOWS[kind].items():
+    for name, value in params.items():
         argv += ["--param", f"{name}={value}"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()

@@ -282,6 +282,13 @@ def test_farthest_move_matches_sequential_pick():
     assert np.isnan(nxt[1, 0]) and np.isnan(move_sq[1])
     for stacked, looped in zip((nxt, move_sq), want, strict=True):
         assert stacked.tobytes() == looped.tobytes()
+    # one candidate: the same pick returns its step and squared move, NaN too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nxt, move_sq = _farthest_move(ball, alpha, x, candidates[:, :1])
+        want = _sequential_farthest_move(ball, alpha, x, candidates[:, :1])
+    assert move_sq[0] == 4.0 and np.isnan(move_sq[1])
+    for stacked, looped in zip((nxt, move_sq), want, strict=True):
+        assert stacked.tobytes() == looped.tobytes()
 
 
 def test_prox_gradient_turns_non_finite_answers_into_divergence():
