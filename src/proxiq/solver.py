@@ -287,8 +287,8 @@ def _farthest_move(h, alpha, x, candidates):
 
     One project_l1_rows call, the prox of h, takes the steps of all rows
     along all their candidates (C, m, n) as one (C*m, n) stack; argmax
-    then picks each row's longest move, the first candidate's on ties; at
-    m = 1 the only candidate is returned as is, bitwise that same pick.  A
+    then picks each row's longest move, the first candidate's on ties.  The
+    one rule holds at every m: at m = 1 it returns the only candidate.  A
     finite candidate can overflow into a NaN move, picked only as the first
     candidate's, since a later one must move strictly farther.
     """
@@ -296,8 +296,6 @@ def _farthest_move(h, alpha, x, candidates):
     steps = project_l1_rows((x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim),
                             h.radius)
     moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
-    if count == 1:  # the pick costs about 10 us a step, 1-3% of fig1's wall time
-        return steps, moves_sq[:, 0]
     # argmax takes the first NaN: fmax makes a later candidate's NaN -inf
     ranked = np.fmax(moves_sq, -np.inf)
     ranked[:, 0] = moves_sq[:, 0]
