@@ -30,7 +30,9 @@ The plain and the worst-case sweep share one body and one step kernel,
 prox_gradient.  The worst case is an oracle that offers m candidate noise
 draws per answer (worst_case_directions); the solver steps along the one
 that moves the iterate farthest.  The config holds only run inputs: each
-cell's oracle builds its certificate, and certify can only refute it.
+cell's oracle builds its certificate, and certify can only refute it;
+a cell's rho = L and its bound curve read L and delta from that
+certificate, as the step does.
 """
 
 from __future__ import annotations
@@ -308,12 +310,15 @@ def _cell_oracle(problem, degree, noise_bound, directions=1):
 
 def _bound_curves(problem, config, keys, f0):
     """The bound curve of each distinct (degree, noise bound) of keys, in
-    first-seen order; it depends on neither the repeat nor the directions."""
+    first-seen order, from the certificate of that cell's oracle; it
+    depends on neither the repeat nor the directions."""
     ks = np.arange(config.solver.iterations, dtype=float)
-    return {(q, d): rates.bound_nonconvex_const(problem.lipschitz, float(q),
-                                                _cell_oracle(problem, q, d).certificate.delta,
-                                                f0 - problem.f_lower, ks)
-            for q, d in dict.fromkeys(keys)}
+    curves = {}
+    for q, d in dict.fromkeys(keys):
+        cert = _cell_oracle(problem, q, d).certificate
+        curves[q, d] = rates.bound_nonconvex_const(cert.lipschitz, cert.degree, cert.delta,
+                                                   f0 - problem.f_lower, ks)
+    return curves
 
 
 def run_cells(problem, config, cells, directions=1):
@@ -334,10 +339,12 @@ def run_cells(problem, config, cells, directions=1):
     h = ProxFunction.l1_ball(problem.radius)
     seeds = [cell_seed(config.master_seed, q, d, r) for q, d, r in cells]
     oracles = [_cell_oracle(problem, q, d, directions) for q, d, _ in cells]
-    # exact cells get rho = 0 so the step is 1/L regardless of the degree
-    schedules = [ScheduleConfig(rho=0.0 if d == 0.0 else problem.lipschitz,
+    # exact cells get rho = 0 so the step is 1/L regardless of the degree;
+    # the others rho = L, the L of their certificate
+    schedules = [ScheduleConfig(rho=0.0 if d == 0.0 else oracle.certificate.lipschitz,
                                 max_iters=config.solver.iterations,
-                                step_scale=config.solver.step_scale) for _, d, _ in cells]
+                                step_scale=config.solver.step_scale)
+                 for (_, d, _), oracle in zip(cells, oracles)]
     x0 = np.zeros(problem.dim)
     f0 = problem.value(x0)
     curves = _bound_curves(problem, config, ((q, d) for q, d, _ in cells), f0)
@@ -445,10 +452,10 @@ def _fork_worker(work, chunk, workers):
     read end, chunk) to workers.
 
     From the moment it exists the worker is in workers, or killed and
-    reaped.  os.fork can raise after the child exists, as Python 3.12's
-    warning on a fork with threads does under an "error" filter; the pid,
-    lost with it, comes off the pipe then.  With no child, as under EAGAIN,
-    that read meets the end of the pipe at once.
+    reaped.  An exception can reach the parent after the child exists, as
+    a KeyboardInterrupt can; the pid, lost with it, comes off the pipe
+    then.  With no child, as under EAGAIN, that read meets the end of the
+    pipe at once.
     """
     read_fd, write_fd = os.pipe()
     # unbuffered, so that after the pid read() returns the payload without a second copy

@@ -27,17 +27,19 @@ def no_child_process_left_behind():
 
 
 @pytest.fixture
-def understate_claims(monkeypatch):
-    """understate_claims(scale) plants a lie in every cell oracle the harness
-    builds from then on: its certificate claims scale times the delta its
-    noise needs.  The noise, and so every answer, stays as it was."""
-    def plant(scale):
+def plant_claims(monkeypatch):
+    """plant_claims(delta=a, lipschitz=b) plants a lie in every cell oracle
+    the harness builds from then on: its certificate claims a times the
+    delta and b times the L its noise and problem need.  The noise, and so
+    every answer, stays as it was."""
+    def plant(**scales):
         real = harness._cell_oracle
 
         def liar(*args, **kwargs):
             oracle = real(*args, **kwargs)
-            oracle.certificate = replace(oracle.certificate,
-                                         delta=oracle.certificate.delta * scale)
+            cert = oracle.certificate
+            oracle.certificate = replace(cert, **{name: getattr(cert, name) * scale
+                                                  for name, scale in scales.items()})
             return oracle
 
         monkeypatch.setattr(harness, "_cell_oracle", liar)

@@ -717,8 +717,8 @@ def test_failed_fork_kills_the_started_worker_and_leaks_no_descriptor(tmp_path, 
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         forked.append(fork())
         if len(forked) % 2 == 0 and forked[-1]:
-            # Python 3.12 warns when a process that holds threads forks; under
-            # an "error" filter the parent's fork raises and the pid is lost
+            # an exception in the parent after the child exists, such as a
+            # KeyboardInterrupt, loses the pid; any exception type takes this path
             raise DeprecationWarning(f"This process (pid={os.getpid()}) is multi-threaded,"
                                      " use of fork() may lead to deadlocks in the child.")
         return forked[-1]
@@ -788,11 +788,11 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
     assert worst.trace.gm_sq[0] == gm_sq.max()
 
 
-def test_scaled_claim_wrapper_only_touches_delta(small_problem, understate_claims):
+def test_scaled_claim_wrapper_only_touches_delta(small_problem, plant_claims):
     # the tests' planted lie replaces the delta of each cell oracle's
     # certificate; the noise, and so every answer, stays as it was
     honest = {m: harness._cell_oracle(small_problem, 1.0, 0.3, m) for m in (1, 3)}
-    understate_claims(0.25)
+    plant_claims(delta=0.25)
     for directions in (1, 3):
         liar = harness._cell_oracle(small_problem, 1.0, 0.3, directions)
         assert liar.certificate == replace(honest[directions].certificate, delta=0.25 * 0.3)
@@ -816,7 +816,7 @@ def test_certify_command_accepts_honest_cells(tmp_path):
 
 
 def test_certify_command_audits_the_worst_case_oracle(tmp_path, monkeypatch,
-                                                      understate_claims):
+                                                      plant_claims):
     # with worst_case_directions = m each cell's audited oracle offers the m
     # candidates the worst-case run steps along
     audited = []
@@ -830,21 +830,51 @@ def test_certify_command_audits_the_worst_case_oracle(tmp_path, monkeypatch,
     honest = harness.parse_config(make_config(tmp_path / "honest", worst_case_directions=3))
     assert harness.certify_command(honest, pairs=200) is True
     assert len(audited) == 4 and all(oracle.directions == 3 for oracle in audited)
-    understate_claims(0.25)
+    plant_claims(delta=0.25)
     liar = harness.parse_config(make_config(tmp_path / "liar", worst_case_directions=3))
     assert harness.certify_command(liar, pairs=400) is False
     assert len(audited) == 8 and all(oracle.directions == 3 for oracle in audited)
     assert "REFUTED" in (tmp_path / "liar" / "certification.txt").read_text()
 
 
-def test_certify_command_refutes_understated_claim(tmp_path, understate_claims):
-    understate_claims(0.05)
+def test_certify_command_refutes_understated_claim(tmp_path, plant_claims):
+    plant_claims(delta=0.05)
     config = harness.parse_config(make_config(tmp_path / "out"))
     assert harness.certify_command(config, pairs=400) is False
     text = (tmp_path / "out" / "certification.txt").read_text()
     assert "q=1 delta=0.5 REFUTED" in text
     assert "worst pair:" in text
     assert text.rstrip().endswith("REFUTED")
+
+
+def test_sweep_reads_l_from_the_certificate(small_problem, tmp_path, plant_claims):
+    # a certificate claiming 2L moves the bound curve, rho = L and so the
+    # step: the sweep reads L where the solver does, from the certificate
+    lip = 2.0 * small_problem.lipschitz
+    deltas = {(q, d): harness._cell_oracle(small_problem, q, d).certificate.delta
+              for q in (0.0, 1.0) for d in (0.0, 0.5)}
+    plant_claims(lipschitz=2.0)
+    config = harness.parse_config(make_config(tmp_path))
+    results = harness.run_experiment(config)
+    ks = np.arange(config.solver.iterations, dtype=float)
+    gap = results[0].f0 - small_problem.f_lower
+    curves = {key: rates.bound_nonconvex_const(lip, key[0], delta, gap, ks)
+              for key, delta in deltas.items()}
+    bounds = {}
+    for line in (tmp_path / "bound_q_delta.csv").read_text().splitlines()[1:]:
+        q, d, _, b = map(float, line.split(","))
+        bounds.setdefault((q, d), []).append(b)
+    assert bounds.keys() == curves.keys()
+    for key, curve in curves.items():
+        assert np.array_equal(bounds[key], curve)
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    for cell, line in zip(results, summary):
+        rows = (tmp_path / cell.trace_filename).read_text().splitlines()[1:]
+        assert np.array_equal([float(row.split(",")[4]) for row in rows],
+                              curves[cell.degree, cell.noise_bound])
+        rho = 0.0 if cell.noise_bound == 0.0 else lip
+        alpha = config.solver.step_scale / (lip + cell.degree * rho)
+        assert float(line.split(",")[11]) == alpha
 
 
 def test_rates_command_writes_the_requested_curve(tmp_path):
@@ -913,11 +943,11 @@ def test_cli_worst_case_exit_codes(tmp_path):
     assert cli.main(["worst-case", str(plain)]) == 1
 
 
-def test_cli_certify_exit_codes(tmp_path, capsys, understate_claims):
+def test_cli_certify_exit_codes(tmp_path, capsys, plant_claims):
     path = write_config(tmp_path / "config.json", make_config(tmp_path / "ok"))
     assert cli.main(["certify", str(path), "--pairs", "200"]) == 0
     assert "all certified" in capsys.readouterr().out
-    understate_claims(0.05)
+    plant_claims(delta=0.05)
     liar = write_config(tmp_path / "liar.json", make_config(tmp_path / "bad"))
     assert cli.main(["certify", str(liar), "--pairs", "400"]) == 2
     assert "REFUTED" in capsys.readouterr().out

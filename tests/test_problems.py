@@ -1,5 +1,6 @@
 """Problem families: values, gradients, constants, generators."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from proxiq import (
     sample_l1_ball,
 )
 from proxiq.harness import ball_pair_sampler
-from proxiq.problems import _LEAF, _squared_frobenius
 
 
 def finite_difference_gradient(value, x, eps=1e-6):
@@ -83,25 +83,32 @@ def test_logsum_smoothness_constant_certifies_one_row():
 _SCALES = {"zero": 0.0, "subnormal": 1e-310, "unit": 1.0, "huge": 1e150}
 
 
+def _within_summation_error(total, squares, terms):
+    """total lies within a relative terms*eps of math.fsum of the squares."""
+    exact = math.fsum(squares.ravel().tolist())
+    assert abs(total - exact) <= terms * np.finfo(float).eps * exact, (total.hex(), exact.hex())
+
+
 @settings(database=None, deadline=None, max_examples=60)
 @given(rows=st.integers(1, 3),
-       cols=st.sampled_from([_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF,
-                             2 * _LEAF + 1]) | st.integers(1, 300),
+       cols=st.sampled_from([2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 - 1, 2 ** 16,
+                             2 ** 16 + 1]) | st.integers(1, 300),
        scales=st.lists(st.sampled_from(sorted(_SCALES)), min_size=1, max_size=4),
        layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2 ** 16))
-# Fortran order, where summing in C order would round differently
-@example(rows=2, cols=_LEAF, scales=["unit"], layout="F", seed=0)
+@example(rows=2, cols=2 ** 15, scales=["unit"], layout="F", seed=0)
 @example(rows=3, cols=300, scales=["unit"], layout="F", seed=4)
-def test_squared_frobenius_is_the_sum_of_squares_bitwise(rows, cols, scales, layout, seed):
-    # the leafwise sum copies NumPy's pairwise order, which no interface
-    # promises; shapes run to just under, at and just over one and two
-    # leaves, and a NumPy that sums in another order fails here
+def test_logsum_lipschitz_is_the_sum_of_squares(rows, cols, scales, layout, seed):
+    # a float sum of nonnegative terms, in any order, lies within a relative
+    # (terms - 1)*eps/2 of the exact sum, and a squared entry within eps/2;
+    # each row's dot product and the sum over rows chain rows + cols terms
+    # at most.  Rows of up to 2**16 + 1 entries let rounding pile up
     rng = np.random.default_rng(seed)
     picks = rng.choice([_SCALES[name] for name in scales], size=(rows, 2 * cols))
     wide = rng.standard_normal((rows, 2 * cols)) * picks
     matrix = {"C": wide[:, :cols].copy(), "F": np.asfortranarray(wide[:, :cols]),
               "strided": wide[:, ::2]}[layout]
-    assert _squared_frobenius(matrix).hex() == float((matrix ** 2).sum()).hex()
+    p = LogSumProblem(rows=matrix, targets=np.zeros(rows), radius=1.0)
+    _within_summation_error(p.lipschitz, matrix ** 2, rows + cols)
 
 
 def _traced_peak(call):
@@ -127,7 +134,7 @@ def test_logsum_lipschitz_needs_no_full_size_temporary():
     p = generate_logsum_instance(1024, 2048, 4.0, seed=0)
     lipschitz, peak = _traced_peak(lambda: p.lipschitz)
     assert peak < 2 ** 20
-    assert lipschitz == float((p.rows ** 2).sum())
+    _within_summation_error(lipschitz, p.rows ** 2, sum(p.rows.shape))
 
 
 def test_logsum_generator_reproducible_and_grounded():

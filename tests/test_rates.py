@@ -436,24 +436,35 @@ def _convex_ergodic_opt_rho():
                    [K], gaps[-1])
 
 
+def _fast_convex_setting():
+    """The fast method's hypothesis: a convex weakly smooth problem whose exact
+    gradient, HolderOracle at degree 1, certifies both sides at each delta > 0.
+    The start x0 and R = ||x0 - x*||, x* the centers."""
+    problem = generate_holder_instance(16, 0.5, seed=4)
+    x0 = np.full(16, 3.0)
+    oracles = [HolderOracle(problem, 1.0, delta) for delta in (0.01, 0.1, 1.0)]
+    # gate test_09's noisy oracle claims no lower side: a case moved to it fails here
+    assert all(oracle.certificate.convex_lower_bound for oracle in oracles)
+    return problem, x0, float(np.linalg.norm(x0 - problem.centers)), oracles
+
+
 def _fast_convex():
-    # gate test_09's degree-1 setting over noise seeds and horizons, both
-    # fixed before any result was seen; rho is retuned for each horizon
-    quad, x0 = _quad32(10.0, 1)
-    oracle = NoisyGradientOracle(quad, 0.1, degree=1.0)
+    # three deltas and three horizons, fixed before any result was seen;
+    # rho is retuned for each delta and horizon
+    problem, x0, radius, oracles = _fast_convex_setting()
     tails = []
     for K in (500, 1581, 5000):
-        rho = float(rho_opt_fast(10.0, 1.0, 0.1, K))
-        # the five seeds as one batch, each run bitwise the run alone
-        runs = fast_prox_gradient(quad.value, [oracle] * 5, ProxFunction.zero(),
-                                  [ScheduleConfig(rho=rho, max_iters=K)] * 5, x0,
-                                  rng=[np.random.default_rng(seed) for seed in range(5)])
+        rhos = [float(rho_opt_fast(radius, 1.0, o.certificate.delta, K)) for o in oracles]
+        runs = fast_prox_gradient(problem.value, oracles, ProxFunction.zero(),
+                                  [ScheduleConfig(rho=rho, max_iters=K) for rho in rhos], x0,
+                                  rng=[None] * len(oracles))
         tail = []
-        for trace in runs:
-            gaps = trace.objective_y - quad.f_star
+        for oracle, rho, trace in zip(oracles, rhos, runs):
+            cert = oracle.certificate
+            gaps = trace.objective_y - problem.f_lower
             # the fixed-rho bound holds at every step of every run
-            _under("fast_convex", dict(lipschitz=quad.lipschitz, degree=1.0, delta=0.1,
-                                       radius=10.0, rho=rho), np.arange(K), gaps)
+            _under("fast_convex", dict(lipschitz=cert.lipschitz, degree=1.0, delta=cert.delta,
+                                       radius=radius, rho=rho), np.arange(K), gaps)
             tail.append(gaps[K - K // 10:].mean())
         tails.append(float(np.median(tail)))
     # and the typical late gap falls as the horizon grows
@@ -462,16 +473,18 @@ def _fast_convex():
 
 def _fast_convex_opt_rho():
     # the same setting at rho = rho_opt_fast of the last step, read there
-    quad, x0 = _quad32(10.0, 1)
+    problem, x0, radius, oracles = _fast_convex_setting()
     for K in (500, 1581):
-        rho = float(rho_opt_fast(10.0, 1.0, 0.1, K - 1))
-        runs = fast_prox_gradient(quad.value, [NoisyGradientOracle(quad, 0.1)] * 3,
-                                  ProxFunction.zero(), [ScheduleConfig(rho=rho, max_iters=K)] * 3,
-                                  x0, rng=[np.random.default_rng(seed) for seed in range(3)])
-        for trace in runs:
-            _under("fast_convex_opt_rho", dict(lipschitz=quad.lipschitz, degree=1.0, delta=0.1,
-                                               radius=10.0),
-                   [K - 1], trace.objective_y[-1] - quad.f_star)
+        runs = fast_prox_gradient(
+            problem.value, oracles, ProxFunction.zero(),
+            [ScheduleConfig(rho=float(rho_opt_fast(radius, 1.0, o.certificate.delta, K - 1)),
+                            max_iters=K) for o in oracles],
+            x0, rng=[None] * len(oracles))
+        for oracle, trace in zip(oracles, runs):
+            cert = oracle.certificate
+            _under("fast_convex_opt_rho", dict(lipschitz=cert.lipschitz, degree=1.0,
+                                               delta=cert.delta, radius=radius),
+                   [K - 1], trace.objective_y[-1] - problem.f_lower)
 
 
 def _holder_rate():

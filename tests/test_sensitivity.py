@@ -29,12 +29,12 @@ def _config(out, iterations=1000):
             "repeats": 1, "master_seed": 0}
 
 
-def test_noise_beyond_its_claim_is_refuted_by_certify(tmp_path, understate_claims):
+def test_noise_beyond_its_claim_is_refuted_by_certify(tmp_path, plant_claims):
     # the planted oracles claim a tenth of the noise each draws
     codes, refuted = {}, {}
     for name in ("honest", "planted"):
         if name == "planted":
-            understate_claims(0.1)
+            plant_claims(delta=0.1)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(_config(tmp_path / name)))
         with redirect_stdout(io.StringIO()):  # the CLI prints certification.txt
