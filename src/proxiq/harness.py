@@ -461,6 +461,11 @@ def _fork_worker(work, chunk, workers):
     # unbuffered, so that after the pid read() returns the payload without a second copy
     pipe = os.fdopen(read_fd, "rb", buffering=0)
     try:
+        # a child forked while BLAS threads hold locks can deadlock.  NumPy's
+        # wheel links OpenBLAS (libscipy_openblas64_), whose library defines
+        # openblas_fork_handler and imports __register_atfork (nm -D): by
+        # OpenBLAS's source that handler shuts the thread pool down before
+        # every fork.  No proxiq test exercises the handler itself.
         pid = os.fork()
     except BaseException:
         os.close(write_fd)

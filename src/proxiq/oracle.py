@@ -185,6 +185,12 @@ def sq_norm(x):
     return _row_dot(x, x)
 
 
+def _float_or_array(values):
+    """A float for one value, such as one point's or one k's, else the array."""
+    values = np.asarray(values, dtype=float)
+    return float(values) if values.ndim == 0 else values
+
+
 def _matvec(matrix, x):
     """matrix @ x for one point x or for each row of a stack, one BLAS
     matrix-vector product per row, so row i does not depend on the others."""
@@ -279,7 +285,7 @@ class SaddleProblem:
         atx = _matvec(self.operator.T, x)
         value = (_row_dot(x, self.operator @ self.concave_center)
                  + sq_norm(atx) / (2.0 * self.concavity))
-        return (float(value) if x.ndim == 1 else value), self.concave_center + atx / self.concavity
+        return _float_or_array(value), self.concave_center + atx / self.concavity
 
     def value(self, x):
         # the maximizer costs no further pass over the operator

@@ -31,12 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import _count, _finite, _matvec, _positive, spectral_norm, sq_norm
-
-
-def _per_point(values):
-    """A reduction over the last axis: a float for one point, an array for a stack."""
-    return float(values) if values.ndim == 0 else values
+from .oracle import _count, _finite, _float_or_array, _matvec, _positive, spectral_norm, sq_norm
 
 
 @dataclass(frozen=True)
@@ -81,12 +76,12 @@ class LogSumProblem:
 
     def value(self, x):
         r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
-        return _per_point(np.log1p(r * r).sum(axis=-1))
+        return _float_or_array(np.log1p(r * r).sum(axis=-1))
 
     def value_and_gradient(self, x):
         r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
         r_sq = r * r
-        return (_per_point(np.log1p(r_sq).sum(axis=-1)),
+        return (_float_or_array(np.log1p(r_sq).sum(axis=-1)),
                 _matvec(self.rows.T, 2.0 * r / (1.0 + r_sq)))
 
     def gradient(self, x):
@@ -150,11 +145,11 @@ class QuadraticProblem:
 
     def value(self, x):
         r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
-        return 0.5 * _per_point(sq_norm(r))
+        return 0.5 * _float_or_array(sq_norm(r))
 
     def value_and_gradient(self, x):
         r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
-        return 0.5 * _per_point(sq_norm(r)), _matvec(self.operator.T, r)
+        return 0.5 * _float_or_array(sq_norm(r)), _matvec(self.operator.T, r)
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]
@@ -208,13 +203,13 @@ class HolderPowerProblem:
     def value(self, x):
         d = np.abs(np.asarray(x, dtype=float) - self.centers)
         p = 1.0 + self.exponent
-        return _per_point((d ** p).sum(axis=-1) / p)
+        return _float_or_array((d ** p).sum(axis=-1) / p)
 
     def value_and_gradient(self, x):
         d = np.asarray(x, dtype=float) - self.centers
         mags = np.abs(d)
         p = 1.0 + self.exponent
-        return _per_point((mags ** p).sum(axis=-1) / p), np.sign(d) * mags ** self.exponent
+        return _float_or_array((mags ** p).sum(axis=-1) / p), np.sign(d) * mags ** self.exponent
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]

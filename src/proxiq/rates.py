@@ -14,14 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracle import (_check_degree, _check_k, _nonnegative, _positive,
+from .oracle import (_check_degree, _check_k, _float_or_array, _nonnegative, _positive,
                      holder_smoothing_constant)
-
-
-def _ret(values):
-    # hand back a plain float for scalar queries, an array otherwise
-    values = np.asarray(values, dtype=float)
-    return float(values) if values.ndim == 0 else values
 
 
 def bound_nonconvex_const(lipschitz, degree, delta, gap, k):
@@ -38,7 +32,7 @@ def bound_nonconvex_const(lipschitz, degree, delta, gap, k):
     lead = 2.0 * (q + 1.0) * lipschitz * gap / (k + 1.0)
     plateau = ((q + 1.0) * (2.0 - q) * lipschitz ** ((2.0 - 2.0 * q) / (2.0 - q))
                * delta ** (2.0 / (2.0 - q)))
-    return _ret(lead + plateau)
+    return _float_or_array(lead + plateau)
 
 
 def rho_opt_horizon(lipschitz, degree, delta, gap, horizon):
@@ -52,7 +46,7 @@ def rho_opt_horizon(lipschitz, degree, delta, gap, horizon):
     _nonnegative(delta=delta)
     horizon = _check_k(horizon, name="horizon")
     e = (2.0 - q) / 2.0
-    return _ret(lipschitz ** e * float(delta) * (horizon + 1.0) ** e / (2.0 * gap) ** e)
+    return _float_or_array(lipschitz ** e * float(delta) * (horizon + 1.0) ** e / (2.0 * gap) ** e)
 
 
 def bound_nonconvex_horizon(lipschitz, degree, delta, gap, k):
@@ -81,7 +75,7 @@ def bound_nonconvex_horizon(lipschitz, degree, delta, gap, k):
           / (k + 1.0) ** (q / 2.0))
     t3 = (q * (2.0 - q) * delta ** 2 * lipschitz ** (1.0 - q) * (2.0 * gap) ** (q - 1.0)
           / (k + 1.0) ** (q - 1.0))
-    return _ret(t1 + t2 + t3)
+    return _float_or_array(t1 + t2 + t3)
 
 
 def bound_convex_ergodic(lipschitz, degree, delta, radius, k, rho=None):
@@ -98,11 +92,12 @@ def bound_convex_ergodic(lipschitz, degree, delta, radius, k, rho=None):
     _nonnegative(delta=delta)
     k = _check_k(k, floor=1.0)
     if rho is None:
-        return _ret(lipschitz * radius ** 2 / (2.0 * k)
-                    + (2.0 + q) * delta * radius ** q / (2.0 * k ** (q / 2.0)))
+        return _float_or_array(lipschitz * radius ** 2 / (2.0 * k)
+                               + (2.0 + q) * delta * radius ** q / (2.0 * k ** (q / 2.0)))
     _positive(rho=rho)
-    return _ret((lipschitz + q * rho) * radius ** 2 / (2.0 * k)
-                + (2.0 - q) * delta ** (2.0 / (2.0 - q)) / (2.0 * rho ** (q / (2.0 - q))))
+    return _float_or_array((lipschitz + q * rho) * radius ** 2 / (2.0 * k)
+                           + (2.0 - q) * delta ** (2.0 / (2.0 - q))
+                           / (2.0 * rho ** (q / (2.0 - q))))
 
 
 def rho_opt_fast(radius, degree, delta, k):
@@ -115,8 +110,8 @@ def rho_opt_fast(radius, degree, delta, k):
     _nonnegative(delta=delta)
     k = _check_k(k)
     e = (2.0 - q) / 2.0
-    return _ret(((k + 1.0) * (k + 2.0) * (k + 3.0)) ** e * float(delta)
-                / (8.0 * radius ** 2) ** e)
+    return _float_or_array(((k + 1.0) * (k + 2.0) * (k + 3.0)) ** e * float(delta)
+                           / (8.0 * radius ** 2) ** e)
 
 
 def bound_fast_convex(lipschitz, degree, delta, radius, k, rho=None):
@@ -137,11 +132,11 @@ def bound_fast_convex(lipschitz, degree, delta, radius, k, rho=None):
     if rho is None:
         noise = (8.0 ** (q / 2.0) * radius ** q * (k + 3.0) * delta
                  / ((k + 1.0) * (k + 2.0) * (k + 3.0)) ** (q / 2.0))
-        return _ret(lead + noise)
+        return _float_or_array(lead + noise)
     _positive(rho=rho)
-    return _ret(4.0 * (lipschitz + q * rho) * radius ** 2 / ((k + 1.0) * (k + 2.0))
-                + (k + 3.0) * (2.0 - q) * delta ** (2.0 / (2.0 - q))
-                / (2.0 * rho ** (q / (2.0 - q))))
+    return _float_or_array(4.0 * (lipschitz + q * rho) * radius ** 2 / ((k + 1.0) * (k + 2.0))
+                           + (k + 3.0) * (2.0 - q) * delta ** (2.0 / (2.0 - q))
+                           / (2.0 * rho ** (q / (2.0 - q))))
 
 
 def holder_delta_opt(holder_constant, exponent, degree, gap, k):
@@ -167,13 +162,13 @@ def holder_delta_opt(holder_constant, exponent, degree, gap, k):
     c1 = 2.0 * (q + 1.0) * gap * coeff
     if nu == 1.0:
         zeros = np.zeros_like(k)
-        return _ret(zeros), _ret(c1 / (k + 1.0))
+        return _float_or_array(zeros), _float_or_array(c1 / (k + 1.0))
     a = (1.0 - nu) / (1.0 + nu - q)
     b = 2.0 * nu / (1.0 + nu - q)
     c2 = (q + 1.0) * (2.0 - q) * coeff ** ((2.0 - 2.0 * q) / (2.0 - q))
     delta = (a * c1 / ((k + 1.0) * b * c2)) ** (1.0 / (a + b))
     bound = c1 * delta ** (-a) / (k + 1.0) + c2 * delta ** b
-    return _ret(delta), _ret(bound)
+    return _float_or_array(delta), _float_or_array(bound)
 
 
 # each named curve: its bound function, called as bound(k=ks, **parameters),

@@ -12,18 +12,20 @@ reads the oracle's certificate (delta, L, q) once, at the start of a run:
   weight is retuned every step from a running optimistic estimate of the
   reachable objective gap.
 
-All of them record a RunTrace with the squared gradient-mapping norm
-||x_k - x_{k+1}||**2 / alpha_k**2 per step, the quantity the nonconvex
-guarantees control.  They share one loop, _lockstep, which advances a
-batch of runs in lockstep, each run bitwise the run alone, and keeps one
-table of per-run columns, the certificate and the schedule among them.
-The loop owns the start check, one oracle.evaluate_rows call a step, the
-failure rule and the traces: a non-finite answer or a blown-up objective
-ends a run with DivergenceError.  F at x_k, k < K, is the value of the
-answer at x_k, and one objective call on the stack (C, n) gives F at x_K.
-Each solver passes the loop its start and step rules, which read the
-columns, and every step rule moves through one prox kernel,
-_farthest_move.  When an answer carries several candidate gradients,
+All of them record a RunTrace with the step alpha_k and the squared
+gradient-mapping norm ||x_k - x_{k+1}||**2 / alpha_k**2 per step, the
+quantity the nonconvex guarantees control.  They share one loop,
+_lockstep, which advances a batch of runs in lockstep, each run bitwise
+the run alone, and keeps one table of per-run columns: the certificate,
+the schedule and the step each run takes, its rho, L + q*rho, alpha and
+alpha**2.  The loop owns the start check, one oracle.evaluate_rows call
+a step, the failure rule and the traces: a non-finite answer or a
+blown-up objective ends a run with DivergenceError.  F at x_k, k < K, is
+the value of the answer at x_k, and one objective call on the stack
+(C, n) gives F at x_K.  Each solver passes the loop its start and step
+rules, which read the columns; a step rule moves through one prox
+kernel, _farthest_move, and returns the squared move, from which the
+loop records gm_sq.  When an answer carries several candidate gradients,
 prox_gradient steps along the one whose prox step moves farthest, as the
 worst-case sweep needs; the other two solvers raise ValueError.
 """
@@ -162,6 +164,14 @@ def _square(a):
         return math.inf
 
 
+def _step_size(run):
+    """Sets each run's step from its rho in the table: lip = L + q*rho,
+    alpha = step_scale / lip and alpha_sq = alpha**2, the step it takes."""
+    run["lip"] = run["lipschitz"] + run["degree"] * run["rho"]
+    run["alpha"] = run["step_scale"] / run["lip"]
+    run["alpha_sq"] = np.array([_square(a) for a in run["alpha"].tolist()])
+
+
 def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     """The step loop of every solver, over a batch or a single run as
     prox_gradient describes; a run's result is finish(trace, records) when
@@ -170,13 +180,15 @@ def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     run is the one table of the live runs, a column per name and a row per
     run: index, oracle, rng, the certificate's lipschitz, degree and delta
     and the schedule's rho and step_scale, read once here and checked by
-    start(run), then x, lip = L + q*rho, alpha, alpha_sq, f0, ceiling, the
-    answer's candidates and the step rule's own state.  Step k records the
-    value of one evaluate_rows answer at x_k as F(x_k), and F at x_K is one
-    objective call on the stack.  The failure rule ends runs, one mask
-    drops them from every column, and step(k, run) moves the others on; it
-    returns its records {name: one value per run}, gm_sq and optionally
-    alpha and objective_y among them, and {row: DivergenceError}.
+    start(run), then x, the step lip, alpha and alpha_sq set by _step_size,
+    f0, ceiling, the answer's candidates and the step rule's own state.
+    Step k records the value of one evaluate_rows answer at x_k as F(x_k),
+    and F at x_K is one objective call on the stack.  The failure rule ends
+    runs, one mask drops them from every column, and step(k, run) moves the
+    others on, calling _step_size when it retunes rho; it returns each
+    run's squared move, its own records {name: one value per run}, such as
+    objective_y, and {row: DivergenceError}.  The loop records alpha and
+    gm_sq = move**2 / alpha**2 from the table.
     """
     batch = isinstance(oracle, (list, tuple))
     oracles, configs, rngs = ((list(oracle), list(config), list(rng)) if batch
@@ -200,9 +212,7 @@ def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
     run.update(index=np.arange(runs), oracle=np.fromiter(oracles, object, runs),
                rng=np.fromiter(rngs, object, runs), x=np.tile(x0, (runs, 1)))
     start(run)
-    run["lip"] = run["lipschitz"] + run["degree"] * run["rho"]
-    run["alpha"] = run["step_scale"] / run["lip"]
-    run["alpha_sq"] = np.array([_square(a) for a in run["alpha"].tolist()])
+    _step_size(run)
     for a, a_sq in zip(run["alpha"].tolist(), run["alpha_sq"].tolist()):
         if not 0.0 < a_sq < math.inf:  # gm_sq divides by it: a 0 turns a trace to NaN
             raise ValueError(f"step alpha = {a!r} squares to {a_sq!r}, not a positive finite float")
@@ -227,7 +237,8 @@ def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
             run = _leave(run, failures, outcomes)
         if k == iters or not len(run["index"]):
             break
-        step_records, failures = step(k, run)
+        move_sq, step_records, failures = step(k, run)
+        step_records.update(gm_sq=move_sq / run["alpha_sq"], alpha=run["alpha"])
         for name, values in step_records.items():
             if name not in records:
                 records[name] = np.empty((runs, iters))
@@ -238,8 +249,7 @@ def _lockstep(objective, oracle, h, config, x0, rng, start, step, finish=None):
             break
     for j, i in enumerate(run["index"]):
         rec = {name: values[i] for name, values in records.items()}
-        alpha = rec.pop("alpha") if "alpha" in rec else np.full(iters, run["alpha"][j])
-        trace = RunTrace(None if batch else iterates[:, i], objective_vals[i], alpha,
+        trace = RunTrace(None if batch else iterates[:, i], objective_vals[i], rec.pop("alpha"),
                          float(run["delta"][j]), rec.pop("gm_sq"), rec.pop("objective_y", None))
         outcomes[i] = finish(trace, rec) if finish else trace
     if not batch and isinstance(outcomes[0], DivergenceError):
@@ -276,7 +286,7 @@ def prox_gradient(objective, oracle, h, config, x0, rng=None):
     """
     def step(k, run):
         run["x"], move_sq = _farthest_move(h, run["alpha"], run["x"], run["candidates"])
-        return {"gm_sq": move_sq / run["alpha_sq"]}, {}
+        return move_sq, {}, {}
 
     return _lockstep(objective, oracle, h, config, x0, rng, _rho_rule, step)
 
@@ -368,8 +378,7 @@ def fast_prox_gradient(objective, oracle, h, config, x0, theta_rule="equality_ro
                    a_weight=a_new)
         fy = _values(objective, y)
         # y only has to stay finite
-        return ({"gm_sq": move_sq / run["alpha_sq"], "objective_y": fy},
-                _failures(k + 1, fy, math.inf, np.ones(len(fy), dtype=bool)))
+        return move_sq, {"objective_y": fy}, _failures(k + 1, fy, math.inf, np.ones(len(fy), bool))
 
     return _lockstep(objective, oracle, h, config, x0, rng, _rho_rule, step)
 
@@ -402,17 +411,17 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
     def start(run):
         if not np.all((1.0 <= run["degree"]) & (run["degree"] < 2.0)):
             raise ValueError("the adaptive variant needs degree in [1, 2)")
-        run["rho"][:] = 0.0  # read by none of its steps: alpha is then s/L, above each of them
+        run["rho"][:] = 0.0  # the start check's alpha is then s/L, above every step's
 
     def step(k, run):
         x = run["x"]
-        lipschitz, degree, delta, step_scale = (  # floats: rho_opt_horizon stays scalar
-            run[name].tolist() for name in ("lipschitz", "degree", "delta", "step_scale"))
+        lipschitz, degree, delta = (  # floats: rho_opt_horizon stays scalar
+            run[name].tolist() for name in ("lipschitz", "degree", "delta"))
         _gradient(k, run["candidates"])  # refuses an answer with several candidates
         if k == 0:
             run.update(epsilon=np.full(len(x), float(epsilon0)), f_min=run["f0"])
         epsilon, f_best = run["epsilon"], run["f_min"] - run["epsilon"]
-        alpha, f_next, move_sq = np.empty((3, len(x)))
+        f_next, move_sq = np.empty((2, len(x)))
         nxt = np.empty_like(x)
         retries = np.zeros(len(x), dtype=int)
         failures = {}
@@ -421,10 +430,10 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         while len(chasing):
             for j in chasing:
                 gap = float(run["f0"][j] - f_best[j])
-                rho = (rho_opt_horizon(lipschitz[j], degree[j], delta[j], gap, k)
-                       if delta[j] > 0.0 else 0.0)
-                alpha[j] = step_scale[j] / (lipschitz[j] + degree[j] * rho)
-            nxt[chasing], move_sq[chasing] = _farthest_move(h, alpha[chasing], x[chasing],
+                run["rho"][j] = (rho_opt_horizon(lipschitz[j], degree[j], delta[j], gap, k)
+                                 if delta[j] > 0.0 else 0.0)
+            _step_size(run)
+            nxt[chasing], move_sq[chasing] = _farthest_move(h, run["alpha"][chasing], x[chasing],
                                                             run["candidates"][chasing])
             f_next[chasing] = _values(objective, nxt[chasing])
             failed = _failures(k + 1, f_next[chasing], run["ceiling"][chasing],
@@ -439,10 +448,9 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
             chasing = chasing[~over]
             epsilon[chasing] *= 2.0
             f_best[chasing] = run["f_min"][chasing] - epsilon[chasing]
-        records = {"gm_sq": move_sq / np.array([a ** 2 for a in alpha.tolist()]),
-                   "alpha": alpha, "epsilon": epsilon, "f_best": f_best, "retries": retries}
+        records = {"epsilon": epsilon, "f_best": f_best, "retries": retries}
         run.update(x=nxt, f_min=np.minimum(run["f_min"], f_next), epsilon=epsilon / 2.0)
-        return records, failures
+        return move_sq, records, failures
 
     def finish(trace, records):
         return trace, [AdaptiveState(epsilon=float(e), f_best=float(b), retry_count=int(r))

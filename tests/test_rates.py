@@ -3,6 +3,7 @@ each curve kind against a solver run that meets its hypotheses."""
 
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from proxiq import (
     HolderOracle,
     NoisyGradientOracle,
     ProxFunction,
+    SaddleProblem,
     ScheduleConfig,
     bound_convex_ergodic,
     bound_fast_convex,
@@ -266,9 +268,36 @@ def test_rate_validation_errors():
 
 
 def test_scalar_and_array_returns():
-    assert isinstance(bound_nonconvex_const(1.0, 1.0, 0.1, 1.0, 3), float)
-    out = bound_nonconvex_const(1.0, 1.0, 0.1, 1.0, np.array([1.0, 2.0]))
-    assert isinstance(out, np.ndarray) and out.shape == (2,)
+    # one rule for problems and rates alike: a float for one point or a
+    # scalar k, an ndarray for a stack of points or an array of ks
+    def check(call, one, stack):
+        assert isinstance(call(one), float)
+        out = call(stack)
+        assert isinstance(out, np.ndarray) and out.shape == (len(stack),)
+
+    curves = [partial(bound_nonconvex_const, 1.0, 1.0, 0.1, 1.0),
+              partial(rho_opt_horizon, 1.0, 1.5, 0.1, 1.0),
+              partial(bound_nonconvex_horizon, 1.0, 1.5, 0.1, 1.0),
+              partial(bound_convex_ergodic, 1.0, 0.5, 0.1, 2.0),
+              partial(bound_convex_ergodic, 1.0, 0.5, 0.1, 2.0, rho=0.5),
+              partial(rho_opt_fast, 2.0, 0.5, 0.1),
+              partial(bound_fast_convex, 1.0, 0.5, 0.1, 2.0),
+              partial(bound_fast_convex, 1.0, 0.5, 0.1, 2.0, rho=0.5)]
+    for nu in (0.5, 1.0):  # holder_delta_opt's two branches, each half of its pair
+        curves += [lambda k, nu=nu, half=half: holder_delta_opt(1.0, nu, 0.5, 1.0, k)[half]
+                   for half in (0, 1)]
+    for curve in curves:
+        check(curve, 3, np.array([1.0, 2.0]))
+    gen = np.random.default_rng(0)
+    problems = [generate_logsum_instance(4, 9, 2.0, seed=0),
+                generate_quadratic_instance(4, conditioning=2.0, seed=0),
+                generate_holder_instance(4, 0.5, seed=0)]
+    calls = [p.value for p in problems] + [lambda x, p=p: p.value_and_gradient(x)[0]
+                                           for p in problems]
+    calls.append(SaddleProblem(gen.standard_normal((4, 3)), gen.standard_normal(3), 2.0).value)
+    points = gen.uniform(-1.0, 1.0, (2, 4))
+    for call in calls:
+        check(call, points[0], points)
 
 
 # ------------------------------------------------------------------ curves
@@ -332,24 +361,11 @@ def _under(kind, parameters, ks, observed):
     assert np.all(ratio <= 1.0), (kind, parameters, float(ratio.max()))
 
 
-def _quad32(distance, direction_seed):
-    """Gate test_07's convex quadratic and a start at the given distance from x*."""
-    quad = generate_quadratic_instance(32, conditioning=3.0, seed=7)
-    direction = np.random.default_rng(direction_seed).standard_normal(32)
-    return quad, quad.x_star + distance * direction / np.linalg.norm(direction)
-
-
-def _ergodic_gaps(quad, oracle, h, config, x0, seed):
-    """F at the running averages of x_1 .. x_k, minus F*, for k = 1 .. K."""
-    trace = prox_gradient(quad.value, oracle, h, config, x0, rng=np.random.default_rng(seed))
+def _ergodic_gaps(problem, oracle, config, x0):
+    """F at the running averages of x_1 .. x_k, minus F*, for k = 1 .. K, h = 0."""
+    trace = prox_gradient(problem.value, oracle, ProxFunction.zero(), config, x0)
     ks = np.arange(1, config.max_iters + 1)
-    return quad.value(np.cumsum(trace.iterates[1:], axis=0) / ks[:, None]) - quad.f_star
-
-
-def _l1_ball_around(quad, x0):
-    """An l1 ball holding x0 and x*, so the minimizer and the start stay feasible."""
-    radius = float(np.ceil(max(np.abs(x0).sum(), np.abs(quad.x_star).sum())))
-    return radius, ProxFunction.l1_ball(radius)
+    return problem.value(np.cumsum(trace.iterates[1:], axis=0) / ks[:, None]) - problem.f_lower
 
 
 def _nonconvex_const():
@@ -405,45 +421,44 @@ def _nonconvex_horizon():
 
 
 def _convex_ergodic():
-    # gate test_07's setting: the averaged iterates at three weights, at every
-    # step; at q = 0.5 on an l1 ball, whose diameter rescales delta
-    quad, x0 = _quad32(5.0, 3)
-    radius, ball = _l1_ball_around(quad, x0)
-    for q, h in ((1.0, ProxFunction.zero()), (0.5, ball)):
-        oracle = NoisyGradientOracle(quad, 0.1, degree=q, diameter=2.0 * radius)
-        for rho in (0.1, 1.0, 10.0):
-            gaps = _ergodic_gaps(quad, oracle, h, ScheduleConfig(rho=rho, max_iters=2000), x0,
-                                 seed=100 + int(rho * 10))
-            _under("convex_ergodic", dict(lipschitz=quad.lipschitz, degree=q,
-                                          delta=oracle.certificate.delta, radius=5.0, rho=rho),
-                   np.arange(1, 2001), gaps)
+    # the averaged iterates at three weights, at every step, inside the
+    # hypothesis at q = 1 and 0.5
+    for q in (1.0, 0.5):
+        problem, x0, radius, oracles = _convex_setting(q)
+        for oracle in oracles:
+            cert = oracle.certificate
+            for rho in (0.1, 1.0, 10.0):
+                gaps = _ergodic_gaps(problem, oracle, ScheduleConfig(rho=rho, max_iters=2000), x0)
+                _under("convex_ergodic", dict(lipschitz=cert.lipschitz, degree=q,
+                                              delta=cert.delta, radius=radius, rho=rho),
+                       np.arange(1, 2001), gaps)
 
 
 def _convex_ergodic_opt_rho():
     # the display form bounds the run at the weight delta*(K/R^2)^((2-q)/2)
     # that minimizes the explicit-weight bound at K, read at K only: at one
     # weight for every k it is no bound
-    quad, x0 = _quad32(5.0, 3)
-    radius, ball = _l1_ball_around(quad, x0)
-    for q, h in ((1.0, ProxFunction.zero()), (0.5, ball)):
-        oracle = NoisyGradientOracle(quad, 0.1, degree=q, diameter=2.0 * radius)
-        delta = oracle.certificate.delta
-        for K in (300, 2000):
-            rho = delta * (K / 5.0 ** 2) ** ((2.0 - q) / 2.0)
-            gaps = _ergodic_gaps(quad, oracle, h, ScheduleConfig(rho=rho, max_iters=K), x0, seed=K)
-            _under("convex_ergodic_opt_rho",
-                   dict(lipschitz=quad.lipschitz, degree=q, delta=delta, radius=5.0),
-                   [K], gaps[-1])
+    for q in (1.0, 0.5):
+        problem, x0, radius, oracles = _convex_setting(q)
+        for oracle in oracles:
+            cert = oracle.certificate
+            for K in (300, 2000):
+                rho = cert.delta * (K / radius ** 2) ** ((2.0 - q) / 2.0)
+                gaps = _ergodic_gaps(problem, oracle, ScheduleConfig(rho=rho, max_iters=K), x0)
+                _under("convex_ergodic_opt_rho", dict(lipschitz=cert.lipschitz, degree=q,
+                                                      delta=cert.delta, radius=radius),
+                       [K], gaps[-1])
 
 
-def _fast_convex_setting():
-    """The fast method's hypothesis: a convex weakly smooth problem whose exact
-    gradient, HolderOracle at degree 1, certifies both sides at each delta > 0.
-    The start x0 and R = ||x0 - x*||, x* the centers."""
+def _convex_setting(degree):
+    """The convex bounds' hypothesis: a convex weakly smooth problem whose
+    exact gradient, HolderOracle at the degree, certifies both sides at each
+    delta > 0.  The start x0 and R = ||x0 - x*||, x* the centers."""
     problem = generate_holder_instance(16, 0.5, seed=4)
     x0 = np.full(16, 3.0)
-    oracles = [HolderOracle(problem, 1.0, delta) for delta in (0.01, 0.1, 1.0)]
-    # gate test_09's noisy oracle claims no lower side: a case moved to it fails here
+    oracles = [HolderOracle(problem, degree, delta) for delta in (0.01, 0.1, 1.0)]
+    # the noisy oracle of gate test_07 and test_09 claims no lower side: a
+    # case moved to it fails here
     assert all(oracle.certificate.convex_lower_bound for oracle in oracles)
     return problem, x0, float(np.linalg.norm(x0 - problem.centers)), oracles
 
@@ -451,7 +466,7 @@ def _fast_convex_setting():
 def _fast_convex():
     # three deltas and three horizons, fixed before any result was seen;
     # rho is retuned for each delta and horizon
-    problem, x0, radius, oracles = _fast_convex_setting()
+    problem, x0, radius, oracles = _convex_setting(1.0)
     tails = []
     for K in (500, 1581, 5000):
         rhos = [float(rho_opt_fast(radius, 1.0, o.certificate.delta, K)) for o in oracles]
@@ -473,7 +488,7 @@ def _fast_convex():
 
 def _fast_convex_opt_rho():
     # the same setting at rho = rho_opt_fast of the last step, read there
-    problem, x0, radius, oracles = _fast_convex_setting()
+    problem, x0, radius, oracles = _convex_setting(1.0)
     for K in (500, 1581):
         runs = fast_prox_gradient(
             problem.value, oracles, ProxFunction.zero(),

@@ -859,18 +859,21 @@ def test_adaptive_reads_no_rho():
     _assert_same_run(*runs)
 
 
+class _FlatFive:
+    """F = 5 everywhere, with a zero gradient."""
+
+    lipschitz = 1.0
+    convex = True
+
+    def value(self, x):
+        return np.full(np.shape(x)[:-1], 5.0)
+
+    def value_and_gradient(self, x):
+        return np.full(np.shape(x)[:-1], 5.0), np.zeros_like(np.asarray(x, dtype=float))
+
+
 def test_adaptive_flat_objective_never_retries():
-    class _Flat:
-        lipschitz = 1.0
-        convex = True
-
-        def value(self, x):
-            return np.full(np.shape(x)[:-1], 5.0)
-
-        def value_and_gradient(self, x):
-            return np.full(np.shape(x)[:-1], 5.0), np.zeros_like(np.asarray(x, dtype=float))
-
-    prob = _Flat()
+    prob = _FlatFive()
     cfg = ScheduleConfig(max_iters=6, rho=0.0)
     trace, history = adaptive_prox_gradient(prob.value, ExactOracle(prob),
                                             ProxFunction.zero(), cfg, np.zeros(3), 1.0)
@@ -881,6 +884,21 @@ def test_adaptive_flat_objective_never_retries():
     assert [s.epsilon for s in history] == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
     assert np.all(trace.objective == 5.0)
     assert np.all(trace.gm_sq == 0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the slack halves at every accepted step with no floor, so after"
+                          " about 51 halvings f_min - epsilon rounds to f_min and the gap"
+                          " f0 - f_best handed to rho_opt_horizon is 0: 'gap must be"
+                          " positive', which in a batch ends every run, not only this one")
+def test_adaptive_noisy_flat_objective_finishes():
+    # 50 steps finish; at 52 the weight formula refuses its gap
+    prob = _FlatFive()
+    trace, history = adaptive_prox_gradient(prob.value, NoisyGradientOracle(prob, 0.1),
+                                            ProxFunction.l1_ball(1.0),
+                                            ScheduleConfig(rho=1.0, max_iters=52), np.zeros(3),
+                                            1.0, rng=np.random.default_rng(0))
+    assert len(history) == len(trace.gm_sq) == 52
 
 
 def test_adaptive_runs_and_keeps_invariants():
