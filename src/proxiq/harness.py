@@ -153,10 +153,12 @@ _CHECKS = {
 
 def _distinct_cells(values, key):
     """Reject grid values that would share a cell seed or a trace file name,
-    or whose seed key, the value times 10^6, overflows."""
-    if not all(math.isfinite(v * 1e6) for v in values):
-        raise ConfigError(f"{key} values are too large to key a cell seed: {list(values)}")
-    seeds = {round(v * 1e6) for v in values}
+    or whose _seed_key overflows."""
+    try:
+        seeds = {_seed_key(v) for v in values}
+    except OverflowError:
+        raise ConfigError(
+            f"{key} values are too large to key a cell seed: {list(values)}") from None
     names = {f"{v:g}" for v in values}
     if len(seeds) < len(values) or len(names) < len(values):
         raise ConfigError(f"{key} values must differ in cell seed and file name: {list(values)}")
@@ -232,6 +234,11 @@ def fig1_config(output_dir, iterations=5000, repeats=5, master_seed=0):
                          "master_seed": master_seed})
 
 
+def _seed_key(value):
+    """A grid value's integer in its cell seed, value * 10^6 rounded, or OverflowError."""
+    return round(float(value) * 1e6)
+
+
 def cell_seed(master_seed, degree, noise_bound, repeat):
     """Content-addressed seed for one grid cell.
 
@@ -239,8 +246,8 @@ def cell_seed(master_seed, degree, noise_bound, repeat):
     its position in the grid, so inserting or removing sibling cells never
     changes the randomness of existing ones.
     """
-    return np.random.SeedSequence([int(master_seed), int(round(float(degree) * 1e6)),
-                                   int(round(float(noise_bound) * 1e6)), int(repeat)])
+    return np.random.SeedSequence([int(master_seed), _seed_key(degree),
+                                   _seed_key(noise_bound), int(repeat)])
 
 
 def plateau_estimate(values, fraction=0.1):

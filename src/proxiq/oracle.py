@@ -174,27 +174,10 @@ def holder_smoothing_constant(holder_constant, exponent, degree, delta):
     return lip
 
 
-def _row_dot(a, b):
-    """a @ b for one pair of vectors or for each row of broadcast stacks, one
-    BLAS dot per row, so each row's value is bitwise that of the row alone."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def sq_norm(x):
-    """x @ x for one point or for each row of a stack, as _row_dot takes it."""
-    return _row_dot(x, x)
-
-
 def _float_or_array(values):
     """A float for one value, such as one point's or one k's, else the array."""
     values = np.asarray(values, dtype=float)
     return float(values) if values.ndim == 0 else values
-
-
-def _matvec(matrix, x):
-    """matrix @ x for one point x or for each row of a stack, one BLAS
-    matrix-vector product per row, so row i does not depend on the others."""
-    return np.matmul(matrix, x[..., None])[..., 0]
 
 
 def perturbed(base, rngs, bounds, count=1):
@@ -233,7 +216,7 @@ def perturbed(base, rngs, bounds, count=1):
             u[1, 0] = rng.random() if coin >= 0.5 else 0.0
     radii = np.asarray(bounds, dtype=float)[:, None] * np.where(
         uniforms[:, 0] < 0.5, 1.0, uniforms[:, 1])  # a zero bound's radii are 0
-    norms = np.sqrt(sq_norm(slab))
+    norms = np.sqrt(np.vecdot(slab, slab))
     # a zero row stays zero whatever it is scaled by, so it keeps its radius
     slab *= np.divide(radii, norms, out=radii, where=norms > 0.0)[..., None]
     slab += base[:, None]
@@ -267,8 +250,8 @@ class SaddleProblem:
     F(x) = <A c, x> + ||A.T x||**2 / (2 kappa), a convex smooth function
     with gradient A u(x) and smoothness constant ||A||**2 / kappa.  The
     value and the maximizer share the one product A.T x.  Both take a
-    point or a stack (C, n), row i bitwise the point x[i] alone: the
-    products are one BLAS product per row, as problems' are.
+    point or a stack (C, n), row i bitwise the point x[i] alone, by the
+    row-wise products the problems module describes.
     """
 
     operator: np.ndarray
@@ -282,9 +265,9 @@ class SaddleProblem:
 
     def value_and_maximizer(self, x):
         x = np.asarray(x, dtype=float)
-        atx = _matvec(self.operator.T, x)
-        value = (_row_dot(x, self.operator @ self.concave_center)
-                 + sq_norm(atx) / (2.0 * self.concavity))
+        atx = np.matvec(self.operator.T, x)
+        value = (np.vecdot(x, self.operator @ self.concave_center)
+                 + np.vecdot(atx, atx) / (2.0 * self.concavity))
         return _float_or_array(value), self.concave_center + atx / self.concavity
 
     def value(self, x):
@@ -502,7 +485,7 @@ class SaddleOracle(Oracle):
         saddle = _shared(oracles, "saddle")
         values, u = saddle.value_and_maximizer(points)
         u = perturbed(u, rngs, [o.inner_accuracy for o in oracles])[:, 0]
-        return values, _matvec(saddle.operator, u)[:, None]
+        return values, np.matvec(saddle.operator, u)[:, None]
 
 
 class HolderOracle(ModelOracle):
@@ -577,8 +560,8 @@ def certify_oracle(oracle, exact_value, domain_sampler, pairs=1000, tolerance=1e
     if not np.isfinite(exact).all():  # a bad F(x) would be blamed on the oracle
         raise ValueError("exact value is not finite")
     diffs = xs - ys
-    dist = np.sqrt(sq_norm(diffs))
-    gaps = (exact - values)[:, None] - _row_dot(candidates, diffs[:, None])
+    dist = np.sqrt(np.vecdot(diffs, diffs))
+    gaps = (exact - values)[:, None] - np.vecdot(candidates, diffs[:, None])
     violations = (gaps - (0.5 * cert.lipschitz * dist ** 2)[:, None]
                   - (cert.delta * dist ** cert.degree)[:, None])
     count = candidates.shape[1]

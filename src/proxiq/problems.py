@@ -14,13 +14,11 @@ is one pass for callers that need only F.  Both return bitwise the same
 value, and gradient(x) is the second half of the fused answer.
 
 Both also take a stack of points (C, n) and then return C values and a
-(C, n) gradient, row i bitwise equal to the answer at the point x[i]
-alone: products with a matrix are stacked matrix-vector products, and
-sums run along the last axis.  One GEMM over the stack would be faster on
-paper but is not bitwise equal, and its rounding changes with C.
-
-The logsum constant sum_i ||row_i||**2 is summed from sq_norm's per-row
-dot products, so it needs no temporary of the rows matrix's size.
+(C, n) gradient.  The package's per-row contract, stated here once: every
+row-wise product, here and in the oracles and the solver, is np.matvec or
+np.vecdot, one BLAS call per row, and sums run along the last axis, so
+row i is bitwise the answer at the point x[i] alone.  One GEMM over the
+stack is not bitwise equal, and its rounding changes with C.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import _count, _finite, _float_or_array, _matvec, _positive, spectral_norm, sq_norm
+from .oracle import _count, _finite, _float_or_array, _positive, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class LogSumProblem:
     smoothness constant only where it is at least 2*||rows||_2**2.  That
     holds for generated instances with many rows (64 x 128 and larger) but
     fails for a few rows or a dominant direction: a single row gets half
-    the true constant.  It is summed from sq_norm of each row, with no
+    the true constant.  It is summed from each row's np.vecdot, with no
     (N, n) temporary.
 
     value_and_gradient computes the residual r = rows @ x - targets and
@@ -72,17 +70,17 @@ class LogSumProblem:
 
     @cached_property
     def lipschitz(self):
-        return float(sq_norm(self.rows).sum())
+        return float(np.vecdot(self.rows, self.rows).sum())
 
     def value(self, x):
-        r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
+        r = np.matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
         return _float_or_array(np.log1p(r * r).sum(axis=-1))
 
     def value_and_gradient(self, x):
-        r = _matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
+        r = np.matvec(self.rows, np.asarray(x, dtype=float)) - self.targets
         r_sq = r * r
         return (_float_or_array(np.log1p(r_sq).sum(axis=-1)),
-                _matvec(self.rows.T, 2.0 * r / (1.0 + r_sq)))
+                np.matvec(self.rows.T, 2.0 * r / (1.0 + r_sq)))
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]
@@ -144,12 +142,12 @@ class QuadraticProblem:
         return self.f_star
 
     def value(self, x):
-        r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
-        return 0.5 * _float_or_array(sq_norm(r))
+        r = np.matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
+        return 0.5 * _float_or_array(np.vecdot(r, r))
 
     def value_and_gradient(self, x):
-        r = _matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
-        return 0.5 * _float_or_array(sq_norm(r)), _matvec(self.operator.T, r)
+        r = np.matvec(self.operator, np.asarray(x, dtype=float)) - self.offset
+        return 0.5 * _float_or_array(np.vecdot(r, r)), np.matvec(self.operator.T, r)
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]

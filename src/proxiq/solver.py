@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import _count, _nonnegative, _positive, evaluate_rows, sq_norm
+from .oracle import _count, _nonnegative, _positive, evaluate_rows
 from .prox import project_l1_rows
 from .rates import rho_opt_horizon
 
@@ -305,7 +305,8 @@ def _farthest_move(h, alpha, x, candidates):
     runs, count, dim = candidates.shape
     steps = project_l1_rows((x[:, None] - alpha[:, None, None] * candidates).reshape(-1, dim),
                             h.radius)
-    moves_sq = sq_norm(steps.reshape(runs, count, dim) - x[:, None])
+    moves = steps.reshape(runs, count, dim) - x[:, None]
+    moves_sq = np.vecdot(moves, moves)
     # argmax takes the first NaN: fmax makes a later candidate's NaN -inf
     ranked = np.fmax(moves_sq, -np.inf)
     ranked[:, 0] = moves_sq[:, 0]
@@ -421,7 +422,7 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         if k == 0:
             run.update(epsilon=np.full(len(x), float(epsilon0)), f_min=run["f0"])
         epsilon, f_best = run["epsilon"], run["f_min"] - run["epsilon"]
-        f_next, move_sq = np.empty((2, len(x)))
+        f_next, move_sq = np.zeros((2, len(x)))  # a run that leaves unstepped keeps 0
         nxt = np.empty_like(x)
         retries = np.zeros(len(x), dtype=int)
         failures = {}
@@ -430,8 +431,16 @@ def adaptive_prox_gradient(objective, oracle, h, config, x0, epsilon0,
         while len(chasing):
             for j in chasing:
                 gap = float(run["f0"][j] - f_best[j])
-                run["rho"][j] = (rho_opt_horizon(lipschitz[j], degree[j], delta[j], gap, k)
-                                 if delta[j] > 0.0 else 0.0)
+                if delta[j] == 0.0:
+                    run["rho"][j] = 0.0
+                elif gap > 0.0:
+                    run["rho"][j] = rho_opt_horizon(lipschitz[j], degree[j], delta[j], gap, k)
+                else:  # the slack halved until f_min - epsilon rounds to f_min
+                    failures[j] = DivergenceError(f"adaptive target gap {gap!r} at step {k}"
+                                                  " is not positive")
+            chasing = chasing[[j not in failures for j in chasing]]
+            if not len(chasing):
+                break
             _step_size(run)
             nxt[chasing], move_sq[chasing] = _farthest_move(h, run["alpha"][chasing], x[chasing],
                                                             run["candidates"][chasing])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from proxiq import ProxFunction, ScheduleConfig, cli, harness, prox_gradient, rates
 from proxiq.harness import ConfigError
-from proxiq.oracle import NoisyGradientOracle, sq_norm
+from proxiq.oracle import NoisyGradientOracle
 from proxiq.problems import generate_logsum_instance
 from proxiq.prox import project_l1_rows
 
@@ -783,7 +783,7 @@ def test_worst_case_needs_directions_and_picks_the_biggest(small_problem, tmp_pa
     lip = small_problem.lipschitz
     alpha = cfg3.solver.step_scale / (lip + 1.0 * lip)
     moves = project_l1_rows(x0 - alpha * candidates, small_problem.radius) - x0
-    gm_sq = sq_norm(moves) / alpha ** 2
+    gm_sq = np.vecdot(moves, moves) / alpha ** 2
     assert len(set(gm_sq.tolist())) == 3
     assert worst.trace.gm_sq[0] == gm_sq.max()
 

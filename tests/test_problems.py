@@ -361,3 +361,7 @@ def test_stacked_evaluation_is_bitwise_on_the_canonical_instance():
     rng = np.random.default_rng(3)
     for height in (1, 2, 7, 16, 45):
         _assert_stack_is_per_row(p, rng.uniform(-0.1, 0.1, (height, 64)))
+    # the wide workload's shape, whose rows matrix outgrows L2
+    p = generate_logsum_instance(1024, 2048, 4.0, seed=0)
+    for height in (1, 3):
+        _assert_stack_is_per_row(p, rng.uniform(-0.01, 0.01, (height, 1024)))

@@ -29,7 +29,6 @@ from proxiq import (
     rho_opt_horizon,
 )
 from proxiq import solver as solver_module
-from proxiq.oracle import sq_norm
 from proxiq.prox import project_l1_rows
 from proxiq.solver import _farthest_move, _theta
 
@@ -226,7 +225,7 @@ def _sequential_farthest_move(h, alpha, x, candidates):
     a later candidate replacing the pick only when it moves strictly farther."""
     def _prox_move(h, alpha, x, grad):
         nxt = project_l1_rows(x - alpha[:, None] * grad, h.radius)
-        return nxt, sq_norm(nxt - x)
+        return nxt, np.vecdot(nxt - x, nxt - x)
 
     nxt, move_sq = _prox_move(h, alpha, x, candidates[:, 0])
     for j in range(1, candidates.shape[1]):
@@ -886,19 +885,34 @@ def test_adaptive_flat_objective_never_retries():
     assert np.all(trace.gm_sq == 0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
+@pytest.mark.xfail(strict=True, raises=DivergenceError,
                    reason="the slack halves at every accepted step with no floor, so after"
-                          " about 51 halvings f_min - epsilon rounds to f_min and the gap"
-                          " f0 - f_best handed to rho_opt_horizon is 0: 'gap must be"
-                          " positive', which in a batch ends every run, not only this one")
+                          " about 51 halvings f_min - epsilon rounds to f_min, the gap"
+                          " f0 - f_best is 0 and no horizon-optimal weight is left: the run"
+                          " ends at step 51")
 def test_adaptive_noisy_flat_objective_finishes():
-    # 50 steps finish; at 52 the weight formula refuses its gap
+    # 50 steps finish; at 52 the target is spent
     prob = _FlatFive()
     trace, history = adaptive_prox_gradient(prob.value, NoisyGradientOracle(prob, 0.1),
                                             ProxFunction.l1_ball(1.0),
                                             ScheduleConfig(rho=1.0, max_iters=52), np.zeros(3),
                                             1.0, rng=np.random.default_rng(0))
     assert len(history) == len(trace.gm_sq) == 52
+
+
+def test_adaptive_spent_target_ends_only_its_run():
+    # the noisy run's gap f0 - f_best rounds to 0 at step 51; the exact run
+    # never reads its gap and goes on, bitwise its run alone
+    prob = _FlatFive()
+    h, cfg = ProxFunction.l1_ball(1.0), ScheduleConfig(rho=1.0, max_iters=52)
+    oracles = [NoisyGradientOracle(prob, 0.1), NoisyGradientOracle(prob, 0.0)]
+    spent, exact = adaptive_prox_gradient(prob.value, oracles, h, [cfg] * 2, np.zeros(3), 1.0,
+                                          rng=[np.random.default_rng(0), None])
+    assert isinstance(spent, DivergenceError)
+    assert str(spent) == "adaptive target gap 0.0 at step 51 is not positive"
+    alone = adaptive_prox_gradient(prob.value, oracles[1], h, cfg, np.zeros(3), 1.0)
+    assert len(alone[1]) == 52
+    _assert_same_run(exact, alone)
 
 
 def test_adaptive_runs_and_keeps_invariants():
@@ -963,7 +977,7 @@ def test_adaptive_matches_reference_loop():
             epsilon *= 2.0
             f_best = f_min - epsilon
         assert trace.alpha[k] == alpha
-        assert trace.gm_sq[k] == sq_norm(candidate - x) / alpha ** 2
+        assert trace.gm_sq[k] == np.vecdot(candidate - x, candidate - x) / alpha ** 2
         assert history[k] == AdaptiveState(epsilon=epsilon, f_best=f_best, retry_count=retries)
         assert np.array_equal(trace.iterates[k + 1], candidate)
         on_ball += abs(np.abs(candidate).sum() - h.radius) < 1e-9
